@@ -48,9 +48,11 @@ def det_curve(scores: ScoreSet) -> DetCurve:
     thresholds = np.concatenate([[-np.inf],
                                  np.unique(np.concatenate([g, a])),
                                  [np.inf]])
-    # attack-classified iff canonical score strictly above the threshold
-    apcer = np.array([(a <= t).mean() for t in thresholds])
-    bpcer = np.array([(g > t).mean() for t in thresholds])
+    # attack-classified iff canonical score strictly above the threshold;
+    # side="right" counts the scores <= t.  BPCER is taken from the count of
+    # scores > t rather than as 1 - x, which would round differently
+    apcer = np.searchsorted(np.sort(a), thresholds, side="right") / a.size
+    bpcer = (g.size - np.searchsorted(np.sort(g), thresholds, side="right")) / g.size
     return DetCurve(thresholds=thresholds, apcer=apcer, bpcer=bpcer)
 
 

@@ -13,6 +13,7 @@ checkpoints.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -317,12 +318,15 @@ def _conv2d_forward(x, w, stride, pad):
     return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
 
 
-def _conv2d_backward(g, x, w, stride, pad):
+def _conv2d_backward(g, x, w, stride, pad, need_dx):
+    """(dx, dw); dx is None when ``need_dx`` is false."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     cols, oh, ow = _im2col(x, kh, kw, stride, pad)
     gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
     dw = (gm.T @ cols).reshape(w.shape)
+    if not need_dx:
+        return None, dw
     dcols = (gm @ w.reshape(f, -1)).reshape(n, oh, ow, c, kh, kw)
     dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
     for ki in range(kh):
@@ -421,7 +425,9 @@ def _fwd(op, vals, p):
     raise GradcoreError(f"unknown primitive '{op}'")
 
 
-def _bwd(op, g, vals, out, p):
+def _bwd(op, g, vals, out, p, need):
+    # ``need[i]`` is false when input i's gradient would be discarded; only
+    # ops with an expensive per-input rule look at it
     if op == "add":
         return (_unbroadcast(g, vals[0].shape), _unbroadcast(g, vals[1].shape))
     if op == "sub":
@@ -435,7 +441,8 @@ def _bwd(op, g, vals, out, p):
     if op == "matmul":
         return (g @ vals[1].T, vals[0].T @ g)
     if op == "conv2d":
-        return _conv2d_backward(g, vals[0], vals[1], p["stride"], p["pad"])
+        return _conv2d_backward(g, vals[0], vals[1], p["stride"], p["pad"],
+                                need_dx=need[0])
     if op == "relu":
         return (g * (vals[0] > 0),)
     if op == "exp":
@@ -594,9 +601,19 @@ def value_and_grad(graph, bindings, wrt):
     out = values[g.output.uid]
     if out.size != 1:
         raise GradcoreError(f"gradient requires a scalar output, got shape {out.shape}")
+    # only nodes with a path to a requested leaf carry an adjoint; the sweep
+    # skips the rest and never computes gradients flowing into them
+    wanted = set(wrt)
+    live = set()
+    for n in g.nodes:
+        if (n.name in wanted if n.op == "leaf"
+                else any(i.uid in live for i in n.inputs)):
+            live.add(n.uid)
     grads = {g.output.uid: np.ones_like(out)}
     leaf_grads = {}
     for n in reversed(g.nodes):
+        if n.uid not in live:
+            continue
         gout = grads.pop(n.uid, None)
         if gout is None:
             continue
@@ -606,12 +623,11 @@ def value_and_grad(graph, bindings, wrt):
             prev = leaf_grads.get(n.name)
             leaf_grads[n.name] = gout if prev is None else prev + gout
             continue
-        if n.op == "const":
-            continue
+        need = [i.uid in live for i in n.inputs]
         in_grads = _bwd(n.op, gout, [values[i.uid] for i in n.inputs],
-                        values[n.uid], n.params)
-        for inp, ig in zip(n.inputs, in_grads):
-            if ig is None:
+                        values[n.uid], n.params, need)
+        for inp, ig, keep in zip(n.inputs, in_grads, need):
+            if ig is None or not keep:
                 continue
             prev = grads.get(inp.uid)
             grads[inp.uid] = ig if prev is None else prev + ig
@@ -743,20 +759,24 @@ class ParamStore:
             data = f.read()
         if data[:5] != b"MKPT1":
             raise GradcoreError(f"{path}: bad magic, not a MKPT1 checkpoint")
-        tensors = {}
         off = 5
+
+        def take(nbytes):
+            nonlocal off
+            if off + nbytes > len(data):
+                raise GradcoreError(
+                    f"{path}: truncated MKPT1 checkpoint: record needs "
+                    f"{off + nbytes} bytes, file has {len(data)}")
+            off += nbytes
+            return data[off - nbytes:off]
+
+        tensors = {}
         while off < len(data):
-            (nlen,) = struct.unpack_from("<I", data, off)
-            off += 4
-            name = data[off:off + nlen].decode("utf-8")
-            off += nlen
-            (rank,) = struct.unpack_from("<I", data, off)
-            off += 4
-            dims = struct.unpack_from(f"<{rank}I", data, off)
-            off += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-            off += 8 * count
+            (nlen,) = struct.unpack("<I", take(4))
+            name = take(nlen).decode("utf-8")
+            (rank,) = struct.unpack("<I", take(4))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank))
+            arr = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
             tensors[name] = arr.reshape(dims).astype(np.float64)
         return cls(tensors=tensors)
 

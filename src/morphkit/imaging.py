@@ -46,6 +46,8 @@ def read_ppm(path):
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(data):
+            raise ValueError(f"{path}: truncated PPM header")
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
@@ -56,6 +58,9 @@ def read_ppm(path):
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PPM supported")
+    if len(data) - pos < w * h * 3:
+        raise ValueError(f"{path}: truncated PPM pixel data: {w}x{h} needs "
+                         f"{w * h * 3} bytes, file has {max(len(data) - pos, 0)}")
     pix = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
     return pix.reshape(h, w, 3).copy()
 

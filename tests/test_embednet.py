@@ -220,6 +220,27 @@ def test_stage1_loss_reduces_to_id_terms():
     np.testing.assert_allclose(total, ids, rtol=1e-12)
 
 
+def test_stage1_param_gradients_unchanged_by_image_leaves():
+    cfg = tiny_cfg()
+    params = en.init_params(cfg, seed=19)
+    r = rng(20)
+    n = 4
+    bindings = dict(params.tensors)
+    for name in ("x", "x_prime", "x_hat"):
+        bindings[name] = r.uniform(-1, 1, size=(n, 3, 16, 16))
+    bindings["labels"] = r.integers(0, 3, size=n).astype(float)
+    bindings["labels_prime"] = r.integers(0, 3, size=n).astype(float)
+    bindings["phi"] = r.uniform(0.05, 0.2, size=n)
+    graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
+    loss, grads = gc.value_and_grad(graph, bindings, params.names())
+    loss_x, grads_x = gc.value_and_grad(graph, bindings, params.names() + ["x"])
+    assert loss == loss_x
+    assert grads_x["x"].shape == bindings["x"].shape
+    assert np.abs(grads_x["x"]).max() > 0
+    for name in params.names():
+        assert grads[name].tobytes() == grads_x[name].tobytes(), name
+
+
 def test_stage1_loss_linear_in_lambda_a():
     cfg = tiny_cfg()
     params = en.init_params(cfg, seed=17)

@@ -98,6 +98,27 @@ def test_matches_brute_force_on_random_sets():
             assert ev.bpcer_at_apcer(curve, target) == expect
 
 
+TIED = st.sampled_from([-2.5, -1.0, 0.0, 0.125, 3.0])
+SPREAD = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(st.lists(TIED, min_size=1, max_size=30),
+                           st.lists(TIED, min_size=1, max_size=30)),
+                 st.tuples(st.lists(SPREAD, min_size=1, max_size=30),
+                           st.lists(SPREAD, min_size=1, max_size=30))),
+       st.booleans())
+def test_det_curve_equals_loop_oracle(scores, low):
+    g, a = scores
+    curve = ev.det_curve(ev.ScoreSet(genuine=np.array(g), attack=np.array(a),
+                                     low_is_attack=low))
+    pts = brute_force_curve(g, a, low)
+    assert len(pts) == len(curve.thresholds)
+    for (t, ap, bp), ti, ai, bi in zip(pts, curve.thresholds, curve.apcer,
+                                       curve.bpcer):
+        assert t == ti and ap == ai and bp == bi
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_polarity_flip_invariance(seed):

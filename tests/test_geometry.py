@@ -99,6 +99,50 @@ def test_tps_apply_cases():
                                mid + np.array([2.0, -3.0]), atol=1e-7)
 
 
+def kernel_matrix_oracle(pts_a, pts_b):
+    """U(r) = r^2 log(r^2) through an (M, K, 2) difference tensor and a mask."""
+    d = pts_a[:, None, :] - pts_b[None, :, :]
+    r2 = (d * d).sum(axis=2)
+    out = np.zeros_like(r2)
+    nz = r2 > 0
+    out[nz] = r2[nz] * np.log(r2[nz])
+    return out
+
+
+def pixel_grid(h, w):
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
+    return np.stack([xs.ravel(), ys.ravel()], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_matrix_bit_identical_to_oracle(seed):
+    r = rng(30 + seed)
+    ctrl = random_landmarks(r, k=68, hi=40.0)
+    ctrl[:3] = np.rint(ctrl[:3])  # on the pixel grid: r^2 = 0 there
+    # 1681 grid rows span more than one of the kernel's 1024-row blocks
+    for pts in (pixel_grid(41, 41), ctrl, random_landmarks(r, k=7, hi=40.0)):
+        got = geo._kernel_matrix(pts, ctrl)
+        want = kernel_matrix_oracle(pts, ctrl)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert (geo._kernel_matrix(pixel_grid(41, 41), ctrl) == 0).sum() >= 3
+
+
+def test_warp_image_bit_identical_with_oracle_kernel(monkeypatch):
+    r = rng(34)
+    img = r.uniform(-1, 1, size=(32, 28, 3))
+    src = random_landmarks(r, k=12, hi=27.0)
+    tgt = src + r.normal(0, 1.5, size=src.shape)
+    tgt[:2] = np.rint(tgt[:2])  # control points of the inverse fit on pixels
+    delta = r.normal(0, 0.5, size=src.shape)
+    delta[:2] = 0.0
+    got = geo.warp_image(img, src, tgt, delta=delta)
+    monkeypatch.setattr(geo, "_kernel_matrix", kernel_matrix_oracle)
+    want = geo.warp_image(img, src, tgt, delta=delta)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # image warping
 

@@ -99,6 +99,17 @@ def test_gradient_wrt_unused_bound_leaf_is_zero():
     np.testing.assert_array_equal(grads["y"], np.zeros(2))
 
 
+def test_conv_input_gradient_computed_when_requested():
+    r = rng(13)
+    x, w = gc.leaf("x"), gc.leaf("w")
+    loss = gc.relu(gc.conv2d(x, w, stride=2, pad=1)).sum()
+    bindings = {"x": r.normal(size=(2, 2, 6, 5)), "w": r.normal(size=(3, 2, 3, 3))}
+    assert gc.finite_difference_check(loss, bindings, ["x"], max_coords=20) <= 1e-6
+    both = gc.gradient(loss, bindings, ["x", "w"])
+    assert gc.gradient(loss, bindings, ["x"])["x"].tobytes() == both["x"].tobytes()
+    assert gc.gradient(loss, bindings, ["w"])["w"].tobytes() == both["w"].tobytes()
+
+
 def test_cosine_loss_gradient_matches_fd():
     # appearance-style loss on raw embeddings: -mean(cos(a, b))
     r = rng(4)
@@ -307,3 +318,32 @@ def test_paramstore_bad_magic(tmp_path):
     path.write_bytes(b"NOPEx")
     with pytest.raises(gc.GradcoreError, match="magic"):
         gc.ParamStore.load(path)
+
+
+def test_paramstore_truncated_at_every_byte(tmp_path):
+    r = rng(14)
+    store = gc.ParamStore(tensors={"w": r.normal(size=(2, 3)),
+                                   "s": np.asarray(1.5).reshape(()),
+                                   "b": r.normal(size=(2,))})
+    full = tmp_path / "full.mkpt"
+    store.save(full)
+    data = full.read_bytes()
+    # a cut that lands between two records leaves a valid shorter checkpoint
+    boundaries, off = {}, 5
+    for k, name in enumerate(store.names()):
+        off += 4 + len(name) + 4 + 4 * store[name].ndim + 8 * store[name].size
+        boundaries[off] = store.names()[:k + 1]
+    assert off == len(data)
+    path = tmp_path / "cut.mkpt"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        if cut < 5:
+            with pytest.raises(gc.GradcoreError, match="magic"):
+                gc.ParamStore.load(path)
+        elif cut == 5 or cut in boundaries:
+            loaded = gc.ParamStore.load(path)
+            assert loaded.names() == boundaries.get(cut, [])
+        else:
+            with pytest.raises(gc.GradcoreError, match="truncated") as err:
+                gc.ParamStore.load(path)
+            assert str(path) in str(err.value)

@@ -214,6 +214,18 @@ def test_ppm_header_with_comment(tmp_path):
     assert np.array_equal(im.read_ppm(tmp_path / "c.ppm"), raw)
 
 
+def test_ppm_truncated_at_every_byte(tmp_path):
+    raw = rng(16).integers(0, 256, size=(3, 4, 3)).astype(np.uint8)
+    im.write_ppm(tmp_path / "full.ppm", raw)
+    data = (tmp_path / "full.ppm").read_bytes()
+    path = tmp_path / "cut.ppm"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError) as err:
+            im.read_ppm(path)
+        assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # synthetic dataset
 
