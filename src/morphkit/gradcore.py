@@ -268,6 +268,16 @@ def grad_scale(x, k):
 # forward / backward rules
 
 
+def _indices(v, size, op):
+    """int64 indices from an index leaf; integral values in [0, size) only."""
+    idx = v.astype(np.int64)
+    bad = (idx != v) | (idx < 0) | (idx >= size)
+    if bad.any():
+        raise GradcoreError(
+            f"'{op}' needs integer indices in [0, {size}), got {float(v[bad][0])}")
+    return idx
+
+
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == tuple(shape):
@@ -296,14 +306,23 @@ def _restore_dims(grad, in_shape, axis):
 
 
 def _im2col(x, kh, kw, stride, pad):
+    """Channel-major columns: a (C*kh*kw, N*oh*ow) matrix of input windows.
+
+    The input is copied once into a zero-padded (C, N, H+2p, W+2p) buffer;
+    each of the kh*kw kernel offsets is then one strided slice copy whose
+    inner loop runs along an output row.
+    """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    oh, ow = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, oh, ow))
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, ki, kj] = xp[:, :, ki:ki + stride * oh:stride,
+                                 kj:kj + stride * ow:stride]
+    return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
 
 
 def _conv2d_forward(x, w, stride, pad):
@@ -313,8 +332,14 @@ def _conv2d_forward(x, w, stride, pad):
         raise GradcoreError(
             f"conv2d channel mismatch: input {x.shape} filters {w.shape}")
     f, _, kh, kw = w.shape
+    if x.shape[2] + 2 * pad < kh or x.shape[3] + 2 * pad < kw:
+        raise GradcoreError(
+            f"conv2d filters {w.shape} larger than padded input {x.shape}")
     cols, oh, ow = _im2col(x, kh, kw, stride, pad)
-    out = cols @ w.reshape(f, -1).T
+    # the operand roles of row-major columns, (N*oh*ow, CKK) @ (CKK, F), kept
+    # through a transposed view: on the encoder's layer shapes this is
+    # byte-equal to the row-major product, and ``w2 @ cols`` is not
+    out = cols.T @ w.reshape(f, -1).T
     return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
 
 
@@ -324,7 +349,7 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx):
     f, _, kh, kw = w.shape
     cols, oh, ow = _im2col(x, kh, kw, stride, pad)
     gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
-    dw = (gm.T @ cols).reshape(w.shape)
+    dw = (gm.T @ cols.T).reshape(w.shape)
     if not need_dx:
         return None, dw
     dcols = (gm @ w.reshape(f, -1)).reshape(n, oh, ow, c, kh, kw)
@@ -394,9 +419,9 @@ def _fwd(op, vals, p):
     if op == "transpose2d":
         return vals[0].T
     if op == "take_rows":
-        return vals[0][vals[1].astype(np.int64)]
+        return vals[0][_indices(vals[1], vals[0].shape[0], op)]
     if op == "onehot":
-        lab = vals[0].astype(np.int64)
+        lab = _indices(vals[0], p["depth"], op)
         out = np.zeros((lab.shape[0], p["depth"]))
         out[np.arange(lab.shape[0]), lab] = 1.0
         return out
@@ -406,7 +431,7 @@ def _fwd(op, vals, p):
         na, nb, dot = _cosine_parts(vals[0], vals[1])
         return dot / (na * nb)
     if op == "softmax_xent":
-        logits, lab = vals[0], vals[1].astype(np.int64)
+        logits, lab = vals[0], _indices(vals[1], vals[0].shape[1], op)
         m = logits.max(axis=1)
         lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
         return lse - logits[np.arange(lab.shape[0]), lab]
@@ -472,7 +497,7 @@ def _bwd(op, g, vals, out, p, need):
         return (g.T,)
     if op == "take_rows":
         dg = np.zeros_like(vals[0])
-        np.add.at(dg, vals[1].astype(np.int64), g)
+        np.add.at(dg, _indices(vals[1], vals[0].shape[0], op), g)
         return (dg, None)
     if op == "onehot":
         return (None,)
@@ -489,7 +514,7 @@ def _bwd(op, g, vals, out, p, need):
         gb = g[..., None] * (a / (na * nb)[..., None] - c * b / (nb * nb)[..., None])
         return (ga, gb)
     if op == "softmax_xent":
-        logits, lab = vals[0], vals[1].astype(np.int64)
+        logits, lab = vals[0], _indices(vals[1], vals[0].shape[1], op)
         d = _softmax(logits)
         d[np.arange(lab.shape[0]), lab] -= 1.0
         return (d * g[:, None], None)
@@ -761,19 +786,33 @@ class ParamStore:
             raise GradcoreError(f"{path}: bad magic, not a MKPT1 checkpoint")
         off = 5
 
+        tensors = {}
+        record = ""
+
         def take(nbytes):
             nonlocal off
             if off + nbytes > len(data):
                 raise GradcoreError(
-                    f"{path}: truncated MKPT1 checkpoint: record needs "
-                    f"{off + nbytes} bytes, file has {len(data)}")
+                    f"{path}: corrupt or truncated record {record} in MKPT1 "
+                    f"checkpoint: needs {off + nbytes} bytes, file has {len(data)}")
             off += nbytes
             return data[off - nbytes:off]
 
-        tensors = {}
         while off < len(data):
+            record = f"#{len(tensors)}"
             (nlen,) = struct.unpack("<I", take(4))
-            name = take(nlen).decode("utf-8")
+            raw = take(nlen)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise GradcoreError(
+                    f"{path}: corrupt record {record} in MKPT1 checkpoint: "
+                    "tensor name is not UTF-8") from None
+            if name in tensors:
+                raise GradcoreError(
+                    f"{path}: corrupt record {record} in MKPT1 checkpoint: "
+                    f"duplicate tensor {name!r}")
+            record += f" {name!r}"
             (rank,) = struct.unpack("<I", take(4))
             dims = struct.unpack(f"<{rank}I", take(4 * rank))
             arr = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")

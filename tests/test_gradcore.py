@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morphkit.gradcore as gc
+from morphkit import embednet as en
 
 
 def rng(seed=0):
@@ -243,6 +244,162 @@ def test_conv2d_matches_naive_loops():
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# conv2d against the row-major im2col it replaced
+
+
+def _im2col_rowmajor(x, kh, kw, stride, pad):
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2], win.shape[3]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
+
+
+def _conv2d_forward_rowmajor(x, w, stride, pad):
+    f, _, kh, kw = w.shape
+    cols, oh, ow = _im2col_rowmajor(x, kh, kw, stride, pad)
+    out = cols @ w.reshape(f, -1).T
+    return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
+
+
+def _conv2d_backward_rowmajor(g, x, w, stride, pad, need_dx):
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    cols, oh, ow = _im2col_rowmajor(x, kh, kw, stride, pad)
+    gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
+    dw = (gm.T @ cols).reshape(w.shape)
+    if not need_dx:
+        return None, dw
+    dcols = (gm @ w.reshape(f, -1)).reshape(n, oh, ow, c, kh, kw)
+    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+                dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+    dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
+    return dx, dw
+
+
+def _nhwc_view(x):
+    """The same values as NCHW ``x``, laid out NHWC as conv outputs are."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _assert_within_reorder_bound(new, ref, terms_abs, k):
+    # two summation orders of the same k products differ by at most
+    # 2 * gamma_k * sum|products| (gamma_k = k u / (1 - k u), u = 2**-53)
+    u = 2.0 ** -53
+    bound = 2.0 * k * u / (1.0 - k * u) * terms_abs
+    assert np.all(np.abs(new - ref) <= bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), c=st.integers(1, 5), f=st.integers(1, 6),
+       h=st.integers(1, 13), w=st.integers(1, 13), k=st.sampled_from([1, 3, 5]),
+       stride=st.integers(1, 3), pad=st.integers(0, 2), need_dx=st.booleans(),
+       nhwc=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv2d_matches_rowmajor_oracle(n, c, f, h, w, k, stride, pad, need_dx,
+                                        nhwc, seed):
+    r = rng(seed)
+    x = r.normal(size=(n, c, h, w))
+    if nhwc:
+        x = _nhwc_view(x)
+    wt = r.normal(size=(f, c, k, k))
+    if h + 2 * pad < k or w + 2 * pad < k:
+        with pytest.raises(ValueError):
+            _conv2d_forward_rowmajor(x, wt, stride, pad)
+        with pytest.raises(gc.GradcoreError, match="larger than padded input"):
+            gc._conv2d_forward(x, wt, stride, pad)
+        return
+    cols_rm = _im2col_rowmajor(x, k, k, stride, pad)[0]
+    cols = gc._im2col(x, k, k, stride, pad)[0]
+    assert cols.T.tobytes() == cols_rm.tobytes()
+    ref = _conv2d_forward_rowmajor(x, wt, stride, pad)
+    out = gc._conv2d_forward(x, wt, stride, pad)
+    assert out.shape == ref.shape
+    # the forward GEMM passes BLAS a transposed operand; OpenBLAS's
+    # small-matrix kernels and numpy's matrix-vector path (f == 1) sum those
+    # in another order, so small shapes may differ in the last bits
+    w2 = np.abs(wt.reshape(f, -1))
+    terms = (np.abs(cols_rm) @ w2.T).reshape(n, *ref.shape[2:], f)
+    _assert_within_reorder_bound(out, ref, terms.transpose(0, 3, 1, 2), c * k * k)
+    g = r.normal(size=ref.shape)
+    dx_ref, dw_ref = _conv2d_backward_rowmajor(g, x, wt, stride, pad, need_dx)
+    dx, dw = gc._conv2d_backward(g, x, wt, stride, pad, need_dx)
+    if f > 1:
+        assert dw.tobytes() == dw_ref.tobytes()
+    else:
+        gm = np.abs(g.transpose(0, 2, 3, 1).reshape(-1, f))
+        terms = (gm.T @ np.abs(cols_rm)).reshape(wt.shape)
+        _assert_within_reorder_bound(dw, dw_ref, terms, gm.shape[0])
+    if need_dx:
+        assert dx.shape == dx_ref.shape and dx.tobytes() == dx_ref.tobytes()
+    else:
+        assert dx is None and dx_ref is None
+
+
+def _desk_conv(layer):
+    """(channels in, channels out, input size) of a desk encoder conv layer."""
+    cfg = en.EncoderConfig.desk(10)
+    return ((3,) + cfg.channels)[layer], cfg.channels[layer], cfg.spatial_sizes()[layer]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8, 12])
+@pytest.mark.parametrize("layer", range(4))
+def test_conv2d_desk_layers_byte_equal_to_oracle(layer, batch):
+    c, f, size = _desk_conv(layer)
+    r = rng(100 + 10 * layer + batch)
+    x = r.uniform(-1, 1, size=(batch, c, size, size))
+    if layer:
+        x = _nhwc_view(x)
+    wt = r.uniform(-0.2, 0.2, size=(f, c, 3, 3))
+    out = gc._conv2d_forward(x, wt, 2, 1)
+    assert out.tobytes() == _conv2d_forward_rowmajor(x, wt, 2, 1).tobytes()
+    g = r.normal(size=out.shape)
+    dx, dw = gc._conv2d_backward(g, x, wt, 2, 1, True)
+    dx_ref, dw_ref = _conv2d_backward_rowmajor(g, x, wt, 2, 1, True)
+    assert dw.tobytes() == dw_ref.tobytes()
+    assert dx.tobytes() == dx_ref.tobytes()
+
+
+def _stage_bindings(stage, cfg, params, batch, seed):
+    r = rng(seed)
+    bindings = dict(params.tensors)
+    images = ("x", "x_prime", "x_hat") if stage == 1 else ("x",)
+    for name in images:
+        bindings[name] = r.uniform(-1, 1, size=(batch, 3, 112, 112))
+    if stage == 1:
+        for name in ("labels", "labels_prime"):
+            bindings[name] = r.integers(0, cfg.n_classes, size=batch).astype(float)
+        bindings["phi"] = r.uniform(0.05, 0.2, size=batch)
+    else:
+        for name in ("gen_i", "gen_j", "imp_i", "imp_j", "real_idx"):
+            bindings[name] = r.integers(0, batch, size=batch).astype(float)
+        bindings["real_labels"] = r.integers(0, cfg.n_classes, size=batch).astype(float)
+    return bindings
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8, 12])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=20 + batch)
+    bindings = _stage_bindings(stage, cfg, params, batch, seed=30 + batch)
+    build = en.stage1_graph if stage == 1 else en.stage2_graph
+    graph = build(cfg, en.MarginConfig(), en.LossWeights())
+    loss, grads = gc.value_and_grad(graph, bindings, params.names())
+    monkeypatch.setattr(gc, "_conv2d_forward", _conv2d_forward_rowmajor)
+    monkeypatch.setattr(gc, "_conv2d_backward", _conv2d_backward_rowmajor)
+    loss_ref, grads_ref = gc.value_and_grad(graph, bindings, params.names())
+    assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+    for name in params.names():
+        assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_fd_random_smooth_chains(seed):
@@ -347,3 +504,95 @@ def test_paramstore_truncated_at_every_byte(tmp_path):
             with pytest.raises(gc.GradcoreError, match="truncated") as err:
                 gc.ParamStore.load(path)
             assert str(path) in str(err.value)
+
+
+def _two_tensor_checkpoint(tmp_path):
+    r = rng(15)
+    store = gc.ParamStore(tensors={"w": r.normal(size=(2, 3)),
+                                   "b": r.normal(size=(3,))})
+    path = tmp_path / "two.mkpt"
+    store.save(path)
+    return path, path.read_bytes()
+
+
+def test_paramstore_corrupt_name_bytes(tmp_path):
+    path, data = _two_tensor_checkpoint(tmp_path)
+    bad = bytearray(data)
+    bad[9] = 0xFF  # first byte of the first tensor's name
+    path.write_bytes(bytes(bad))
+    with pytest.raises(gc.GradcoreError, match="not UTF-8") as err:
+        gc.ParamStore.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_paramstore_corrupt_dimension_names_record(tmp_path):
+    path, data = _two_tensor_checkpoint(tmp_path)
+    bad = bytearray(data)
+    bad[14:18] = (0xFFFF).to_bytes(4, "little")  # first dim of 'w'
+    path.write_bytes(bytes(bad))
+    with pytest.raises(gc.GradcoreError,
+                       match=r"corrupt or truncated record #0 'w'") as err:
+        gc.ParamStore.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_paramstore_duplicate_name_rejected(tmp_path):
+    path, data = _two_tensor_checkpoint(tmp_path)
+    second = 5 + 4 + 1 + 4 + 8 + 8 * 6  # offset of the record of 'b'
+    assert data[second + 4:second + 5] == b"b"
+    bad = bytearray(data)
+    bad[second + 4] = ord("w")
+    path.write_bytes(bytes(bad))
+    with pytest.raises(gc.GradcoreError, match="duplicate tensor 'w'"):
+        gc.ParamStore.load(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+def test_paramstore_flipped_bytes_load_or_raise(tmp_path_factory, flips):
+    path, data = _two_tensor_checkpoint(tmp_path_factory.mktemp("flip"))
+    bad = bytearray(data)
+    for pos, mask in flips:
+        bad[pos % len(bad)] ^= mask
+    path.write_bytes(bytes(bad))
+    try:
+        loaded = gc.ParamStore.load(path)
+    except gc.GradcoreError as err:
+        assert str(path) in str(err)
+    else:
+        assert all(t.dtype == np.float64 for t in loaded.tensors.values())
+
+
+# ---------------------------------------------------------------------------
+# index leaves
+
+
+@pytest.mark.parametrize("idx", [[0.0, 1.7], [-1.0], [3.0], [np.nan]])
+def test_take_rows_rejects_bad_indices(idx):
+    rows = gc.take_rows(gc.leaf("x"), gc.leaf("i"))
+    with pytest.raises(gc.GradcoreError, match="integer indices in \\[0, 3\\)"):
+        gc.evaluate(rows, {"x": np.arange(6.0).reshape(3, 2), "i": idx})
+
+
+def test_take_rows_integral_floats_select_rows():
+    x = np.arange(6.0).reshape(3, 2)
+    out = gc.evaluate(gc.take_rows(gc.leaf("x"), gc.leaf("i")),
+                      {"x": x, "i": [2.0, 0.0, 2.0]})
+    np.testing.assert_array_equal(out, x[[2, 0, 2]])
+    loss = gc.take_rows(gc.leaf("x"), gc.leaf("i")).sum()
+    grads = gc.gradient(loss, {"x": x, "i": np.array([2.0, 0.0, 2.0])}, ["x"])
+    np.testing.assert_array_equal(grads["x"], [[1, 1], [0, 0], [2, 2]])
+
+
+@pytest.mark.parametrize("labels", [[0.5], [4.0], [-1.0]])
+def test_onehot_rejects_bad_labels(labels):
+    with pytest.raises(gc.GradcoreError, match="integer indices in \\[0, 4\\)"):
+        gc.evaluate(gc.onehot(gc.leaf("y"), 4), {"y": labels})
+
+
+@pytest.mark.parametrize("labels", [[0.0, 2.5], [0.0, 3.0], [-1.0, 0.0]])
+def test_softmax_cross_entropy_rejects_bad_labels(labels):
+    loss = gc.softmax_cross_entropy(gc.leaf("z"), gc.leaf("y"))
+    with pytest.raises(gc.GradcoreError, match="integer indices in \\[0, 3\\)"):
+        gc.evaluate(loss, {"z": np.zeros((2, 3)), "y": labels})

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the hot spots: TPS warp, DET curve, one stage-1 step.
+"""Micro-benchmarks of the hot spots: TPS warp, neighbour search, DET curve,
+each desk conv layer, one batch-1 encode and one stage-1 step.
 
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
 suite stays fast; ``pytest tests/test_microbench.py --benchmark-only`` prints
@@ -7,6 +8,7 @@ with ``--benchmark-disable`` still exercises the code once.
 """
 
 import numpy as np
+import pytest
 
 import morphkit.gradcore as gc
 from morphkit import embednet as en
@@ -27,6 +29,19 @@ def test_bench_warp_image_112(benchmark):
     out = benchmark.pedantic(geo.warp_image, args=(img, lms, tgt),
                              rounds=5, iterations=1, warmup_rounds=1)
     assert out.shape == img.shape and np.isfinite(out).all()
+
+
+def test_bench_nearest_neighbor_pool_2000(benchmark):
+    r = rng(5)
+    lms = im.canonical_landmarks(112)
+    pool = [(lms + r.normal(0, 3.0, size=lms.shape), int(c))
+            for c in r.integers(0, 200, size=2000)]
+    query = lms + r.normal(0, 3.0, size=lms.shape)
+    idx = benchmark.pedantic(geo.nearest_neighbor, args=(query, pool, 7),
+                             rounds=5, iterations=1, warmup_rounds=1)
+    dist = np.array([np.inf if c == 7 else np.linalg.norm(l - query)
+                     for l, c in pool])
+    assert idx == int(np.argmin(dist))
 
 
 def test_bench_det_curve_40k(benchmark):
@@ -57,3 +72,42 @@ def test_bench_stage1_value_and_grad_batch8(benchmark):
         rounds=3, iterations=1, warmup_rounds=1)
     assert np.isfinite(loss)
     assert sorted(grads) == sorted(params.names())
+
+
+def _desk_conv(layer):
+    """(channels in, channels out, input size) of a desk encoder conv layer."""
+    cfg = en.EncoderConfig.desk(10)
+    return ((3,) + cfg.channels)[layer], cfg.channels[layer], cfg.spatial_sizes()[layer]
+
+
+def _conv_fwd_bwd(x, w, g, need_dx):
+    out = gc._conv2d_forward(x, w, 2, 1)
+    return (out,) + gc._conv2d_backward(g, x, w, 2, 1, need_dx)
+
+
+@pytest.mark.parametrize("layer", range(4))
+def test_bench_conv_layer_fwd_bwd_batch8(benchmark, layer):
+    c, f, size = _desk_conv(layer)
+    r = rng(10 + layer)
+    x = r.uniform(-1, 1, size=(8, c, size, size))
+    if layer:
+        # conv outputs, and so the inputs of conv1-conv3, are NHWC in memory
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    w = r.uniform(-0.2, 0.2, size=(f, c, 3, 3))
+    g = r.normal(size=(8, f, size // 2, size // 2))
+    # training never asks for the image gradient, so conv0 skips dX
+    out, dx, dw = benchmark.pedantic(_conv_fwd_bwd, args=(x, w, g, layer > 0),
+                                     rounds=5, iterations=1, warmup_rounds=1)
+    assert out.shape == g.shape and np.isfinite(out).all()
+    assert dw.shape == w.shape and np.isfinite(dw).all()
+    assert dx is None if layer == 0 else dx.shape == x.shape
+
+
+def test_bench_encode_batch1(benchmark):
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=6)
+    img = rng(7).uniform(-1, 1, size=(3, 112, 112))
+    emb = benchmark.pedantic(en.encode, args=(cfg, params, img),
+                             rounds=10, iterations=1, warmup_rounds=1)
+    assert emb.z_a.shape == (cfg.d_a,) and emb.z_f.shape == (cfg.d_f,)
+    assert np.isfinite(emb.z_f).all()
