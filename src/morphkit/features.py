@@ -56,12 +56,18 @@ class FilterBank:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            header = f.read().split()
-        if header[0] != "BSIF":
+        with open(path, "rb") as f:
+            tokens = f.read().split()
+        if not tokens or tokens[0] != b"BSIF":
             raise ValueError(f"{path}: not a BSIF filter bank file")
-        n, size = int(header[1]), int(header[2])
-        vals = np.array([float(v) for v in header[3:]], dtype=np.float64)
+        if len(tokens) < 3 or not (tokens[1].isdigit() and tokens[2].isdigit()):
+            raise ValueError(f"{path}: BSIF header needs two decimal integers "
+                             f"(filters, size), got {b' '.join(tokens[1:3])!r}")
+        n, size = int(tokens[1]), int(tokens[2])
+        try:
+            vals = np.array([float(v) for v in tokens[3:]], dtype=np.float64)
+        except ValueError as err:
+            raise ValueError(f"{path}: bad BSIF coefficient: {err}") from None
         if vals.size != n * size * size:
             raise ValueError(f"{path}: expected {n * size * size} coefficients, "
                              f"got {vals.size}")

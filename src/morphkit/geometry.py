@@ -97,13 +97,66 @@ def tps_apply(t: TpsTransform, p):
     pts = np.asarray(p, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    u = _kernel_matrix(pts, t.control_points)
-    out = t.affine[:, 0] + pts @ t.affine[:, 1:].T + u @ t.kernel_weights
+    out = _tps_map(t, pts, _kernel_matrix(pts, t.control_points))
     return out[0] if single else out
 
 
+def _tps_map(t: TpsTransform, pts, u):
+    """Mapped (M, 2) points, given their (M, K) kernel matrix ``u``."""
+    return t.affine[:, 0] + pts @ t.affine[:, 1:].T + u @ t.kernel_weights
+
+
+def _pixel_grid(h, w):
+    """(h * w, 2) (x, y) coordinates of the pixels, row-major."""
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
+    return np.stack([xs.ravel(), ys.ravel()], axis=1)
+
+
+def _grid_kernel_matrix(h, w, ctrl):
+    """``_kernel_matrix`` of the row-major (h * w) pixel grid, byte-equal to it.
+
+    On a grid (x - cx)^2 depends only on the column and (y - cy)^2 only on
+    the row, so both squares come from (w, K) and (h, K) tables and r^2 costs
+    one add per entry.  Blocks of whole rows, ~1024 entries each, keep the
+    temporaries in cache.  The log runs unmasked: r^2 = 0 only where a
+    control point sits on a pixel (both squares 0), and those few entries,
+    -inf * 0 = nan, are set to U(0) = 0 afterwards.
+    """
+    k = ctrl.shape[0]
+    dx2 = np.arange(w, dtype=np.float64)[:, None] - ctrl[:, 0]
+    dx2 *= dx2
+    dy2 = np.arange(h, dtype=np.float64)[:, None] - ctrl[:, 1]
+    dy2 *= dy2
+    out = np.zeros((h * w, k))
+    step = max(1, 1024 // max(w, 1))
+    buf = np.empty((step, w, k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for y0 in range(0, h, step):
+            y1 = min(y0 + step, h)
+            r2 = np.add(dx2, dy2[y0:y1, None, :], out=buf[:y1 - y0])
+            u = out[y0 * w:y1 * w].reshape(r2.shape)
+            np.log(r2, out=u)
+            u *= r2
+    for x, j in zip(*np.nonzero(dx2 == 0)):
+        out[np.flatnonzero(dy2[:, j] == 0) * w + x, j] = 0.0
+    return out
+
+
+def _as_image(image):
+    """``image`` as a float64 (H, W) or (H, W, C) array; other ranks raise."""
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim not in (2, 3):
+        raise ValueError(f"image must be (H, W) or (H, W, C), got shape {img.shape}")
+    return img
+
+
 def _bilinear_sample(image, coords):
-    """Sample (H, W, C) image at (M, 2) float (x, y) coords with edge clamp."""
+    """Sample an (H, W) or (H, W, C) image at (M, 2) float (x, y) coords.
+
+    Out-of-range coords clamp to the edge.  Returns (M,) or (M, C).
+    """
+    image = _as_image(image)
     h, w = image.shape[:2]
     x = np.clip(coords[:, 0], 0.0, w - 1.0)
     y = np.clip(coords[:, 1], 0.0, h - 1.0)
@@ -115,10 +168,15 @@ def _bilinear_sample(image, coords):
     x1i = np.minimum(x0i + 1, w - 1)
     y0i = y0.astype(np.int64)
     y1i = np.minimum(y0i + 1, h - 1)
-    fx = fx[:, None]
-    fy = fy[:, None]
-    top = image[y0i, x0i] * (1 - fx) + image[y0i, x1i] * fx
-    bot = image[y1i, x0i] * (1 - fx) + image[y1i, x1i] * fx
+    # the four taps are rows y * w + x of an (H * W[, C]) view
+    flat = image.reshape(h * w, *image.shape[2:])
+    row0 = y0i * w
+    row1 = y1i * w
+    if image.ndim == 3:
+        fx = fx[:, None]
+        fy = fy[:, None]
+    top = flat.take(row0 + x0i, axis=0) * (1 - fx) + flat.take(row0 + x1i, axis=0) * fx
+    bot = flat.take(row1 + x0i, axis=0) * (1 - fx) + flat.take(row1 + x1i, axis=0) * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -127,20 +185,18 @@ def warp_image(image, source_lms, target_lms, delta=None, lam=0.0):
 
     Inverse-mapped: fits a TPS from (target + delta) back to source and
     bilinearly samples the input at each output pixel, clamping out-of-bounds
-    samples to the edge.
+    samples to the edge.  ``image`` is (H, W) or (H, W, C).
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = _as_image(image)
     src = _as_landmarks(source_lms)
     tgt = _as_landmarks(target_lms)
     if delta is not None:
         tgt = tgt + _as_landmarks(delta)
     fit = tps_fit(tgt, src, lam=lam)
     h, w = img.shape[:2]
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    sampled = _bilinear_sample(img, tps_apply(fit, grid))
-    return sampled.reshape(img.shape)
+    grid = _pixel_grid(h, w)
+    coords = _tps_map(fit, grid, _grid_kernel_matrix(h, w, fit.control_points))
+    return _bilinear_sample(img, coords).reshape(img.shape)
 
 
 def sample_perturbation(rng, variance=3.0, k=68):
@@ -238,11 +294,9 @@ def align_face(image, landmarks, template, anchors=None):
         dst_a = _anchor_points(tpl)
     scale, rot, shift = _similarity_fit(src_a, dst_a)
     out_lms = (scale * (rot @ lms.T)).T + shift
-    img = np.asarray(image, dtype=np.float64)
+    img = _as_image(image)
     h, w = img.shape[:2]
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    grid = _pixel_grid(h, w)
     # inverse map: output pixel -> input coords
     inv = (rot.T @ ((grid - shift) / scale).T).T
     out_img = _bilinear_sample(img, inv).reshape(img.shape)

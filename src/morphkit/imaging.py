@@ -55,6 +55,9 @@ def read_ppm(path):
     pos += 1  # single whitespace byte after maxval
     if fields[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (P6) file")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise ValueError(f"{path}: PPM width, height and maxval must be "
+                         f"decimal integers, got {b' '.join(fields[1:])!r}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PPM supported")
@@ -170,12 +173,11 @@ def face_mask(landmarks, h, w):
 
 
 def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5, alpha=0.5,
-                   warp_both=True, splice_into=None) -> MorphRecord:
+                   splice_into=None) -> MorphRecord:
     """Landmark-based morph: warp toward averaged landmarks, then blend.
 
-    Target landmarks are (1 - alpha_warp) * lms_a + alpha_warp * lms_b.  By
-    default both images are warped to the target before blending; with
-    ``warp_both=False`` only image a is warped and blended against b as-is.
+    Target landmarks are (1 - alpha_warp) * lms_a + alpha_warp * lms_b.  Both
+    images are warped to the target before blending.
     ``splice_into`` ("a" or "b") optionally restricts the blend to the convex
     hull of the morph landmarks, keeping that source image elsewhere.
     """
@@ -189,7 +191,7 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5, alpha=0.5,
         raise ValueError("morph source landmark sets must share K")
     target = (1.0 - alpha_warp) * la + alpha_warp * lb
     warped_a = geometry.warp_image(img_a, la, target)
-    warped_b = geometry.warp_image(img_b, lb, target) if warp_both else img_b
+    warped_b = geometry.warp_image(img_b, lb, target)
     blended = alpha_blend(warped_a, warped_b, alpha)
     if splice_into is not None:
         base = img_a if splice_into == "a" else img_b

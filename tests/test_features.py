@@ -218,6 +218,30 @@ def test_filterbank_file_roundtrip(tmp_path):
     assert header == "BSIF 4 3"
 
 
+def test_filterbank_truncated_header_names_path(tmp_path):
+    bank = make_bank(np.zeros((2, 3, 3)))
+    bank.save(tmp_path / "bank.txt")
+    data = (tmp_path / "bank.txt").read_bytes()
+    path = tmp_path / "cut.txt"
+    # every cut up to the end of the header line, the empty file included
+    for cut in range(data.index(b"\n") + 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError) as err:
+            ft.FilterBank.load(path)
+        assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("body", [b"BSIF x 3\n0 0 0\n", b"BSIF 1 -1\n",
+                                  b"BSIF 1 1\nabc\n", b"BSIF 1 1\n\xff\n",
+                                  b"\xff\xfe", b"   \n\n"])
+def test_filterbank_malformed_file_names_path(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as err:
+        ft.FilterBank.load(path)
+    assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # landmark displacement
 

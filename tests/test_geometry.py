@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphkit import geometry as geo
+from morphkit import imaging as im
 
 
 def rng(seed=0):
@@ -129,18 +130,168 @@ def test_kernel_matrix_bit_identical_to_oracle(seed):
     assert (geo._kernel_matrix(pixel_grid(41, 41), ctrl) == 0).sum() >= 3
 
 
-def test_warp_image_bit_identical_with_oracle_kernel(monkeypatch):
-    r = rng(34)
-    img = r.uniform(-1, 1, size=(32, 28, 3))
-    src = random_landmarks(r, k=12, hi=27.0)
+def bilinear_sample_oracle(image, coords):
+    """Bilinear sampling by two-array fancy indexing of an (H, W, C) image."""
+    h, w = image.shape[:2]
+    x = np.clip(coords[:, 0], 0.0, w - 1.0)
+    y = np.clip(coords[:, 1], 0.0, h - 1.0)
+    x0 = np.floor(x)
+    y0 = np.floor(y)
+    fx = x - x0
+    fy = y - y0
+    x0i = x0.astype(np.int64)
+    x1i = np.minimum(x0i + 1, w - 1)
+    y0i = y0.astype(np.int64)
+    y1i = np.minimum(y0i + 1, h - 1)
+    fx = fx[:, None]
+    fy = fy[:, None]
+    top = image[y0i, x0i] * (1 - fx) + image[y0i, x1i] * fx
+    bot = image[y1i, x0i] * (1 - fx) + image[y1i, x1i] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def warp_image_oracle(image, source_lms, target_lms, delta=None, lam=0.0):
+    """The TPS warp evaluated point by point over the whole pixel grid."""
+    img = np.asarray(image, dtype=np.float64)
+    tgt = target_lms if delta is None else target_lms + delta
+    fit = geo.tps_fit(tgt, source_lms, lam=lam)
+    grid = pixel_grid(*img.shape[:2])
+    coords = (fit.affine[:, 0] + grid @ fit.affine[:, 1:].T
+              + kernel_matrix_oracle(grid, fit.control_points) @ fit.kernel_weights)
+    return bilinear_sample_oracle(img, coords).reshape(img.shape)
+
+
+def hwc_layout(img, layout):
+    """The same pixels as a contiguous array or as a non-contiguous view."""
+    if layout == "chw":  # as train_stage1 passes its CHW batches
+        return np.transpose(np.ascontiguousarray(np.transpose(img, (2, 0, 1))),
+                            (1, 2, 0))
+    if layout == "strided":
+        big = np.zeros((img.shape[0], 2 * img.shape[1], img.shape[2] + 1))
+        big[:, ::2, :-1] = img
+        return big[:, ::2, :-1]
+    return img
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 130), w=st.integers(1, 130), c=st.sampled_from([1, 3]),
+       k=st.integers(3, 24), on_pixels=st.integers(0, 4),
+       use_delta=st.booleans(), lam=st.sampled_from([0.0, 0.3]),
+       layout=st.sampled_from(["c", "chw", "strided"]), seed=st.integers(0, 2**32 - 1))
+@example(h=112, w=112, c=3, k=24, on_pixels=4, use_delta=True, lam=0.0,
+         layout="chw", seed=0)
+@example(h=130, w=1, c=1, k=3, on_pixels=1, use_delta=False, lam=0.0,
+         layout="c", seed=1)
+@example(h=1, w=130, c=3, k=5, on_pixels=2, use_delta=True, lam=0.3,
+         layout="strided", seed=2)
+@example(h=1, w=1, c=1, k=3, on_pixels=1, use_delta=False, lam=0.3,
+         layout="c", seed=3)
+def test_warp_image_bit_identical_to_pointwise_oracle(h, w, c, k, on_pixels,
+                                                      use_delta, lam, layout, seed):
+    r = rng(seed)
+    img = hwc_layout(r.uniform(-1, 1, size=(h, w, c)), layout)
+    # control points of the inverse fit (target + delta) reach past the edges
+    span = max(h, w)
+    src = r.uniform(-0.2 * span - 2, 1.2 * span + 2, size=(k, 2))
     tgt = src + r.normal(0, 1.5, size=src.shape)
-    tgt[:2] = np.rint(tgt[:2])  # control points of the inverse fit on pixels
-    delta = r.normal(0, 0.5, size=src.shape)
-    delta[:2] = 0.0
-    got = geo.warp_image(img, src, tgt, delta=delta)
-    monkeypatch.setattr(geo, "_kernel_matrix", kernel_matrix_oracle)
-    want = geo.warp_image(img, src, tgt, delta=delta)
+    delta = r.normal(0, 0.5, size=src.shape) if use_delta else None
+    # some control points exactly on pixels, where r^2 = 0
+    on_pixels = min(on_pixels, k)
+    tgt[:on_pixels] = np.column_stack([r.integers(0, w, size=on_pixels),
+                                       r.integers(0, h, size=on_pixels)])
+    if delta is not None:
+        delta[:on_pixels] = 0.0
+    try:
+        want = warp_image_oracle(img, src, tgt, delta=delta, lam=lam)
+    except ValueError:  # collinear or near-singular draw: both must refuse it
+        with pytest.raises(ValueError, match="singular"):
+            geo.warp_image(img, src, tgt, delta=delta, lam=lam)
+        return
+    got = geo.warp_image(img, src, tgt, delta=delta, lam=lam)
+    assert got.shape == want.shape == img.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_grid_kernel_matrix_bit_identical_with_control_points_on_pixels():
+    r = rng(34)
+    h, w = 23, 47  # 21 rows per block: two full blocks and a partial one
+    ctrl = np.vstack([[[0.0, 0.0], [w - 1.0, h - 1.0], [5.0, 7.0], [5.0, 9.0]],
+                      r.uniform(-3, 50, size=(8, 2)), [[1e-200, 0.0]]])
+    grid = pixel_grid(h, w)
+    got = geo._grid_kernel_matrix(h, w, ctrl)
+    assert got.tobytes() == kernel_matrix_oracle(grid, ctrl).tobytes()
+    d = grid[:, None, :] - ctrl[None, :, :]
+    assert ((d * d).sum(axis=2) == 0).sum() == 5  # the last one underflows
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), c=st.sampled_from([1, 3]),
+       layout=st.sampled_from(["c", "chw", "strided"]), seed=st.integers(0, 2**32 - 1))
+def test_bilinear_sample_bit_identical_to_oracle(h, w, c, layout, seed):
+    r = rng(seed)
+    img = hwc_layout(r.uniform(-1, 1, size=(h, w, c)), layout)
+    coords = np.column_stack([r.uniform(-3, w + 3, size=200),
+                              r.uniform(-3, h + 3, size=200)])
+    coords[:50] = np.rint(coords[:50])  # on pixels and on the clamped edges
+    got = geo._bilinear_sample(img, coords)
+    assert got.tobytes() == bilinear_sample_oracle(img, coords).tobytes()
+    # an (H, W) image gives channel 0 of the same call on (H, W, C)
+    flat = geo._bilinear_sample(np.ascontiguousarray(img[:, :, 0]), coords)
+    assert flat.shape == (200,)
+    assert flat.tobytes() == np.ascontiguousarray(got[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(112, 112, 3), (37, 90, 3), (5, 3, 1)])
+def test_bilinear_resize_and_align_bit_identical_to_oracle(monkeypatch, shape):
+    r = rng(35)
+    img = r.uniform(-1, 1, size=shape)
+    tpl = template68()
+    lms = tpl @ np.array([[0.9, 0.2], [-0.2, 0.9]]).T + 3.0
+    got_resize = [im.bilinear_resize(img, oh, ow) for oh, ow in ((112, 112), (17, 41))]
+    got_align = geo.align_face(img, lms, tpl)
+    monkeypatch.setattr(geo, "_bilinear_sample", bilinear_sample_oracle)
+    want_resize = [im.bilinear_resize(img, oh, ow) for oh, ow in ((112, 112), (17, 41))]
+    want_align = geo.align_face(img, lms, tpl)
+    for got, want in zip(got_resize, want_resize):
+        assert got.tobytes() == want.tobytes()
+    assert got_align[0].tobytes() == want_align[0].tobytes()
+    assert got_align[1].tobytes() == want_align[1].tobytes()
+
+
+def test_two_dimensional_images_give_channel_zero():
+    r = rng(36)
+    stacked = r.uniform(-1, 1, size=(112, 112, 2))
+    gray = np.ascontiguousarray(stacked[:, :, 0])
+    src = im.canonical_landmarks(112)
+    tgt = src + r.normal(0, 2.0, size=src.shape)
+    pairs = [(geo.warp_image(gray, src, tgt), geo.warp_image(stacked, src, tgt)),
+             (im.bilinear_resize(gray, 50, 70), im.bilinear_resize(stacked, 50, 70)),
+             (geo.align_face(gray, tgt, src)[0], geo.align_face(stacked, tgt, src)[0])]
+    for flat, full in pairs:
+        assert flat.shape == full.shape[:2]
+        assert flat.tobytes() == np.ascontiguousarray(full[:, :, 0]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(12,), (300, 300, 3, 2), ()])
+def test_images_of_other_rank_rejected(monkeypatch, shape):
+    img = np.broadcast_to(0.5, shape)  # a view: the test allocates no image
+
+    def allocates(*args):
+        raise AssertionError("pixel grid built before the rank check")
+
+    # the rank is checked before any per-pixel array is built
+    monkeypatch.setattr(geo, "_pixel_grid", allocates)
+    monkeypatch.setattr(geo, "_grid_kernel_matrix", allocates)
+    lms = corner_landmarks(8, 8)
+    with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
+        geo.warp_image(img, lms, lms + 0.5)
+    with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
+        geo.align_face(img, lms, lms + 0.5)
+    with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
+        geo._bilinear_sample(img, np.zeros((3, 2)))
+    if len(shape) > 1:
+        with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
+            im.bilinear_resize(img, 4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,16 @@ def test_ppm_truncated_at_every_byte(tmp_path):
         assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("header", [b"P6\n1x 3\n255\n", b"P6\n4 -3\n255\n",
+                                    b"P6\n4 3\n2_55\n", b"P6\n+4 3\n255\n"])
+def test_ppm_malformed_header_field_names_path(tmp_path, header):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header + bytes(36))
+    with pytest.raises(ValueError, match="decimal integers") as err:
+        im.read_ppm(path)
+    assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # synthetic dataset
 

@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the hot spots: TPS warp, neighbour search, DET curve,
-each desk conv layer, one batch-1 encode and one stage-1 step.
+"""Micro-benchmarks of the hot spots: TPS warp, bilinear sampling, triplet
+build, neighbour search, DET curve, each desk conv layer, one batch-1 encode
+and one stage-1 step.
 
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
 suite stays fast; ``pytest tests/test_microbench.py --benchmark-only`` prints
@@ -29,6 +30,33 @@ def test_bench_warp_image_112(benchmark):
     out = benchmark.pedantic(geo.warp_image, args=(img, lms, tgt),
                              rounds=5, iterations=1, warmup_rounds=1)
     assert out.shape == img.shape and np.isfinite(out).all()
+
+
+def test_bench_bilinear_sample_112(benchmark):
+    r = rng(8)
+    img = r.uniform(-1, 1, size=(112, 112, 3))
+    xs, ys = np.meshgrid(np.arange(112.0), np.arange(112.0))
+    coords = np.column_stack([xs.ravel(), ys.ravel()])
+    coords += r.normal(0, 2.0, size=coords.shape)
+    out = benchmark.pedantic(geo._bilinear_sample, args=(img, coords),
+                             rounds=5, iterations=1, warmup_rounds=1)
+    assert out.shape == (112 * 112, 3)
+    # every sample lies within the range of its four taps, so of the image
+    assert img.min() <= out.min() and out.max() <= img.max()
+
+
+def test_bench_build_triplet_pool_30(benchmark):
+    r = rng(9)
+    lms = im.canonical_landmarks(112)
+    pool = [(r.uniform(-1, 1, size=(112, 112, 3)),
+             lms + r.normal(0, 2.0, size=lms.shape), i // 3) for i in range(30)]
+    image, query, label = pool[0]
+    trip = benchmark.pedantic(
+        lambda: im.build_triplet(image, query, label, pool, rng(10)),
+        rounds=3, iterations=1, warmup_rounds=1)
+    assert trip.label_g != label
+    assert trip.intermediate.shape == image.shape
+    assert np.isfinite(trip.intermediate).all()
 
 
 def test_bench_nearest_neighbor_pool_2000(benchmark):
