@@ -6,9 +6,7 @@ Submodules:
     imaging   - face images, morph generation, triplets, synthetic datasets
     features  - LBP / BSIF / landmark-displacement descriptors
     embednet  - disentangled encoder, losses, two-stage training
-    detect    - pair construction, fused scoring, SVM baselines
     evalkit   - APCER/BPCER, DET curves, D-EER
-    cli       - command-line front end
 """
 
 __version__ = "0.1.0"

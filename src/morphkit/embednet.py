@@ -159,8 +159,8 @@ def build_encoder(cfg: EncoderConfig, x, prefix=""):
     h = x
     pad = cfg.kernel // 2
     for i, stride in enumerate(cfg.strides):
-        h = gc.relu(gc.conv2d(h, p(f"conv{i}_w"), stride=stride, pad=pad)
-                    + p(f"conv{i}_b"))
+        h = gc.conv_bias_relu(h, p(f"conv{i}_w"), p(f"conv{i}_b"),
+                              stride=stride, pad=pad)
     half = cfg.channels[-1] // 2
     h_a = gc.slice_axis(h, 1, 0, half)
     h_g = gc.slice_axis(h, 1, half, cfg.channels[-1])

@@ -45,14 +45,17 @@ class FilterBank:
     n_filters: int
     size: int
     coefficients: np.ndarray  # (n_filters, size, size)
-    provenance: str = "trained"
 
     def save(self, path):
+        """Text: a ``BSIF <filters> <size>`` header, one line of coefficients
+        per filter, and an ``END`` line, without which ``load`` rejects the
+        file as truncated."""
         with open(path, "w") as f:
             f.write(f"BSIF {self.n_filters} {self.size}\n")
             flat = self.coefficients.reshape(self.n_filters, -1)
             for row in flat:
                 f.write(" ".join(repr(float(v)) for v in row) + "\n")
+            f.write("END\n")
 
     @classmethod
     def load(cls, path):
@@ -64,15 +67,19 @@ class FilterBank:
             raise ValueError(f"{path}: BSIF header needs two decimal integers "
                              f"(filters, size), got {b' '.join(tokens[1:3])!r}")
         n, size = int(tokens[1]), int(tokens[2])
+        # a cut inside the last coefficient still leaves a number to parse
+        if tokens[-1] != b"END":
+            raise ValueError(f"{path}: BSIF file has no END line, so it is "
+                             "truncated")
         try:
-            vals = np.array([float(v) for v in tokens[3:]], dtype=np.float64)
+            vals = np.array([float(v) for v in tokens[3:-1]], dtype=np.float64)
         except ValueError as err:
             raise ValueError(f"{path}: bad BSIF coefficient: {err}") from None
         if vals.size != n * size * size:
             raise ValueError(f"{path}: expected {n * size * size} coefficients, "
                              f"got {vals.size}")
         return cls(n_filters=n, size=size,
-                   coefficients=vals.reshape(n, size, size), provenance="file")
+                   coefficients=vals.reshape(n, size, size))
 
 
 def bsif_code(image, bank: FilterBank):
@@ -144,8 +151,7 @@ def train_filterbank(patches, n_filters=8, seed=0, max_iter=500,
     filters = w @ whiten
     filters -= filters.mean(axis=1, keepdims=True)  # enforce exact zero mean
     return FilterBank(n_filters=n_filters, size=size,
-                      coefficients=filters.reshape(n_filters, size, size),
-                      provenance="trained")
+                      coefficients=filters.reshape(n_filters, size, size))
 
 
 def sample_patches(images, size, per_image, rng):

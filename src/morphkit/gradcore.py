@@ -2,12 +2,17 @@
 
 Expression graphs are built lazily from named ``leaf`` nodes and constants;
 ``evaluate`` runs a forward pass for a given set of leaf bindings and
-``gradient`` adds a reverse pass.  Every tensor is a plain ``numpy`` array in
-float64; any NaN/Inf produced by an op aborts with :class:`NonFiniteError`.
+``value_and_grad`` adds a reverse pass.  Every tensor is a plain ``numpy``
+array in float64; any NaN/Inf produced by an op aborts with
+:class:`NonFiniteError`.
 
 The engine is single-threaded and pure: identical (graph, bindings) gives
 bit-identical outputs, which the training code relies on for reproducible
-checkpoints.
+checkpoints.  A :class:`Graph` owns one im2col column buffer per fused
+``conv_bias_relu`` node: ``value_and_grad`` builds the columns there in the
+forward pass and reads them back in the backward pass, and a buffer grows
+only when a larger batch arrives.  So one ``Graph`` serves one
+``value_and_grad`` call at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
     "div",
     "matmul",
     "conv2d",
+    "conv_bias_relu",
     "relu",
     "exp",
     "log",
@@ -55,7 +61,6 @@ __all__ = [
     "grad_scale",
     "evaluate",
     "evaluate_many",
-    "gradient",
     "value_and_grad",
     "finite_difference_check",
     "ParamSpec",
@@ -171,6 +176,11 @@ def matmul(a, b):
 def conv2d(x, w, stride=1, pad=0):
     """2-D convolution (cross-correlation) of NCHW input with FCkk filters."""
     return Node("conv2d", (x, w), stride=int(stride), pad=int(pad))
+
+
+def conv_bias_relu(x, w, b, stride=1, pad=0):
+    """``relu(conv2d(x, w, stride, pad) + b)`` as one node; ``b`` is (F, 1, 1)."""
+    return Node("conv_bias_relu", (x, w, b), stride=int(stride), pad=int(pad))
 
 
 def relu(x):
@@ -305,19 +315,36 @@ def _restore_dims(grad, in_shape, axis):
     return np.broadcast_to(grad.reshape(shape), in_shape)
 
 
-def _im2col(x, kh, kw, stride, pad):
+def _conv_out_hw(x, w, stride, pad):
+    """(oh, ow) of a conv2d of NCHW ``x`` with FCkk ``w``; checks the shapes."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise GradcoreError("conv2d expects NCHW input and FCkk filters")
+    if x.shape[1] != w.shape[1]:
+        raise GradcoreError(
+            f"conv2d channel mismatch: input {x.shape} filters {w.shape}")
+    _, _, kh, kw = w.shape
+    if x.shape[2] + 2 * pad < kh or x.shape[3] + 2 * pad < kw:
+        raise GradcoreError(
+            f"conv2d filters {w.shape} larger than padded input {x.shape}")
+    return ((x.shape[2] + 2 * pad - kh) // stride + 1,
+            (x.shape[3] + 2 * pad - kw) // stride + 1)
+
+
+def _im2col(x, kh, kw, stride, pad, out=None):
     """Channel-major columns: a (C*kh*kw, N*oh*ow) matrix of input windows.
 
     The input is copied once into a zero-padded (C, N, H+2p, W+2p) buffer;
     each of the kh*kw kernel offsets is then one strided slice copy whose
-    inner loop runs along an output row.
+    inner loop runs along an output row.  The columns are written into
+    ``out``, a 1-D array of exactly C*kh*kw*N*oh*ow elements, when given.
     """
     n, c, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, oh, ow))
+    shape = (c, kh, kw, n, oh, ow)
+    cols = np.empty(shape) if out is None else out.reshape(shape)
     for ki in range(kh):
         for kj in range(kw):
             cols[:, ki, kj] = xp[:, :, ki:ki + stride * oh:stride,
@@ -325,17 +352,11 @@ def _im2col(x, kh, kw, stride, pad):
     return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
 
 
-def _conv2d_forward(x, w, stride, pad):
-    if x.ndim != 4 or w.ndim != 4:
-        raise GradcoreError("conv2d expects NCHW input and FCkk filters")
-    if x.shape[1] != w.shape[1]:
-        raise GradcoreError(
-            f"conv2d channel mismatch: input {x.shape} filters {w.shape}")
+def _conv2d_forward(x, w, stride, pad, cols=None):
+    """NCHW conv output, NHWC in memory; ``cols`` receives the im2col columns."""
+    _conv_out_hw(x, w, stride, pad)
     f, _, kh, kw = w.shape
-    if x.shape[2] + 2 * pad < kh or x.shape[3] + 2 * pad < kw:
-        raise GradcoreError(
-            f"conv2d filters {w.shape} larger than padded input {x.shape}")
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
+    cols, oh, ow = _im2col(x, kh, kw, stride, pad, cols)
     # the operand roles of row-major columns, (N*oh*ow, CKK) @ (CKK, F), kept
     # through a transposed view: on the encoder's layer shapes this is
     # byte-equal to the row-major product, and ``w2 @ cols`` is not
@@ -343,11 +364,18 @@ def _conv2d_forward(x, w, stride, pad):
     return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
 
 
-def _conv2d_backward(g, x, w, stride, pad, need_dx):
-    """(dx, dw); dx is None when ``need_dx`` is false."""
+def _conv2d_backward(g, x, w, stride, pad, need_dx, cols=None):
+    """(dx, dw); dx is None when ``need_dx`` is false.
+
+    ``cols`` holds the forward pass's im2col columns; without them they are
+    built again from ``x``.
+    """
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
+    _, _, oh, ow = g.shape
+    if cols is None:
+        cols = _im2col(x, kh, kw, stride, pad)[0]
+    cols = cols.reshape(c * kh * kw, n * oh * ow)
     gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
     dw = (gm.T @ cols.T).reshape(w.shape)
     if not need_dx:
@@ -360,6 +388,32 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx):
                 dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
     dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
     return dx, dw
+
+
+def _conv_bias_relu_forward(x, w, b, stride, pad, cols=None):
+    """relu(conv2d + b), the bias and relu applied in place on the GEMM output.
+
+    The pre-activation is checked here, since relu would turn a -inf into 0.
+    """
+    out = _conv2d_forward(x, w, stride, pad, cols)
+    if b.shape != (w.shape[0], 1, 1):
+        raise GradcoreError(
+            f"conv_bias_relu bias {b.shape} is not ({w.shape[0]}, 1, 1)")
+    out += b
+    if not np.isfinite(out).all():
+        raise NonFiniteError("non-finite value produced by 'conv_bias_relu'")
+    return np.maximum(out, 0.0, out=out)
+
+
+def _conv_bias_relu_backward(g, x, w, b, out, stride, pad, need_dx, cols=None):
+    """(dx, dw, db) with the arithmetic of separate relu, add and conv2d rules.
+
+    ``out > 0`` is relu's mask: the pre-activation is finite, so it is
+    positive exactly where the output is.
+    """
+    gz = g * (out > 0)
+    dx, dw = _conv2d_backward(gz, x, w, stride, pad, need_dx, cols)
+    return dx, dw, _unbroadcast(gz, b.shape)
 
 
 def _cosine_parts(a, b):
@@ -382,7 +436,8 @@ def _check_matmul(a, b):
         raise GradcoreError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
 
-def _fwd(op, vals, p):
+def _fwd(op, vals, p, cols=None):
+    # ``cols`` is a fused conv's column buffer, or None for a temporary one
     if op == "add":
         return vals[0] + vals[1]
     if op == "sub":
@@ -396,6 +451,8 @@ def _fwd(op, vals, p):
         return vals[0] @ vals[1]
     if op == "conv2d":
         return _conv2d_forward(vals[0], vals[1], p["stride"], p["pad"])
+    if op == "conv_bias_relu":
+        return _conv_bias_relu_forward(*vals, p["stride"], p["pad"], cols)
     if op == "relu":
         return np.maximum(vals[0], 0.0)
     if op == "exp":
@@ -450,9 +507,10 @@ def _fwd(op, vals, p):
     raise GradcoreError(f"unknown primitive '{op}'")
 
 
-def _bwd(op, g, vals, out, p, need):
+def _bwd(op, g, vals, out, p, need, cols=None):
     # ``need[i]`` is false when input i's gradient would be discarded; only
-    # ops with an expensive per-input rule look at it
+    # ops with an expensive per-input rule look at it.  ``cols`` is a fused
+    # conv's column buffer as its forward left it
     if op == "add":
         return (_unbroadcast(g, vals[0].shape), _unbroadcast(g, vals[1].shape))
     if op == "sub":
@@ -468,6 +526,9 @@ def _bwd(op, g, vals, out, p, need):
     if op == "conv2d":
         return _conv2d_backward(g, vals[0], vals[1], p["stride"], p["pad"],
                                 need_dx=need[0])
+    if op == "conv_bias_relu":
+        return _conv_bias_relu_backward(g, *vals, out, p["stride"], p["pad"],
+                                        need[0], cols)
     if op == "relu":
         return (g * (vals[0] > 0),)
     if op == "exp":
@@ -539,15 +600,17 @@ def _bwd(op, g, vals, out, p, need):
 
 # kink detectors: ops whose gradient is discontinuous; finite-difference
 # probes that flip one of these masks straddle a kink and are skipped
-def _kink_mask(op, vals, p):
+def _kink_mask(op, vals, out, p):
     if op == "relu":
         return vals[0] > 0
+    if op == "conv_bias_relu":
+        return out > 0
     if op == "clip":
         return (vals[0] > p["lo"]) & (vals[0] < p["hi"])
     return None
 
 
-_KINK_OPS = ("relu", "clip")
+_KINK_OPS = ("relu", "conv_bias_relu", "clip")
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +636,41 @@ def _topo_order(outputs):
 
 
 class Graph:
-    """A single-output expression graph with cached topological order."""
+    """A single-output expression graph with cached topological order.
+
+    It also owns the column buffers of its fused conv nodes, which
+    ``value_and_grad`` fills in the forward pass and reads in the backward
+    pass; so one Graph serves one ``value_and_grad`` call at a time.
+    """
 
     def __init__(self, output: Node):
         self.output = output
         self.nodes = _topo_order([output])
         self.leaves = {n.name: n for n in self.nodes if n.op == "leaf"}
+        self._column_buffers = {}
+
+    def _columns(self, node, vals):
+        """The column buffer of fused conv ``node`` at input values ``vals``.
+
+        A buffer is kept across calls and grown only when a larger batch
+        arrives, so a training step allocates no columns.
+        """
+        x, w = vals[0], vals[1]
+        oh, ow = _conv_out_hw(x, w, node.params["stride"], node.params["pad"])
+        size = w[0].size * x.shape[0] * oh * ow
+        buf = self._column_buffers.get(node.uid)
+        if buf is None or buf.size < size:
+            buf = self._column_buffers[node.uid] = np.empty(size)
+        return buf[:size]
 
 
 def _as_graph(g):
     return g if isinstance(g, Graph) else Graph(g)
 
 
-def _forward(nodes, bindings, kinks=None):
+def _forward(nodes, bindings, kinks=None, graph=None):
+    """Node values by uid; with ``graph``, fused conv nodes build their
+    columns in its buffers and leave them there for the backward pass."""
     values = {}
     for n in nodes:
         if n.op == "leaf":
@@ -595,13 +680,16 @@ def _forward(nodes, bindings, kinks=None):
         elif n.op == "const":
             v = n.params["value"]
         else:
+            vals = [values[i.uid] for i in n.inputs]
+            fused = n.op == "conv_bias_relu"
+            cols = graph._columns(n, vals) if fused and graph is not None else None
             with np.errstate(all="ignore"):
-                v = _fwd(n.op, [values[i.uid] for i in n.inputs], n.params)
-            if not np.all(np.isfinite(v)):
+                v = _fwd(n.op, vals, n.params, cols)
+            # the fused conv has checked its pre-activation already
+            if not fused and not np.all(np.isfinite(v)):
                 raise NonFiniteError(f"non-finite value produced by '{n.op}'")
             if kinks is not None and n.op in _KINK_OPS:
-                kinks.append(_kink_mask(n.op, [values[i.uid] for i in n.inputs],
-                                        n.params))
+                kinks.append(_kink_mask(n.op, vals, v, n.params))
         values[n.uid] = v
     return values
 
@@ -622,7 +710,7 @@ def evaluate_many(outputs, bindings):
 def value_and_grad(graph, bindings, wrt):
     """Forward value plus reverse-mode gradients for the named leaves."""
     g = _as_graph(graph)
-    values = _forward(g.nodes, bindings)
+    values = _forward(g.nodes, bindings, graph=g)
     out = values[g.output.uid]
     if out.size != 1:
         raise GradcoreError(f"gradient requires a scalar output, got shape {out.shape}")
@@ -649,8 +737,9 @@ def value_and_grad(graph, bindings, wrt):
             leaf_grads[n.name] = gout if prev is None else prev + gout
             continue
         need = [i.uid in live for i in n.inputs]
-        in_grads = _bwd(n.op, gout, [values[i.uid] for i in n.inputs],
-                        values[n.uid], n.params, need)
+        vals = [values[i.uid] for i in n.inputs]
+        cols = g._columns(n, vals) if n.op == "conv_bias_relu" else None
+        in_grads = _bwd(n.op, gout, vals, values[n.uid], n.params, need, cols)
         for inp, ig, keep in zip(n.inputs, in_grads, need):
             if ig is None or not keep:
                 continue
@@ -667,19 +756,14 @@ def value_and_grad(graph, bindings, wrt):
     return float(out.reshape(())), result
 
 
-def gradient(graph, bindings, wrt):
-    """Exact reverse-mode gradients of a scalar graph for the named leaves."""
-    return value_and_grad(graph, bindings, wrt)[1]
-
-
 def finite_difference_check(graph, bindings, wrt, eps=1e-5,
                             max_coords=8, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
     Coordinates are subsampled deterministically per leaf (at most
     ``max_coords`` each).  Probes whose +/-eps evaluations land on different
-    sides of a kink (relu / clip masks change) are skipped, as are probes
-    that leave the finite domain.
+    sides of a kink (relu, fused conv or clip masks change) are skipped, as
+    are probes that leave the finite domain.
     """
     g = _as_graph(graph)
     _, analytic = value_and_grad(graph, bindings, wrt)

@@ -218,14 +218,22 @@ def test_filterbank_file_roundtrip(tmp_path):
     assert header == "BSIF 4 3"
 
 
-def test_filterbank_truncated_header_names_path(tmp_path):
-    bank = make_bank(np.zeros((2, 3, 3)))
+def test_filterbank_truncated_file_names_path(tmp_path):
+    r = rng(11)
+    filters = r.normal(size=(2, 3, 3))
+    bank = make_bank(filters - filters.mean(axis=(1, 2), keepdims=True))
     bank.save(tmp_path / "bank.txt")
     data = (tmp_path / "bank.txt").read_bytes()
+    assert data.endswith(b"\nEND\n")
     path = tmp_path / "cut.txt"
-    # every cut up to the end of the header line, the empty file included
-    for cut in range(data.index(b"\n") + 1):
+    # every cut, the empty file and cuts inside a coefficient included; only
+    # the last newline may go
+    for cut in range(len(data)):
         path.write_bytes(data[:cut])
+        if cut == len(data) - 1:
+            loaded = ft.FilterBank.load(path)
+            assert loaded.coefficients.tobytes() == bank.coefficients.tobytes()
+            continue
         with pytest.raises(ValueError) as err:
             ft.FilterBank.load(path)
         assert str(path) in str(err.value)
@@ -233,7 +241,11 @@ def test_filterbank_truncated_header_names_path(tmp_path):
 
 @pytest.mark.parametrize("body", [b"BSIF x 3\n0 0 0\n", b"BSIF 1 -1\n",
                                   b"BSIF 1 1\nabc\n", b"BSIF 1 1\n\xff\n",
-                                  b"\xff\xfe", b"   \n\n"])
+                                  b"\xff\xfe", b"   \n\n",
+                                  b"BSIF 1 1\nabc\nEND\n",
+                                  b"BSIF 1 1\n\xff\nEND\n",
+                                  b"BSIF 1 2\n0 0 0\nEND\n",
+                                  b"BSIF 1 1\n0\nEND\n0\n"])
 def test_filterbank_malformed_file_names_path(tmp_path, body):
     path = tmp_path / "bad.txt"
     path.write_bytes(body)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import morphkit.gradcore as gc
@@ -67,19 +67,19 @@ def test_nonfinite_aborts():
 
 def test_square_gradient():
     x = gc.leaf("x")
-    grads = gc.gradient(x * x, {"x": 3.0}, ["x"])
+    grads = gc.value_and_grad(x * x, {"x": 3.0}, ["x"])[1]
     np.testing.assert_allclose(grads["x"], 6.0)
 
 
 def test_mean_gradient_is_one_over_n():
     v = gc.leaf("v")
-    grads = gc.gradient(v.mean(), {"v": np.arange(5.0)}, ["v"])
+    grads = gc.value_and_grad(v.mean(), {"v": np.arange(5.0)}, ["v"])[1]
     np.testing.assert_allclose(grads["v"], np.full(5, 0.2))
 
 
 def test_nonscalar_gradient_errors():
     with pytest.raises(gc.GradcoreError, match="scalar"):
-        gc.gradient(gc.leaf("x") * 2.0, {"x": np.ones(3)}, ["x"])
+        gc.value_and_grad(gc.leaf("x") * 2.0, {"x": np.ones(3)}, ["x"])
 
 
 def test_gradient_linearity():
@@ -88,15 +88,16 @@ def test_gradient_linearity():
     g1 = (x * x).sum()
     g2 = gc.exp(x * 0.3).sum()
     xv = r.normal(size=6)
-    ga = gc.gradient(g1, {"x": xv}, ["x"])["x"]
-    gb = gc.gradient(g2, {"x": xv}, ["x"])["x"]
-    gs = gc.gradient(g1 + g2, {"x": xv}, ["x"])["x"]
+    ga = gc.value_and_grad(g1, {"x": xv}, ["x"])[1]["x"]
+    gb = gc.value_and_grad(g2, {"x": xv}, ["x"])[1]["x"]
+    gs = gc.value_and_grad(g1 + g2, {"x": xv}, ["x"])[1]["x"]
     np.testing.assert_allclose(gs, ga + gb, rtol=1e-12)
 
 
 def test_gradient_wrt_unused_bound_leaf_is_zero():
     x, y = gc.leaf("x"), gc.leaf("y")
-    grads = gc.gradient((x * x).sum(), {"x": np.ones(3), "y": np.ones(2)}, ["y"])
+    grads = gc.value_and_grad((x * x).sum(), {"x": np.ones(3), "y": np.ones(2)},
+                              ["y"])[1]
     np.testing.assert_array_equal(grads["y"], np.zeros(2))
 
 
@@ -106,9 +107,10 @@ def test_conv_input_gradient_computed_when_requested():
     loss = gc.relu(gc.conv2d(x, w, stride=2, pad=1)).sum()
     bindings = {"x": r.normal(size=(2, 2, 6, 5)), "w": r.normal(size=(3, 2, 3, 3))}
     assert gc.finite_difference_check(loss, bindings, ["x"], max_coords=20) <= 1e-6
-    both = gc.gradient(loss, bindings, ["x", "w"])
-    assert gc.gradient(loss, bindings, ["x"])["x"].tobytes() == both["x"].tobytes()
-    assert gc.gradient(loss, bindings, ["w"])["w"].tobytes() == both["w"].tobytes()
+    both = gc.value_and_grad(loss, bindings, ["x", "w"])[1]
+    for name in ("x", "w"):
+        only = gc.value_and_grad(loss, bindings, [name])[1]
+        assert only[name].tobytes() == both[name].tobytes()
 
 
 def test_cosine_loss_gradient_matches_fd():
@@ -259,14 +261,16 @@ def _im2col_rowmajor(x, kh, kw, stride, pad):
     return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
 
 
-def _conv2d_forward_rowmajor(x, w, stride, pad):
+def _conv2d_forward_rowmajor(x, w, stride, pad, cols=None):
+    # ``cols``, the buffer a fused conv keeps its columns in, is left unused:
+    # the backward below builds its own
     f, _, kh, kw = w.shape
     cols, oh, ow = _im2col_rowmajor(x, kh, kw, stride, pad)
     out = cols @ w.reshape(f, -1).T
     return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
 
 
-def _conv2d_backward_rowmajor(g, x, w, stride, pad, need_dx):
+def _conv2d_backward_rowmajor(g, x, w, stride, pad, need_dx, cols=None):
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     cols, oh, ow = _im2col_rowmajor(x, kh, kw, stride, pad)
@@ -398,6 +402,105 @@ def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
     assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
     for name in params.names():
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the fused conv + bias + relu node against relu(conv2d + b)
+
+
+def _unfused(x, w, b, stride=1, pad=0):
+    return gc.relu(gc.conv2d(x, w, stride, pad) + b)
+
+
+def _assert_same_value_and_grad(fused, unfused, bindings, wrt):
+    loss, grads = gc.value_and_grad(fused, bindings, wrt)
+    loss_ref, grads_ref = gc.value_and_grad(unfused, bindings, wrt)
+    assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+    for name in wrt:
+        assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+
+
+def _two_layer_graph(layer, stride, pad):
+    """Two conv layers; the second sees the first's NHWC-in-memory output."""
+    h = layer(gc.leaf("x"), gc.leaf("w0"), gc.leaf("b0"), stride, pad)
+    h = layer(h, gc.leaf("w1"), gc.leaf("b1"), 1, 1)
+    return gc.Graph((h * gc.leaf("r")).sum())
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=st.integers(1, 4), f=st.integers(1, 5), f1=st.integers(1, 4),
+       h=st.integers(1, 10), w=st.integers(1, 10), k=st.sampled_from([1, 3, 5]),
+       stride=st.integers(1, 3), pad=st.integers(0, 2),
+       batches=st.permutations(range(1, 17)), need_dx=st.booleans(),
+       nhwc=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv_bias_relu_byte_equal_to_unfused(c, f, f1, h, w, k, stride, pad,
+                                             batches, need_dx, nhwc, seed):
+    assume(h + 2 * pad >= k and w + 2 * pad >= k)
+    r = rng(seed)
+    params = {"w0": r.normal(size=(f, c, k, k)), "b0": r.normal(size=(f, 1, 1)),
+              "w1": r.normal(size=(f1, f, 3, 3)), "b1": r.normal(size=(f1, 1, 1))}
+    wrt = list(params) + (["x"] if need_dx else [])
+    # one graph each for every batch size, in random order: a column buffer
+    # that is stale or sized for another batch shows as a byte difference
+    fused = _two_layer_graph(gc.conv_bias_relu, stride, pad)
+    unfused = _two_layer_graph(_unfused, stride, pad)
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    for n in batches:
+        x = r.normal(size=(n, c, h, w))
+        bindings = dict(params, x=_nhwc_view(x) if nhwc else x,
+                        r=r.normal(size=(n, f1, oh, ow)))
+        _assert_same_value_and_grad(fused, unfused, bindings, wrt)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stage_graphs_byte_equal_to_unfused_trunk(stage, monkeypatch):
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=40 + stage)
+    build = en.stage1_graph if stage == 1 else en.stage2_graph
+    fused = build(cfg, en.MarginConfig(), en.LossWeights())
+    monkeypatch.setattr(gc, "conv_bias_relu", _unfused)
+    unfused = build(cfg, en.MarginConfig(), en.LossWeights())
+    assert "conv_bias_relu" in {n.op for n in fused.nodes}
+    assert "conv_bias_relu" not in {n.op for n in unfused.nodes}
+    # shrink, then grow past the first batch
+    for batch in (8, 3, 12):
+        bindings = _stage_bindings(stage, cfg, params, batch, seed=50 + batch)
+        _assert_same_value_and_grad(fused, unfused, bindings, params.names())
+
+
+def test_fd_skips_probe_straddling_fused_relu_kink(monkeypatch):
+    # pre-activations 0.5e-5 and 2 + 0.5e-5: a probe of x[0], w or b moves
+    # the first by 1e-5 either way and so across the kink; one of x[1] not
+    x, w, b = gc.leaf("x"), gc.leaf("w"), gc.leaf("b")
+    loss = gc.conv_bias_relu(x, w, b).sum()
+    bindings = {"x": np.array([[[[1.0, 3.0]]]]), "w": np.ones((1, 1, 1, 1)),
+                "b": np.full((1, 1, 1), -1.0 + 0.5e-5)}
+    assert gc.finite_difference_check(loss, bindings, ["x", "w", "b"]) <= 1e-8
+    monkeypatch.setattr(gc, "_KINK_OPS", ("relu", "clip"))
+    assert gc.finite_difference_check(loss, bindings, ["x", "w", "b"]) > 0.1
+
+
+@pytest.mark.parametrize("wval,bval", [(1e308, 0.0), (-1e308, 0.0),
+                                       (1.0, -np.inf), (1.0, np.nan)])
+def test_conv_bias_relu_nonfinite_preactivation_raises(wval, bval):
+    # 18 products of 1e308 overflow the GEMM; relu would clamp -inf to 0
+    bindings = {"x": np.ones((2, 2, 3, 3)), "w": np.full((1, 2, 3, 3), wval),
+                "b": np.full((1, 1, 1), bval)}
+    x, w, b = gc.leaf("x"), gc.leaf("w"), gc.leaf("b")
+    for layer, ops in ((gc.conv_bias_relu, "conv_bias_relu"),
+                       (_unfused, "conv2d|add")):
+        loss = layer(x, w, b).sum()
+        for run in (lambda: gc.evaluate(loss, bindings),
+                    lambda: gc.value_and_grad(gc.Graph(loss), bindings, ["w", "b"])):
+            with pytest.raises(gc.NonFiniteError, match=f"produced by '({ops})'"):
+                run()
+
+
+def test_conv_bias_relu_rejects_other_bias_shapes():
+    loss = gc.conv_bias_relu(gc.leaf("x"), gc.leaf("w"), gc.leaf("b")).sum()
+    with pytest.raises(gc.GradcoreError, match=r"bias \(2,\) is not \(2, 1, 1\)"):
+        gc.evaluate(loss, {"x": np.ones((1, 1, 3, 3)), "w": np.ones((2, 1, 3, 3)),
+                           "b": np.zeros(2)})
 
 
 @settings(max_examples=20, deadline=None)
@@ -581,7 +684,8 @@ def test_take_rows_integral_floats_select_rows():
                       {"x": x, "i": [2.0, 0.0, 2.0]})
     np.testing.assert_array_equal(out, x[[2, 0, 2]])
     loss = gc.take_rows(gc.leaf("x"), gc.leaf("i")).sum()
-    grads = gc.gradient(loss, {"x": x, "i": np.array([2.0, 0.0, 2.0])}, ["x"])
+    grads = gc.value_and_grad(loss, {"x": x, "i": np.array([2.0, 0.0, 2.0])},
+                              ["x"])[1]
     np.testing.assert_array_equal(grads["x"], [[1, 1], [0, 0], [2, 2]])
 
 

@@ -108,13 +108,15 @@ def _desk_conv(layer):
     return ((3,) + cfg.channels)[layer], cfg.channels[layer], cfg.spatial_sizes()[layer]
 
 
-def _conv_fwd_bwd(x, w, g, need_dx):
-    out = gc._conv2d_forward(x, w, 2, 1)
-    return (out,) + gc._conv2d_backward(g, x, w, 2, 1, need_dx)
+def _conv_fwd_bwd(x, w, b, g, need_dx, cols):
+    out = gc._conv_bias_relu_forward(x, w, b, 2, 1, cols)
+    return (out,) + gc._conv_bias_relu_backward(g, x, w, b, out, 2, 1, need_dx, cols)
 
 
 @pytest.mark.parametrize("layer", range(4))
 def test_bench_conv_layer_fwd_bwd_batch8(benchmark, layer):
+    """One fused conv + bias + relu layer on the training path: the forward
+    builds its columns in a kept buffer and the backward reads them."""
     c, f, size = _desk_conv(layer)
     r = rng(10 + layer)
     x = r.uniform(-1, 1, size=(8, c, size, size))
@@ -122,12 +124,16 @@ def test_bench_conv_layer_fwd_bwd_batch8(benchmark, layer):
         # conv outputs, and so the inputs of conv1-conv3, are NHWC in memory
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     w = r.uniform(-0.2, 0.2, size=(f, c, 3, 3))
+    b = r.uniform(-0.1, 0.1, size=(f, 1, 1))
     g = r.normal(size=(8, f, size // 2, size // 2))
+    cols = np.empty(c * 9 * g[:, 0].size)
     # training never asks for the image gradient, so conv0 skips dX
-    out, dx, dw = benchmark.pedantic(_conv_fwd_bwd, args=(x, w, g, layer > 0),
-                                     rounds=5, iterations=1, warmup_rounds=1)
-    assert out.shape == g.shape and np.isfinite(out).all()
+    out, dx, dw, db = benchmark.pedantic(
+        _conv_fwd_bwd, args=(x, w, b, g, layer > 0, cols),
+        rounds=5, iterations=1, warmup_rounds=1)
+    assert out.shape == g.shape and (out >= 0).all() and (out > 0).any()
     assert dw.shape == w.shape and np.isfinite(dw).all()
+    assert db.shape == b.shape and np.isfinite(db).all()
     assert dx is None if layer == 0 else dx.shape == x.shape
 
 
