@@ -543,10 +543,13 @@ def load_checkpoint(path):
     return params, meta
 
 
+_META_TAGS = ((EncoderConfig, "enc"), (MarginConfig, "margin"), (LossWeights, "loss"))
+
+
 def config_meta(cfg: EncoderConfig, margins: MarginConfig,
                 weights: LossWeights) -> dict:
     meta = {}
-    for obj, tag in ((cfg, "enc"), (margins, "margin"), (weights, "loss")):
+    for obj, (_, tag) in zip((cfg, margins, weights), _META_TAGS):
         for f in fields(obj):
             v = getattr(obj, f.name)
             if isinstance(v, tuple):
@@ -556,26 +559,31 @@ def config_meta(cfg: EncoderConfig, margins: MarginConfig,
 
 
 def config_from_meta(meta: dict):
-    def tup(s):
-        return tuple(int(x) for x in s.split(","))
+    """(EncoderConfig, MarginConfig, LossWeights) from ``config_meta`` keys.
 
-    cfg = EncoderConfig(
-        input_size=int(meta["enc.input_size"]),
-        in_channels=int(meta["enc.in_channels"]),
-        channels=tup(meta["enc.channels"]),
-        strides=tup(meta["enc.strides"]),
-        kernel=int(meta["enc.kernel"]),
-        d_a=int(meta["enc.d_a"]), d_g=int(meta["enc.d_g"]),
-        d_f=int(meta["enc.d_f"]), n_classes=int(meta["enc.n_classes"]),
-        critic_hidden=int(meta["enc.critic_hidden"]))
-    margins = MarginConfig(m1=float(meta["margin.m1"]), m2=float(meta["margin.m2"]),
-                           m3=float(meta["margin.m3"]), s=float(meta["margin.s"]))
-    weights = LossWeights(alpha_g=float(meta["loss.alpha_g"]),
-                          lambda1_a=float(meta["loss.lambda1_a"]),
-                          lambda1_g=float(meta["loss.lambda1_g"]),
-                          lambda2_a=float(meta["loss.lambda2_a"]),
-                          lambda2_g=float(meta["loss.lambda2_g"]))
-    return cfg, margins, weights
+    Each field is parsed as the type of its default, a tuple as its items'
+    type; a missing or malformed key raises ValueError naming it.
+    """
+    configs = []
+    for cls, tag in _META_TAGS:
+        kwargs = {}
+        for f in fields(cls):
+            key = f"{tag}.{f.name}"
+            if key not in meta:
+                raise ValueError(f"checkpoint meta has no '{key}'")
+            kind = type(f.default)
+            try:
+                if kind is tuple:
+                    item = type(f.default[0])
+                    value = tuple(item(x) for x in meta[key].split(","))
+                else:
+                    value = kind(meta[key])
+            except ValueError as err:
+                raise ValueError(f"checkpoint meta '{key}={meta[key]}' is not "
+                                 f"a valid {kind.__name__}") from err
+            kwargs[f.name] = value
+        configs.append(cls(**kwargs))
+    return tuple(configs)
 
 
 # ---------------------------------------------------------------------------

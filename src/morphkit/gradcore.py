@@ -369,6 +369,14 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols=None):
 
     ``cols`` holds the forward pass's im2col columns; without them they are
     built again from ``x``.
+
+    dx is built tap by tap: for each kernel offset one (N*oh*ow, F) @ (F, C)
+    product is added into a zeroed NHWC padded buffer, in the same tap order
+    as a scatter of the full (N*oh*ow, C*kh*kw) column gradient, so each
+    element sums the same dot products in the same order.  dx comes back as
+    a fresh NCHW-contiguous array, not as a view of that buffer: the node
+    that produced x sums ``g * (out > 0)`` in g's memory order for its bias
+    gradient, and an NHWC g would change that sum in the last bits.
     """
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
@@ -380,14 +388,14 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols=None):
     dw = (gm.T @ cols.T).reshape(w.shape)
     if not need_dx:
         return None, dw
-    dcols = (gm @ w.reshape(f, -1)).reshape(n, oh, ow, c, kh, kw)
-    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    dxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, c))
     for ki in range(kh):
         for kj in range(kw):
-            dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
-                dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-    dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
-    return dx, dw
+            dxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+                (gm @ wt[ki, kj]).reshape(n, oh, ow, c)
+    dx = dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(dx), dw
 
 
 def _conv_bias_relu_forward(x, w, b, stride, pad, cols=None):

@@ -501,3 +501,35 @@ def test_checkpoint_roundtrip(tmp_path):
     assert margins2 == en.MarginConfig()
     assert weights2 == en.LossWeights()
     assert meta2["stage"] == "1"
+
+
+def _nondefault_meta():
+    return en.config_meta(tiny_cfg(), en.MarginConfig(m1=1.0, s=32.0),
+                          en.LossWeights(alpha_g=0.1, lambda2_g=2.5))
+
+
+def test_config_from_meta_roundtrip():
+    meta = _nondefault_meta()
+    assert en.config_from_meta(meta) == (
+        tiny_cfg(), en.MarginConfig(m1=1.0, s=32.0),
+        en.LossWeights(alpha_g=0.1, lambda2_g=2.5))
+    # as read back from a '.meta' sidecar, every value a string
+    assert en.config_from_meta({k: str(v) for k, v in meta.items()}) == \
+        en.config_from_meta(meta)
+
+
+@pytest.mark.parametrize("key", sorted(_nondefault_meta()))
+def test_config_from_meta_missing_key_names_it(key):
+    meta = _nondefault_meta()
+    del meta[key]
+    with pytest.raises(ValueError, match=f"no '{key}'"):
+        en.config_from_meta(meta)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("enc.channels", "8,16,x"), ("enc.strides", ""), ("enc.kernel", "3.5"),
+    ("margin.s", "abc"), ("loss.alpha_g", "")])
+def test_config_from_meta_malformed_key_names_it(key, value):
+    meta = dict(_nondefault_meta(), **{key: value})
+    with pytest.raises(ValueError, match=f"'{key}={value}'"):
+        en.config_from_meta(meta)

@@ -340,10 +340,21 @@ def test_conv2d_matches_rowmajor_oracle(n, c, f, h, w, k, stride, pad, need_dx,
         gm = np.abs(g.transpose(0, 2, 3, 1).reshape(-1, f))
         terms = (gm.T @ np.abs(cols_rm)).reshape(wt.shape)
         _assert_within_reorder_bound(dw, dw_ref, terms, gm.shape[0])
-    if need_dx:
-        assert dx.shape == dx_ref.shape and dx.tobytes() == dx_ref.tobytes()
-    else:
+    if not need_dx:
         assert dx is None and dx_ref is None
+        return
+    assert dx.shape == dx_ref.shape and dx.flags.c_contiguous
+    if c > 1 and g[:, 0].size > 1:
+        assert dx.tobytes() == dx_ref.tobytes()
+    else:
+        # dx takes one (N*oh*ow, F) @ (F, C) product per tap; with C == 1 or
+        # a single output position numpy computes it with its matrix-vector
+        # kernel, which sums the f products of a tap in another order.  The
+        # taps are then added in the same order, so an element sums at most
+        # f + k*k rounded terms.
+        terms = _conv2d_backward_rowmajor(np.abs(g), x, np.abs(wt), stride,
+                                          pad, True)[0]
+        _assert_within_reorder_bound(dx, dx_ref, terms, f + k * k)
 
 
 def _desk_conv(layer):
@@ -352,7 +363,7 @@ def _desk_conv(layer):
     return ((3,) + cfg.channels)[layer], cfg.channels[layer], cfg.spatial_sizes()[layer]
 
 
-@pytest.mark.parametrize("batch", [1, 7, 8, 12])
+@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
 @pytest.mark.parametrize("layer", range(4))
 def test_conv2d_desk_layers_byte_equal_to_oracle(layer, batch):
     c, f, size = _desk_conv(layer)
@@ -387,7 +398,7 @@ def _stage_bindings(stage, cfg, params, batch, seed):
     return bindings
 
 
-@pytest.mark.parametrize("batch", [1, 7, 8, 12])
+@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
 @pytest.mark.parametrize("stage", [1, 2])
 def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
     cfg = en.EncoderConfig.desk(10)

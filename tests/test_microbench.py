@@ -1,6 +1,6 @@
 """Micro-benchmarks of the hot spots: TPS warp, bilinear sampling, triplet
 build, neighbour search, DET curve, each desk conv layer, one batch-1 encode
-and one stage-1 step.
+and one step of each training stage.
 
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
 suite stays fast; ``pytest tests/test_microbench.py --benchmark-only`` prints
@@ -95,6 +95,25 @@ def test_bench_stage1_value_and_grad_batch8(benchmark):
     bindings["labels_prime"] = r.integers(0, 10, size=n).astype(float)
     bindings["phi"] = r.uniform(0.05, 0.2, size=n)
     graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
+    loss, grads = benchmark.pedantic(
+        gc.value_and_grad, args=(graph, bindings, params.names()),
+        rounds=3, iterations=1, warmup_rounds=1)
+    assert np.isfinite(loss)
+    assert sorted(grads) == sorted(params.names())
+
+
+def test_bench_stage2_value_and_grad_batch14(benchmark):
+    """One stage-2 step; a stage-2 round binds batches of 12-16 images."""
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=11)
+    r = rng(12)
+    n = 14
+    bindings = dict(params.tensors)
+    bindings["x"] = r.uniform(-1, 1, size=(n, 3, 112, 112))
+    for name in ("gen_i", "gen_j", "imp_i", "imp_j", "real_idx"):
+        bindings[name] = r.integers(0, n, size=n).astype(float)
+    bindings["real_labels"] = r.integers(0, 10, size=n).astype(float)
+    graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = benchmark.pedantic(
         gc.value_and_grad, args=(graph, bindings, params.names()),
         rounds=3, iterations=1, warmup_rounds=1)
