@@ -6,6 +6,7 @@ order semantically stable (index i always names the same facial point).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,12 +313,25 @@ def save_landmarks(path, lms):
 
 
 def load_landmarks(path):
+    """Read a file of 'x y' lines; blank lines are skipped.
+
+    A line that is not two finite numbers, or a file with no landmark,
+    raises ValueError naming the path (and the line).
+    """
     pts = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+    with open(path, encoding="utf-8", errors="replace") as f:
+        for lineno, line in enumerate(f, 1):
+            fields = line.split()
+            if not fields:
                 continue
-            x, y = line.split()
-            pts.append((float(x), float(y)))
+            try:
+                x, y = map(float, fields)
+            except ValueError:
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: expected two finite numbers "
+                                 f"'x y', got {line.strip()!r}")
+            pts.append((x, y))
+    if not pts:
+        raise ValueError(f"{path}: no landmarks")
     return _as_landmarks(pts)

@@ -1,18 +1,20 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 arrays.
 
 Expression graphs are built lazily from named ``leaf`` nodes and constants;
-``evaluate`` runs a forward pass for a given set of leaf bindings and
+``evaluate`` runs a forward pass for given leaf bindings and
 ``value_and_grad`` adds a reverse pass.  Every tensor is a plain ``numpy``
-array in float64; any NaN/Inf produced by an op aborts with
-:class:`NonFiniteError`.
+float64 array; any NaN/Inf produced by an op aborts with
+:class:`NonFiniteError`.  ``profile()`` times each node's rules.
 
 The engine is single-threaded and pure: identical (graph, bindings) gives
 bit-identical outputs, which the training code relies on for reproducible
-checkpoints.  A :class:`Graph` owns one im2col column buffer per fused
-``conv_bias_relu`` node: ``value_and_grad`` builds the columns there in the
-forward pass and reads them back in the backward pass, and a buffer grows
-only when a larger batch arrives.  So one ``Graph`` serves one
-``value_and_grad`` call at a time.
+checkpoints.  Conv outputs and conv input gradients are NCHW arrays that are
+channel-last (NHWC) in memory, and ``_unbroadcast`` sums in C order, so a
+bias gradient has the same bytes whatever layout its gradient arrives in.
+A :class:`Graph` owns one im2col column buffer per fused ``conv_bias_relu``
+node: ``value_and_grad`` builds the columns there in the forward pass and
+reads them back in the backward pass, and a buffer grows only when a larger
+batch arrives.  So one ``Graph`` serves one ``value_and_grad`` call at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .profiling import profile, span as _span
 
 __all__ = [
     "GradcoreError",
@@ -62,6 +66,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "value_and_grad",
+    "profile",
     "finite_difference_check",
     "ParamSpec",
     "ParamStore",
@@ -297,7 +302,8 @@ def _unbroadcast(grad, shape):
         grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        # numpy sums in memory order; C order makes the bytes layout-free
+        grad = np.ascontiguousarray(grad).sum(axis=axes, keepdims=True)
     return grad
 
 
@@ -333,22 +339,21 @@ def _conv_out_hw(x, w, stride, pad):
 def _im2col(x, kh, kw, stride, pad, out=None):
     """Channel-major columns: a (C*kh*kw, N*oh*ow) matrix of input windows.
 
-    The input is copied once into a zero-padded (C, N, H+2p, W+2p) buffer;
-    each of the kh*kw kernel offsets is then one strided slice copy whose
-    inner loop runs along an output row.  The columns are written into
-    ``out``, a 1-D array of exactly C*kh*kw*N*oh*ow elements, when given.
+    The input is copied once into a zero-padded (C, N, H+2p, W+2p) buffer,
+    and the columns are one copy of a strided (C, kh, kw, N, oh, ow) window
+    view of it.  They are written into ``out``, a 1-D array of exactly
+    C*kh*kw*N*oh*ow elements, when given.
     """
     n, c, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
-    shape = (c, kh, kw, n, oh, ow)
-    cols = np.empty(shape) if out is None else out.reshape(shape)
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, ki, kj] = xp[:, :, ki:ki + stride * oh:stride,
-                                 kj:kj + stride * ow:stride]
+    sc, sn, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (c, kh, kw, n, oh, ow), (sc, sh, sw, sn, stride * sh, stride * sw))
+    cols = np.empty(windows.shape) if out is None else out.reshape(windows.shape)
+    np.copyto(cols, windows)
     return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
 
 
@@ -373,10 +378,9 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols=None):
     dx is built tap by tap: for each kernel offset one (N*oh*ow, F) @ (F, C)
     product is added into a zeroed NHWC padded buffer, in the same tap order
     as a scatter of the full (N*oh*ow, C*kh*kw) column gradient, so each
-    element sums the same dot products in the same order.  dx comes back as
-    a fresh NCHW-contiguous array, not as a view of that buffer: the node
-    that produced x sums ``g * (out > 0)`` in g's memory order for its bias
-    gradient, and an NHWC g would change that sum in the last bits.
+    element sums the same dot products in the same order.  dx is the NCHW
+    crop of that buffer, NHWC in memory like a conv output, so the layer
+    below masks and reshapes it without a copy.
     """
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
@@ -394,8 +398,7 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols=None):
         for kj in range(kw):
             dxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
                 (gm @ wt[ki, kj]).reshape(n, oh, ow, c)
-    dx = dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(dx), dw
+    return dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2), dw
 
 
 def _conv_bias_relu_forward(x, w, b, stride, pad, cols=None):
@@ -691,7 +694,7 @@ def _forward(nodes, bindings, kinks=None, graph=None):
             vals = [values[i.uid] for i in n.inputs]
             fused = n.op == "conv_bias_relu"
             cols = graph._columns(n, vals) if fused and graph is not None else None
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"), _span(n):
                 v = _fwd(n.op, vals, n.params, cols)
             # the fused conv has checked its pre-activation already
             if not fused and not np.all(np.isfinite(v)):
@@ -747,7 +750,8 @@ def value_and_grad(graph, bindings, wrt):
         need = [i.uid in live for i in n.inputs]
         vals = [values[i.uid] for i in n.inputs]
         cols = g._columns(n, vals) if n.op == "conv_bias_relu" else None
-        in_grads = _bwd(n.op, gout, vals, values[n.uid], n.params, need, cols)
+        with _span(n, backward=True):
+            in_grads = _bwd(n.op, gout, vals, values[n.uid], n.params, need, cols)
         for inp, ig, keep in zip(n.inputs, in_grads, need):
             if ig is None or not keep:
                 continue
@@ -786,23 +790,18 @@ def finite_difference_check(graph, bindings, wrt, eps=1e-5,
             coords = rng.choice(flat.size, size=max_coords, replace=False)
             coords.sort()
         for idx in coords:
-            probe = flat.copy()
-            probe[idx] = flat[idx] + eps
-            bp = dict(bindings)
-            bp[name] = probe.reshape(base.shape)
-            probe2 = flat.copy()
-            probe2[idx] = flat[idx] - eps
-            bm = dict(bindings)
-            bm[name] = probe2.reshape(base.shape)
+            values, kinks = [], ([], [])
             try:
-                kp, km = [], []
-                vp = _forward(g.nodes, bp, kinks=kp)[g.output.uid]
-                vm = _forward(g.nodes, bm, kinks=km)[g.output.uid]
+                for step, k in zip((eps, -eps), kinks):
+                    probe = flat.copy()
+                    probe[idx] = flat[idx] + step
+                    bound = {**bindings, name: probe.reshape(base.shape)}
+                    values.append(_forward(g.nodes, bound, kinks=k)[g.output.uid])
             except NonFiniteError:
                 continue
-            if any(not np.array_equal(a, b) for a, b in zip(kp, km)):
+            if any(not np.array_equal(a, b) for a, b in zip(*kinks)):
                 continue
-            num = float((vp - vm).reshape(())) / (2.0 * eps)
+            num = float((values[0] - values[1]).reshape(())) / (2.0 * eps)
             ana = analytic[name].ravel()[idx]
             rel = abs(ana - num) / max(1.0, abs(ana))
             worst = max(worst, rel)

@@ -411,17 +411,30 @@ def write_manifest(path, rows):
 
 
 def load_manifest(path):
+    """The rows of a manifest written by :func:`write_manifest`.
+
+    A wrong header, a row with missing or extra fields, or a kind other than
+    'real' or 'morph' raises ValueError naming the path and the line.
+    """
     path = Path(path)
     rows = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != MANIFEST_COLUMNS:
-            raise ValueError(f"{path}: unexpected manifest header "
-                             f"{reader.fieldnames}")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if tuple(header or ()) != MANIFEST_COLUMNS:
+            raise ValueError(f"{path}: unexpected manifest header {header}")
         for rec in reader:
-            rows.append(DatasetRow(rec["path"], rec["subject_id"], rec["kind"],
-                                   rec["source_a"], rec["source_b"],
-                                   rec["landmarks_path"]))
+            if not rec:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(MANIFEST_COLUMNS):
+                raise ValueError(f"{where}: expected {len(MANIFEST_COLUMNS)} "
+                                 f"fields, got {len(rec)}")
+            row = DatasetRow(*rec)
+            if row.kind not in ("real", "morph"):
+                raise ValueError(f"{where}: kind must be 'real' or 'morph', "
+                                 f"got {row.kind!r}")
+            rows.append(row)
     return rows
 
 

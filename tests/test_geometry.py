@@ -510,3 +510,35 @@ def test_landmark_file_roundtrip_exact(tmp_path):
     geo.save_landmarks(path, lms)
     loaded = geo.load_landmarks(path)
     assert np.array_equal(loaded, lms)
+
+
+def test_landmark_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "lms.txt"
+    path.write_text("\n1.5 2\n  \n-3 4e1\n\n")
+    np.testing.assert_array_equal(geo.load_landmarks(path), [[1.5, 2.0], [-3.0, 40.0]])
+
+
+@pytest.mark.parametrize("body,line,bad", [
+    (b"1 2\n3\n", 2, "'3'"),
+    (b"1 2\n\n3 x\n", 3, "'3 x'"),
+    (b"1 2 3\n", 1, "'1 2 3'"),
+    (b"1 2\nnan 4\n", 2, "'nan 4'"),
+    (b"1 -inf\n", 1, "'1 -inf'"),
+    (b"1 2\xff\n", 1, "'1 2"),
+])
+def test_landmark_file_malformed_line_names_path_and_line(tmp_path, body, line, bad):
+    path = tmp_path / "lms.txt"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as err:
+        geo.load_landmarks(path)
+    assert str(err.value).startswith(f"{path}:{line}: expected two finite numbers")
+    assert bad in str(err.value)
+
+
+@pytest.mark.parametrize("body", [b"", b"\n \n"])
+def test_landmark_file_without_landmarks_names_path(tmp_path, body):
+    path = tmp_path / "lms.txt"
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match="no landmarks") as err:
+        geo.load_landmarks(path)
+    assert str(err.value).startswith(str(path))

@@ -343,7 +343,8 @@ def test_conv2d_matches_rowmajor_oracle(n, c, f, h, w, k, stride, pad, need_dx,
     if not need_dx:
         assert dx is None and dx_ref is None
         return
-    assert dx.shape == dx_ref.shape and dx.flags.c_contiguous
+    # dx is channel-last in memory, the layout of the conv output above it
+    assert dx.shape == dx_ref.shape and dx.strides[1] == dx.itemsize
     if c > 1 and g[:, 0].size > 1:
         assert dx.tobytes() == dx_ref.tobytes()
     else:
@@ -355,6 +356,31 @@ def test_conv2d_matches_rowmajor_oracle(n, c, f, h, w, k, stride, pad, need_dx,
         terms = _conv2d_backward_rowmajor(np.abs(g), x, np.abs(wt), stride,
                                           pad, True)[0]
         _assert_within_reorder_bound(dx, dx_ref, terms, f + k * k)
+
+
+def _unbroadcast_parent(grad, shape):
+    """``_unbroadcast`` as it was before it copied to C order: sums the kept
+    size-1 axes in ``grad``'s own memory order."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    return grad.sum(axis=axes, keepdims=True) if axes else grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), f=st.integers(1, 9), h=st.integers(1, 15),
+       w=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+def test_unbroadcast_bias_sum_independent_of_layout(n, f, h, w, seed):
+    g = rng(seed).normal(size=(n, f, h, w)) * 10.0 ** rng(seed + 1).integers(
+        -3, 4, size=(n, f, h, w))
+    ref = gc._unbroadcast(g, (f, 1, 1))
+    assert ref.tobytes() == _unbroadcast_parent(g, (f, 1, 1)).tobytes()
+    padded = np.zeros((n, h + 2, w + 2, f))
+    padded[:, 1:-1, 1:-1] = g.transpose(0, 2, 3, 1)
+    for view in (_nhwc_view(g), padded[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)):
+        assert np.array_equal(view, g)
+        assert gc._unbroadcast(view, (f, 1, 1)).tobytes() == ref.tobytes()
 
 
 def _desk_conv(layer):
@@ -522,6 +548,52 @@ def test_fd_random_smooth_chains(seed):
     loss = gc.logmeanexp(gc.exp(x * 0.5) + gc.sqrt(x + 5.0))
     err = gc.finite_difference_check(loss, {"x": r.uniform(-2, 2, size=8)}, ["x"])
     assert err <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# profiler
+
+
+def test_profile_one_row_per_layer_and_values_unchanged():
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=60)
+    bindings = _stage_bindings(1, cfg, params, 2, seed=61)
+    graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
+    loss, grads = gc.value_and_grad(graph, bindings, params.names())
+    with gc.profile() as prof:
+        loss_p, grads_p = gc.value_and_grad(graph, bindings, params.names())
+    assert np.float64(loss).tobytes() == np.float64(loss_p).tobytes()
+    for name in params.names():
+        assert grads[name].tobytes() == grads_p[name].tobytes(), name
+    # three encoder passes share each layer's weights, so they share a row;
+    # conv0 is labelled by its weights, not by the image leaf before them
+    for i in range(len(cfg.channels)):
+        fs, fc, bs, bc = prof.stats[("conv_bias_relu", f"conv{i}_w")]
+        assert (fc, bc) == (3, 3) and fs > 0 and bs > 0
+    assert prof.stats[("matmul", "fc_a_w")][1::2] == [3, 3]
+    assert prof.stats[("add", "fc_a_b")][1::2] == [3, 3]
+    assert not any(label in ("x", "x_prime", "x_hat") for _, label in prof.stats)
+    assert sum(fc for _, fc, _, _ in prof.stats.values()) == sum(
+        n.op not in ("leaf", "const") for n in graph.nodes)
+    table = str(prof).splitlines()
+    assert table[0].split() == ["op", "label", "fwd", "ms", "calls", "bwd", "ms", "calls"]
+    assert len(table) == len(prof.stats) + 1
+
+
+def test_profile_records_only_inside_innermost_block():
+    x = gc.leaf("x")
+    loss = gc.exp(x * gc.leaf("k")).sum()
+    bindings = {"x": np.arange(3.0), "k": 0.5}
+    with gc.profile() as outer:
+        gc.evaluate(loss, bindings)
+        with gc.profile() as inner:
+            gc.value_and_grad(loss, bindings, ["x"])
+        gc.evaluate(loss, bindings)
+    gc.value_and_grad(loss, bindings, ["x"])
+    assert {key: row[1::2] for key, row in outer.stats.items()} == {
+        ("mul", "k"): [2, 0], ("exp", None): [2, 0], ("sum", None): [2, 0]}
+    assert {key: row[1::2] for key, row in inner.stats.items()} == {
+        ("mul", "k"): [1, 1], ("exp", None): [1, 1], ("sum", None): [1, 1]}
 
 
 # ---------------------------------------------------------------------------

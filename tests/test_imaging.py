@@ -263,6 +263,45 @@ def test_synth_counts_and_sources(tmp_path):
     assert [r.path for r in loaded] == [r.path for r in rows]
 
 
+MANIFEST_HEADER = ",".join(im.MANIFEST_COLUMNS) + "\n"
+REAL_ROW = "images/s000_c0.ppm,s000,real,,,landmarks/s000_c0.txt\n"
+
+
+def test_manifest_roundtrip_skips_blank_lines(tmp_path):
+    path = tmp_path / "manifest.csv"
+    morph = "images/m0.ppm,s000,morph,s000,s001,landmarks/m0.txt\n"
+    path.write_text(MANIFEST_HEADER + REAL_ROW + "\n" + morph)
+    rows = im.load_manifest(path)
+    assert [r.kind for r in rows] == ["real", "morph"]
+    assert (rows[1].source_a, rows[1].source_b) == ("s000", "s001")
+    im.write_manifest(tmp_path / "again.csv", rows)
+    assert im.load_manifest(tmp_path / "again.csv") == rows
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("images/a.ppm,s000,Real,,,landmarks/a.txt", "kind must be 'real' or 'morph', got 'Real'"),
+    ("images/a.ppm,s000,,,,landmarks/a.txt", "kind must be 'real' or 'morph', got ''"),
+    ("images/a.ppm,s000,real,,", "expected 6 fields, got 5"),
+    ("images/a.ppm,s000,real,,,landmarks/a.txt,x", "expected 6 fields, got 7"),
+    ("images/a.ppm", "expected 6 fields, got 1"),
+])
+def test_manifest_bad_row_names_path_and_line(tmp_path, bad, message):
+    path = tmp_path / "manifest.csv"
+    path.write_text(MANIFEST_HEADER + REAL_ROW + REAL_ROW + bad + "\n" + REAL_ROW)
+    with pytest.raises(ValueError) as err:
+        im.load_manifest(path)
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize("body", ["", "path,subject_id,kind\n" + REAL_ROW])
+def test_manifest_bad_header_names_path(tmp_path, body):
+    path = tmp_path / "manifest.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match="unexpected manifest header") as err:
+        im.load_manifest(path)
+    assert str(err.value).startswith(str(path))
+
+
 def test_synth_deterministic(tmp_path):
     cfg = im.SynthConfig(subjects=3, captures=2, morphs_per_subject=1,
                          seed=7, size=32)
