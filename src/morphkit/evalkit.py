@@ -26,6 +26,9 @@ class ScoreSet:
         """(genuine, attack) flipped so that higher always means attack."""
         g = np.asarray(self.genuine, dtype=np.float64)
         a = np.asarray(self.attack, dtype=np.float64)
+        if g.ndim != 1 or a.ndim != 1:
+            raise ValueError("genuine and attack scores must be 1-D, got shapes "
+                             f"{g.shape} and {a.shape}")
         if not (np.isfinite(g).all() and np.isfinite(a).all()):
             raise ValueError("scores must be finite")
         return (-g, -a) if self.low_is_attack else (g, a)
@@ -41,18 +44,54 @@ class DetCurve:
 
 
 def det_curve(scores: ScoreSet) -> DetCurve:
-    """Operating points at every distinct score plus the two sentinels."""
+    """Operating points at every distinct score plus the -inf/+inf sentinels.
+
+    Each class is sorted once, and a stable argsort of the two sorted classes
+    side by side merges them in linear time.  A running sum of the attack
+    flags in merged order counts the attack scores up to each position; the
+    genuine scores are the rest.  The thresholds are the scores at the last
+    position of each run of equal scores, so the counts there include every
+    score equal to the threshold: a score is attack-classified iff it lies
+    strictly above it.  APCER and BPCER are these integer counts divided by
+    the class size.  BPCER counts the genuine scores above the threshold
+    rather than taking 1 - x, which would round differently.
+
+    0.0 and -0.0 are the only equal scores with different bytes.  A run that
+    holds both keeps the zero the merge puts last: a genuine zero if the run
+    has one, else an attack zero, with each class's zeros in np.sort's
+    order.  Either compares equal to both.
+    """
     g, a = scores.canonical()
     if g.size == 0 or a.size == 0:
         raise ValueError("both genuine and attack scores are required")
-    thresholds = np.concatenate([[-np.inf],
-                                 np.unique(np.concatenate([g, a])),
-                                 [np.inf]])
-    # attack-classified iff canonical score strictly above the threshold;
-    # side="right" counts the scores <= t.  BPCER is taken from the count of
-    # scores > t rather than as 1 - x, which would round differently
-    apcer = np.searchsorted(np.sort(a), thresholds, side="right") / a.size
-    bpcer = (g.size - np.searchsorted(np.sort(g), thresholds, side="right")) / g.size
+    # each temporary is dropped once used: they are as large as the input
+    merged = np.concatenate([a, g])
+    merged[:a.size].sort()
+    merged[a.size:].sort()
+    order = np.argsort(merged, kind="stable")
+    n_att = np.cumsum(order < a.size)
+    merged = merged[order]
+    del order
+    run_end = np.empty(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=run_end[:-1])
+    run_end[-1] = True
+    ends = np.flatnonzero(run_end)
+    del run_end
+    thresholds = np.empty(ends.size + 2)
+    thresholds[0], thresholds[-1] = -np.inf, np.inf
+    # every index is in range; mode="raise" would buffer the output
+    np.take(merged, ends, out=thresholds[1:-1], mode="clip")
+    del merged
+    n_att = n_att[ends]
+    apcer = np.empty_like(thresholds)
+    apcer[0], apcer[-1] = 0.0, 1.0
+    np.divide(n_att, a.size, out=apcer[1:-1])
+    # genuine scores above the threshold: g.size - (ends + 1 - n_att)
+    n_att += g.size - 1
+    n_att -= ends
+    bpcer = np.empty_like(thresholds)
+    bpcer[0], bpcer[-1] = 1.0, 0.0
+    np.divide(n_att, g.size, out=bpcer[1:-1])
     return DetCurve(thresholds=thresholds, apcer=apcer, bpcer=bpcer)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -928,6 +929,18 @@ class LrSchedule:
     decay: float = 0.9
     every: int = 5
     floor: float = 1e-6
+
+    def __post_init__(self):
+        if (isinstance(self.every, bool) or not isinstance(self.every, numbers.Integral)
+                or self.every < 1):
+            raise ValueError("LrSchedule.every must be an integer >= 1, "
+                             f"got {self.every!r}")
+        for name in ("initial", "decay", "floor"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or not math.isfinite(v) or v < 0:
+                raise ValueError(f"LrSchedule.{name} must be finite and >= 0, got {v!r}")
+        if self.decay > 1:
+            raise ValueError(f"LrSchedule.decay must be <= 1, got {self.decay!r}")
 
     def at(self, epoch: int) -> float:
         return max(self.initial * self.decay ** (epoch // self.every), self.floor)

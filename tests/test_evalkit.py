@@ -25,6 +25,34 @@ def brute_force_curve(genuine, attack, low_is_attack):
     return pts
 
 
+def searchsorted_curve(scores):
+    """The det_curve body before the merge: np.unique of both classes as the
+    thresholds, then one binary search per threshold in each sorted class."""
+    g, a = scores.canonical()
+    thresholds = np.concatenate([[-np.inf],
+                                 np.unique(np.concatenate([g, a])),
+                                 [np.inf]])
+    apcer = np.searchsorted(np.sort(a), thresholds, side="right") / a.size
+    bpcer = (g.size - np.searchsorted(np.sort(g), thresholds, side="right")) / g.size
+    return thresholds, apcer, bpcer
+
+
+def assert_equals_searchsorted(scores):
+    """Byte-equal to the oracle; a zero threshold whose run holds both 0.0
+    and -0.0 is compared with ==, since either sort may put either first."""
+    curve = ev.det_curve(scores)
+    t, ap, bp = searchsorted_curve(scores)
+    assert curve.apcer.tobytes() == ap.tobytes()
+    assert curve.bpcer.tobytes() == bp.tobytes()
+    assert np.array_equal(curve.thresholds, t)
+    z = np.concatenate(scores.canonical())
+    signs = np.signbit(z[z == 0])
+    mixed_zero = signs.any() and not signs.all()
+    keep = t != 0 if mixed_zero else slice(None)
+    assert curve.thresholds[keep].tobytes() == t[keep].tobytes()
+    return curve
+
+
 def brute_force_eer(pts):
     for k in range(1, len(pts)):
         d0 = pts[k - 1][1] - pts[k - 1][2]
@@ -64,6 +92,19 @@ def test_hand_case_eer_one_third():
     assert ev.d_eer(curve) == pytest.approx(1 / 3, abs=1e-12)
     # brute force: no point has apcer <= 0.05 except the all-attack sentinel
     assert ev.bpcer_at_apcer(curve, 0.05) == 1.0
+
+
+@pytest.mark.parametrize("shape", [(), (4, 1), (2, 3)])
+@pytest.mark.parametrize("bad", ["genuine", "attack"])
+def test_scoreset_rejects_non_1d_scores(shape, bad):
+    scores = {"genuine": np.linspace(0.0, 1.0, 4),
+              "attack": np.linspace(0.5, 1.5, 5)}
+    scores[bad] = np.full(shape, 0.5)
+    g_shape = np.shape(scores["genuine"])
+    a_shape = np.shape(scores["attack"])
+    with pytest.raises(ValueError, match="1-D") as err:
+        ev.det_curve(ev.ScoreSet(**scores))
+    assert f"{g_shape} and {a_shape}" in str(err.value)
 
 
 def test_empty_class_errors():
@@ -117,6 +158,43 @@ def test_det_curve_equals_loop_oracle(scores, low):
     for (t, ap, bp), ti, ai, bi in zip(pts, curve.thresholds, curve.apcer,
                                        curve.bpcer):
         assert t == ti and ap == ai and bp == bi
+
+
+def draw_scores(r, kind, n):
+    if kind == "tied":
+        return r.choice([-2.5, -1.0, 0.0, 0.125, 3.0], size=n)
+    if kind == "quantised":  # holds 0.0 and -0.0 once rounded
+        return np.round(r.normal(0.0, 0.05, size=n), 3)
+    return r.normal(size=n) * 10.0 ** r.integers(-6, 7, size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 3000),
+       st.sampled_from(["tied", "quantised", "spread"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_det_curve_byte_equal_to_searchsorted(n_g, n_a, kind, low, seed):
+    r = rng(seed)
+    assert_equals_searchsorted(ev.ScoreSet(genuine=draw_scores(r, kind, n_g),
+                                           attack=draw_scores(r, kind, n_a),
+                                           low_is_attack=low))
+
+
+@pytest.mark.parametrize("seed", [9105, 9201])
+def test_det_curve_byte_equal_on_bench_eval_draw(seed):
+    r = np.random.Generator(np.random.PCG64([seed, 3]))
+    g = r.normal(0.62, 0.12, 20000)
+    a = r.normal(0.38, 0.15, 20000)
+    curve = assert_equals_searchsorted(ev.ScoreSet(genuine=g, attack=a))
+    assert curve.thresholds.size == 40002
+
+
+@pytest.mark.parametrize("g_zero, a_zero", [(-0.0, 0.0), (0.0, -0.0)])
+def test_mixed_zero_threshold_keeps_the_genuine_zero(g_zero, a_zero):
+    scores = ev.ScoreSet(genuine=np.array([g_zero, 1.0]),
+                         attack=np.array([a_zero, -1.0]), low_is_attack=False)
+    t = ev.det_curve(scores).thresholds
+    assert t.tolist() == [-np.inf, -1.0, 0.0, 1.0, np.inf]
+    assert np.signbit(t[2]) == np.signbit(g_zero)
 
 
 @settings(max_examples=30, deadline=None)

@@ -626,6 +626,24 @@ def test_lr_schedule_epoch_10():
     assert sched.at(10_000) == 1e-6
 
 
+@pytest.mark.parametrize("field, value", [
+    ("every", 0), ("every", -1), ("every", 2.0), ("every", True),
+    ("initial", -0.1), ("initial", float("nan")), ("initial", float("inf")),
+    ("decay", -0.9), ("decay", 1.5), ("decay", float("nan")),
+    ("floor", -1e-6), ("floor", float("inf")), ("floor", "0"),
+])
+def test_lr_schedule_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"LrSchedule.{field} must be"):
+        gc.LrSchedule(**{field: value})
+
+
+def test_lr_schedule_accepts_edge_values():
+    assert gc.LrSchedule(initial=0.0, floor=0.0).at(7) == 0.0
+    assert gc.LrSchedule(initial=0.2, decay=1.0, every=1).at(50) == 0.2
+    assert gc.LrSchedule(initial=0.2, decay=0.0, every=1, floor=0.0).at(1) == 0.0
+    assert gc.LrSchedule(every=np.int64(3)).at(3) == 0.1 * 0.9
+
+
 def test_paramstore_seeded_init_bit_identical():
     specs = [gc.ParamSpec("w", (4, 3), "uniform", fan_in=3),
              gc.ParamSpec("b", (4,), "zeros")]

@@ -83,6 +83,19 @@ def test_bench_det_curve_40k(benchmark):
     assert curve.apcer[-1] == 1.0 and curve.bpcer[-1] == 0.0
 
 
+def test_bench_det_curve_40k_tied(benchmark):
+    r = rng(3)
+    g = np.round(r.normal(0.62, 0.12, size=20000), 3)
+    a = np.round(r.normal(0.38, 0.15, size=20000), 3)
+    scores = ev.ScoreSet(genuine=g, attack=a)
+    curve = benchmark.pedantic(ev.det_curve, args=(scores,),
+                               rounds=5, iterations=1, warmup_rounds=1)
+    distinct = np.unique(np.concatenate([g, a]))
+    assert curve.thresholds.size == distinct.size + 2 < 2000
+    assert np.array_equal(curve.thresholds[1:-1], -distinct[::-1])
+    assert curve.apcer[-1] == 1.0 and curve.bpcer[-1] == 0.0
+
+
 def test_bench_stage1_value_and_grad_batch8(benchmark):
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=3)
