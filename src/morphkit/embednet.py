@@ -11,6 +11,7 @@ cross-subject or morph-containing pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -40,6 +41,10 @@ class EncoderConfig:
     critic_hidden: int = 64
 
     def __post_init__(self):
+        # tuples keep the config hashable (it keys the encoder plan cache)
+        # and written by ``config_meta`` in the form ``config_from_meta`` reads
+        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "strides", tuple(self.strides))
         if self.channels[-1] % 2:
             raise ValueError("final conv depth must be even for the depth split")
         if len(self.channels) != len(self.strides):
@@ -277,17 +282,33 @@ def stage2_graph(cfg: EncoderConfig, margins: MarginConfig,
 # inference
 
 
+@functools.cache
+def _encoder_plan(cfg: EncoderConfig, prefix):
+    """The (z_a, z_g, z_f) encoder graph over leaf ``x``, built once per
+    (config, prefix); ``encode`` evaluates it with temporary columns, so
+    callers share no buffers."""
+    return gc.Graph(build_encoder(cfg, gc.leaf("x"), prefix))
+
+
 def encode(cfg: EncoderConfig, params: gc.ParamStore, images,
            prefix="") -> EmbeddingTriple:
-    """Embed a batch (N, 3, H, W) or single image (3, H, W)."""
+    """Embed a batch (N, C, S, S) or single image (C, S, S).
+
+    C is ``cfg.in_channels`` and S is ``cfg.input_size``; any other shape
+    raises ValueError naming it.  The encoder graph and its topological
+    order are built once per (config, prefix) and reused.
+    """
     x = np.asarray(images, dtype=np.float64)
+    expected = (cfg.in_channels, cfg.input_size, cfg.input_size)
+    if x.shape[-3:] != expected or x.ndim not in (3, 4):
+        raise ValueError(f"encode expects images of shape {expected} or a "
+                         f"batch of them, got {x.shape}")
     single = x.ndim == 3
     if single:
         x = x[None]
-    za, zg, zf = build_encoder(cfg, gc.leaf("x"), prefix)
     bindings = dict(params.tensors)
     bindings["x"] = x
-    va, vg, vf = gc.evaluate_many([za, zg, zf], bindings)
+    va, vg, vf = gc.evaluate_many(_encoder_plan(cfg, prefix), bindings)
     if single:
         va, vg, vf = va[0], vg[0], vf[0]
     return EmbeddingTriple(z_a=va, z_g=vg, z_f=vf)
@@ -295,11 +316,26 @@ def encode(cfg: EncoderConfig, params: gc.ParamStore, images,
 
 def to_chw(image):
     """(H, W, 3) image -> (3, H, W) network layout."""
-    return np.transpose(np.asarray(image, dtype=np.float64), (2, 0, 1))
+    arr = np.asarray(image, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"to_chw expects an (H, W, 3) image, got {arr.shape}")
+    return np.transpose(arr, (2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
 # training data plumbing
+
+
+def _check_files(rows, root):
+    """Raise one FileNotFoundError listing every image and landmark file of
+    ``rows`` that is not under ``root``, so training stops before it starts
+    instead of when it first reads a missing file."""
+    root = Path(root)
+    missing = [str(root / rel) for r in rows for rel in (r.path, r.landmarks_path)
+               if not (root / rel).is_file()]
+    if missing:
+        raise FileNotFoundError(f"{len(missing)} manifest file(s) missing: "
+                                + ", ".join(missing))
 
 
 def _load_real_rows(rows, root):
@@ -344,8 +380,11 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     """Triplet training of the disentangling encoder; returns (params, history).
 
     Triplets are rebuilt every epoch with fresh landmark perturbations; the
-    whole run is deterministic given the seed.
+    whole run is deterministic given the seed.  Every row's image and
+    landmark file must exist, morphs included, or FileNotFoundError lists
+    the missing ones.
     """
+    _check_files(rows, root)
     reals, images, lms = _load_real_rows(rows, root)
     classes, cmap = _class_map(reals)
     if len(classes) < 2:
@@ -428,7 +467,10 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     With ``dual=True`` the trusted side is embedded by the frozen ``init``
     parameters and only the questioned encoder (a copy) is updated; returns
     ((trusted, questioned), history) in that mode, else (params, history).
+    Every row's image and landmark file must exist, or FileNotFoundError
+    lists the missing ones.
     """
+    _check_files(rows, root)
     root = Path(root)
     reals, morphs, genuine, cross = _stage2_pools(rows)
     classes, cmap = _class_map(reals)

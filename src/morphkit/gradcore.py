@@ -4,7 +4,10 @@ Expression graphs are built lazily from named ``leaf`` nodes and constants;
 ``evaluate`` runs a forward pass for given leaf bindings and
 ``value_and_grad`` adds a reverse pass.  Every tensor is a plain ``numpy``
 float64 array; any NaN/Inf produced by an op aborts with
-:class:`NonFiniteError`.  ``profile()`` times each node's rules.
+:class:`NonFiniteError`.  A forward pass sets numpy's error state once, to
+ignore floating-point warnings, and restores it when the pass returns or
+raises; the check of each op's output stands in for the warnings.
+``profile()`` times each node's rules.
 
 The engine is single-threaded and pure: identical (graph, bindings) gives
 bit-identical outputs, which the training code relies on for reproducible
@@ -351,8 +354,8 @@ def _im2col(x, kh, kw, stride, pad, out=None):
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     sc, sn, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (c, kh, kw, n, oh, ow), (sc, sh, sw, sn, stride * sh, stride * sw))
+    windows = np.ndarray((c, kh, kw, n, oh, ow), xp.dtype, xp,
+                         strides=(sc, sh, sw, sn, stride * sh, stride * sw))
     cols = np.empty(windows.shape) if out is None else out.reshape(windows.shape)
     np.copyto(cols, windows)
     return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
@@ -648,17 +651,24 @@ def _topo_order(outputs):
 
 
 class Graph:
-    """A single-output expression graph with cached topological order.
+    """An expression graph with cached topological order.
 
-    It also owns the column buffers of its fused conv nodes, which
+    ``outputs`` is one node, or a sequence of nodes that ``evaluate_many``
+    evaluates in one shared pass; ``output`` is the first of them, which
+    ``evaluate`` returns and ``value_and_grad`` differentiates.  The graph
+    also owns the column buffers of its fused conv nodes, which
     ``value_and_grad`` fills in the forward pass and reads in the backward
-    pass; so one Graph serves one ``value_and_grad`` call at a time.
+    pass; so one Graph serves one ``value_and_grad`` call at a time.  A
+    plain forward pass builds its columns in temporaries, so a Graph may be
+    evaluated by any number of callers.
     """
 
-    def __init__(self, output: Node):
-        self.output = output
-        self.nodes = _topo_order([output])
-        self.leaves = {n.name: n for n in self.nodes if n.op == "leaf"}
+    def __init__(self, outputs):
+        self.outputs = (outputs,) if isinstance(outputs, Node) else tuple(outputs)
+        if not self.outputs:
+            raise GradcoreError("a Graph needs at least one output node")
+        self.output = self.outputs[0]
+        self.nodes = _topo_order(self.outputs)
         self._column_buffers = {}
 
     def _columns(self, node, vals):
@@ -684,25 +694,26 @@ def _forward(nodes, bindings, kinks=None, graph=None):
     """Node values by uid; with ``graph``, fused conv nodes build their
     columns in its buffers and leave them there for the backward pass."""
     values = {}
-    for n in nodes:
-        if n.op == "leaf":
-            if n.name not in bindings:
-                raise GradcoreError(f"unbound leaf '{n.name}'")
-            v = np.asarray(bindings[n.name], dtype=np.float64)
-        elif n.op == "const":
-            v = n.params["value"]
-        else:
-            vals = [values[i.uid] for i in n.inputs]
-            fused = n.op == "conv_bias_relu"
-            cols = graph._columns(n, vals) if fused and graph is not None else None
-            with np.errstate(all="ignore"), _span(n):
-                v = _fwd(n.op, vals, n.params, cols)
-            # the fused conv has checked its pre-activation already
-            if not fused and not np.all(np.isfinite(v)):
-                raise NonFiniteError(f"non-finite value produced by '{n.op}'")
-            if kinks is not None and n.op in _KINK_OPS:
-                kinks.append(_kink_mask(n.op, vals, v, n.params))
-        values[n.uid] = v
+    with np.errstate(all="ignore"):
+        for n in nodes:
+            if n.op == "leaf":
+                if n.name not in bindings:
+                    raise GradcoreError(f"unbound leaf '{n.name}'")
+                v = np.asarray(bindings[n.name], dtype=np.float64)
+            elif n.op == "const":
+                v = n.params["value"]
+            else:
+                vals = [values[i.uid] for i in n.inputs]
+                fused = n.op == "conv_bias_relu"
+                cols = graph._columns(n, vals) if fused and graph is not None else None
+                with _span(n):
+                    v = _fwd(n.op, vals, n.params, cols)
+                # the fused conv has checked its pre-activation already
+                if not fused and not np.isfinite(v).all():
+                    raise NonFiniteError(f"non-finite value produced by '{n.op}'")
+                if kinks is not None and n.op in _KINK_OPS:
+                    kinks.append(_kink_mask(n.op, vals, v, n.params))
+            values[n.uid] = v
     return values
 
 
@@ -713,15 +724,18 @@ def evaluate(graph, bindings) -> np.ndarray:
 
 
 def evaluate_many(outputs, bindings):
-    """Evaluate several output nodes in one shared forward pass."""
-    nodes = _topo_order(list(outputs))
-    values = _forward(nodes, bindings)
-    return [values[o.uid] for o in outputs]
+    """Evaluate several output nodes, or the outputs of a :class:`Graph`, in
+    one shared forward pass; a Graph reuses its topological order."""
+    g = _as_graph(outputs)
+    values = _forward(g.nodes, bindings)
+    return [values[o.uid] for o in g.outputs]
 
 
 def value_and_grad(graph, bindings, wrt):
     """Forward value plus reverse-mode gradients for the named leaves."""
     g = _as_graph(graph)
+    if len(g.outputs) != 1:
+        raise GradcoreError(f"gradient requires one output, got {len(g.outputs)}")
     values = _forward(g.nodes, bindings, graph=g)
     out = values[g.output.uid]
     if out.size != 1:

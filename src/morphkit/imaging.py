@@ -74,8 +74,14 @@ def to_uint8(img):
 
 
 def from_uint8(raw):
-    """Scale an 8-bit image to [-1, 1] floats (v / 127.5 - 1)."""
-    return np.asarray(raw, dtype=np.float64) / 127.5 - 1.0
+    """Scale an 8-bit image to [-1, 1] floats (v / 127.5 - 1).
+
+    One float64 copy, then both steps in place: the same two roundings.
+    """
+    v = np.array(raw, dtype=np.float64)
+    v /= 127.5
+    v -= 1.0
+    return v
 
 
 def save_face(path, img):

@@ -1,6 +1,8 @@
 """Encoder wiring, loss values against hand oracles, and the training loops."""
 
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -88,6 +90,121 @@ def test_depth_split_gradient_isolation():
     grads = gc.value_and_grad(attract, bindings, ["fc_a_w", "fc_g_w"])[1]
     assert np.array_equal(grads["fc_a_w"], 0 * grads["fc_a_w"])
     assert np.abs(grads["fc_g_w"]).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# the cached encoder plan
+
+
+def fresh_graph_encode(cfg, params, images, prefix=""):
+    """Reference: build the encoder graph afresh and evaluate its three
+    output nodes, as ``encode`` did before it cached the graph."""
+    x = np.asarray(images, dtype=np.float64)
+    single = x.ndim == 3
+    if single:
+        x = x[None]
+    za, zg, zf = en.build_encoder(cfg, gc.leaf("x"), prefix)
+    bindings = dict(params.tensors)
+    bindings["x"] = x
+    va, vg, vf = gc.evaluate_many([za, zg, zf], bindings)
+    if single:
+        va, vg, vf = va[0], vg[0], vf[0]
+    return en.EmbeddingTriple(z_a=va, z_g=vg, z_f=vf)
+
+
+def assert_same_bytes(a, b):
+    for name in ("z_a", "z_g", "z_f"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("hwc", [False, True], ids=["nchw", "hwc_view"])
+@pytest.mark.parametrize("prefix", ["", "q_"])
+@pytest.mark.parametrize("batch", [None, 1, 3, 8], ids=["single", "1", "3", "8"])
+def test_encode_byte_equal_to_fresh_graph(batch, prefix, hwc):
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=21, prefix=prefix)
+    lead = () if batch is None else (batch,)
+    r = rng(22)
+    if hwc:
+        # what ``to_chw`` hands over: a transposed view of an (H, W, 3) image
+        x = np.moveaxis(r.uniform(-1, 1, size=lead + (112, 112, 3)), -1, -3)
+        assert not x.flags.c_contiguous
+    else:
+        x = r.uniform(-1, 1, size=lead + (3, 112, 112))
+    for _ in range(2):  # the first call builds the plan, the second reuses it
+        assert_same_bytes(en.encode(cfg, params, x, prefix),
+                          fresh_graph_encode(cfg, params, x, prefix))
+
+
+def test_encoder_graph_built_once_per_config_and_prefix(monkeypatch):
+    calls = []
+    build = en.build_encoder
+
+    def counting(cfg, x, prefix=""):
+        calls.append((cfg, prefix))
+        return build(cfg, x, prefix)
+
+    monkeypatch.setattr(en, "build_encoder", counting)
+    en._encoder_plan.cache_clear()
+    cfg = tiny_cfg()
+    x = rng(23).uniform(-1, 1, size=(3, 16, 16))
+    params = {p: en.init_params(cfg, 24, prefix=p) for p in ("", "q_")}
+    for _ in range(4):
+        for prefix in ("", "q_"):
+            en.encode(cfg, params[prefix], x, prefix)
+    # an equal config built anew shares the plan
+    en.encode(tiny_cfg(), params[""], x)
+    assert calls == [(cfg, ""), (cfg, "q_")]
+
+
+def test_profile_through_encode_one_row_per_layer():
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=25)
+    x = rng(26).uniform(-1, 1, size=(3, 112, 112))
+    plain = en.encode(cfg, params, x)
+    with gc.profile() as prof:
+        profiled = en.encode(cfg, params, x)
+    assert_same_bytes(plain, profiled)
+    for i in range(len(cfg.channels)):
+        assert prof.stats[("conv_bias_relu", f"conv{i}_w")][1::2] == [1, 0]
+    for branch in "agf":
+        assert prof.stats[("matmul", f"fc_{branch}_w")][1::2] == [1, 0]
+        assert prof.stats[("add", f"fc_{branch}_b")][1::2] == [1, 0]
+
+
+@pytest.mark.parametrize("shape", [
+    (3, 224, 224), (2, 3, 224, 224), (3, 113, 113), (4, 112, 112),
+    (1, 4, 112, 112), (112, 112), (112, 112, 3), (1, 1, 3, 112, 112)])
+def test_encode_rejects_wrong_shape_and_keeps_plan(shape):
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=27)
+    x = rng(28).uniform(-1, 1, size=(3, 112, 112))
+    before = en.encode(cfg, params, x)
+    bad = np.zeros(shape)
+    with pytest.raises(ValueError) as err:
+        en.encode(cfg, params, bad)
+    assert str(shape) in str(err.value) and "(3, 112, 112)" in str(err.value)
+    assert_same_bytes(en.encode(cfg, params, x), before)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16, 16, 4), (3, 16, 16, 1), (3, 16)])
+def test_to_chw_rejects_non_hw3_image(shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        en.to_chw(np.zeros(shape))
+
+
+def test_list_valued_config_encodes_and_round_trips():
+    cfg = en.EncoderConfig(input_size=16, channels=[4, 8], strides=[2, 2],
+                           d_a=8, d_g=8, d_f=16, n_classes=3, critic_hidden=6)
+    assert cfg == tiny_cfg() and hash(cfg) == hash(tiny_cfg())
+    params = en.init_params(cfg, seed=29)
+    x = rng(30).uniform(-1, 1, size=(2, 3, 16, 16))
+    assert_same_bytes(en.encode(cfg, params, x),
+                      fresh_graph_encode(cfg, params, x))
+    meta = en.config_meta(cfg, en.MarginConfig(), en.LossWeights())
+    assert meta["enc.channels"] == "4,8" and meta["enc.strides"] == "2,2"
+    assert en.config_from_meta({k: str(v) for k, v in meta.items()})[0] == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +597,42 @@ def test_stage2_runs_and_logs(tiny_dataset):
         init=init, log=seen.append)
     assert len(history) == 3 and len(seen) == 3
     assert all(np.isfinite(s.loss) for s in history)
+
+
+def _run_stage(stage, rows, root):
+    cfg = train_cfg()
+    kw = dict(margins=en.MarginConfig(), weights=en.LossWeights(),
+              schedule=gc.LrSchedule(initial=0.01), epochs=1, batch_size=8,
+              seed=17)
+    if stage == 1:
+        return en.train_stage1(rows, root, cfg, **kw)
+    return en.train_stage2(rows, root, cfg, init=en.init_params(cfg, 17), **kw)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("missing", ["morph_image", "landmarks", "both"])
+def test_training_checks_manifest_files_first(tiny_dataset, tmp_path,
+                                              monkeypatch, stage, missing):
+    rows, src = tiny_dataset
+    root = tmp_path / "set"
+    shutil.copytree(src, root)
+    morph = next(r for r in rows if r.kind == "morph")
+    real = next(r for r in rows if r.kind == "real")
+    gone = {"morph_image": [morph.path], "landmarks": [real.landmarks_path],
+            "both": [morph.path, real.landmarks_path]}[missing]
+    for rel in gone:
+        (root / rel).unlink()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran before the file check")
+
+    monkeypatch.setattr(gc, "value_and_grad", no_step)
+    with pytest.raises(FileNotFoundError) as err:
+        _run_stage(stage, rows, root)
+    message = str(err.value)
+    assert message.startswith(f"{len(gone)} manifest file(s) missing")
+    for rel in gone:
+        assert str(root / rel) in message
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,39 @@ def test_nonfinite_aborts():
         gc.evaluate(gc.log(gc.leaf("x")), {"x": 0.0})
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_forward_restores_numpy_error_state(bad):
+    loss = gc.relu(gc.leaf("x") * gc.leaf("k")).sum()
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        assert gc.evaluate(loss, {"x": np.arange(3.0), "k": 2.0}) == 6.0
+        assert np.geterr() == before
+        # inf * 0 is NaN: under the caller's "raise" state numpy itself
+        # would raise FloatingPointError, so the pass must override it
+        with pytest.raises(gc.NonFiniteError, match="produced by 'mul'"):
+            gc.evaluate(loss, {"x": np.array([bad, 0.0]), "k": 0.0})
+        assert np.geterr() == before
+        with pytest.raises(gc.NonFiniteError):
+            gc.value_and_grad(loss, {"x": np.array([bad, 1.0]), "k": 1.0}, ["k"])
+        assert np.geterr() == before
+
+
+def test_graph_of_several_outputs_evaluates_like_node_list():
+    x, w = gc.leaf("x"), gc.leaf("w")
+    h = gc.matmul(x, w)
+    outs = [gc.relu(h), h.sum(), gc.exp(h * 0.1)]
+    bindings = {"x": rng(3).normal(size=(4, 3)), "w": rng(4).normal(size=(3, 2))}
+    graph = gc.Graph(outs)
+    assert graph.outputs == tuple(outs) and graph.output is outs[0]
+    for a, b in zip(gc.evaluate_many(graph, bindings),
+                    gc.evaluate_many(outs, bindings)):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(gc.GradcoreError, match="one output, got 3"):
+        gc.value_and_grad(graph, bindings, ["w"])
+    with pytest.raises(gc.GradcoreError, match="at least one output"):
+        gc.Graph([])
+
+
 # ---------------------------------------------------------------------------
 # gradients
 

@@ -197,6 +197,18 @@ def test_triplet_deterministic_given_seed():
     assert np.array_equal(a.delta, b.delta)
 
 
+def test_from_uint8_byte_equal_to_formula_for_every_value():
+    raw = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    out = im.from_uint8(raw)
+    assert out.dtype == np.float64
+    assert out.tobytes() == (raw.astype(np.float64) / 127.5 - 1.0).tobytes()
+    assert out[0, 0, 0] == -1.0 and out[-1, -1, -1] == 1.0
+    # a float64 input is copied, not scaled in place
+    floats = raw.astype(np.float64)
+    assert im.from_uint8(floats).tobytes() == out.tobytes()
+    assert np.array_equal(floats, raw)
+
+
 # ---------------------------------------------------------------------------
 # PPM round trip
 

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the hot spots: TPS warp, bilinear sampling, triplet
-build, neighbour search, DET curve, each desk conv layer, one batch-1 encode
-and one step of each training stage.
+build, neighbour search, DET curve, each desk conv layer, one batch-1 encode,
+one scored verify pair and one step of each training stage.
 
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
 suite stays fast; ``pytest tests/test_microbench.py --benchmark-only`` prints
@@ -177,3 +177,27 @@ def test_bench_encode_batch1(benchmark):
                              rounds=10, iterations=1, warmup_rounds=1)
     assert emb.z_a.shape == (cfg.d_a,) and emb.z_f.shape == (cfg.d_f,)
     assert np.isfinite(emb.z_f).all()
+
+
+def _verify_pair(cfg, params, trusted, questioned):
+    """One differential pair as the ``verify`` workload scores it: two PPM
+    reads, two batch-1 encodes and the cosine of the ID embeddings."""
+    za = en.encode(cfg, params, en.to_chw(im.load_face(trusted))).z_f
+    zb = en.encode(cfg, params, en.to_chw(im.load_face(questioned))).z_f
+    return float(za @ zb / (np.linalg.norm(za) * np.linalg.norm(zb)))
+
+
+def test_bench_verify_pair(benchmark, tmp_path):
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=13)
+    r = rng(14)
+    paths = [tmp_path / "trusted.ppm", tmp_path / "questioned.ppm"]
+    for path in paths:
+        im.save_face(path, r.uniform(-1, 1, size=(112, 112, 3)))
+    score = benchmark.pedantic(_verify_pair, args=(cfg, params, *paths),
+                               rounds=10, iterations=1, warmup_rounds=1)
+    # the pair scored from one batch-2 encode of the same images
+    z = en.encode(cfg, params, np.stack(
+        [en.to_chw(im.load_face(p)) for p in paths])).z_f
+    ref = z[0] @ z[1] / (np.linalg.norm(z[0]) * np.linalg.norm(z[1]))
+    assert -1.0 <= score <= 1.0 and abs(score - ref) <= 1e-12
