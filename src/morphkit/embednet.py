@@ -249,32 +249,20 @@ def stage2_graph(cfg: EncoderConfig, margins: MarginConfig,
     and only the questioned encoder appears in the graph.
     """
     za, zg, zf = build_encoder(cfg, gc.leaf("x"), prefix)
-    gen_i, gen_j = gc.leaf("gen_i"), gc.leaf("gen_j")
-    imp_i, imp_j = gc.leaf("imp_i"), gc.leaf("imp_j")
-    if dual:
-        a_gen = critic_score(gc.leaf("trusted_a_gen"), gc.take_rows(za, gen_j),
-                             prefix + "crit_a_")
-        a_imp = critic_score(gc.leaf("trusted_a_imp"), gc.take_rows(za, imp_j),
-                             prefix + "crit_a_")
-        g_gen = critic_score(gc.leaf("trusted_g_gen"), gc.take_rows(zg, gen_j),
-                             prefix + "crit_g_")
-        g_imp = critic_score(gc.leaf("trusted_g_imp"), gc.take_rows(zg, imp_j),
-                             prefix + "crit_g_")
-    else:
-        a_gen = critic_score(gc.take_rows(za, gen_i), gc.take_rows(za, gen_j),
-                             prefix + "crit_a_")
-        a_imp = critic_score(gc.take_rows(za, imp_i), gc.take_rows(za, imp_j),
-                             prefix + "crit_a_")
-        g_gen = critic_score(gc.take_rows(zg, gen_i), gc.take_rows(zg, gen_j),
-                             prefix + "crit_g_")
-        g_imp = critic_score(gc.take_rows(zg, imp_i), gc.take_rows(zg, imp_j),
-                             prefix + "crit_g_")
-    l2_a = mi_loss(a_gen, a_imp)
-    l2_g = mi_loss(g_gen, g_imp)
+    rows = {side: (gc.leaf(f"{side}_i"), gc.leaf(f"{side}_j"))
+            for side in ("gen", "imp")}
+    l2 = {}
+    for br, z in (("a", za), ("g", zg)):
+        scores = {}
+        for side, (i, j) in rows.items():
+            trusted = gc.leaf(f"trusted_{br}_{side}") if dual else gc.take_rows(z, i)
+            scores[side] = critic_score(trusted, gc.take_rows(z, j),
+                                        f"{prefix}crit_{br}_")
+        l2[br] = mi_loss(scores["gen"], scores["imp"])
     zf_real = gc.take_rows(zf, gc.leaf("real_idx"))
     l_id = id_loss(zf_real, gc.leaf("real_labels"), gc.leaf(prefix + "class_w"),
                    margins, cfg.n_classes)
-    total = weights.lambda2_a * l2_a + weights.lambda2_g * l2_g + l_id
+    total = weights.lambda2_a * l2["a"] + weights.lambda2_g * l2["g"] + l_id
     return gc.Graph(total)
 
 
@@ -533,14 +521,18 @@ def _bind_stage2_batch(bindings, gen_batch, imp_batch, reals, real_images,
             unique[key] = len(unique)
         return unique[key]
 
-    gen_i, gen_j = [], []
-    for i, j in gen_batch:
-        gen_i.append(i if dual else row_of(i, False))
-        gen_j.append(row_of(j, False))
-    imp_i, imp_j = [], []
-    for i, j, j_is_morph in imp_batch:
-        imp_i.append(i if dual else row_of(i, False))
-        imp_j.append(row_of(j, j_is_morph))
+    for side, pairs in (("gen", [(i, j, False) for i, j in gen_batch]),
+                        ("imp", imp_batch)):
+        rows_i, rows_j = [], []
+        for i, j, j_is_morph in pairs:
+            rows_i.append(i if dual else row_of(i, False))
+            rows_j.append(row_of(j, j_is_morph))
+        bindings[f"{side}_i"] = np.array(rows_i, dtype=np.float64)
+        bindings[f"{side}_j"] = np.array(rows_j, dtype=np.float64)
+        if dual:
+            trusted = [i for i, _, _ in pairs]
+            for br, z in (("a", trusted_emb.z_a), ("g", trusted_emb.z_g)):
+                bindings[f"trusted_{br}_{side}"] = z[trusted]
     x, real_idx, real_labels = [], [], []
     for (is_morph, idx), row in sorted(unique.items(), key=lambda kv: kv[1]):
         x.append(morph_images[idx] if is_morph else real_images[idx])
@@ -548,17 +540,8 @@ def _bind_stage2_batch(bindings, gen_batch, imp_batch, reals, real_images,
             real_idx.append(row)
             real_labels.append(cmap[reals[idx].subject_id])
     bindings["x"] = np.stack(x)
-    bindings["gen_i"] = np.array(gen_i, dtype=np.float64)
-    bindings["gen_j"] = np.array(gen_j, dtype=np.float64)
-    bindings["imp_i"] = np.array(imp_i, dtype=np.float64)
-    bindings["imp_j"] = np.array(imp_j, dtype=np.float64)
     bindings["real_idx"] = np.array(real_idx, dtype=np.float64)
     bindings["real_labels"] = np.array(real_labels, dtype=np.float64)
-    if dual:
-        bindings["trusted_a_gen"] = trusted_emb.z_a[[i for i, _ in gen_batch]]
-        bindings["trusted_g_gen"] = trusted_emb.z_g[[i for i, _ in gen_batch]]
-        bindings["trusted_a_imp"] = trusted_emb.z_a[[i for i, _, _ in imp_batch]]
-        bindings["trusted_g_imp"] = trusted_emb.z_g[[i for i, _, _ in imp_batch]]
 
 
 # ---------------------------------------------------------------------------
@@ -566,23 +549,16 @@ def _bind_stage2_batch(bindings, gen_batch, imp_batch, reals, real_images,
 
 
 def save_checkpoint(path, params: gc.ParamStore, meta: dict):
-    """ParamStore binary plus a '<path>.meta' text sidecar of key=value lines."""
-    params.save(path)
-    with open(f"{path}.meta", "w") as f:
-        for key in sorted(meta):
-            f.write(f"{key}={meta[key]}\n")
+    """Write ``params`` and ``meta`` to the one MKPT2 file ``path``; each
+    meta value is stored as its ``str``."""
+    gc.ParamStore(tensors=params.tensors, meta=meta).save(path)
 
 
 def load_checkpoint(path):
+    """(params, meta) from a file ``save_checkpoint`` wrote, meta values as
+    ``str``; a cut or corrupt file raises GradcoreError naming ``path``."""
     params = gc.ParamStore.load(path)
-    meta = {}
-    with open(f"{path}.meta") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    return params, meta
+    return params, params.meta
 
 
 _META_TAGS = ((EncoderConfig, "enc"), (MarginConfig, "margin"), (LossWeights, "loss"))

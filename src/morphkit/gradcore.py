@@ -9,6 +9,9 @@ ignore floating-point warnings, and restores it when the pass returns or
 raises; the check of each op's output stands in for the warnings.
 ``profile()`` times each node's rules.
 
+An op's forward, backward and kink rules live in one ``_RULES`` entry, the
+only place the passes learn what an op is; a new or fused op is one entry.
+
 The engine is single-threaded and pure: identical (graph, bindings) gives
 bit-identical outputs, which the training code relies on for reproducible
 checkpoints.  Conv outputs and conv input gradients are NCHW arrays that are
@@ -27,6 +30,7 @@ import math
 import numbers
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,200 +436,192 @@ def _conv_bias_relu_backward(g, x, w, b, out, stride, pad, need_dx, cols=None):
 
 
 def _cosine_parts(a, b):
+    """(|a|, |b|, cosine) along the last axis."""
     na = np.sqrt((a * a).sum(axis=-1))
     nb = np.sqrt((b * b).sum(axis=-1))
     if (na == 0).any() or (nb == 0).any():
         raise GradcoreError("zero-norm vector in cosine-similarity")
     dot = (a * b).sum(axis=-1)
-    return na, nb, dot
+    return na, nb, dot / (na * nb)
 
 
-def _softmax(logits):
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _check_matmul(a, b):
+def _matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise GradcoreError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    return a @ b
 
 
-def _fwd(op, vals, p, cols=None):
-    # ``cols`` is a fused conv's column buffer, or None for a temporary one
-    if op == "add":
-        return vals[0] + vals[1]
-    if op == "sub":
-        return vals[0] - vals[1]
-    if op == "mul":
-        return vals[0] * vals[1]
-    if op == "div":
-        return vals[0] / vals[1]
-    if op == "matmul":
-        _check_matmul(vals[0], vals[1])
-        return vals[0] @ vals[1]
-    if op == "conv2d":
-        return _conv2d_forward(vals[0], vals[1], p["stride"], p["pad"])
-    if op == "conv_bias_relu":
-        return _conv_bias_relu_forward(*vals, p["stride"], p["pad"], cols)
-    if op == "relu":
-        return np.maximum(vals[0], 0.0)
-    if op == "exp":
-        return np.exp(vals[0])
-    if op == "log":
-        return np.log(vals[0])
-    if op == "sqrt":
-        return np.sqrt(vals[0])
-    if op == "mean":
-        return np.asarray(vals[0].mean(axis=p["axis"]))
-    if op == "sum":
-        return np.asarray(vals[0].sum(axis=p["axis"]))
-    if op == "concat":
-        return np.concatenate(vals, axis=p["axis"])
-    if op == "slice":
-        idx = [slice(None)] * vals[0].ndim
-        idx[p["axis"]] = slice(p["start"], p["stop"])
-        return vals[0][tuple(idx)]
-    if op == "reshape":
-        return vals[0].reshape(p["shape"])
-    if op == "transpose2d":
-        return vals[0].T
-    if op == "take_rows":
-        return vals[0][_indices(vals[1], vals[0].shape[0], op)]
-    if op == "onehot":
-        lab = _indices(vals[0], p["depth"], op)
-        out = np.zeros((lab.shape[0], p["depth"]))
-        out[np.arange(lab.shape[0]), lab] = 1.0
-        return out
-    if op == "l2norm":
-        return np.sqrt((vals[0] * vals[0]).sum(axis=-1))
-    if op == "cosine_similarity":
-        na, nb, dot = _cosine_parts(vals[0], vals[1])
-        return dot / (na * nb)
-    if op == "softmax_xent":
-        logits, lab = vals[0], _indices(vals[1], vals[0].shape[1], op)
-        m = logits.max(axis=1)
-        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-        return lse - logits[np.arange(lab.shape[0]), lab]
-    if op == "acos":
-        return np.arccos(np.clip(vals[0], -1.0, 1.0))
-    if op == "cos":
-        return np.cos(vals[0])
-    if op == "clip":
-        return np.clip(vals[0], p["lo"], p["hi"])
-    if op == "logmeanexp":
-        x = vals[0].ravel()
-        m = x.max()
-        return np.asarray(m + np.log(np.exp(x - m).mean()))
-    if op == "grad_scale":
-        return vals[0]
-    raise GradcoreError(f"unknown primitive '{op}'")
+def _onehot_forward(v, p, c):
+    lab = _indices(v[0], p["depth"], "onehot")
+    out = np.zeros((lab.shape[0], p["depth"]))
+    out[np.arange(lab.shape[0]), lab] = 1.0
+    return out
 
 
-def _bwd(op, g, vals, out, p, need, cols=None):
-    # ``need[i]`` is false when input i's gradient would be discarded; only
-    # ops with an expensive per-input rule look at it.  ``cols`` is a fused
-    # conv's column buffer as its forward left it
-    if op == "add":
-        return (_unbroadcast(g, vals[0].shape), _unbroadcast(g, vals[1].shape))
-    if op == "sub":
-        return (_unbroadcast(g, vals[0].shape), _unbroadcast(-g, vals[1].shape))
-    if op == "mul":
-        return (_unbroadcast(g * vals[1], vals[0].shape),
-                _unbroadcast(g * vals[0], vals[1].shape))
-    if op == "div":
-        return (_unbroadcast(g / vals[1], vals[0].shape),
-                _unbroadcast(-g * vals[0] / (vals[1] * vals[1]), vals[1].shape))
-    if op == "matmul":
-        return (g @ vals[1].T, vals[0].T @ g)
-    if op == "conv2d":
-        return _conv2d_backward(g, vals[0], vals[1], p["stride"], p["pad"],
-                                need_dx=need[0])
-    if op == "conv_bias_relu":
-        return _conv_bias_relu_backward(g, *vals, out, p["stride"], p["pad"],
-                                        need[0], cols)
-    if op == "relu":
-        return (g * (vals[0] > 0),)
-    if op == "exp":
-        return (g * out,)
-    if op == "log":
-        return (g / vals[0],)
-    if op == "sqrt":
-        return (g * 0.5 / out,)
-    if op == "mean":
-        axes = _axes_tuple(p["axis"], vals[0].ndim)
-        count = float(np.prod([vals[0].shape[a] for a in axes]))
-        return (_restore_dims(np.asarray(g), vals[0].shape, p["axis"]) / count,)
-    if op == "sum":
-        return (_restore_dims(np.asarray(g), vals[0].shape, p["axis"]).copy(),)
-    if op == "concat":
-        widths = [v.shape[p["axis"]] for v in vals]
-        return tuple(np.split(g, np.cumsum(widths)[:-1], axis=p["axis"]))
-    if op == "slice":
-        dg = np.zeros_like(vals[0])
-        idx = [slice(None)] * vals[0].ndim
-        idx[p["axis"]] = slice(p["start"], p["stop"])
-        dg[tuple(idx)] = g
-        return (dg,)
-    if op == "reshape":
-        return (g.reshape(vals[0].shape),)
-    if op == "transpose2d":
-        return (g.T,)
-    if op == "take_rows":
-        dg = np.zeros_like(vals[0])
-        np.add.at(dg, _indices(vals[1], vals[0].shape[0], op), g)
-        return (dg, None)
-    if op == "onehot":
-        return (None,)
-    if op == "l2norm":
-        n = out
-        if (n == 0).any():
-            raise NonFiniteError("l2norm gradient at zero vector")
-        return (g[..., None] * vals[0] / n[..., None],)
-    if op == "cosine_similarity":
-        a, b = vals
-        na, nb, dot = _cosine_parts(a, b)
-        c = (dot / (na * nb))[..., None]
-        ga = g[..., None] * (b / (na * nb)[..., None] - c * a / (na * na)[..., None])
-        gb = g[..., None] * (a / (na * nb)[..., None] - c * b / (nb * nb)[..., None])
-        return (ga, gb)
-    if op == "softmax_xent":
-        logits, lab = vals[0], _indices(vals[1], vals[0].shape[1], op)
-        d = _softmax(logits)
-        d[np.arange(lab.shape[0]), lab] -= 1.0
-        return (d * g[:, None], None)
-    if op == "acos":
-        d = 1.0 - vals[0] * vals[0]
-        if (d <= 0).any():
-            raise NonFiniteError("acos gradient at |x| >= 1")
-        return (-g / np.sqrt(d),)
-    if op == "cos":
-        return (-g * np.sin(vals[0]),)
-    if op == "clip":
-        return (g * ((vals[0] > p["lo"]) & (vals[0] < p["hi"])),)
-    if op == "logmeanexp":
-        x = vals[0].ravel()
-        e = np.exp(x - x.max())
-        w = (e / e.sum()).reshape(vals[0].shape)
-        return (np.asarray(g) * w,)
-    if op == "grad_scale":
-        return (g * p["k"],)
-    raise GradcoreError(f"no gradient rule for '{op}'")
+def _slice_index(x, p):
+    idx = [slice(None)] * x.ndim
+    idx[p["axis"]] = slice(p["start"], p["stop"])
+    return tuple(idx)
 
 
-# kink detectors: ops whose gradient is discontinuous; finite-difference
-# probes that flip one of these masks straddle a kink and are skipped
-def _kink_mask(op, vals, out, p):
-    if op == "relu":
-        return vals[0] > 0
-    if op == "conv_bias_relu":
-        return out > 0
-    if op == "clip":
-        return (vals[0] > p["lo"]) & (vals[0] < p["hi"])
-    return None
+def _slice_backward(g, v, out, p, *_):
+    dg = np.zeros_like(v[0])
+    dg[_slice_index(v[0], p)] = g
+    return (dg,)
 
 
-_KINK_OPS = ("relu", "conv_bias_relu", "clip")
+def _mean_backward(g, v, out, p, *_):
+    axes = _axes_tuple(p["axis"], v[0].ndim)
+    count = float(np.prod([v[0].shape[a] for a in axes]))
+    return (_restore_dims(np.asarray(g), v[0].shape, p["axis"]) / count,)
+
+
+def _take_rows_backward(g, v, *_):
+    dg = np.zeros_like(v[0])
+    np.add.at(dg, _indices(v[1], v[0].shape[0], "take_rows"), g)
+    return (dg, None)
+
+
+def _l2norm_backward(g, v, out, *_):
+    if (out == 0).any():
+        raise NonFiniteError("l2norm gradient at zero vector")
+    return (g[..., None] * v[0] / out[..., None],)
+
+
+def _cosine_backward(g, v, *_):
+    a, b = v
+    na, nb, cos = _cosine_parts(a, b)
+    c = cos[..., None]
+    ga = g[..., None] * (b / (na * nb)[..., None] - c * a / (na * na)[..., None])
+    gb = g[..., None] * (a / (na * nb)[..., None] - c * b / (nb * nb)[..., None])
+    return (ga, gb)
+
+
+def _softmax_xent_forward(v, p, c):
+    logits, lab = v[0], _indices(v[1], v[0].shape[1], "softmax_xent")
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return lse - logits[np.arange(lab.shape[0]), lab]
+
+
+def _softmax_xent_backward(g, v, *_):
+    logits, lab = v[0], _indices(v[1], v[0].shape[1], "softmax_xent")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d = e / e.sum(axis=1, keepdims=True)
+    d[np.arange(lab.shape[0]), lab] -= 1.0
+    return (d * g[:, None], None)
+
+
+def _acos_backward(g, v, *_):
+    d = 1.0 - v[0] * v[0]
+    if (d <= 0).any():
+        raise NonFiniteError("acos gradient at |x| >= 1")
+    return (-g / np.sqrt(d),)
+
+
+def _logmeanexp_forward(v, p, c):
+    x = v[0].ravel()
+    m = x.max()
+    return np.asarray(m + np.log(np.exp(x - m).mean()))
+
+
+def _logmeanexp_backward(g, v, *_):
+    x = v[0].ravel()
+    e = np.exp(x - x.max())
+    w = (e / e.sum()).reshape(v[0].shape)
+    return (np.asarray(g) * w,)
+
+
+def _clip_mask(v, out, p):
+    return (v[0] > p["lo"]) & (v[0] < p["hi"])
+
+
+@dataclass(frozen=True, slots=True)
+class _Rule:
+    """Everything the engine knows about one op.
+
+    ``fwd(vals, p, cols)`` is its value and ``bwd(g, vals, out, p, need,
+    cols)`` one gradient per input, None where none flows (``need[i]`` is
+    false when input i's would be discarded).  ``kink(vals, out, p)``, for a
+    gradient with discontinuities, is a mask whose flip skips a
+    finite-difference probe.  A ``columns`` op gets its Graph's column buffer
+    as ``cols``, and a ``checks_finite`` op raises NonFiniteError itself.
+    Forward rules name all three parameters: a ``*_`` catch-all costs a
+    tuple per call on the batch-1 forward path.
+    """
+
+    fwd: Callable
+    bwd: Callable
+    kink: Callable | None = None
+    columns: bool = False
+    checks_finite: bool = False
+
+
+_RULES = {
+    "add": _Rule(lambda v, p, c: v[0] + v[1],
+                 lambda g, v, *_: (_unbroadcast(g, v[0].shape),
+                                   _unbroadcast(g, v[1].shape))),
+    "sub": _Rule(lambda v, p, c: v[0] - v[1],
+                 lambda g, v, *_: (_unbroadcast(g, v[0].shape),
+                                   _unbroadcast(-g, v[1].shape))),
+    "mul": _Rule(lambda v, p, c: v[0] * v[1],
+                 lambda g, v, *_: (_unbroadcast(g * v[1], v[0].shape),
+                                   _unbroadcast(g * v[0], v[1].shape))),
+    "div": _Rule(lambda v, p, c: v[0] / v[1],
+                 lambda g, v, *_: (_unbroadcast(g / v[1], v[0].shape),
+                                   _unbroadcast(-g * v[0] / (v[1] * v[1]),
+                                                v[1].shape))),
+    "matmul": _Rule(lambda v, p, c: _matmul(v[0], v[1]),
+                    lambda g, v, *_: (g @ v[1].T, v[0].T @ g)),
+    "conv2d": _Rule(
+        lambda v, p, c: _conv2d_forward(v[0], v[1], p["stride"], p["pad"]),
+        lambda g, v, out, p, need, c: _conv2d_backward(
+            g, v[0], v[1], p["stride"], p["pad"], need_dx=need[0])),
+    "conv_bias_relu": _Rule(
+        lambda v, p, c: _conv_bias_relu_forward(*v, p["stride"], p["pad"], c),
+        lambda g, v, out, p, need, c: _conv_bias_relu_backward(
+            g, *v, out, p["stride"], p["pad"], need[0], c),
+        kink=lambda v, out, p: out > 0, columns=True, checks_finite=True),
+    "relu": _Rule(lambda v, p, c: np.maximum(v[0], 0.0),
+                  lambda g, v, *_: (g * (v[0] > 0),),
+                  kink=lambda v, out, p: v[0] > 0),
+    "exp": _Rule(lambda v, p, c: np.exp(v[0]), lambda g, v, out, *_: (g * out,)),
+    "log": _Rule(lambda v, p, c: np.log(v[0]), lambda g, v, *_: (g / v[0],)),
+    "sqrt": _Rule(lambda v, p, c: np.sqrt(v[0]),
+                  lambda g, v, out, *_: (g * 0.5 / out,)),
+    "mean": _Rule(lambda v, p, c: np.asarray(v[0].mean(axis=p["axis"])),
+                  _mean_backward),
+    "sum": _Rule(lambda v, p, c: np.asarray(v[0].sum(axis=p["axis"])),
+                 lambda g, v, out, p, *_: (
+                     _restore_dims(np.asarray(g), v[0].shape, p["axis"]).copy(),)),
+    "concat": _Rule(lambda v, p, c: np.concatenate(v, axis=p["axis"]),
+                    lambda g, v, out, p, *_: tuple(np.split(
+                        g, np.cumsum([x.shape[p["axis"]] for x in v])[:-1],
+                        axis=p["axis"]))),
+    "slice": _Rule(lambda v, p, c: v[0][_slice_index(v[0], p)], _slice_backward),
+    "reshape": _Rule(lambda v, p, c: v[0].reshape(p["shape"]),
+                     lambda g, v, *_: (g.reshape(v[0].shape),)),
+    "transpose2d": _Rule(lambda v, p, c: v[0].T, lambda g, v, *_: (g.T,)),
+    "take_rows": _Rule(
+        lambda v, p, c: v[0][_indices(v[1], v[0].shape[0], "take_rows")],
+        _take_rows_backward),
+    "onehot": _Rule(_onehot_forward, lambda g, v, *_: (None,)),
+    "l2norm": _Rule(lambda v, p, c: np.sqrt((v[0] * v[0]).sum(axis=-1)),
+                    _l2norm_backward),
+    "cosine_similarity": _Rule(lambda v, p, c: _cosine_parts(v[0], v[1])[2],
+                               _cosine_backward),
+    "softmax_xent": _Rule(_softmax_xent_forward, _softmax_xent_backward),
+    "acos": _Rule(lambda v, p, c: np.arccos(np.clip(v[0], -1.0, 1.0)),
+                  _acos_backward),
+    "cos": _Rule(lambda v, p, c: np.cos(v[0]),
+                 lambda g, v, *_: (-g * np.sin(v[0]),)),
+    "clip": _Rule(lambda v, p, c: np.clip(v[0], p["lo"], p["hi"]),
+                  lambda g, v, out, p, *_: (g * _clip_mask(v, out, p),),
+                  kink=_clip_mask),
+    "logmeanexp": _Rule(_logmeanexp_forward, _logmeanexp_backward),
+    "grad_scale": _Rule(lambda v, p, c: v[0],
+                        lambda g, v, out, p, *_: (g * p["k"],)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +687,7 @@ def _as_graph(g):
 
 
 def _forward(nodes, bindings, kinks=None, graph=None):
-    """Node values by uid; with ``graph``, fused conv nodes build their
+    """Node values by uid; with ``graph``, ``columns`` ops build their
     columns in its buffers and leave them there for the backward pass."""
     values = {}
     with np.errstate(all="ignore"):
@@ -703,16 +699,19 @@ def _forward(nodes, bindings, kinks=None, graph=None):
             elif n.op == "const":
                 v = n.params["value"]
             else:
+                try:
+                    rule = _RULES[n.op]
+                except KeyError:
+                    raise GradcoreError(f"unknown primitive '{n.op}'") from None
                 vals = [values[i.uid] for i in n.inputs]
-                fused = n.op == "conv_bias_relu"
-                cols = graph._columns(n, vals) if fused and graph is not None else None
+                cols = (graph._columns(n, vals) if rule.columns and graph is not None
+                        else None)
                 with _span(n):
-                    v = _fwd(n.op, vals, n.params, cols)
-                # the fused conv has checked its pre-activation already
-                if not fused and not np.isfinite(v).all():
+                    v = rule.fwd(vals, n.params, cols)
+                if not rule.checks_finite and not np.isfinite(v).all():
                     raise NonFiniteError(f"non-finite value produced by '{n.op}'")
-                if kinks is not None and n.op in _KINK_OPS:
-                    kinks.append(_kink_mask(n.op, vals, v, n.params))
+                if kinks is not None and rule.kink is not None:
+                    kinks.append(rule.kink(vals, v, n.params))
             values[n.uid] = v
     return values
 
@@ -762,11 +761,12 @@ def value_and_grad(graph, bindings, wrt):
             prev = leaf_grads.get(n.name)
             leaf_grads[n.name] = gout if prev is None else prev + gout
             continue
+        rule = _RULES[n.op]
         need = [i.uid in live for i in n.inputs]
         vals = [values[i.uid] for i in n.inputs]
-        cols = g._columns(n, vals) if n.op == "conv_bias_relu" else None
+        cols = g._columns(n, vals) if rule.columns else None
         with _span(n, backward=True):
-            in_grads = _bwd(n.op, gout, vals, values[n.uid], n.params, need, cols)
+            in_grads = rule.bwd(gout, vals, values[n.uid], n.params, need, cols)
         for inp, ig, keep in zip(n.inputs, in_grads, need):
             if ig is None or not keep:
                 continue
@@ -789,7 +789,7 @@ def finite_difference_check(graph, bindings, wrt, eps=1e-5,
 
     Coordinates are subsampled deterministically per leaf (at most
     ``max_coords`` each).  Probes whose +/-eps evaluations land on different
-    sides of a kink (relu, fused conv or clip masks change) are skipped, as
+    sides of a kink (an op's ``kink`` mask changes) are skipped, as
     are probes that leave the finite domain.
     """
     g = _as_graph(graph)
@@ -837,13 +837,15 @@ class ParamSpec:
     fan_in: int | None = None
 
 
+_MAGIC = b"MKPT2"
+
+
 @dataclass
 class ParamStore:
-    """Named float64 tensors with a seeded, order-deterministic init record."""
+    """Named float64 tensors plus a ``meta`` dict of text, saved as one file."""
 
     tensors: dict = field(default_factory=dict)
-    seed: int | None = None
-    init_scheme: str | None = None
+    meta: dict = field(default_factory=dict)
 
     @classmethod
     def initialize(cls, specs, seed):
@@ -859,11 +861,11 @@ class ParamStore:
                 tensors[spec.name] = rng.uniform(-bound, bound, size=spec.shape)
             else:
                 raise GradcoreError(f"unknown init scheme '{spec.init}'")
-        return cls(tensors=tensors, seed=seed, init_scheme="fan_in_uniform")
+        return cls(tensors=tensors)
 
     def copy(self):
         return ParamStore(tensors={k: v.copy() for k, v in self.tensors.items()},
-                          seed=self.seed, init_scheme=self.init_scheme)
+                          meta=dict(self.meta))
 
     def names(self):
         return list(self.tensors)
@@ -872,58 +874,76 @@ class ParamStore:
         return self.tensors[name]
 
     def save(self, path):
-        """Versioned binary dump: magic 'MKPT1' then per-tensor records."""
+        """Magic 'MKPT2', tensor and meta counts, per tensor its name, rank,
+        dims and '<f8' data, then per meta item its key and ``str`` value;
+        text is UTF-8 after a uint32 length.  The counts expose any cut."""
+        def text(s):
+            raw = str(s).encode("utf-8")
+            return struct.pack("<I", len(raw)) + raw
+
         with open(path, "wb") as f:
-            f.write(b"MKPT1")
+            f.write(_MAGIC + struct.pack("<II", len(self.tensors), len(self.meta)))
             for name, arr in self.tensors.items():
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<I", arr.ndim))
-                for d in arr.shape:
-                    f.write(struct.pack("<I", d))
+                f.write(text(name))
+                f.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
                 f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for key in sorted(self.meta):
+                f.write(text(key) + text(self.meta[key]))
 
     @classmethod
     def load(cls, path):
+        """The store ``save`` wrote to ``path``, meta values as ``str``.
+
+        A cut, corrupt or over-long file raises GradcoreError naming ``path``.
+        """
         with open(path, "rb") as f:
             data = f.read()
-        if data[:5] != b"MKPT1":
-            raise GradcoreError(f"{path}: bad magic, not a MKPT1 checkpoint")
-        off = 5
-
-        tensors = {}
-        record = ""
+        if data[:5] != _MAGIC:
+            raise GradcoreError(f"{path}: bad magic, not a MKPT2 checkpoint")
+        off, record = 5, "header"
 
         def take(nbytes):
             nonlocal off
             if off + nbytes > len(data):
                 raise GradcoreError(
-                    f"{path}: corrupt or truncated record {record} in MKPT1 "
+                    f"{path}: corrupt or truncated {record} in MKPT2 "
                     f"checkpoint: needs {off + nbytes} bytes, file has {len(data)}")
             off += nbytes
             return data[off - nbytes:off]
 
-        while off < len(data):
-            record = f"#{len(tensors)}"
-            (nlen,) = struct.unpack("<I", take(4))
-            raw = take(nlen)
+        def corrupt(why):
+            return GradcoreError(
+                f"{path}: corrupt {record} in MKPT2 checkpoint: {why}")
+
+        def text(what):
+            (n,) = struct.unpack("<I", take(4))
             try:
-                name = raw.decode("utf-8")
+                return take(n).decode("utf-8")
             except UnicodeDecodeError:
-                raise GradcoreError(
-                    f"{path}: corrupt record {record} in MKPT1 checkpoint: "
-                    "tensor name is not UTF-8") from None
+                raise corrupt(f"{what} is not UTF-8") from None
+
+        n_tensors, n_meta = struct.unpack("<II", take(8))
+        tensors, meta = {}, {}
+        for k in range(n_tensors):
+            record = f"record #{k}"
+            name = text("tensor name")
             if name in tensors:
-                raise GradcoreError(
-                    f"{path}: corrupt record {record} in MKPT1 checkpoint: "
-                    f"duplicate tensor {name!r}")
+                raise corrupt(f"duplicate tensor {name!r}")
             record += f" {name!r}"
             (rank,) = struct.unpack("<I", take(4))
             dims = struct.unpack(f"<{rank}I", take(4 * rank))
             arr = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
             tensors[name] = arr.reshape(dims).astype(np.float64)
-        return cls(tensors=tensors)
+        for k in range(n_meta):
+            record = f"meta #{k}"
+            key = text("meta key")
+            if key in meta:
+                raise corrupt(f"duplicate meta key {key!r}")
+            meta[key] = text("meta value")
+        if off != len(data):
+            raise GradcoreError(f"{path}: {len(data) - off} bytes after the "
+                                "last record of the MKPT2 checkpoint")
+        return cls(tensors=tensors, meta=meta)
 
 
 def sgd_update(params: ParamStore, grads, lr):

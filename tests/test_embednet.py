@@ -482,6 +482,68 @@ def test_stage2_constant_critics_mi_terms_vanish():
     np.testing.assert_allclose(full, id_only, atol=1e-12)
 
 
+def _stage2_graph_unrolled(cfg, margins, weights, dual=False, prefix=""):
+    """The stage-2 builder with its four critic scores written out, per mode."""
+    za, zg, zf = en.build_encoder(cfg, gc.leaf("x"), prefix)
+    gen_i, gen_j = gc.leaf("gen_i"), gc.leaf("gen_j")
+    imp_i, imp_j = gc.leaf("imp_i"), gc.leaf("imp_j")
+    if dual:
+        a_gen = en.critic_score(gc.leaf("trusted_a_gen"), gc.take_rows(za, gen_j),
+                                prefix + "crit_a_")
+        a_imp = en.critic_score(gc.leaf("trusted_a_imp"), gc.take_rows(za, imp_j),
+                                prefix + "crit_a_")
+        g_gen = en.critic_score(gc.leaf("trusted_g_gen"), gc.take_rows(zg, gen_j),
+                                prefix + "crit_g_")
+        g_imp = en.critic_score(gc.leaf("trusted_g_imp"), gc.take_rows(zg, imp_j),
+                                prefix + "crit_g_")
+    else:
+        a_gen = en.critic_score(gc.take_rows(za, gen_i), gc.take_rows(za, gen_j),
+                                prefix + "crit_a_")
+        a_imp = en.critic_score(gc.take_rows(za, imp_i), gc.take_rows(za, imp_j),
+                                prefix + "crit_a_")
+        g_gen = en.critic_score(gc.take_rows(zg, gen_i), gc.take_rows(zg, gen_j),
+                                prefix + "crit_g_")
+        g_imp = en.critic_score(gc.take_rows(zg, imp_i), gc.take_rows(zg, imp_j),
+                                prefix + "crit_g_")
+    l2_a = en.mi_loss(a_gen, a_imp)
+    l2_g = en.mi_loss(g_gen, g_imp)
+    zf_real = gc.take_rows(zf, gc.leaf("real_idx"))
+    l_id = en.id_loss(zf_real, gc.leaf("real_labels"), gc.leaf(prefix + "class_w"),
+                      margins, cfg.n_classes)
+    total = weights.lambda2_a * l2_a + weights.lambda2_g * l2_g + l_id
+    return gc.Graph(total)
+
+
+@pytest.mark.parametrize("prefix", ["", "q_"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_stage2_graph_same_as_unrolled_builder(dual, prefix):
+    cfg = tiny_cfg()
+    args = (cfg, en.MarginConfig(), en.LossWeights(), dual, prefix)
+    graph, ref = en.stage2_graph(*args), _stage2_graph_unrolled(*args)
+
+    def sequence(g):
+        return [(n.op, n.name, len(n.inputs),
+                 {k: v for k, v in n.params.items() if k != "value"})
+                for n in g.nodes]
+    assert sequence(graph) == sequence(ref)
+    params = en.init_params(cfg, seed=28, prefix=prefix)
+    r = rng(29)
+    bindings = dict(params.tensors)
+    bindings["x"] = r.uniform(-1, 1, size=(5, 3, 16, 16))
+    for name in ("gen_i", "gen_j", "imp_i", "imp_j"):
+        bindings[name] = r.integers(0, 5, size=3).astype(float)
+    bindings["real_idx"] = np.array([0.0, 1.0, 3.0])
+    bindings["real_labels"] = np.array([0.0, 2.0, 1.0])
+    for name in ("trusted_a_gen", "trusted_g_gen", "trusted_a_imp",
+                 "trusted_g_imp"):
+        bindings[name] = r.normal(size=(3, 8))
+    loss, grads = gc.value_and_grad(graph, bindings, params.names())
+    loss_ref, grads_ref = gc.value_and_grad(ref, bindings, params.names())
+    assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+    for name in params.names():
+        assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # gradient checks over all losses
 
@@ -654,6 +716,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert margins2 == en.MarginConfig()
     assert weights2 == en.LossWeights()
     assert meta2["stage"] == "1"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_checkpoint_cut_at_every_byte_names_path(tmp_path):
+    # a cut inside the meta once loaded as a shorter value (margin.s=6.0)
+    path = tmp_path / "checkpoint.mkpt"
+    en.save_checkpoint(path, gc.ParamStore(tensors={"w": np.arange(3.0)}),
+                       en.config_meta(tiny_cfg(), en.MarginConfig(),
+                                      en.LossWeights()))
+    data = path.read_bytes()
+    assert en.config_from_meta(en.load_checkpoint(path)[1])[1].s == 64.0
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(gc.GradcoreError) as err:
+            en.load_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 def _nondefault_meta():
@@ -666,7 +744,7 @@ def test_config_from_meta_roundtrip():
     assert en.config_from_meta(meta) == (
         tiny_cfg(), en.MarginConfig(m1=1.0, s=32.0),
         en.LossWeights(alpha_g=0.1, lambda2_g=2.5))
-    # as read back from a '.meta' sidecar, every value a string
+    # as read back from a checkpoint, every value a string
     assert en.config_from_meta({k: str(v) for k, v in meta.items()}) == \
         en.config_from_meta(meta)
 

@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, gradients vs central differences, params."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -92,6 +94,51 @@ def test_graph_of_several_outputs_evaluates_like_node_list():
         gc.value_and_grad(graph, bindings, ["w"])
     with pytest.raises(gc.GradcoreError, match="at least one output"):
         gc.Graph([])
+
+
+_NOT_CONSTRUCTORS = {
+    "GradcoreError", "NonFiniteError", "Node", "Graph", "leaf", "const",
+    "evaluate", "evaluate_many", "value_and_grad", "profile",
+    "finite_difference_check", "ParamSpec", "ParamStore", "sgd_update",
+    "LrSchedule"}
+
+
+def test_every_public_constructor_op_has_a_rule():
+    x, y = gc.leaf("x"), gc.leaf("y")
+    emitted = {
+        "add": gc.add(x, y), "sub": gc.sub(x, y), "mul": gc.mul(x, y),
+        "div": gc.div(x, y), "matmul": gc.matmul(x, y),
+        "conv2d": gc.conv2d(x, y), "conv_bias_relu": gc.conv_bias_relu(x, y, x),
+        "relu": gc.relu(x), "exp": gc.exp(x), "log": gc.log(x),
+        "sqrt": gc.sqrt(x), "mean": gc.mean(x), "reduce_sum": gc.reduce_sum(x),
+        "concat": gc.concat([x, y], 0), "slice_axis": gc.slice_axis(x, 0, 0, 1),
+        "reshape": gc.reshape(x, (1,)), "transpose2d": gc.transpose2d(x),
+        "take_rows": gc.take_rows(x, [0.0]), "onehot": gc.onehot([0.0], 2),
+        "l2norm": gc.l2norm(x), "cosine_similarity": gc.cosine_similarity(x, y),
+        "softmax_cross_entropy": gc.softmax_cross_entropy(x, [0.0]),
+        "acos": gc.acos(x), "cos": gc.cos(x), "clip": gc.clip(x, 0, 1),
+        "logmeanexp": gc.logmeanexp(x), "grad_scale": gc.grad_scale(x, 2.0),
+    }
+    sugar = [x + 1.0, 1.0 + x, x - 1.0, 1.0 - x, x * 2.0, 2.0 * x, x / 2.0,
+             -x, x.relu(), x.sum(), x.mean(), x.reshape((1,))]
+    assert set(emitted) == set(gc.__all__) - _NOT_CONSTRUCTORS
+    assert {n.op for n in [*emitted.values(), *sugar]} == set(gc._RULES)
+
+
+def test_rule_flags_name_exactly_the_kink_column_and_self_checked_ops():
+    def having(flag):
+        return {op for op, rule in gc._RULES.items() if getattr(rule, flag)}
+    assert having("kink") == {"relu", "conv_bias_relu", "clip"}
+    assert having("columns") == {"conv_bias_relu"}
+    assert having("checks_finite") == {"conv_bias_relu"}
+
+
+def test_op_without_rule_names_it():
+    loss = gc.Node("bogus", (gc.leaf("x"),)).sum()
+    with pytest.raises(gc.GradcoreError, match="unknown primitive 'bogus'"):
+        gc.evaluate(loss, {"x": np.ones(2)})
+    with pytest.raises(gc.GradcoreError, match="unknown primitive 'bogus'"):
+        gc.value_and_grad(loss, {"x": np.ones(2)}, ["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +593,8 @@ def test_fd_skips_probe_straddling_fused_relu_kink(monkeypatch):
     bindings = {"x": np.array([[[[1.0, 3.0]]]]), "w": np.ones((1, 1, 1, 1)),
                 "b": np.full((1, 1, 1), -1.0 + 0.5e-5)}
     assert gc.finite_difference_check(loss, bindings, ["x", "w", "b"]) <= 1e-8
-    monkeypatch.setattr(gc, "_KINK_OPS", ("relu", "clip"))
+    rule = gc._RULES["conv_bias_relu"]
+    monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, kink=None))
     assert gc.finite_difference_check(loss, bindings, ["x", "w", "b"]) > 0.1
 
 
@@ -695,16 +743,17 @@ def test_paramstore_roundtrip_bit_exact(tmp_path):
         "conv_w": r.normal(size=(3, 2, 3, 3)),
         "scalarish": np.asarray(np.pi).reshape(()),
         "bias": r.normal(size=(7,)),
-    })
+    }, meta={"stage": 2, "note": "a=b\nc", "": "é"})
     path = tmp_path / "p.mkpt"
     store.save(path)
     with open(path, "rb") as f:
-        assert f.read(5) == b"MKPT1"
+        assert f.read(5) == b"MKPT2"
     loaded = gc.ParamStore.load(path)
     assert loaded.names() == store.names()
     for k in store.names():
         assert np.array_equal(loaded[k], store[k])
         assert loaded[k].tobytes() == store[k].tobytes()
+    assert loaded.meta == {"stage": "2", "note": "a=b\nc", "": "é"}
 
 
 def test_paramstore_bad_magic(tmp_path):
@@ -718,29 +767,22 @@ def test_paramstore_truncated_at_every_byte(tmp_path):
     r = rng(14)
     store = gc.ParamStore(tensors={"w": r.normal(size=(2, 3)),
                                    "s": np.asarray(1.5).reshape(()),
-                                   "b": r.normal(size=(2,))})
+                                   "b": r.normal(size=(2,))},
+                          meta={"k": "v", "margin.s": 64.0})
     full = tmp_path / "full.mkpt"
     store.save(full)
     data = full.read_bytes()
-    # a cut that lands between two records leaves a valid shorter checkpoint
-    boundaries, off = {}, 5
-    for k, name in enumerate(store.names()):
-        off += 4 + len(name) + 4 + 4 * store[name].ndim + 8 * store[name].size
-        boundaries[off] = store.names()[:k + 1]
-    assert off == len(data)
     path = tmp_path / "cut.mkpt"
+    # the counts in the header make a cut between two records an error too
     for cut in range(len(data)):
         path.write_bytes(data[:cut])
-        if cut < 5:
-            with pytest.raises(gc.GradcoreError, match="magic"):
-                gc.ParamStore.load(path)
-        elif cut == 5 or cut in boundaries:
-            loaded = gc.ParamStore.load(path)
-            assert loaded.names() == boundaries.get(cut, [])
-        else:
-            with pytest.raises(gc.GradcoreError, match="truncated") as err:
-                gc.ParamStore.load(path)
-            assert str(path) in str(err.value)
+        with pytest.raises(gc.GradcoreError,
+                           match="magic" if cut < 5 else "truncated") as err:
+            gc.ParamStore.load(path)
+        assert str(path) in str(err.value)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(gc.GradcoreError, match="1 bytes after the last record"):
+        gc.ParamStore.load(path)
 
 
 def _two_tensor_checkpoint(tmp_path):
@@ -755,7 +797,7 @@ def _two_tensor_checkpoint(tmp_path):
 def test_paramstore_corrupt_name_bytes(tmp_path):
     path, data = _two_tensor_checkpoint(tmp_path)
     bad = bytearray(data)
-    bad[9] = 0xFF  # first byte of the first tensor's name
+    bad[17] = 0xFF  # first byte of the first tensor's name
     path.write_bytes(bytes(bad))
     with pytest.raises(gc.GradcoreError, match="not UTF-8") as err:
         gc.ParamStore.load(path)
@@ -765,7 +807,7 @@ def test_paramstore_corrupt_name_bytes(tmp_path):
 def test_paramstore_corrupt_dimension_names_record(tmp_path):
     path, data = _two_tensor_checkpoint(tmp_path)
     bad = bytearray(data)
-    bad[14:18] = (0xFFFF).to_bytes(4, "little")  # first dim of 'w'
+    bad[22:26] = (0xFFFF).to_bytes(4, "little")  # first dim of 'w'
     path.write_bytes(bytes(bad))
     with pytest.raises(gc.GradcoreError,
                        match=r"corrupt or truncated record #0 'w'") as err:
@@ -775,7 +817,7 @@ def test_paramstore_corrupt_dimension_names_record(tmp_path):
 
 def test_paramstore_duplicate_name_rejected(tmp_path):
     path, data = _two_tensor_checkpoint(tmp_path)
-    second = 5 + 4 + 1 + 4 + 8 + 8 * 6  # offset of the record of 'b'
+    second = 13 + 4 + 1 + 4 + 8 + 8 * 6  # offset of the record of 'b'
     assert data[second + 4:second + 5] == b"b"
     bad = bytearray(data)
     bad[second + 4] = ord("w")
