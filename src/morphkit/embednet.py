@@ -103,52 +103,52 @@ class EmbeddingTriple:
 # parameters
 
 
-def param_specs(cfg: EncoderConfig, prefix=""):
+def param_specs(cfg: EncoderConfig):
     specs = []
     c_in = cfg.in_channels
     k = cfg.kernel
     for i, (c_out, _) in enumerate(zip(cfg.channels, cfg.strides)):
-        specs.append(gc.ParamSpec(f"{prefix}conv{i}_w", (c_out, c_in, k, k),
+        specs.append(gc.ParamSpec(f"conv{i}_w", (c_out, c_in, k, k),
                                   "uniform", fan_in=c_in * k * k))
-        specs.append(gc.ParamSpec(f"{prefix}conv{i}_b", (c_out, 1, 1), "zeros"))
+        specs.append(gc.ParamSpec(f"conv{i}_b", (c_out, 1, 1), "zeros"))
         c_in = c_out
     bd = cfg.branch_dim
     specs += [
-        gc.ParamSpec(f"{prefix}fc_a_w", (bd, cfg.d_a), "uniform", fan_in=bd),
-        gc.ParamSpec(f"{prefix}fc_a_b", (cfg.d_a,), "zeros"),
-        gc.ParamSpec(f"{prefix}fc_g_w", (bd, cfg.d_g), "uniform", fan_in=bd),
-        gc.ParamSpec(f"{prefix}fc_g_b", (cfg.d_g,), "zeros"),
-        gc.ParamSpec(f"{prefix}fc_f_w", (cfg.d_a + cfg.d_g, cfg.d_f),
+        gc.ParamSpec("fc_a_w", (bd, cfg.d_a), "uniform", fan_in=bd),
+        gc.ParamSpec("fc_a_b", (cfg.d_a,), "zeros"),
+        gc.ParamSpec("fc_g_w", (bd, cfg.d_g), "uniform", fan_in=bd),
+        gc.ParamSpec("fc_g_b", (cfg.d_g,), "zeros"),
+        gc.ParamSpec("fc_f_w", (cfg.d_a + cfg.d_g, cfg.d_f),
                      "uniform", fan_in=cfg.d_a + cfg.d_g),
-        gc.ParamSpec(f"{prefix}fc_f_b", (cfg.d_f,), "zeros"),
-        gc.ParamSpec(f"{prefix}class_w", (cfg.n_classes, cfg.d_f),
+        gc.ParamSpec("fc_f_b", (cfg.d_f,), "zeros"),
+        gc.ParamSpec("class_w", (cfg.n_classes, cfg.d_f),
                      "uniform", fan_in=cfg.d_f),
     ]
     for br, dim in (("a", cfg.d_a), ("g", cfg.d_g)):
         h = cfg.critic_hidden
         specs += [
-            gc.ParamSpec(f"{prefix}crit_{br}_fc_w", (dim, h), "uniform", fan_in=dim),
-            gc.ParamSpec(f"{prefix}crit_{br}_fc_b", (h,), "zeros"),
-            gc.ParamSpec(f"{prefix}crit_{br}_out_w", (2 * h, 1), "uniform",
+            gc.ParamSpec(f"crit_{br}_fc_w", (dim, h), "uniform", fan_in=dim),
+            gc.ParamSpec(f"crit_{br}_fc_b", (h,), "zeros"),
+            gc.ParamSpec(f"crit_{br}_out_w", (2 * h, 1), "uniform",
                          fan_in=2 * h),
-            gc.ParamSpec(f"{prefix}crit_{br}_out_b", (1,), "zeros"),
+            gc.ParamSpec(f"crit_{br}_out_b", (1,), "zeros"),
         ]
     return specs
 
 
-def init_params(cfg: EncoderConfig, seed, prefix="") -> gc.ParamStore:
-    params = gc.ParamStore.initialize(param_specs(cfg, prefix), seed)
-    normalize_class_rows(params, prefix)
+def init_params(cfg: EncoderConfig, seed) -> gc.ParamStore:
+    params = gc.ParamStore.initialize(param_specs(cfg), seed)
+    normalize_class_rows(params)
     return params
 
 
-def normalize_class_rows(params: gc.ParamStore, prefix=""):
+def normalize_class_rows(params: gc.ParamStore):
     """Keep each class weight vector unit length so cos(theta_j) is defined.
 
     Rows already unit within 1e-12 are left untouched so that no-op updates
     (lr = 0) keep parameters bit-identical.
     """
-    w = params.tensors[f"{prefix}class_w"]
+    w = params.tensors["class_w"]
     norms = np.linalg.norm(w, axis=1, keepdims=True)
     stale = np.abs(norms - 1.0) > 1e-12
     np.divide(w, norms, out=w, where=stale)
@@ -158,22 +158,22 @@ def normalize_class_rows(params: gc.ParamStore, prefix=""):
 # graph builders
 
 
-def build_encoder(cfg: EncoderConfig, x, prefix=""):
+def build_encoder(cfg: EncoderConfig, x):
     """Conv trunk -> depth split -> branch FCs; returns (z_a, z_g, z_f) nodes."""
-    p = lambda name: gc.leaf(prefix + name)
     h = x
     pad = cfg.kernel // 2
     for i, stride in enumerate(cfg.strides):
-        h = gc.conv_bias_relu(h, p(f"conv{i}_w"), p(f"conv{i}_b"),
+        h = gc.conv_bias_relu(h, gc.leaf(f"conv{i}_w"), gc.leaf(f"conv{i}_b"),
                               stride=stride, pad=pad)
     half = cfg.channels[-1] // 2
     h_a = gc.slice_axis(h, 1, 0, half)
     h_g = gc.slice_axis(h, 1, half, cfg.channels[-1])
     flat_a = h_a.reshape((-1, cfg.branch_dim))
     flat_g = h_g.reshape((-1, cfg.branch_dim))
-    z_a = gc.matmul(flat_a, p("fc_a_w")) + p("fc_a_b")
-    z_g = gc.matmul(flat_g, p("fc_g_w")) + p("fc_g_b")
-    z_f = gc.matmul(gc.concat([z_a, z_g], axis=1), p("fc_f_w")) + p("fc_f_b")
+    z_a = gc.matmul(flat_a, gc.leaf("fc_a_w")) + gc.leaf("fc_a_b")
+    z_g = gc.matmul(flat_g, gc.leaf("fc_g_w")) + gc.leaf("fc_g_b")
+    z_f = (gc.matmul(gc.concat([z_a, z_g], axis=1), gc.leaf("fc_f_w"))
+           + gc.leaf("fc_f_b"))
     return z_a, z_g, z_f
 
 
@@ -223,14 +223,14 @@ def mi_loss(genuine_scores, imposter_scores):
 
 
 def stage1_graph(cfg: EncoderConfig, margins: MarginConfig,
-                 weights: LossWeights, prefix=""):
+                 weights: LossWeights):
     """Full stage-1 loss over leaves x / x_prime / x_hat / labels(+phi)."""
-    za_x, zg_x, zf_x = build_encoder(cfg, gc.leaf("x"), prefix)
-    za_h, zg_h, _ = build_encoder(cfg, gc.leaf("x_hat"), prefix)
-    _, zg_p, zf_p = build_encoder(cfg, gc.leaf("x_prime"), prefix)
+    za_x, zg_x, zf_x = build_encoder(cfg, gc.leaf("x"))
+    za_h, zg_h, _ = build_encoder(cfg, gc.leaf("x_hat"))
+    _, zg_p, zf_p = build_encoder(cfg, gc.leaf("x_prime"))
     l_a = appearance_loss(za_x, za_h)
     l_g = landmark_loss(zg_p, zg_h, zg_x, gc.leaf("phi"), weights.alpha_g)
-    class_w = gc.leaf(prefix + "class_w")
+    class_w = gc.leaf("class_w")
     l_id = (id_loss(zf_x, gc.leaf("labels"), class_w, margins, cfg.n_classes)
             + id_loss(zf_p, gc.leaf("labels_prime"), class_w, margins,
                       cfg.n_classes))
@@ -239,28 +239,24 @@ def stage1_graph(cfg: EncoderConfig, margins: MarginConfig,
 
 
 def stage2_graph(cfg: EncoderConfig, margins: MarginConfig,
-                 weights: LossWeights, dual=False, prefix=""):
+                 weights: LossWeights):
     """Stage-2 loss over a batch of unique images plus pair index leaves.
 
     Leaves: ``x`` (unique images), ``gen_i/gen_j/imp_i/imp_j`` (row indices of
-    each pair side), ``real_idx``/``real_labels`` for the ID term.  In dual
-    mode the trusted sides are precomputed embeddings bound as
-    ``trusted_a_gen`` / ``trusted_g_gen`` / ``trusted_a_imp`` / ``trusted_g_imp``
-    and only the questioned encoder appears in the graph.
+    each pair side), ``real_idx``/``real_labels`` for the ID term.
     """
-    za, zg, zf = build_encoder(cfg, gc.leaf("x"), prefix)
+    za, zg, zf = build_encoder(cfg, gc.leaf("x"))
     rows = {side: (gc.leaf(f"{side}_i"), gc.leaf(f"{side}_j"))
             for side in ("gen", "imp")}
     l2 = {}
     for br, z in (("a", za), ("g", zg)):
         scores = {}
         for side, (i, j) in rows.items():
-            trusted = gc.leaf(f"trusted_{br}_{side}") if dual else gc.take_rows(z, i)
-            scores[side] = critic_score(trusted, gc.take_rows(z, j),
-                                        f"{prefix}crit_{br}_")
+            scores[side] = critic_score(gc.take_rows(z, i), gc.take_rows(z, j),
+                                        f"crit_{br}_")
         l2[br] = mi_loss(scores["gen"], scores["imp"])
     zf_real = gc.take_rows(zf, gc.leaf("real_idx"))
-    l_id = id_loss(zf_real, gc.leaf("real_labels"), gc.leaf(prefix + "class_w"),
+    l_id = id_loss(zf_real, gc.leaf("real_labels"), gc.leaf("class_w"),
                    margins, cfg.n_classes)
     total = weights.lambda2_a * l2["a"] + weights.lambda2_g * l2["g"] + l_id
     return gc.Graph(total)
@@ -271,20 +267,19 @@ def stage2_graph(cfg: EncoderConfig, margins: MarginConfig,
 
 
 @functools.cache
-def _encoder_plan(cfg: EncoderConfig, prefix):
+def _encoder_plan(cfg: EncoderConfig):
     """The (z_a, z_g, z_f) encoder graph over leaf ``x``, built once per
-    (config, prefix); ``encode`` evaluates it with temporary columns, so
-    callers share no buffers."""
-    return gc.Graph(build_encoder(cfg, gc.leaf("x"), prefix))
+    config; ``encode`` evaluates it with temporary columns, so callers share
+    no buffers."""
+    return gc.Graph(build_encoder(cfg, gc.leaf("x")))
 
 
-def encode(cfg: EncoderConfig, params: gc.ParamStore, images,
-           prefix="") -> EmbeddingTriple:
+def encode(cfg: EncoderConfig, params: gc.ParamStore, images) -> EmbeddingTriple:
     """Embed a batch (N, C, S, S) or single image (C, S, S).
 
     C is ``cfg.in_channels`` and S is ``cfg.input_size``; any other shape
     raises ValueError naming it.  The encoder graph and its topological
-    order are built once per (config, prefix) and reused.
+    order are built once per config and reused.
     """
     x = np.asarray(images, dtype=np.float64)
     expected = (cfg.in_channels, cfg.input_size, cfg.input_size)
@@ -296,7 +291,7 @@ def encode(cfg: EncoderConfig, params: gc.ParamStore, images,
         x = x[None]
     bindings = dict(params.tensors)
     bindings["x"] = x
-    va, vg, vf = gc.evaluate_many(_encoder_plan(cfg, prefix), bindings)
+    va, vg, vf = gc.evaluate_many(_encoder_plan(cfg), bindings)
     if single:
         va, vg, vf = va[0], vg[0], vf[0]
     return EmbeddingTriple(z_a=va, z_g=vg, z_f=vf)
@@ -363,8 +358,7 @@ class EpochStats:
 
 def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
                  weights: LossWeights, schedule: gc.LrSchedule, epochs,
-                 batch_size, seed, mining_norm="l2", delta_variance=3.0,
-                 params=None, log=None):
+                 batch_size, seed, delta_variance=3.0, params=None, log=None):
     """Triplet training of the disentangling encoder; returns (params, history).
 
     Triplets are rebuilt every epoch with fresh landmark perturbations; the
@@ -391,8 +385,7 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
         lr = schedule.at(epoch)
         triplets = [
             imaging.build_triplet(pool[i][0], pool[i][1], pool[i][2], pool,
-                                  rng, variance=delta_variance,
-                                  mining_norm=mining_norm)
+                                  rng, variance=delta_variance)
             for i in range(len(pool))
         ]
         order = rng.permutation(len(triplets))
@@ -447,14 +440,12 @@ def _stage2_pools(rows):
 
 def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
                  weights: LossWeights, schedule: gc.LrSchedule, epochs,
-                 batch_size, seed, init: gc.ParamStore, dual=False, log=None):
-    """Contrastive training on genuine vs imposter pairs.
+                 batch_size, seed, init: gc.ParamStore, log=None):
+    """Contrastive training on genuine vs imposter pairs; returns
+    (params, history) and leaves ``init`` unchanged.
 
     Genuine pairs are same-subject real pairs; each epoch samples an equal
     number of cross-subject real pairs and (real, morph) pairs as imposters.
-    With ``dual=True`` the trusted side is embedded by the frozen ``init``
-    parameters and only the questioned encoder (a copy) is updated; returns
-    ((trusted, questioned), history) in that mode, else (params, history).
     Every row's image and landmark file must exist, or FileNotFoundError
     lists the missing ones.
     """
@@ -467,12 +458,9 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
                          f"{len(classes)}")
     real_images = [to_chw(imaging.load_face(root / r.path)) for r in reals]
     morph_images = [to_chw(imaging.load_face(root / r.path)) for r in morphs]
-    trusted = init.copy()
     params = init.copy()
-    graph = stage2_graph(cfg, margins, weights, dual=dual)
+    graph = stage2_graph(cfg, margins, weights)
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
-    if dual:
-        trusted_emb = encode(cfg, trusted, np.stack(real_images))
     history = []
     for epoch in range(epochs):
         lr = schedule.at(epoch)
@@ -493,8 +481,7 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
         for gen_batch, imp_batch in zip(gen_rounds, imp_rounds):
             bindings = dict(params.tensors)
             _bind_stage2_batch(bindings, gen_batch, imp_batch, reals,
-                               real_images, morph_images, cmap, dual,
-                               trusted_emb if dual else None)
+                               real_images, morph_images, cmap)
             loss, grads = gc.value_and_grad(graph, bindings, params.names())
             gc.sgd_update(params, grads, lr)
             normalize_class_rows(params)
@@ -505,13 +492,11 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
         history.append(stats)
         if log:
             log(stats)
-    if dual:
-        return (trusted, params), history
     return params, history
 
 
 def _bind_stage2_batch(bindings, gen_batch, imp_batch, reals, real_images,
-                       morph_images, cmap, dual, trusted_emb):
+                       morph_images, cmap):
     """Fill the stage-2 graph leaves for one round of pairs."""
     unique = {}  # (is_morph, source idx) -> row in the x batch
 
@@ -525,14 +510,10 @@ def _bind_stage2_batch(bindings, gen_batch, imp_batch, reals, real_images,
                         ("imp", imp_batch)):
         rows_i, rows_j = [], []
         for i, j, j_is_morph in pairs:
-            rows_i.append(i if dual else row_of(i, False))
+            rows_i.append(row_of(i, False))
             rows_j.append(row_of(j, j_is_morph))
         bindings[f"{side}_i"] = np.array(rows_i, dtype=np.float64)
         bindings[f"{side}_j"] = np.array(rows_j, dtype=np.float64)
-        if dual:
-            trusted = [i for i, _, _ in pairs]
-            for br, z in (("a", trusted_emb.z_a), ("g", trusted_emb.z_g)):
-                bindings[f"trusted_{br}_{side}"] = z[trusted]
     x, real_idx, real_labels = [], [], []
     for (is_morph, idx), row in sorted(unique.items(), key=lambda kv: kv[1]):
         x.append(morph_images[idx] if is_morph else real_images[idx])
@@ -548,24 +529,13 @@ def _bind_stage2_batch(bindings, gen_batch, imp_batch, reals, real_images,
 # checkpoints
 
 
-def save_checkpoint(path, params: gc.ParamStore, meta: dict):
-    """Write ``params`` and ``meta`` to the one MKPT2 file ``path``; each
-    meta value is stored as its ``str``."""
-    gc.ParamStore(tensors=params.tensors, meta=meta).save(path)
-
-
-def load_checkpoint(path):
-    """(params, meta) from a file ``save_checkpoint`` wrote, meta values as
-    ``str``; a cut or corrupt file raises GradcoreError naming ``path``."""
-    params = gc.ParamStore.load(path)
-    return params, params.meta
-
-
 _META_TAGS = ((EncoderConfig, "enc"), (MarginConfig, "margin"), (LossWeights, "loss"))
 
 
 def config_meta(cfg: EncoderConfig, margins: MarginConfig,
                 weights: LossWeights) -> dict:
+    """The configs as ``<tag>.<field>`` keys: the meta of a checkpoint, which
+    is a ``gc.ParamStore(tensors, meta=...)`` written by its ``save``."""
     meta = {}
     for obj, (_, tag) in zip((cfg, margins, weights), _META_TAGS):
         for f in fields(obj):
@@ -602,89 +572,3 @@ def config_from_meta(meta: dict):
             kwargs[f.name] = value
         configs.append(cls(**kwargs))
     return tuple(configs)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def _tiny_cfg():
-    return EncoderConfig(input_size=16, channels=(4, 8), strides=(2, 2),
-                         d_a=8, d_g=8, d_f=16, n_classes=3, critic_hidden=6)
-
-
-def gradcheck_report(seed, inject_fault=False, max_coords=6):
-    """Finite-difference errors for every loss graph at one seed.
-
-    Returns an ordered dict of loss name -> max relative error.  With
-    ``inject_fault`` the first loss's analytic gradient is deliberately
-    scaled, which must push its error over any sane gate.
-    """
-    r = np.random.Generator(np.random.PCG64(seed))
-    cfg = _tiny_cfg()
-    margins = MarginConfig()
-    weights = LossWeights()
-    n, d = 4, 8
-    report = {}
-
-    def check(name, node_or_graph, bindings, wrt):
-        g = node_or_graph if isinstance(node_or_graph, gc.Graph) \
-            else gc.Graph(node_or_graph)
-        if inject_fault and not report:
-            g = gc.Graph(gc.grad_scale(g.output, 1.05))
-        report[name] = gc.finite_difference_check(
-            g, bindings, wrt, eps=1e-5, max_coords=max_coords, seed=seed)
-
-    za_x, za_h = gc.leaf("za_x"), gc.leaf("za_h")
-    check("L1_a", appearance_loss(za_x, za_h),
-          {"za_x": r.normal(size=(n, d)), "za_h": r.normal(size=(n, d))},
-          ["za_x", "za_h"])
-
-    zg_p, zg_h, zg_x = gc.leaf("zg_p"), gc.leaf("zg_h"), gc.leaf("zg_x")
-    check("L1_g",
-          landmark_loss(zg_p, zg_h, zg_x, gc.leaf("phi"), weights.alpha_g),
-          {"zg_p": r.normal(size=(n, d)), "zg_h": r.normal(size=(n, d)),
-           "zg_x": r.normal(size=(n, d)), "phi": r.uniform(0.02, 0.3, size=n)},
-          ["zg_p", "zg_h", "zg_x"])
-
-    zf, cw = gc.leaf("zf"), gc.leaf("class_w")
-    check("L1_id",
-          id_loss(zf, gc.leaf("labels"), cw, margins, cfg.n_classes),
-          {"zf": r.normal(size=(n, cfg.d_f)),
-           "class_w": r.normal(size=(cfg.n_classes, cfg.d_f)),
-           "labels": r.integers(0, cfg.n_classes, size=n).astype(float)},
-          ["zf", "class_w"])
-
-    params = init_params(cfg, seed)
-    s1 = stage1_graph(cfg, margins, weights)
-    bindings = dict(params.tensors)
-    size = cfg.input_size
-    for name in ("x", "x_prime", "x_hat"):
-        bindings[name] = r.uniform(-1, 1, size=(n, 3, size, size))
-    bindings["labels"] = r.integers(0, cfg.n_classes, size=n).astype(float)
-    bindings["labels_prime"] = r.integers(0, cfg.n_classes, size=n).astype(float)
-    bindings["phi"] = r.uniform(0.02, 0.3, size=n)
-    check("L1_t", s1, bindings, params.names())
-
-    for branch in ("a", "g"):
-        zi, zj, wi, wj = (gc.leaf("zi"), gc.leaf("zj"),
-                          gc.leaf("wi"), gc.leaf("wj"))
-        loss = mi_loss(critic_score(zi, zj, f"crit_{branch}_"),
-                       critic_score(wi, wj, f"crit_{branch}_"))
-        cb = {k: v for k, v in params.tensors.items()
-              if k.startswith(f"crit_{branch}_")}
-        cb.update({"zi": r.normal(size=(n, d)), "zj": r.normal(size=(n, d)),
-                   "wi": r.normal(size=(n, d)), "wj": r.normal(size=(n, d))})
-        check(f"L2_{branch}", loss, cb, list(cb))
-
-    s2 = stage2_graph(cfg, margins, weights)
-    b2 = dict(params.tensors)
-    b2["x"] = r.uniform(-1, 1, size=(5, 3, size, size))
-    b2["gen_i"] = np.array([0.0, 1.0])
-    b2["gen_j"] = np.array([2.0, 3.0])
-    b2["imp_i"] = np.array([0.0, 2.0])
-    b2["imp_j"] = np.array([4.0, 4.0])
-    b2["real_idx"] = np.array([0.0, 1.0, 2.0, 3.0])
-    b2["real_labels"] = r.integers(0, cfg.n_classes, size=4).astype(float)
-    check("L2_t", s2, b2, params.names())
-    return report

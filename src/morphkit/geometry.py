@@ -213,23 +213,21 @@ def sample_perturbation(rng, variance=3.0, k=68):
     return rng.normal(0.0, np.sqrt(variance), size=(k, 2))
 
 
-def nearest_neighbor(query, pool, exclude_class, norm="l2"):
+def nearest_neighbor(query, pool, exclude_class):
     """Index of the pool entry with closest landmarks, skipping one class.
 
-    ``pool`` is a sequence of (landmarks, class) tuples; distance is taken on
-    the flattened coordinate difference in the chosen norm ("l2" or "linf").
-    Ties resolve to the lowest index.
+    ``pool`` is a sequence of (landmarks, class) tuples; distance is the L2
+    norm of the flattened coordinate difference.  Ties resolve to the lowest
+    index.
     """
     q = _as_landmarks(query).ravel()
-    if norm not in ("l2", "linf"):
-        raise ValueError(f"unknown norm '{norm}'")
     best_idx = -1
     best_dist = np.inf
     for idx, (lms, cls) in enumerate(pool):
         if cls == exclude_class:
             continue
         d = _as_landmarks(lms).ravel() - q
-        dist = np.abs(d).max() if norm == "linf" else np.sqrt((d * d).sum())
+        dist = np.sqrt((d * d).sum())
         if dist < best_dist:
             best_dist = dist
             best_idx = idx
@@ -278,22 +276,15 @@ def _anchor_points(lms):
     return lms
 
 
-def align_face(image, landmarks, template, anchors=None):
+def align_face(image, landmarks, template):
     """Similarity-align a face so eye/mouth centers match the template.
 
-    ``anchors`` optionally overrides the anchor index groups as a sequence of
-    index tuples; by default the standard 68-point eye/mouth groups are used
-    (all points when K != 68).  Returns (aligned image, aligned landmarks).
+    The anchors are the standard 68-point eye/mouth group centers (all points
+    when K != 68).  Returns (aligned image, aligned landmarks).
     """
     lms = _as_landmarks(landmarks)
     tpl = _as_landmarks(template)
-    if anchors is not None:
-        src_a = np.stack([lms[list(g)].mean(axis=0) for g in anchors])
-        dst_a = np.stack([tpl[list(g)].mean(axis=0) for g in anchors])
-    else:
-        src_a = _anchor_points(lms)
-        dst_a = _anchor_points(tpl)
-    scale, rot, shift = _similarity_fit(src_a, dst_a)
+    scale, rot, shift = _similarity_fit(_anchor_points(lms), _anchor_points(tpl))
     out_lms = (scale * (rot @ lms.T)).T + shift
     img = _as_image(image)
     h, w = img.shape[:2]

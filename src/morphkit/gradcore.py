@@ -837,7 +837,7 @@ class ParamSpec:
     fan_in: int | None = None
 
 
-_MAGIC = b"MKPT2"
+_MAGIC = b"MKPT3"
 
 
 @dataclass
@@ -874,46 +874,51 @@ class ParamStore:
         return self.tensors[name]
 
     def save(self, path):
-        """Magic 'MKPT2', tensor and meta counts, per tensor its name, rank,
-        dims and '<f8' data, then per meta item its key and ``str`` value;
-        text is UTF-8 after a uint32 length.  The counts expose any cut."""
+        """Magic 'MKPT3', tensor and meta counts, per tensor its name, rank,
+        dims and '<f8' data, then per meta item its key and ``str`` value,
+        then a uint32 CRC32 of every byte before it; text is UTF-8 after a
+        uint32 length.  The counts expose any cut, the CRC any flipped bit."""
         def text(s):
             raw = str(s).encode("utf-8")
             return struct.pack("<I", len(raw)) + raw
 
+        parts = [_MAGIC + struct.pack("<II", len(self.tensors), len(self.meta))]
+        for name, arr in self.tensors.items():
+            parts.append(text(name))
+            parts.append(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+            parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for key in sorted(self.meta):
+            parts.append(text(key) + text(self.meta[key]))
+        body = b"".join(parts)
         with open(path, "wb") as f:
-            f.write(_MAGIC + struct.pack("<II", len(self.tensors), len(self.meta)))
-            for name, arr in self.tensors.items():
-                f.write(text(name))
-                f.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            for key in sorted(self.meta):
-                f.write(text(key) + text(self.meta[key]))
+            f.write(body)
+            f.write(struct.pack("<I", zlib.crc32(body)))
 
     @classmethod
     def load(cls, path):
         """The store ``save`` wrote to ``path``, meta values as ``str``.
 
-        A cut, corrupt or over-long file raises GradcoreError naming ``path``.
+        A cut, corrupt or over-long file, or one whose CRC does not match,
+        raises GradcoreError naming ``path``.
         """
         with open(path, "rb") as f:
             data = f.read()
         if data[:5] != _MAGIC:
-            raise GradcoreError(f"{path}: bad magic, not a MKPT2 checkpoint")
+            raise GradcoreError(f"{path}: bad magic, not a MKPT3 checkpoint")
         off, record = 5, "header"
 
         def take(nbytes):
             nonlocal off
             if off + nbytes > len(data):
                 raise GradcoreError(
-                    f"{path}: corrupt or truncated {record} in MKPT2 "
+                    f"{path}: corrupt or truncated {record} in MKPT3 "
                     f"checkpoint: needs {off + nbytes} bytes, file has {len(data)}")
             off += nbytes
             return data[off - nbytes:off]
 
         def corrupt(why):
             return GradcoreError(
-                f"{path}: corrupt {record} in MKPT2 checkpoint: {why}")
+                f"{path}: corrupt {record} in MKPT3 checkpoint: {why}")
 
         def text(what):
             (n,) = struct.unpack("<I", take(4))
@@ -933,16 +938,24 @@ class ParamStore:
             (rank,) = struct.unpack("<I", take(4))
             dims = struct.unpack(f"<{rank}I", take(4 * rank))
             arr = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
-            tensors[name] = arr.reshape(dims).astype(np.float64)
+            try:
+                tensors[name] = arr.reshape(dims).astype(np.float64)
+            except ValueError:  # a zero dim beside dims too large for any array
+                raise corrupt(f"impossible shape {dims}") from None
         for k in range(n_meta):
             record = f"meta #{k}"
             key = text("meta key")
             if key in meta:
                 raise corrupt(f"duplicate meta key {key!r}")
             meta[key] = text("meta value")
+        record = "checksum"
+        (crc,) = struct.unpack("<I", take(4))
         if off != len(data):
             raise GradcoreError(f"{path}: {len(data) - off} bytes after the "
-                                "last record of the MKPT2 checkpoint")
+                                "last record of the MKPT3 checkpoint")
+        if crc != zlib.crc32(data[:off - 4]):
+            raise GradcoreError(f"{path}: CRC32 mismatch, the MKPT3 checkpoint "
+                                "is corrupt")
         return cls(tensors=tensors, meta=meta)
 
 

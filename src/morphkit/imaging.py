@@ -137,8 +137,6 @@ def alpha_blend(a, b, alpha):
 class MorphRecord:
     image: np.ndarray
     landmarks: np.ndarray
-    subject_a: str
-    subject_b: str
     alpha_warp: float
     alpha_blend: float
 
@@ -203,8 +201,8 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5, alpha=0.5,
         base = img_a if splice_into == "a" else img_b
         mask = face_mask(target, *img_a.shape[:2])[:, :, None]
         blended = np.where(mask, blended, base)
-    return MorphRecord(image=blended, landmarks=target, subject_a="",
-                       subject_b="", alpha_warp=alpha_warp, alpha_blend=alpha)
+    return MorphRecord(image=blended, landmarks=target, alpha_warp=alpha_warp,
+                       alpha_blend=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +223,15 @@ class Triplet:
     delta: np.ndarray
 
 
-def build_triplet(image, lms, label, pool, rng, variance=3.0,
-                  mining_norm="l2") -> Triplet:
+def build_triplet(image, lms, label, pool, rng, variance=3.0) -> Triplet:
     """Mine the nearest other-class neighbor and warp onto its landmarks.
 
     ``pool`` entries are (image, landmarks, label); the neighbor is picked by
-    landmark distance, excluding ``label``'s class.
+    L2 landmark distance, excluding ``label``'s class.
     """
     lms = np.asarray(lms, dtype=np.float64)
     idx = geometry.nearest_neighbor(
-        lms, [(p[1], p[2]) for p in pool], exclude_class=label, norm=mining_norm)
+        lms, [(p[1], p[2]) for p in pool], exclude_class=label)
     other_img, other_lms, other_label = pool[idx]
     delta = geometry.sample_perturbation(rng, variance, k=lms.shape[0])
     intermediate = geometry.warp_image(image, lms, other_lms, delta=delta)
@@ -442,7 +439,3 @@ def load_manifest(path):
                                  f"got {row.kind!r}")
             rows.append(row)
     return rows
-
-
-def manifest_root(path):
-    return Path(path).parent

@@ -96,14 +96,14 @@ def test_depth_split_gradient_isolation():
 # the cached encoder plan
 
 
-def fresh_graph_encode(cfg, params, images, prefix=""):
+def fresh_graph_encode(cfg, params, images):
     """Reference: build the encoder graph afresh and evaluate its three
     output nodes, as ``encode`` did before it cached the graph."""
     x = np.asarray(images, dtype=np.float64)
     single = x.ndim == 3
     if single:
         x = x[None]
-    za, zg, zf = en.build_encoder(cfg, gc.leaf("x"), prefix)
+    za, zg, zf = en.build_encoder(cfg, gc.leaf("x"))
     bindings = dict(params.tensors)
     bindings["x"] = x
     va, vg, vf = gc.evaluate_many([za, zg, zf], bindings)
@@ -119,11 +119,10 @@ def assert_same_bytes(a, b):
 
 
 @pytest.mark.parametrize("hwc", [False, True], ids=["nchw", "hwc_view"])
-@pytest.mark.parametrize("prefix", ["", "q_"])
 @pytest.mark.parametrize("batch", [None, 1, 3, 8], ids=["single", "1", "3", "8"])
-def test_encode_byte_equal_to_fresh_graph(batch, prefix, hwc):
+def test_encode_byte_equal_to_fresh_graph(batch, hwc):
     cfg = en.EncoderConfig.desk(10)
-    params = en.init_params(cfg, seed=21, prefix=prefix)
+    params = en.init_params(cfg, seed=21)
     lead = () if batch is None else (batch,)
     r = rng(22)
     if hwc:
@@ -133,29 +132,29 @@ def test_encode_byte_equal_to_fresh_graph(batch, prefix, hwc):
     else:
         x = r.uniform(-1, 1, size=lead + (3, 112, 112))
     for _ in range(2):  # the first call builds the plan, the second reuses it
-        assert_same_bytes(en.encode(cfg, params, x, prefix),
-                          fresh_graph_encode(cfg, params, x, prefix))
+        assert_same_bytes(en.encode(cfg, params, x),
+                          fresh_graph_encode(cfg, params, x))
 
 
-def test_encoder_graph_built_once_per_config_and_prefix(monkeypatch):
+def test_encoder_graph_built_once_per_config(monkeypatch):
     calls = []
     build = en.build_encoder
 
-    def counting(cfg, x, prefix=""):
-        calls.append((cfg, prefix))
-        return build(cfg, x, prefix)
+    def counting(cfg, x):
+        calls.append(cfg)
+        return build(cfg, x)
 
     monkeypatch.setattr(en, "build_encoder", counting)
     en._encoder_plan.cache_clear()
-    cfg = tiny_cfg()
+    cfg, other = tiny_cfg(), tiny_cfg(n_classes=4)
     x = rng(23).uniform(-1, 1, size=(3, 16, 16))
-    params = {p: en.init_params(cfg, 24, prefix=p) for p in ("", "q_")}
+    params = {c: en.init_params(c, 24) for c in (cfg, other)}
     for _ in range(4):
-        for prefix in ("", "q_"):
-            en.encode(cfg, params[prefix], x, prefix)
+        for c in (cfg, other):
+            en.encode(c, params[c], x)
     # an equal config built anew shares the plan
-    en.encode(tiny_cfg(), params[""], x)
-    assert calls == [(cfg, ""), (cfg, "q_")]
+    en.encode(tiny_cfg(), params[cfg], x)
+    assert calls == [cfg, other]
 
 
 def test_profile_through_encode_one_row_per_layer():
@@ -482,43 +481,31 @@ def test_stage2_constant_critics_mi_terms_vanish():
     np.testing.assert_allclose(full, id_only, atol=1e-12)
 
 
-def _stage2_graph_unrolled(cfg, margins, weights, dual=False, prefix=""):
-    """The stage-2 builder with its four critic scores written out, per mode."""
-    za, zg, zf = en.build_encoder(cfg, gc.leaf("x"), prefix)
+def _stage2_graph_unrolled(cfg, margins, weights):
+    """The stage-2 builder with its four critic scores written out."""
+    za, zg, zf = en.build_encoder(cfg, gc.leaf("x"))
     gen_i, gen_j = gc.leaf("gen_i"), gc.leaf("gen_j")
     imp_i, imp_j = gc.leaf("imp_i"), gc.leaf("imp_j")
-    if dual:
-        a_gen = en.critic_score(gc.leaf("trusted_a_gen"), gc.take_rows(za, gen_j),
-                                prefix + "crit_a_")
-        a_imp = en.critic_score(gc.leaf("trusted_a_imp"), gc.take_rows(za, imp_j),
-                                prefix + "crit_a_")
-        g_gen = en.critic_score(gc.leaf("trusted_g_gen"), gc.take_rows(zg, gen_j),
-                                prefix + "crit_g_")
-        g_imp = en.critic_score(gc.leaf("trusted_g_imp"), gc.take_rows(zg, imp_j),
-                                prefix + "crit_g_")
-    else:
-        a_gen = en.critic_score(gc.take_rows(za, gen_i), gc.take_rows(za, gen_j),
-                                prefix + "crit_a_")
-        a_imp = en.critic_score(gc.take_rows(za, imp_i), gc.take_rows(za, imp_j),
-                                prefix + "crit_a_")
-        g_gen = en.critic_score(gc.take_rows(zg, gen_i), gc.take_rows(zg, gen_j),
-                                prefix + "crit_g_")
-        g_imp = en.critic_score(gc.take_rows(zg, imp_i), gc.take_rows(zg, imp_j),
-                                prefix + "crit_g_")
+    a_gen = en.critic_score(gc.take_rows(za, gen_i), gc.take_rows(za, gen_j),
+                            "crit_a_")
+    a_imp = en.critic_score(gc.take_rows(za, imp_i), gc.take_rows(za, imp_j),
+                            "crit_a_")
+    g_gen = en.critic_score(gc.take_rows(zg, gen_i), gc.take_rows(zg, gen_j),
+                            "crit_g_")
+    g_imp = en.critic_score(gc.take_rows(zg, imp_i), gc.take_rows(zg, imp_j),
+                            "crit_g_")
     l2_a = en.mi_loss(a_gen, a_imp)
     l2_g = en.mi_loss(g_gen, g_imp)
     zf_real = gc.take_rows(zf, gc.leaf("real_idx"))
-    l_id = en.id_loss(zf_real, gc.leaf("real_labels"), gc.leaf(prefix + "class_w"),
+    l_id = en.id_loss(zf_real, gc.leaf("real_labels"), gc.leaf("class_w"),
                       margins, cfg.n_classes)
     total = weights.lambda2_a * l2_a + weights.lambda2_g * l2_g + l_id
     return gc.Graph(total)
 
 
-@pytest.mark.parametrize("prefix", ["", "q_"])
-@pytest.mark.parametrize("dual", [False, True])
-def test_stage2_graph_same_as_unrolled_builder(dual, prefix):
+def test_stage2_graph_same_as_unrolled_builder():
     cfg = tiny_cfg()
-    args = (cfg, en.MarginConfig(), en.LossWeights(), dual, prefix)
+    args = (cfg, en.MarginConfig(), en.LossWeights())
     graph, ref = en.stage2_graph(*args), _stage2_graph_unrolled(*args)
 
     def sequence(g):
@@ -526,7 +513,7 @@ def test_stage2_graph_same_as_unrolled_builder(dual, prefix):
                  {k: v for k, v in n.params.items() if k != "value"})
                 for n in g.nodes]
     assert sequence(graph) == sequence(ref)
-    params = en.init_params(cfg, seed=28, prefix=prefix)
+    params = en.init_params(cfg, seed=28)
     r = rng(29)
     bindings = dict(params.tensors)
     bindings["x"] = r.uniform(-1, 1, size=(5, 3, 16, 16))
@@ -534,9 +521,6 @@ def test_stage2_graph_same_as_unrolled_builder(dual, prefix):
         bindings[name] = r.integers(0, 5, size=3).astype(float)
     bindings["real_idx"] = np.array([0.0, 1.0, 3.0])
     bindings["real_labels"] = np.array([0.0, 2.0, 1.0])
-    for name in ("trusted_a_gen", "trusted_g_gen", "trusted_a_imp",
-                 "trusted_g_imp"):
-        bindings[name] = r.normal(size=(3, 8))
     loss, grads = gc.value_and_grad(graph, bindings, params.names())
     loss_ref, grads_ref = gc.value_and_grad(ref, bindings, params.names())
     assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
@@ -548,9 +532,86 @@ def test_stage2_graph_same_as_unrolled_builder(dual, prefix):
 # gradient checks over all losses
 
 
+def gradcheck_report(seed, inject_fault=False, max_coords=6):
+    """Finite-difference errors for every loss graph at one seed.
+
+    Returns an ordered dict of loss name -> max relative error.  With
+    ``inject_fault`` the first loss's analytic gradient is deliberately
+    scaled, which must push its error over any sane gate.
+    """
+    r = rng(seed)
+    cfg = tiny_cfg()
+    margins = en.MarginConfig()
+    weights = en.LossWeights()
+    n, d = 4, 8
+    report = {}
+
+    def check(name, node_or_graph, bindings, wrt):
+        g = node_or_graph if isinstance(node_or_graph, gc.Graph) \
+            else gc.Graph(node_or_graph)
+        if inject_fault and not report:
+            g = gc.Graph(gc.grad_scale(g.output, 1.05))
+        report[name] = gc.finite_difference_check(
+            g, bindings, wrt, eps=1e-5, max_coords=max_coords, seed=seed)
+
+    za_x, za_h = gc.leaf("za_x"), gc.leaf("za_h")
+    check("L1_a", en.appearance_loss(za_x, za_h),
+          {"za_x": r.normal(size=(n, d)), "za_h": r.normal(size=(n, d))},
+          ["za_x", "za_h"])
+
+    zg_p, zg_h, zg_x = gc.leaf("zg_p"), gc.leaf("zg_h"), gc.leaf("zg_x")
+    check("L1_g",
+          en.landmark_loss(zg_p, zg_h, zg_x, gc.leaf("phi"), weights.alpha_g),
+          {"zg_p": r.normal(size=(n, d)), "zg_h": r.normal(size=(n, d)),
+           "zg_x": r.normal(size=(n, d)), "phi": r.uniform(0.02, 0.3, size=n)},
+          ["zg_p", "zg_h", "zg_x"])
+
+    zf, cw = gc.leaf("zf"), gc.leaf("class_w")
+    check("L1_id",
+          en.id_loss(zf, gc.leaf("labels"), cw, margins, cfg.n_classes),
+          {"zf": r.normal(size=(n, cfg.d_f)),
+           "class_w": r.normal(size=(cfg.n_classes, cfg.d_f)),
+           "labels": r.integers(0, cfg.n_classes, size=n).astype(float)},
+          ["zf", "class_w"])
+
+    params = en.init_params(cfg, seed)
+    s1 = en.stage1_graph(cfg, margins, weights)
+    bindings = dict(params.tensors)
+    size = cfg.input_size
+    for name in ("x", "x_prime", "x_hat"):
+        bindings[name] = r.uniform(-1, 1, size=(n, 3, size, size))
+    bindings["labels"] = r.integers(0, cfg.n_classes, size=n).astype(float)
+    bindings["labels_prime"] = r.integers(0, cfg.n_classes, size=n).astype(float)
+    bindings["phi"] = r.uniform(0.02, 0.3, size=n)
+    check("L1_t", s1, bindings, params.names())
+
+    for branch in ("a", "g"):
+        zi, zj, wi, wj = (gc.leaf("zi"), gc.leaf("zj"),
+                          gc.leaf("wi"), gc.leaf("wj"))
+        loss = en.mi_loss(en.critic_score(zi, zj, f"crit_{branch}_"),
+                          en.critic_score(wi, wj, f"crit_{branch}_"))
+        cb = {k: v for k, v in params.tensors.items()
+              if k.startswith(f"crit_{branch}_")}
+        cb.update({"zi": r.normal(size=(n, d)), "zj": r.normal(size=(n, d)),
+                   "wi": r.normal(size=(n, d)), "wj": r.normal(size=(n, d))})
+        check(f"L2_{branch}", loss, cb, list(cb))
+
+    s2 = en.stage2_graph(cfg, margins, weights)
+    b2 = dict(params.tensors)
+    b2["x"] = r.uniform(-1, 1, size=(5, 3, size, size))
+    b2["gen_i"] = np.array([0.0, 1.0])
+    b2["gen_j"] = np.array([2.0, 3.0])
+    b2["imp_i"] = np.array([0.0, 2.0])
+    b2["imp_j"] = np.array([4.0, 4.0])
+    b2["real_idx"] = np.array([0.0, 1.0, 2.0, 3.0])
+    b2["real_labels"] = r.integers(0, cfg.n_classes, size=4).astype(float)
+    check("L2_t", s2, b2, params.names())
+    return report
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradcheck_all_losses(seed):
-    report = en.gradcheck_report(seed=seed)
+    report = gradcheck_report(seed=seed)
     assert sorted(report) == sorted(
         ["L1_a", "L1_g", "L1_id", "L1_t", "L2_a", "L2_g", "L2_t"])
     for name, err in report.items():
@@ -558,7 +619,7 @@ def test_gradcheck_all_losses(seed):
 
 
 def test_gradcheck_detects_injected_fault():
-    report = en.gradcheck_report(seed=0, inject_fault=True)
+    report = gradcheck_report(seed=0, inject_fault=True)
     assert max(report.values()) > 1e-3
 
 
@@ -632,20 +693,18 @@ def test_stage2_requires_morphs(tiny_dataset):
                         init=en.init_params(train_cfg(), 0))
 
 
-def test_stage2_dual_freezes_trusted(tiny_dataset):
+def test_stage2_leaves_init_unchanged(tiny_dataset):
     rows, root = tiny_dataset
     cfg = train_cfg()
     init = en.init_params(cfg, 13)
-    init_copy = init.copy()
-    (trusted, questioned), _ = en.train_stage2(
+    before = init.copy()
+    params, _ = en.train_stage2(
         rows, root, cfg, en.MarginConfig(), en.LossWeights(),
         gc.LrSchedule(initial=0.01), epochs=2, batch_size=16, seed=13,
-        init=init, dual=True)
-    for k in init_copy.names():
-        assert np.array_equal(trusted[k], init_copy[k]), k
-    changed = any(not np.array_equal(questioned[k], init_copy[k])
-                  for k in init_copy.names())
-    assert changed
+        init=init)
+    for k in before.names():
+        assert init[k].tobytes() == before[k].tobytes(), k
+    assert any(not np.array_equal(params[k], before[k]) for k in before.names())
 
 
 def test_stage2_runs_and_logs(tiny_dataset):
@@ -707,8 +766,9 @@ def test_checkpoint_roundtrip(tmp_path):
     meta = en.config_meta(cfg, en.MarginConfig(), en.LossWeights())
     meta.update({"stage": "1", "seed": "17"})
     path = tmp_path / "checkpoint.mkpt"
-    en.save_checkpoint(path, params, meta)
-    loaded, meta2 = en.load_checkpoint(path)
+    gc.ParamStore(params.tensors, meta=meta).save(path)
+    loaded = gc.ParamStore.load(path)
+    meta2 = loaded.meta
     for k in params.names():
         assert np.array_equal(loaded[k], params[k])
     cfg2, margins2, weights2 = en.config_from_meta(meta2)
@@ -722,15 +782,14 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_cut_at_every_byte_names_path(tmp_path):
     # a cut inside the meta once loaded as a shorter value (margin.s=6.0)
     path = tmp_path / "checkpoint.mkpt"
-    en.save_checkpoint(path, gc.ParamStore(tensors={"w": np.arange(3.0)}),
-                       en.config_meta(tiny_cfg(), en.MarginConfig(),
-                                      en.LossWeights()))
+    meta = en.config_meta(tiny_cfg(), en.MarginConfig(), en.LossWeights())
+    gc.ParamStore({"w": np.arange(3.0)}, meta=meta).save(path)
     data = path.read_bytes()
-    assert en.config_from_meta(en.load_checkpoint(path)[1])[1].s == 64.0
+    assert en.config_from_meta(gc.ParamStore.load(path).meta)[1].s == 64.0
     for cut in range(len(data)):
         path.write_bytes(data[:cut])
         with pytest.raises(gc.GradcoreError) as err:
-            en.load_checkpoint(path)
+            gc.ParamStore.load(path)
         assert str(path) in str(err.value)
 
 

@@ -375,7 +375,11 @@ def test_nn_hand_example_l2():
     a = np.array([[0.0, 0.0], [1.0, 2.0]])
     b = np.array([[3.0, 3.0], [4.0, 4.0]])
     pool = [(a, "A"), (b, "B")]
-    assert geo.nearest_neighbor(q, pool, exclude_class="Q", norm="l2") == 0
+    assert geo.nearest_neighbor(q, pool, exclude_class="Q") == 0
+    # L2, not the largest coordinate: c's max is 0.9 but its L2 distance 1.8
+    c = np.array([[0.9, 0.9], [0.9, 0.9]])
+    d = np.array([[1.5, 0.0], [0.0, 0.0]])
+    assert geo.nearest_neighbor(np.zeros((2, 2)), [(c, 1), (d, 2)], 0) == 1
 
 
 def test_nn_all_same_class_errors():
@@ -395,26 +399,14 @@ def test_nn_matches_exhaustive_oracle():
         excl = int(r.integers(0, 3))
         if all(cls == excl for _, cls in pool):
             continue
-        for norm in ("l2", "linf"):
-            best, bd = None, np.inf
-            for i, (lms, cls) in enumerate(pool):
-                if cls == excl:
-                    continue
-                diff = (lms - q).ravel()
-                d = max(abs(diff)) if norm == "linf" else float(np.linalg.norm(diff))
-                if d < bd:
-                    best, bd = i, d
-            assert geo.nearest_neighbor(q, pool, excl, norm) == best
-
-
-def test_nn_linf_differs_from_l2_when_constructed():
-    q = np.zeros((2, 2))
-    # a: small max-coordinate but large total; b: the opposite
-    a = np.array([[0.9, 0.9], [0.9, 0.9]])
-    b = np.array([[1.5, 0.0], [0.0, 0.0]])
-    pool = [(a, 1), (b, 2)]
-    assert geo.nearest_neighbor(q, pool, 0, norm="linf") == 0
-    assert geo.nearest_neighbor(q, pool, 0, norm="l2") == 1
+        best, bd = None, np.inf
+        for i, (lms, cls) in enumerate(pool):
+            if cls == excl:
+                continue
+            d = float(np.linalg.norm((lms - q).ravel()))
+            if d < bd:
+                best, bd = i, d
+        assert geo.nearest_neighbor(q, pool, excl) == best
 
 
 # ---------------------------------------------------------------------------
