@@ -309,40 +309,37 @@ def to_chw(image):
 # training data plumbing
 
 
-def _check_files(rows, root):
-    """Raise one FileNotFoundError listing every image and landmark file of
-    ``rows`` that is not under ``root``, so training stops before it starts
-    instead of when it first reads a missing file."""
-    root = Path(root)
+def _load_checked(rows, root, kind):
+    """The ``kind`` rows of ``rows`` and their (H, W, 3) faces, after one
+    FileNotFoundError lists every image and landmark file of ``rows`` that
+    is not under ``root``, so training stops before it starts instead of
+    when it first reads a missing file."""
     missing = [str(root / rel) for r in rows for rel in (r.path, r.landmarks_path)
                if not (root / rel).is_file()]
     if missing:
         raise FileNotFoundError(f"{len(missing)} manifest file(s) missing: "
                                 + ", ".join(missing))
+    kept = [r for r in rows if r.kind == kind]
+    return kept, [imaging.load_face(root / r.path) for r in kept]
 
 
-def _load_real_rows(rows, root):
-    root = Path(root)
-    reals = [r for r in rows if r.kind == "real"]
-    images = [to_chw(imaging.load_face(root / r.path)) for r in reals]
-    lms = [geometry.load_landmarks(root / r.landmarks_path) for r in reals]
-    return reals, images, lms
-
-
-def _class_map(reals):
+def _class_map(reals, cfg: EncoderConfig):
+    """Subject id -> class index; at least 2 classes, as many as ``cfg``."""
     classes = sorted({r.subject_id for r in reals})
-    return classes, {c: i for i, c in enumerate(classes)}
+    if len(classes) < 2:
+        raise ValueError("training needs at least 2 classes, the manifest "
+                         f"has {len(classes)}")
+    if cfg.n_classes != len(classes):
+        raise ValueError(f"config says {cfg.n_classes} classes, manifest has "
+                         f"{len(classes)}")
+    return {c: i for i, c in enumerate(classes)}
 
 
 def _chunks(seq, n_parts):
     """Split a list into n_parts contiguous, nearly equal, nonempty chunks."""
     q, r = divmod(len(seq), n_parts)
-    out, start = [], 0
-    for i in range(n_parts):
-        size = q + (1 if i < r else 0)
-        out.append(seq[start:start + size])
-        start += size
-    return out
+    bounds = [i * q + min(i, r) for i in range(n_parts + 1)]
+    return [seq[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -352,64 +349,26 @@ class EpochStats:
     loss: float
 
 
-# ---------------------------------------------------------------------------
-# stage 1
+def _fit(graph, params, schedule, epochs, epoch_batches, log):
+    """SGD over ``graph`` for both stages; returns (params, history).
 
-
-def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
-                 weights: LossWeights, schedule: gc.LrSchedule, epochs,
-                 batch_size, seed, delta_variance=3.0, params=None, log=None):
-    """Triplet training of the disentangling encoder; returns (params, history).
-
-    Triplets are rebuilt every epoch with fresh landmark perturbations; the
-    whole run is deterministic given the seed.  Every row's image and
-    landmark file must exist, morphs included, or FileNotFoundError lists
-    the missing ones.
+    ``epoch_batches()`` yields ``(leaves, item_count)`` for each step of one
+    epoch; an epoch's loss is the item-weighted mean of its step losses.
     """
-    _check_files(rows, root)
-    reals, images, lms = _load_real_rows(rows, root)
-    classes, cmap = _class_map(reals)
-    if len(classes) < 2:
-        raise ValueError("stage-1 training needs at least 2 classes")
-    if cfg.n_classes != len(classes):
-        raise ValueError(f"config says {cfg.n_classes} classes, manifest has "
-                         f"{len(classes)}")
-    if params is None:
-        params = init_params(cfg, seed)
-    graph = stage1_graph(cfg, margins, weights)
-    rng = np.random.Generator(np.random.PCG64([seed, 1]))
-    pool = [(np.transpose(img, (1, 2, 0)), lm, r.subject_id)
-            for img, lm, r in zip(images, lms, reals)]
     history = []
     for epoch in range(epochs):
         lr = schedule.at(epoch)
-        triplets = [
-            imaging.build_triplet(pool[i][0], pool[i][1], pool[i][2], pool,
-                                  rng, variance=delta_variance)
-            for i in range(len(pool))
-        ]
-        order = rng.permutation(len(triplets))
         total_loss, total_n = 0.0, 0
-        n_batches = max(1, math.ceil(len(order) / batch_size))
-        for batch_ids in _chunks(list(order), n_batches):
-            batch = [triplets[i] for i in batch_ids]
+        for leaves, n_items in epoch_batches():
             bindings = dict(params.tensors)
-            bindings["x"] = np.stack([to_chw(t.appearance) for t in batch])
-            bindings["x_prime"] = np.stack([to_chw(t.landmark_image)
-                                            for t in batch])
-            bindings["x_hat"] = np.stack([to_chw(t.intermediate)
-                                          for t in batch])
-            bindings["labels"] = np.array([cmap[t.label_a] for t in batch],
-                                          dtype=np.float64)
-            bindings["labels_prime"] = np.array([cmap[t.label_g] for t in batch],
-                                                dtype=np.float64)
-            bindings["phi"] = np.array([geometry.phi_g(t.lms_a, t.lms_g)
-                                        for t in batch])
+            bindings.update(leaves)
             loss, grads = gc.value_and_grad(graph, bindings, params.names())
+            # free this batch before ``epoch_batches`` builds the next one
+            del leaves, bindings
             gc.sgd_update(params, grads, lr)
             normalize_class_rows(params)
-            total_loss += loss * len(batch)
-            total_n += len(batch)
+            total_loss += loss * n_items
+            total_n += n_items
         stats = EpochStats(epoch=epoch, lr=lr, loss=total_loss / total_n)
         history.append(stats)
         if log:
@@ -418,12 +377,52 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
 
 # ---------------------------------------------------------------------------
+# stage 1
+
+
+def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
+                 weights: LossWeights, schedule: gc.LrSchedule, epochs,
+                 batch_size, seed, log=None):
+    """Triplet training of the disentangling encoder from ``init_params(cfg,
+    seed)``; returns (params, history).
+
+    Triplets are rebuilt every epoch with fresh landmark perturbations; the
+    whole run is deterministic given the seed.  Every row's image and
+    landmark file must exist, morphs included, or FileNotFoundError lists
+    the missing ones.
+    """
+    root = Path(root)
+    reals, faces = _load_checked(rows, root, "real")
+    cmap = _class_map(reals, cfg)
+    pool = [(face, geometry.load_landmarks(root / r.landmarks_path),
+             r.subject_id) for face, r in zip(faces, reals)]
+    rng = np.random.Generator(np.random.PCG64([seed, 1]))
+
+    def epoch_batches():
+        triplets = [imaging.build_triplet(img, lms, label, pool, rng)
+                    for img, lms, label in pool]
+        shuffled = [triplets[i] for i in rng.permutation(len(triplets))]
+        n_steps = max(1, math.ceil(len(shuffled) / batch_size))
+        for batch in _chunks(shuffled, n_steps):
+            yield {
+                "x": np.stack([to_chw(t.appearance) for t in batch]),
+                "x_prime": np.stack([to_chw(t.landmark_image) for t in batch]),
+                "x_hat": np.stack([to_chw(t.intermediate) for t in batch]),
+                "labels": np.array([cmap[t.label_a] for t in batch], dtype=float),
+                "labels_prime": np.array([cmap[t.label_g] for t in batch],
+                                         dtype=float),
+                "phi": np.array([geometry.phi_g(t.lms_a, t.lms_g) for t in batch]),
+            }, len(batch)
+
+    return _fit(stage1_graph(cfg, margins, weights), init_params(cfg, seed),
+                schedule, epochs, epoch_batches, log)
+
+
+# ---------------------------------------------------------------------------
 # stage 2
 
 
-def _stage2_pools(rows):
-    reals = [r for r in rows if r.kind == "real"]
-    morphs = [r for r in rows if r.kind == "morph"]
+def _stage2_pools(reals, morphs):
     if not morphs:
         raise ValueError("stage-2 training needs morph rows in the manifest")
     by_subject = {}
@@ -435,7 +434,7 @@ def _stage2_pools(rows):
         raise ValueError("no subject has two real captures")
     cross = [(i, j) for i in range(len(reals)) for j in range(len(reals))
              if i < j and reals[i].subject_id != reals[j].subject_id]
-    return reals, morphs, genuine, cross
+    return genuine, cross
 
 
 def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
@@ -449,21 +448,15 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     Every row's image and landmark file must exist, or FileNotFoundError
     lists the missing ones.
     """
-    _check_files(rows, root)
     root = Path(root)
-    reals, morphs, genuine, cross = _stage2_pools(rows)
-    classes, cmap = _class_map(reals)
-    if cfg.n_classes != len(classes):
-        raise ValueError(f"config says {cfg.n_classes} classes, manifest has "
-                         f"{len(classes)}")
-    real_images = [to_chw(imaging.load_face(root / r.path)) for r in reals]
-    morph_images = [to_chw(imaging.load_face(root / r.path)) for r in morphs]
-    params = init.copy()
-    graph = stage2_graph(cfg, margins, weights)
+    reals, real_images = _load_checked(rows, root, "real")
+    morphs = [r for r in rows if r.kind == "morph"]
+    genuine, cross = _stage2_pools(reals, morphs)
+    cmap = _class_map(reals, cfg)
+    morph_images = [imaging.load_face(root / r.path) for r in morphs]
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
-    history = []
-    for epoch in range(epochs):
-        lr = schedule.at(epoch)
+
+    def epoch_batches():
         n_gen = len(genuine)
         cross_pick = [cross[k] for k in rng.integers(0, len(cross), n_gen)]
         rm_pick = [(int(k) % len(reals), int(k) // len(reals))
@@ -475,54 +468,43 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
         total = len(genuine) + len(imposters)
         n_rounds = max(1, min(len(genuine), len(imposters),
                               math.ceil(total / batch_size)))
-        gen_rounds = _chunks(genuine, n_rounds)
-        imp_rounds = _chunks(imposters, n_rounds)
-        total_loss, total_n = 0.0, 0
-        for gen_batch, imp_batch in zip(gen_rounds, imp_rounds):
-            bindings = dict(params.tensors)
-            _bind_stage2_batch(bindings, gen_batch, imp_batch, reals,
-                               real_images, morph_images, cmap)
-            loss, grads = gc.value_and_grad(graph, bindings, params.names())
-            gc.sgd_update(params, grads, lr)
-            normalize_class_rows(params)
-            n_pairs = len(gen_batch) + len(imp_batch)
-            total_loss += loss * n_pairs
-            total_n += n_pairs
-        stats = EpochStats(epoch=epoch, lr=lr, loss=total_loss / total_n)
-        history.append(stats)
-        if log:
-            log(stats)
-    return params, history
+        for gen_batch, imp_batch in zip(_chunks(genuine, n_rounds),
+                                        _chunks(imposters, n_rounds)):
+            yield (_bind_stage2_batch(gen_batch, imp_batch, reals, real_images,
+                                      morph_images, cmap),
+                   len(gen_batch) + len(imp_batch))
+
+    return _fit(stage2_graph(cfg, margins, weights), init.copy(), schedule,
+                epochs, epoch_batches, log)
 
 
-def _bind_stage2_batch(bindings, gen_batch, imp_batch, reals, real_images,
-                       morph_images, cmap):
-    """Fill the stage-2 graph leaves for one round of pairs."""
+def _bind_stage2_batch(gen_batch, imp_batch, reals, real_images, morph_images,
+                       cmap):
+    """The stage-2 graph leaves for one round of pairs."""
     unique = {}  # (is_morph, source idx) -> row in the x batch
 
     def row_of(idx, is_morph):
-        key = (is_morph, idx)
-        if key not in unique:
-            unique[key] = len(unique)
-        return unique[key]
+        return unique.setdefault((is_morph, idx), len(unique))
 
+    leaves = {}
     for side, pairs in (("gen", [(i, j, False) for i, j in gen_batch]),
                         ("imp", imp_batch)):
         rows_i, rows_j = [], []
         for i, j, j_is_morph in pairs:
             rows_i.append(row_of(i, False))
             rows_j.append(row_of(j, j_is_morph))
-        bindings[f"{side}_i"] = np.array(rows_i, dtype=np.float64)
-        bindings[f"{side}_j"] = np.array(rows_j, dtype=np.float64)
+        leaves[f"{side}_i"] = np.array(rows_i, dtype=np.float64)
+        leaves[f"{side}_j"] = np.array(rows_j, dtype=np.float64)
     x, real_idx, real_labels = [], [], []
-    for (is_morph, idx), row in sorted(unique.items(), key=lambda kv: kv[1]):
-        x.append(morph_images[idx] if is_morph else real_images[idx])
+    for row, (is_morph, idx) in enumerate(unique):  # rows in insertion order
+        x.append(to_chw(morph_images[idx] if is_morph else real_images[idx]))
         if not is_morph:
             real_idx.append(row)
             real_labels.append(cmap[reals[idx].subject_id])
-    bindings["x"] = np.stack(x)
-    bindings["real_idx"] = np.array(real_idx, dtype=np.float64)
-    bindings["real_labels"] = np.array(real_labels, dtype=np.float64)
+    leaves["x"] = np.stack(x)
+    leaves["real_idx"] = np.array(real_idx, dtype=np.float64)
+    leaves["real_labels"] = np.array(real_labels, dtype=np.float64)
+    return leaves
 
 
 # ---------------------------------------------------------------------------

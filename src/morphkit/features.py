@@ -1,7 +1,9 @@
 """Classical texture and landmark descriptors for the detection baselines.
 
 Histogram descriptors are L1-normalized float64 vectors.  Grayscale
-conversion is the unweighted channel mean throughout.
+conversion is the unweighted channel mean throughout.  A BSIF filter bank
+file is one MKPT3 ``gradcore.ParamStore`` whose only tensor, ``bsif``, holds
+the (n_filters, size, size) coefficients.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import gradcore as gc
 
 # neighbor offsets (dy, dx) clockwise from top-left; bit b gets weight 2**b
 _LBP_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1),
@@ -40,46 +44,38 @@ def lbp_histogram(image):
 
 @dataclass
 class FilterBank:
-    """Linear filters for BSIF coding; each filter is zero-mean."""
+    """Zero-mean linear filters for BSIF coding, shaped (n_filters, size, size)."""
 
-    n_filters: int
-    size: int
-    coefficients: np.ndarray  # (n_filters, size, size)
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        shape = self.coefficients.shape
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise ValueError(f"BSIF coefficients must be (n, k, k), got {shape}")
+
+    @property
+    def n_filters(self):
+        return self.coefficients.shape[0]
+
+    @property
+    def size(self):
+        return self.coefficients.shape[1]
 
     def save(self, path):
-        """Text: a ``BSIF <filters> <size>`` header, one line of coefficients
-        per filter, and an ``END`` line, without which ``load`` rejects the
-        file as truncated."""
-        with open(path, "w") as f:
-            f.write(f"BSIF {self.n_filters} {self.size}\n")
-            flat = self.coefficients.reshape(self.n_filters, -1)
-            for row in flat:
-                f.write(" ".join(repr(float(v)) for v in row) + "\n")
-            f.write("END\n")
+        gc.ParamStore({"bsif": self.coefficients}).save(path)
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as f:
-            tokens = f.read().split()
-        if not tokens or tokens[0] != b"BSIF":
-            raise ValueError(f"{path}: not a BSIF filter bank file")
-        if len(tokens) < 3 or not (tokens[1].isdigit() and tokens[2].isdigit()):
-            raise ValueError(f"{path}: BSIF header needs two decimal integers "
-                             f"(filters, size), got {b' '.join(tokens[1:3])!r}")
-        n, size = int(tokens[1]), int(tokens[2])
-        # a cut inside the last coefficient still leaves a number to parse
-        if tokens[-1] != b"END":
-            raise ValueError(f"{path}: BSIF file has no END line, so it is "
-                             "truncated")
+        """A cut or corrupt file raises GradcoreError, a valid MKPT3 file with
+        anything but one (n, k, k) tensor ``bsif`` ValueError, naming ``path``."""
+        tensors = gc.ParamStore.load(path).tensors
         try:
-            vals = np.array([float(v) for v in tokens[3:-1]], dtype=np.float64)
+            if list(tensors) != ["bsif"]:
+                raise ValueError(f"holds {sorted(tensors)}, not one tensor 'bsif'")
+            return cls(tensors["bsif"])
         except ValueError as err:
-            raise ValueError(f"{path}: bad BSIF coefficient: {err}") from None
-        if vals.size != n * size * size:
-            raise ValueError(f"{path}: expected {n * size * size} coefficients, "
-                             f"got {vals.size}")
-        return cls(n_filters=n, size=size,
-                   coefficients=vals.reshape(n, size, size))
+            raise ValueError(f"{path}: not a BSIF filter bank: {err}") from None
 
 
 def bsif_code(image, bank: FilterBank):
@@ -150,8 +146,7 @@ def train_filterbank(patches, n_filters=8, seed=0, max_iter=500,
             break
     filters = w @ whiten
     filters -= filters.mean(axis=1, keepdims=True)  # enforce exact zero mean
-    return FilterBank(n_filters=n_filters, size=size,
-                      coefficients=filters.reshape(n_filters, size, size))
+    return FilterBank(filters.reshape(n_filters, size, size))
 
 
 def sample_patches(images, size, per_image, rng):

@@ -54,7 +54,6 @@ class TpsTransform:
     control_points: np.ndarray  # (K, 2)
     affine: np.ndarray          # (2, 3): per-axis (bias, x, y) coefficients
     kernel_weights: np.ndarray  # (K, 2)
-    regularization: float = 0.0
 
 
 def tps_fit(source, target, lam=0.0) -> TpsTransform:
@@ -84,7 +83,7 @@ def tps_fit(source, target, lam=0.0) -> TpsTransform:
     except np.linalg.LinAlgError as err:
         raise ValueError(f"singular TPS system (collinear or duplicate points): {err}")
     fit = TpsTransform(control_points=src, affine=sol[k:].T.copy(),
-                       kernel_weights=sol[:k].copy(), regularization=lam)
+                       kernel_weights=sol[:k].copy())
     if lam == 0.0:
         resid = np.abs(tps_apply(fit, src) - tgt).max()
         if resid > 1e-3:

@@ -665,14 +665,6 @@ def test_stage1_deterministic(tiny_dataset):
     assert [s.loss for s in h1] == [s.loss for s in h2]
 
 
-def test_stage1_single_class_errors(tiny_dataset):
-    rows, root = tiny_dataset
-    sub = [r for r in rows if r.subject_id == "s000"]
-    with pytest.raises(ValueError, match="2 classes"):
-        en.train_stage1(sub, root, tiny_cfg(1), en.MarginConfig(),
-                        en.LossWeights(), gc.LrSchedule(), 1, 4, 0)
-
-
 def test_stage2_zero_epochs_equals_init(tiny_dataset):
     rows, root = tiny_dataset
     cfg = train_cfg()
@@ -707,27 +699,58 @@ def test_stage2_leaves_init_unchanged(tiny_dataset):
     assert any(not np.array_equal(params[k], before[k]) for k in before.names())
 
 
-def test_stage2_runs_and_logs(tiny_dataset):
-    rows, root = tiny_dataset
-    cfg = train_cfg()
-    init = en.init_params(cfg, 15)
-    seen = []
-    params, history = en.train_stage2(
-        rows, root, cfg, en.MarginConfig(), en.LossWeights(),
-        gc.LrSchedule(initial=0.01), epochs=3, batch_size=16, seed=15,
-        init=init, log=seen.append)
-    assert len(history) == 3 and len(seen) == 3
-    assert all(np.isfinite(s.loss) for s in history)
-
-
-def _run_stage(stage, rows, root):
-    cfg = train_cfg()
+def _run_stage(stage, rows, root, cfg=None, **overrides):
+    cfg = cfg or train_cfg()
     kw = dict(margins=en.MarginConfig(), weights=en.LossWeights(),
               schedule=gc.LrSchedule(initial=0.01), epochs=1, batch_size=8,
               seed=17)
+    kw.update(overrides)
     if stage == 1:
         return en.train_stage1(rows, root, cfg, **kw)
     return en.train_stage2(rows, root, cfg, init=en.init_params(cfg, 17), **kw)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_single_class_errors(tiny_dataset, stage):
+    # two captures and one morph of s000: one class
+    rows, root = tiny_dataset
+    sub = [r for r in rows if r.subject_id == "s000"]
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        _run_stage(stage, sub, root, cfg=tiny_cfg(1))
+
+
+# 8 reals at batch 3 give stage-1 steps of 3, 3 and 2 triplets; 4 genuine
+# and 8 imposter pairs at batch 5 give stage-2 steps of 5, 4 and 3 pairs
+_UNEQUAL_STEPS = {1: (3, [3, 3, 2]), 2: (5, [5, 4, 3])}
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_training_runs_and_logs(tiny_dataset, monkeypatch, stage):
+    rows, root = tiny_dataset
+    batch_size, steps = _UNEQUAL_STEPS[stage]
+    value_and_grad = gc.value_and_grad
+    step_log = []
+
+    def recording(graph, bindings, wrt):
+        loss, grads = value_and_grad(graph, bindings, wrt)
+        n = (len(bindings["labels"]) if stage == 1
+             else len(bindings["gen_i"]) + len(bindings["imp_i"]))
+        step_log.append((loss, n))
+        return loss, grads
+
+    monkeypatch.setattr(gc, "value_and_grad", recording)
+    seen = []
+    schedule = gc.LrSchedule(initial=0.01, every=1)
+    _, history = _run_stage(stage, rows, root, schedule=schedule, epochs=3,
+                            batch_size=batch_size, log=seen.append)
+    assert seen == history and len(history) == 3
+    assert [n for _, n in step_log] == steps * 3
+    for e, stats in enumerate(history):
+        epoch_steps = step_log[e * len(steps):(e + 1) * len(steps)]
+        weighted = sum(loss * n for loss, n in epoch_steps) / sum(steps)
+        assert (stats.epoch, stats.lr) == (e, schedule.at(e))
+        assert np.isfinite(stats.loss)
+        assert stats.loss == pytest.approx(weighted, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("stage", [1, 2])

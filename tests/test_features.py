@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphkit import features as ft
+from morphkit import gradcore as gc
 
 
 def rng(seed=0):
@@ -84,9 +85,7 @@ def gradient_kernel():
 
 
 def make_bank(filters):
-    arr = np.asarray(filters, dtype=np.float64)
-    return ft.FilterBank(n_filters=arr.shape[0], size=arr.shape[1],
-                         coefficients=arr)
+    return ft.FilterBank(np.asarray(filters, dtype=np.float64))
 
 
 def test_bsif_constant_image_bin_zero():
@@ -151,7 +150,7 @@ def test_bsif_offset_invariance(seed, offset):
 
 
 def test_bsif_empty_bank_errors():
-    bank = ft.FilterBank(n_filters=0, size=3, coefficients=np.zeros((0, 3, 3)))
+    bank = ft.FilterBank(np.zeros((0, 3, 3)))
     with pytest.raises(ValueError, match="empty"):
         ft.bsif_code(np.zeros((5, 5, 3)), bank)
 
@@ -205,40 +204,63 @@ def test_ica_too_few_patches_errors():
         ft.train_filterbank(np.zeros((50, 3, 3)), n_filters=2)
 
 
+def saved_bank(tmp_path, n_filters=2):
+    filters = rng(11).normal(size=(n_filters, 3, 3))
+    bank = make_bank(filters - filters.mean(axis=(1, 2), keepdims=True))
+    bank.save(tmp_path / "bank.mkpt")
+    return bank, (tmp_path / "bank.mkpt").read_bytes()
+
+
 def test_filterbank_file_roundtrip(tmp_path):
-    r = rng(9)
-    filters = r.normal(size=(4, 3, 3))
-    filters -= filters.mean(axis=(1, 2), keepdims=True)
-    bank = make_bank(filters)
-    bank.save(tmp_path / "bank.txt")
-    loaded = ft.FilterBank.load(tmp_path / "bank.txt")
+    bank, data = saved_bank(tmp_path, n_filters=4)
+    loaded = ft.FilterBank.load(tmp_path / "bank.mkpt")
     assert loaded.n_filters == 4 and loaded.size == 3
-    assert np.array_equal(loaded.coefficients, filters)
-    header = (tmp_path / "bank.txt").read_text().split("\n")[0]
-    assert header == "BSIF 4 3"
+    assert loaded.coefficients.tobytes() == bank.coefficients.tobytes()
+    assert data.startswith(b"MKPT3")
+    loaded.save(tmp_path / "again.mkpt")
+    assert (tmp_path / "again.mkpt").read_bytes() == data
 
 
 def test_filterbank_truncated_file_names_path(tmp_path):
-    r = rng(11)
-    filters = r.normal(size=(2, 3, 3))
-    bank = make_bank(filters - filters.mean(axis=(1, 2), keepdims=True))
-    bank.save(tmp_path / "bank.txt")
-    data = (tmp_path / "bank.txt").read_bytes()
-    assert data.endswith(b"\nEND\n")
-    path = tmp_path / "cut.txt"
-    # every cut, the empty file and cuts inside a coefficient included; only
-    # the last newline may go
-    for cut in range(len(data)):
-        path.write_bytes(data[:cut])
-        if cut == len(data) - 1:
-            loaded = ft.FilterBank.load(path)
-            assert loaded.coefficients.tobytes() == bank.coefficients.tobytes()
-            continue
-        with pytest.raises(ValueError) as err:
+    _, data = saved_bank(tmp_path)
+    path = tmp_path / "cut.mkpt"
+    # every cut, the empty file included, and one trailing byte
+    for body in [data[:cut] for cut in range(len(data))] + [data + b"\0"]:
+        path.write_bytes(body)
+        with pytest.raises(gc.GradcoreError) as err:
             ft.FilterBank.load(path)
         assert str(path) in str(err.value)
 
 
+def test_filterbank_flipped_bit_names_path(tmp_path):
+    _, data = saved_bank(tmp_path)
+    path = tmp_path / "flipped.mkpt"
+    for bit in range(8 * len(data)):
+        body = bytearray(data)
+        body[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(body))
+        with pytest.raises(gc.GradcoreError) as err:
+            ft.FilterBank.load(path)
+        assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("tensors,why", [
+    ({}, "holds []"), ({"other": np.zeros((2, 3, 3))}, "holds ['other']"),
+    ({"bsif": np.zeros((2, 3, 3)), "extra": np.zeros(1)}, "holds ['bsif', 'extra']"),
+    ({"bsif": np.zeros((3, 3))}, "got (3, 3)"),
+    ({"bsif": np.zeros((2, 3, 4))}, "got (2, 3, 4)"),
+    ({"bsif": np.zeros((1, 1, 3, 3))}, "got (1, 1, 3, 3)"),
+], ids=["empty", "other-name", "extra-tensor", "2d", "not-square", "4d"])
+def test_filterbank_wrong_shape_store_names_path(tmp_path, tensors, why):
+    path = tmp_path / "store.mkpt"
+    gc.ParamStore(tensors).save(path)
+    with pytest.raises(ValueError) as err:
+        ft.FilterBank.load(path)
+    assert str(err.value).startswith(f"{path}: not a BSIF filter bank")
+    assert why in str(err.value)
+
+
+# text-format banks and other bytes that are not an MKPT3 file
 @pytest.mark.parametrize("body", [b"BSIF x 3\n0 0 0\n", b"BSIF 1 -1\n",
                                   b"BSIF 1 1\nabc\n", b"BSIF 1 1\n\xff\n",
                                   b"\xff\xfe", b"   \n\n",
@@ -249,7 +271,7 @@ def test_filterbank_truncated_file_names_path(tmp_path):
 def test_filterbank_malformed_file_names_path(tmp_path, body):
     path = tmp_path / "bad.txt"
     path.write_bytes(body)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(gc.GradcoreError, match="bad magic") as err:
         ft.FilterBank.load(path)
     assert str(path) in str(err.value)
 
