@@ -44,7 +44,11 @@ def lbp_histogram(image):
 
 @dataclass
 class FilterBank:
-    """Zero-mean linear filters for BSIF coding, shaped (n_filters, size, size)."""
+    """Zero-mean linear filters for BSIF coding, shaped (n_filters, size, size).
+
+    ``size`` is odd, so each filter has a center pixel and same-padding by
+    ``size // 2`` gives one response per pixel.
+    """
 
     coefficients: np.ndarray
 
@@ -53,6 +57,8 @@ class FilterBank:
         shape = self.coefficients.shape
         if len(shape) != 3 or shape[1] != shape[2]:
             raise ValueError(f"BSIF coefficients must be (n, k, k), got {shape}")
+        if shape[1] % 2 == 0:
+            raise ValueError(f"BSIF filter size k must be odd, got shape {shape}")
 
     @property
     def n_filters(self):
@@ -68,7 +74,8 @@ class FilterBank:
     @classmethod
     def load(cls, path):
         """A cut or corrupt file raises GradcoreError, a valid MKPT3 file with
-        anything but one (n, k, k) tensor ``bsif`` ValueError, naming ``path``."""
+        anything but one (n, k, k) tensor ``bsif`` of odd k ValueError, naming
+        ``path``."""
         tensors = gc.ParamStore.load(path).tensors
         try:
             if list(tensors) != ["bsif"]:
@@ -150,10 +157,16 @@ def train_filterbank(patches, n_filters=8, seed=0, max_iter=500,
 
 
 def sample_patches(images, size, per_image, rng):
-    """Random grayscale patches from a list of images, stacked (N, size, size)."""
+    """Random grayscale patches from a list of images, stacked (N, size, size).
+
+    A ``size`` below 1 or larger than an image raises ValueError naming both.
+    """
     out = []
     for img in images:
         g = grayscale(img)
+        if not 1 <= size <= min(g.shape):
+            raise ValueError(f"patch size {size} does not fit an image of "
+                             f"shape {np.shape(img)}")
         ys = rng.integers(0, g.shape[0] - size + 1, per_image)
         xs = rng.integers(0, g.shape[1] - size + 1, per_image)
         for y, x in zip(ys, xs):

@@ -183,20 +183,35 @@ def _bilinear_sample(image, coords):
 def warp_image(image, source_lms, target_lms, delta=None, lam=0.0):
     """Warp ``image`` so features at ``source_lms`` move to ``target_lms + delta``.
 
-    Inverse-mapped: fits a TPS from (target + delta) back to source and
-    bilinearly samples the input at each output pixel, clamping out-of-bounds
-    samples to the edge.  ``image`` is (H, W) or (H, W, C).
+    The one-image case of :func:`warp_images`.
     """
-    img = _as_image(image)
-    src = _as_landmarks(source_lms)
     tgt = _as_landmarks(target_lms)
     if delta is not None:
         tgt = tgt + _as_landmarks(delta)
-    fit = tps_fit(tgt, src, lam=lam)
-    h, w = img.shape[:2]
+    return warp_images([(image, source_lms)], tgt, lam=lam)[0]
+
+
+def warp_images(sources, target_lms, lam=0.0):
+    """Warp each ``(image, source_lms)`` so its landmarks move to ``target_lms``.
+
+    Inverse-mapped: fits one TPS per source from the target back to its
+    landmarks and bilinearly samples that image at each output pixel,
+    clamping out-of-bounds samples to the edge.  Images are (H, W) or
+    (H, W, C) and share (H, W); the pixel grid and its kernel matrix depend
+    only on the target, so they are built once for all sources.  Returns the
+    warped images in order, each byte-equal to its own :func:`warp_image`.
+    """
+    imgs = [_as_image(image) for image, _ in sources]
+    if len({img.shape[:2] for img in imgs}) != 1:
+        raise ValueError("warp_images needs one or more images sharing (H, W), "
+                         f"got shapes {[img.shape for img in imgs]}")
+    tgt = _as_landmarks(target_lms)
+    fits = [tps_fit(tgt, lms, lam=lam) for _, lms in sources]
+    h, w = imgs[0].shape[:2]
     grid = _pixel_grid(h, w)
-    coords = _tps_map(fit, grid, _grid_kernel_matrix(h, w, fit.control_points))
-    return _bilinear_sample(img, coords).reshape(img.shape)
+    u = _grid_kernel_matrix(h, w, tgt)
+    return [_bilinear_sample(img, _tps_map(fit, grid, u)).reshape(img.shape)
+            for img, fit in zip(imgs, fits)]
 
 
 def sample_perturbation(rng, variance=3.0, k=68):

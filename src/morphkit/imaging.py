@@ -181,10 +181,13 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5, alpha=0.5,
     """Landmark-based morph: warp toward averaged landmarks, then blend.
 
     Target landmarks are (1 - alpha_warp) * lms_a + alpha_warp * lms_b.  Both
-    images are warped to the target before blending.
+    images are warped to the target, in one :func:`geometry.warp_images`
+    call, before blending.
     ``splice_into`` ("a" or "b") optionally restricts the blend to the convex
     hull of the morph landmarks, keeping that source image elsewhere.
     """
+    if splice_into not in (None, "a", "b"):
+        raise ValueError(f"splice_into must be None, 'a' or 'b', got {splice_into!r}")
     img_a = np.asarray(img_a, dtype=np.float64)
     img_b = np.asarray(img_b, dtype=np.float64)
     if img_a.shape != img_b.shape:
@@ -194,8 +197,7 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5, alpha=0.5,
     if la.shape != lb.shape:
         raise ValueError("morph source landmark sets must share K")
     target = (1.0 - alpha_warp) * la + alpha_warp * lb
-    warped_a = geometry.warp_image(img_a, la, target)
-    warped_b = geometry.warp_image(img_b, lb, target)
+    warped_a, warped_b = geometry.warp_images([(img_a, la), (img_b, lb)], target)
     blended = alpha_blend(warped_a, warped_b, alpha)
     if splice_into is not None:
         base = img_a if splice_into == "a" else img_b
@@ -343,19 +345,26 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     """Generate a deterministic parametric face dataset on disk.
 
     Writes PPM images, landmark files, and ``manifest.csv`` under ``out_dir``;
-    returns the manifest rows.  Morph sources are stored in their quantized
-    on-disk form before morphing, so re-running :func:`generate_morph` from
-    the named files reproduces each stored morph exactly.
+    returns the manifest rows.  Morphs are built from the in-memory quantized
+    captures (the 8-bit arrays written as PPM, and the landmark arrays, which
+    their text files round-trip exactly), so re-running
+    :func:`generate_morph` from the named files reproduces each stored morph
+    exactly.
     """
     if config.subjects < 2:
         raise ValueError("need >= 2 subjects")
+    if config.captures < 1:
+        raise ValueError(f"SynthConfig.captures must be >= 1, got {config.captures}")
+    if config.morphs_per_subject < 0:
+        raise ValueError("SynthConfig.morphs_per_subject must be >= 0, "
+                         f"got {config.morphs_per_subject}")
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "landmarks").mkdir(parents=True, exist_ok=True)
     template = canonical_landmarks(config.size)
     rows: list[DatasetRow] = []
     subject_lms = []
-    captures = {}  # subject index -> list of (image path, lms path)
+    captures = {}  # subject index -> list of (uint8 image, landmarks)
 
     for s in range(config.subjects):
         rng = np.random.Generator(np.random.PCG64([config.seed, s]))
@@ -371,9 +380,10 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
                                             config.brightness_jitter), -1.0, 1.0)
             img_rel = f"images/{sid}_c{c}.ppm"
             lms_rel = f"landmarks/{sid}_c{c}.txt"
-            save_face(out / img_rel, img)
+            img_u8 = to_uint8(img)
+            write_ppm(out / img_rel, img_u8)
             geometry.save_landmarks(out / lms_rel, cap_lms)
-            captures[s].append((img_rel, lms_rel))
+            captures[s].append((img_u8, cap_lms))
             rows.append(DatasetRow(img_rel, sid, "real", "", "", lms_rel))
 
     morph_idx = 0
@@ -384,15 +394,11 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
             exclude_class=s)
         sid, pid = f"s{s:03d}", f"s{partner:03d}"
         for m in range(config.morphs_per_subject):
-            ca = captures[s][m % config.captures]
-            cb = captures[partner][(m + m // config.captures)
-                                   % config.captures]
-            img_a = load_face(out / ca[0])
-            lms_a = geometry.load_landmarks(out / ca[1])
-            img_b = load_face(out / cb[0])
-            lms_b = geometry.load_landmarks(out / cb[1])
-            rec = generate_morph(img_a, lms_a, img_b, lms_b,
-                                 config.alpha_warp, config.alpha_blend)
+            img_a, lms_a = captures[s][m % config.captures]
+            img_b, lms_b = captures[partner][(m + m // config.captures)
+                                             % config.captures]
+            rec = generate_morph(from_uint8(img_a), lms_a, from_uint8(img_b),
+                                 lms_b, config.alpha_warp, config.alpha_blend)
             img_rel = f"images/m{morph_idx:03d}_{sid}_{pid}.ppm"
             lms_rel = f"landmarks/m{morph_idx:03d}_{sid}_{pid}.txt"
             save_face(out / img_rel, rec.image)

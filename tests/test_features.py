@@ -155,6 +155,15 @@ def test_bsif_empty_bank_errors():
         ft.bsif_code(np.zeros((5, 5, 3)), bank)
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 4), (3, 2, 2), (1, 0, 0)])
+def test_filterbank_even_size_names_shape(shape):
+    # size // 2 same-padding of an even filter gives one response too many,
+    # which bsif_code met as numpy's bare broadcasting error
+    with pytest.raises(ValueError) as err:
+        ft.FilterBank(np.zeros(shape))
+    assert str(err.value) == f"BSIF filter size k must be odd, got shape {shape}"
+
+
 # ---------------------------------------------------------------------------
 # filter-bank training
 
@@ -204,6 +213,35 @@ def test_ica_too_few_patches_errors():
         ft.train_filterbank(np.zeros((50, 3, 3)), n_filters=2)
 
 
+def test_ica_even_patches_name_shape():
+    patches = rng(12).normal(size=(400, 4, 4))
+    with pytest.raises(ValueError, match=r"must be odd, got shape \(2, 4, 4\)"):
+        ft.train_filterbank(patches, n_filters=2, seed=0)
+
+
+def test_sample_patches_shape_and_source():
+    images = [rng(13).uniform(-1, 1, size=(9, 7, 3)), rng(14).uniform(size=(5, 6))]
+    patches = ft.sample_patches(images, 5, 4, rng(15))
+    assert patches.shape == (8, 5, 5)
+    # every patch is a window of its image's grayscale
+    for img, group in zip(images, (patches[:4], patches[4:])):
+        g = ft.grayscale(img)
+        windows = np.lib.stride_tricks.sliding_window_view(g, (5, 5))
+        for patch in group:
+            assert (windows == patch).all(axis=(2, 3)).any()
+
+
+@pytest.mark.parametrize("size", [0, -1, 6, 10])
+def test_sample_patches_size_not_fitting_names_size_and_shape(size):
+    images = [np.zeros((8, 8, 3)), np.zeros((8, 5, 3))]
+    # 6 fits the first image and not the second
+    with pytest.raises(ValueError) as err:
+        ft.sample_patches(images, size, 3, rng(16))
+    shape = (8, 8, 3) if size != 6 else (8, 5, 3)
+    assert str(err.value) == (f"patch size {size} does not fit an image of "
+                              f"shape {shape}")
+
+
 def saved_bank(tmp_path, n_filters=2):
     filters = rng(11).normal(size=(n_filters, 3, 3))
     bank = make_bank(filters - filters.mean(axis=(1, 2), keepdims=True))
@@ -250,7 +288,8 @@ def test_filterbank_flipped_bit_names_path(tmp_path):
     ({"bsif": np.zeros((3, 3))}, "got (3, 3)"),
     ({"bsif": np.zeros((2, 3, 4))}, "got (2, 3, 4)"),
     ({"bsif": np.zeros((1, 1, 3, 3))}, "got (1, 1, 3, 3)"),
-], ids=["empty", "other-name", "extra-tensor", "2d", "not-square", "4d"])
+    ({"bsif": np.zeros((2, 4, 4))}, "must be odd, got shape (2, 4, 4)"),
+], ids=["empty", "other-name", "extra-tensor", "2d", "not-square", "4d", "even"])
 def test_filterbank_wrong_shape_store_names_path(tmp_path, tensors, why):
     path = tmp_path / "store.mkpt"
     gc.ParamStore(tensors).save(path)

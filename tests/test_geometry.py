@@ -224,6 +224,48 @@ def test_grid_kernel_matrix_bit_identical_with_control_points_on_pixels():
     assert ((d * d).sum(axis=2) == 0).sum() == 5  # the last one underflows
 
 
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 60), w=st.integers(1, 60),
+       channels=st.lists(st.sampled_from([None, 1, 3]), min_size=1, max_size=3),
+       k=st.integers(3, 24), on_pixels=st.integers(0, 4),
+       lam=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+@example(h=112, w=112, channels=[3, 3], k=24, on_pixels=4, lam=0.0, seed=0)
+@example(h=7, w=1, channels=[None, 3, 1], k=3, on_pixels=1, lam=0.3, seed=1)
+def test_warp_images_bit_identical_to_one_warp_image_per_source(h, w, channels, k,
+                                                                on_pixels, lam, seed):
+    r = rng(seed)
+    # (H, W) images (None) and (H, W, C) ones, all warped onto one target
+    images = [r.uniform(-1, 1, size=(h, w) if c is None else (h, w, c))
+              for c in channels]
+    span = max(h, w)
+    tgt = r.uniform(-0.2 * span - 2, 1.2 * span + 2, size=(k, 2))
+    # some target points exactly on pixels, where r^2 = 0 in the shared kernel
+    on_pixels = min(on_pixels, k)
+    tgt[:on_pixels] = np.column_stack([r.integers(0, w, size=on_pixels),
+                                       r.integers(0, h, size=on_pixels)])
+    sources = [(img, tgt + r.normal(0, 1.5, size=tgt.shape)) for img in images]
+    try:
+        want = [geo.warp_image(img, lms, tgt, lam=lam) for img, lms in sources]
+    except ValueError:  # a collinear or near-singular fit: both must refuse it
+        with pytest.raises(ValueError, match="singular"):
+            geo.warp_images(sources, tgt, lam=lam)
+        return
+    got = geo.warp_images(sources, tgt, lam=lam)
+    assert len(got) == len(want)
+    for g, wnt in zip(got, want):
+        assert g.shape == wnt.shape
+        assert g.tobytes() == wnt.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [[(8, 8, 3), (8, 9)], [(8, 8), (9, 8, 3)], []])
+def test_warp_images_need_one_pixel_grid(shapes):
+    lms = corner_landmarks(8, 8)
+    with pytest.raises(ValueError) as err:
+        geo.warp_images([(np.zeros(shape), lms) for shape in shapes], lms)
+    assert str(err.value) == ("warp_images needs one or more images sharing "
+                              f"(H, W), got shapes {shapes}")
+
+
 @settings(max_examples=40, deadline=None)
 @given(h=st.integers(1, 40), w=st.integers(1, 40), c=st.sampled_from([1, 3]),
        layout=st.sampled_from(["c", "chw", "strided"]), seed=st.integers(0, 2**32 - 1))
@@ -285,6 +327,8 @@ def test_images_of_other_rank_rejected(monkeypatch, shape):
     lms = corner_landmarks(8, 8)
     with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
         geo.warp_image(img, lms, lms + 0.5)
+    with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
+        geo.warp_images([(np.zeros((8, 8, 3)), lms), (img, lms)], lms + 0.5)
     with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
         geo.align_face(img, lms, lms + 0.5)
     with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):

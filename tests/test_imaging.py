@@ -150,6 +150,56 @@ def test_morph_splice_keeps_background():
     assert abs(rec.image[12, 12, 0]) < 1e-9   # hull interior blended
 
 
+@pytest.mark.parametrize("splice_into", ["c", "A", "", 0, True])
+def test_morph_splice_into_other_values_rejected(splice_into):
+    # anything but None, "a" or "b" used to splice into image b
+    img = np.zeros((8, 8, 3))
+    lms = corner_landmarks(8, 8)
+    with pytest.raises(ValueError) as err:
+        im.generate_morph(img, lms, img, lms, splice_into=splice_into)
+    assert str(err.value) == ("splice_into must be None, 'a' or 'b', "
+                              f"got {splice_into!r}")
+
+
+def generate_morph_two_warps(img_a, lms_a, img_b, lms_b, alpha_warp=0.5,
+                             alpha=0.5, splice_into=None):
+    """generate_morph's body before warp_images: one warp_image per source."""
+    img_a = np.asarray(img_a, dtype=np.float64)
+    img_b = np.asarray(img_b, dtype=np.float64)
+    la = np.asarray(lms_a, dtype=np.float64)
+    lb = np.asarray(lms_b, dtype=np.float64)
+    target = (1.0 - alpha_warp) * la + alpha_warp * lb
+    warped_a = geo.warp_image(img_a, la, target)
+    warped_b = geo.warp_image(img_b, lb, target)
+    blended = im.alpha_blend(warped_a, warped_b, alpha)
+    if splice_into is not None:
+        base = img_a if splice_into == "a" else img_b
+        mask = im.face_mask(target, *img_a.shape[:2])[:, :, None]
+        blended = np.where(mask, blended, base)
+    return im.MorphRecord(image=blended, landmarks=target, alpha_warp=alpha_warp,
+                          alpha_blend=alpha)
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(8, 64), alpha_warp=st.floats(0.0, 1.0),
+       alpha=st.floats(0.0, 1.0), splice_into=st.sampled_from([None, "a", "b"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_morph_bit_identical_to_two_warp_images(size, alpha_warp, alpha,
+                                                splice_into, seed):
+    r = rng(seed)
+    lms_a = im.canonical_landmarks(size)
+    lms_b = lms_a + r.normal(0, 1.0, size=lms_a.shape)
+    lms_a = lms_a + r.normal(0, 1.0, size=lms_a.shape)
+    img_a = r.uniform(-1, 1, size=(size, size, 3))
+    img_b = r.uniform(-1, 1, size=(size, size, 3))
+    args = (img_a, lms_a, img_b, lms_b, alpha_warp, alpha, splice_into)
+    got = im.generate_morph(*args)
+    want = generate_morph_two_warps(*args)
+    assert got.image.tobytes() == want.image.tobytes()
+    assert got.landmarks.tobytes() == want.landmarks.tobytes()
+    assert (got.alpha_warp, got.alpha_blend) == (alpha_warp, alpha)
+
+
 # ---------------------------------------------------------------------------
 # triplets
 
@@ -362,3 +412,80 @@ def test_synth_values_in_range(tmp_path):
 def test_synth_single_subject_errors(tmp_path):
     with pytest.raises(ValueError, match="2 subjects"):
         im.synth_dataset(im.SynthConfig(subjects=1), tmp_path / "d")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("captures", 0), ("captures", -2), ("morphs_per_subject", -1)])
+def test_synth_bad_counts_name_field(tmp_path, field, value):
+    # captures=0 died with ZeroDivisionError in the morph loop, and
+    # morphs_per_subject=-1 silently wrote no morphs
+    cfg = im.SynthConfig(subjects=2, size=16, **{field: value})
+    with pytest.raises(ValueError) as err:
+        im.synth_dataset(cfg, tmp_path / "d")
+    bound = 1 if field == "captures" else 0
+    assert str(err.value) == (f"SynthConfig.{field} must be >= {bound}, "
+                              f"got {value}")
+    assert not (tmp_path / "d").exists()
+
+
+def synth_dataset_rereading(config, out_dir):
+    """synth_dataset as it was before it morphed from its in-memory captures:
+    each morph re-reads its two captures from the files just written, and
+    warps them with one warp_image each."""
+    out = Path(out_dir)
+    (out / "images").mkdir(parents=True, exist_ok=True)
+    (out / "landmarks").mkdir(parents=True, exist_ok=True)
+    template = im.canonical_landmarks(config.size)
+    rows = []
+    subject_lms = []
+    captures = {}
+    for s in range(config.subjects):
+        r = np.random.Generator(np.random.PCG64([config.seed, s]))
+        base, lms = im._subject_face(r, config.size, template)
+        subject_lms.append(lms)
+        sid = f"s{s:03d}"
+        captures[s] = []
+        for c in range(config.captures):
+            cap_lms = lms + r.normal(0.0, config.landmark_jitter, size=lms.shape)
+            img = geo.warp_image(base, lms, cap_lms)
+            img = np.clip(img + r.uniform(-config.brightness_jitter,
+                                          config.brightness_jitter), -1.0, 1.0)
+            img_rel = f"images/{sid}_c{c}.ppm"
+            lms_rel = f"landmarks/{sid}_c{c}.txt"
+            im.save_face(out / img_rel, img)
+            geo.save_landmarks(out / lms_rel, cap_lms)
+            captures[s].append((img_rel, lms_rel))
+            rows.append(im.DatasetRow(img_rel, sid, "real", "", "", lms_rel))
+    morph_idx = 0
+    for s in range(config.subjects):
+        partner = geo.nearest_neighbor(
+            subject_lms[s], [(subject_lms[j], j) for j in range(config.subjects)],
+            exclude_class=s)
+        sid, pid = f"s{s:03d}", f"s{partner:03d}"
+        for m in range(config.morphs_per_subject):
+            ca = captures[s][m % config.captures]
+            cb = captures[partner][(m + m // config.captures) % config.captures]
+            rec = generate_morph_two_warps(
+                im.load_face(out / ca[0]), geo.load_landmarks(out / ca[1]),
+                im.load_face(out / cb[0]), geo.load_landmarks(out / cb[1]),
+                config.alpha_warp, config.alpha_blend)
+            img_rel = f"images/m{morph_idx:03d}_{sid}_{pid}.ppm"
+            lms_rel = f"landmarks/m{morph_idx:03d}_{sid}_{pid}.txt"
+            im.save_face(out / img_rel, rec.image)
+            geo.save_landmarks(out / lms_rel, rec.landmarks)
+            rows.append(im.DatasetRow(img_rel, sid, "morph", sid, pid, lms_rel))
+            morph_idx += 1
+    im.write_manifest(out / "manifest.csv", rows)
+    return rows
+
+
+@pytest.mark.parametrize("cfg", [
+    im.SynthConfig(subjects=4, captures=2, morphs_per_subject=3, seed=17, size=32),
+    # the benchmark's set: 10 subjects x 3 captures x 2 morphs at 112 px
+    im.SynthConfig(subjects=10, captures=3, morphs_per_subject=2, seed=18, size=112),
+], ids=["32px", "112px-desk"])
+def test_synth_tree_bit_identical_to_rereading_loop(tmp_path, cfg):
+    rows = im.synth_dataset(cfg, tmp_path / "new")
+    want = synth_dataset_rereading(cfg, tmp_path / "old")
+    assert rows == want
+    assert tree_digest(tmp_path / "new") == tree_digest(tmp_path / "old")

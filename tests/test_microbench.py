@@ -1,6 +1,7 @@
-"""Micro-benchmarks of the hot spots: TPS warp, bilinear sampling, triplet
-build, neighbour search, DET curve, each desk conv layer, one batch-1 encode,
-one scored verify pair and one step of each training stage.
+"""Micro-benchmarks of the hot spots: TPS warp, one morph, the benchmark's
+synthetic set, bilinear sampling, triplet build, neighbour search, DET curve,
+each desk conv layer, one batch-1 encode, one scored verify pair and one step
+of each training stage.
 
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
 suite stays fast; ``pytest tests/test_microbench.py --benchmark-only`` prints
@@ -30,6 +31,41 @@ def test_bench_warp_image_112(benchmark):
     out = benchmark.pedantic(geo.warp_image, args=(img, lms, tgt),
                              rounds=5, iterations=1, warmup_rounds=1)
     assert out.shape == img.shape and np.isfinite(out).all()
+
+
+def test_bench_generate_morph_112(benchmark):
+    r = rng(15)
+    lms = im.canonical_landmarks(112)
+    lms_a = lms + r.normal(0, 2.0, size=lms.shape)
+    lms_b = lms + r.normal(0, 2.0, size=lms.shape)
+    img_a = r.uniform(-1, 1, size=(112, 112, 3))
+    img_b = r.uniform(-1, 1, size=(112, 112, 3))
+    rec = benchmark.pedantic(im.generate_morph, args=(img_a, lms_a, img_b, lms_b),
+                             rounds=5, iterations=1, warmup_rounds=1)
+    # the blend of the two contributors, each warped on its own
+    target = (lms_a + lms_b) / 2
+    want = im.alpha_blend(geo.warp_image(img_a, lms_a, target),
+                          geo.warp_image(img_b, lms_b, target), 0.5)
+    assert rec.image.tobytes() == want.tobytes()
+    assert np.array_equal(rec.landmarks, target)
+
+
+def test_bench_synth_dataset_desk(benchmark, tmp_path):
+    """The set-up of the ``train`` and ``verify`` benchmark workloads."""
+    cfg = im.SynthConfig(subjects=10, captures=3, morphs_per_subject=2,
+                         seed=16, size=112)
+    rows = benchmark.pedantic(im.synth_dataset, args=(cfg, tmp_path),
+                              rounds=3, iterations=1, warmup_rounds=0)
+    assert [r.kind for r in rows].count("real") == 30
+    morphs = [r for r in rows if r.kind == "morph"]
+    assert len(morphs) == 20
+    # the last morph (m = 1) is made from capture 1 of each contributor
+    m = morphs[-1]
+    sources = [(im.load_face(tmp_path / f"images/{sid}_c1.ppm"),
+                geo.load_landmarks(tmp_path / f"landmarks/{sid}_c1.txt"))
+               for sid in (m.source_a, m.source_b)]
+    rec = im.generate_morph(*sources[0], *sources[1])
+    assert np.array_equal(im.to_uint8(rec.image), im.read_ppm(tmp_path / m.path))
 
 
 def test_bench_bilinear_sample_112(benchmark):
