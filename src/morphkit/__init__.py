@@ -3,7 +3,7 @@
 Submodules:
     gradcore  - reverse-mode autodiff over dense float64 tensors
     profiling - per-node forward/backward timing of gradcore graphs
-    geometry  - landmarks, thin-plate-spline fitting/warping, alignment
+    geometry  - landmarks, thin-plate-spline fitting/warping, mining
     imaging   - face images, morph generation, triplets, synthetic datasets
     features  - LBP / BSIF / landmark-displacement descriptors
     embednet  - disentangled encoder, losses, two-stage training

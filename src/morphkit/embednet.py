@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -45,6 +46,11 @@ class EncoderConfig:
         # and written by ``config_meta`` in the form ``config_from_meta`` reads
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "strides", tuple(self.strides))
+        # every field is a size or a stride, or a tuple of them
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if min(v if isinstance(v, tuple) else (v,), default=0) < 1:
+                raise ValueError(f"EncoderConfig.{f.name} must be >= 1, got {v!r}")
         if self.channels[-1] % 2:
             raise ValueError("final conv depth must be even for the depth split")
         if len(self.channels) != len(self.strides):
@@ -349,6 +355,14 @@ class EpochStats:
     loss: float
 
 
+def _check_loop(epochs, batch_size):
+    """Reject an epoch count or batch size that ``_fit`` cannot run as asked."""
+    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _fit(graph, params, schedule, epochs, epoch_batches, log):
     """SGD over ``graph`` for both stages; returns (params, history).
 
@@ -391,6 +405,7 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     landmark file must exist, morphs included, or FileNotFoundError lists
     the missing ones.
     """
+    _check_loop(epochs, batch_size)
     root = Path(root)
     reals, faces = _load_checked(rows, root, "real")
     cmap = _class_map(reals, cfg)
@@ -448,6 +463,7 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     Every row's image and landmark file must exist, or FileNotFoundError
     lists the missing ones.
     """
+    _check_loop(epochs, batch_size)
     root = Path(root)
     reals, real_images = _load_checked(rows, root, "real")
     morphs = [r for r in rows if r.kind == "morph"]

@@ -1,4 +1,4 @@
-"""Landmark geometry: thin-plate-spline fitting/warping, mining, alignment.
+"""Landmark geometry: thin-plate-spline fitting/warping, mining, landmark files.
 
 Landmark sets are (K, 2) float64 arrays of (x, y) pixel coordinates, index
 order semantically stable (index i always names the same facial point).
@@ -10,12 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# standard 68-point anchor groups used for similarity alignment
-LEFT_EYE_IDX = tuple(range(36, 42))
-RIGHT_EYE_IDX = tuple(range(42, 48))
-MOUTH_IDX = tuple(range(48, 68))
-
 
 def _as_landmarks(lms):
     arr = np.asarray(lms, dtype=np.float64)
@@ -56,12 +50,12 @@ class TpsTransform:
     kernel_weights: np.ndarray  # (K, 2)
 
 
-def tps_fit(source, target, lam=0.0) -> TpsTransform:
+def tps_fit(source, target) -> TpsTransform:
     """Solve the TPS linear system mapping ``source`` onto ``target``.
 
-    Uses the radial kernel U(r) = r^2 log(r^2); ``lam`` regularizes the
-    kernel block.  Raises ValueError on singular systems (collinear or
-    duplicate control points).
+    Uses the radial kernel U(r) = r^2 log(r^2).  Raises ValueError on
+    singular systems (collinear or duplicate control points), and on
+    numerically singular ones whose fit misses a target by over 1e-3 px.
     """
     src = _as_landmarks(source)
     tgt = _as_landmarks(target)
@@ -70,10 +64,9 @@ def tps_fit(source, target, lam=0.0) -> TpsTransform:
         raise ValueError("source and target must have the same number of points")
     if k < 3:
         raise ValueError("TPS needs at least 3 control points")
-    kernel = _kernel_matrix(src, src) + lam * np.eye(k)
     p = np.hstack([np.ones((k, 1)), src])
     lhs = np.zeros((k + 3, k + 3))
-    lhs[:k, :k] = kernel
+    lhs[:k, :k] = _kernel_matrix(src, src)
     lhs[:k, k:] = p
     lhs[k:, :k] = p.T
     rhs = np.zeros((k + 3, 2))
@@ -84,11 +77,9 @@ def tps_fit(source, target, lam=0.0) -> TpsTransform:
         raise ValueError(f"singular TPS system (collinear or duplicate points): {err}")
     fit = TpsTransform(control_points=src, affine=sol[k:].T.copy(),
                        kernel_weights=sol[:k].copy())
-    if lam == 0.0:
-        resid = np.abs(tps_apply(fit, src) - tgt).max()
-        if resid > 1e-3:
-            raise ValueError(
-                f"numerically singular TPS system (residual {resid:.2e} px)")
+    resid = np.abs(tps_apply(fit, src) - tgt).max()
+    if resid > 1e-3:
+        raise ValueError(f"numerically singular TPS system (residual {resid:.2e} px)")
     return fit
 
 
@@ -180,7 +171,7 @@ def _bilinear_sample(image, coords):
     return top * (1 - fy) + bot * fy
 
 
-def warp_image(image, source_lms, target_lms, delta=None, lam=0.0):
+def warp_image(image, source_lms, target_lms, delta=None):
     """Warp ``image`` so features at ``source_lms`` move to ``target_lms + delta``.
 
     The one-image case of :func:`warp_images`.
@@ -188,10 +179,10 @@ def warp_image(image, source_lms, target_lms, delta=None, lam=0.0):
     tgt = _as_landmarks(target_lms)
     if delta is not None:
         tgt = tgt + _as_landmarks(delta)
-    return warp_images([(image, source_lms)], tgt, lam=lam)[0]
+    return warp_images([(image, source_lms)], tgt)[0]
 
 
-def warp_images(sources, target_lms, lam=0.0):
+def warp_images(sources, target_lms):
     """Warp each ``(image, source_lms)`` so its landmarks move to ``target_lms``.
 
     Inverse-mapped: fits one TPS per source from the target back to its
@@ -206,25 +197,12 @@ def warp_images(sources, target_lms, lam=0.0):
         raise ValueError("warp_images needs one or more images sharing (H, W), "
                          f"got shapes {[img.shape for img in imgs]}")
     tgt = _as_landmarks(target_lms)
-    fits = [tps_fit(tgt, lms, lam=lam) for _, lms in sources]
+    fits = [tps_fit(tgt, lms) for _, lms in sources]
     h, w = imgs[0].shape[:2]
     grid = _pixel_grid(h, w)
     u = _grid_kernel_matrix(h, w, tgt)
     return [_bilinear_sample(img, _tps_map(fit, grid, u)).reshape(img.shape)
             for img, fit in zip(imgs, fits)]
-
-
-def sample_perturbation(rng, variance=3.0, k=68):
-    """Draw (k, 2) i.i.d. zero-mean Gaussian landmark offsets.
-
-    ``variance`` is the distribution's variance (std = sqrt(variance));
-    0 gives exact zeros.
-    """
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
-    if variance == 0:
-        return np.zeros((k, 2))
-    return rng.normal(0.0, np.sqrt(variance), size=(k, 2))
 
 
 def nearest_neighbor(query, pool, exclude_class):
@@ -260,53 +238,6 @@ def phi_g(l, l_prime):
     if denom == 0:
         raise ValueError("degenerate landmarks: all points coincide")
     return float(np.linalg.norm(a - b) / denom)
-
-
-def _similarity_fit(src, dst):
-    """Least-squares similarity (rotation, uniform scale, translation)."""
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    sc = src - mu_s
-    dc = dst - mu_d
-    var_s = (sc * sc).sum() / src.shape[0]
-    if var_s == 0:
-        raise ValueError("degenerate landmark configuration for alignment")
-    cov = dc.T @ sc / src.shape[0]
-    u, d, vt = np.linalg.svd(cov)
-    sign = np.eye(2)
-    if np.linalg.det(u @ vt) < 0:
-        sign[1, 1] = -1.0
-    rot = u @ sign @ vt
-    scale = (d * np.diag(sign)).sum() / var_s
-    shift = mu_d - scale * rot @ mu_s
-    return scale, rot, shift
-
-
-def _anchor_points(lms):
-    if lms.shape[0] == 68:
-        return np.stack([lms[list(LEFT_EYE_IDX)].mean(axis=0),
-                         lms[list(RIGHT_EYE_IDX)].mean(axis=0),
-                         lms[list(MOUTH_IDX)].mean(axis=0)])
-    return lms
-
-
-def align_face(image, landmarks, template):
-    """Similarity-align a face so eye/mouth centers match the template.
-
-    The anchors are the standard 68-point eye/mouth group centers (all points
-    when K != 68).  Returns (aligned image, aligned landmarks).
-    """
-    lms = _as_landmarks(landmarks)
-    tpl = _as_landmarks(template)
-    scale, rot, shift = _similarity_fit(_anchor_points(lms), _anchor_points(tpl))
-    out_lms = (scale * (rot @ lms.T)).T + shift
-    img = _as_image(image)
-    h, w = img.shape[:2]
-    grid = _pixel_grid(h, w)
-    # inverse map: output pixel -> input coords
-    inv = (rot.T @ ((grid - shift) / scale).T).T
-    out_img = _bilinear_sample(img, inv).reshape(img.shape)
-    return out_img, out_lms
 
 
 def save_landmarks(path, lms):

@@ -49,7 +49,6 @@ __all__ = [
     "mul",
     "div",
     "matmul",
-    "conv2d",
     "conv_bias_relu",
     "relu",
     "exp",
@@ -186,13 +185,9 @@ def matmul(a, b):
     return Node("matmul", (a, b))
 
 
-def conv2d(x, w, stride=1, pad=0):
-    """2-D convolution (cross-correlation) of NCHW input with FCkk filters."""
-    return Node("conv2d", (x, w), stride=int(stride), pad=int(pad))
-
-
 def conv_bias_relu(x, w, b, stride=1, pad=0):
-    """``relu(conv2d(x, w, stride, pad) + b)`` as one node; ``b`` is (F, 1, 1)."""
+    """``relu(conv(x, w, stride, pad) + b)`` as one node: a 2-D convolution
+    (cross-correlation) of NCHW input with FCkk filters; ``b`` is (F, 1, 1)."""
     return Node("conv_bias_relu", (x, w, b), stride=int(stride), pad=int(pad))
 
 
@@ -377,11 +372,10 @@ def _conv2d_forward(x, w, stride, pad, cols=None):
     return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
 
 
-def _conv2d_backward(g, x, w, stride, pad, need_dx, cols=None):
+def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
     """(dx, dw); dx is None when ``need_dx`` is false.
 
-    ``cols`` holds the forward pass's im2col columns; without them they are
-    built again from ``x``.
+    ``cols`` holds the forward pass's im2col columns of ``x``.
 
     dx is built tap by tap: for each kernel offset one (N*oh*ow, F) @ (F, C)
     product is added into a zeroed NHWC padded buffer, in the same tap order
@@ -393,8 +387,6 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols=None):
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     _, _, oh, ow = g.shape
-    if cols is None:
-        cols = _im2col(x, kh, kw, stride, pad)[0]
     cols = cols.reshape(c * kh * kw, n * oh * ow)
     gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
     dw = (gm.T @ cols.T).reshape(w.shape)
@@ -424,7 +416,7 @@ def _conv_bias_relu_forward(x, w, b, stride, pad, cols=None):
     return np.maximum(out, 0.0, out=out)
 
 
-def _conv_bias_relu_backward(g, x, w, b, out, stride, pad, need_dx, cols=None):
+def _conv_bias_relu_backward(g, x, w, b, out, stride, pad, need_dx, cols):
     """(dx, dw, db) with the arithmetic of separate relu, add and conv2d rules.
 
     ``out > 0`` is relu's mask: the pre-activation is finite, so it is
@@ -573,10 +565,6 @@ _RULES = {
                                                 v[1].shape))),
     "matmul": _Rule(lambda v, p, c: _matmul(v[0], v[1]),
                     lambda g, v, *_: (g @ v[1].T, v[0].T @ g)),
-    "conv2d": _Rule(
-        lambda v, p, c: _conv2d_forward(v[0], v[1], p["stride"], p["pad"]),
-        lambda g, v, out, p, need, c: _conv2d_backward(
-            g, v[0], v[1], p["stride"], p["pad"], need_dx=need[0])),
     "conv_bias_relu": _Rule(
         lambda v, p, c: _conv_bias_relu_forward(*v, p["stride"], p["pad"], c),
         lambda g, v, out, p, need, c: _conv_bias_relu_backward(

@@ -110,14 +110,6 @@ def bilinear_resize(img, out_h, out_w):
     return out.reshape(out_h, out_w, *arr.shape[2:])
 
 
-def normalize_image(raw, size=112):
-    """8-bit RGB image -> bilinear resize to size x size, scaled to [-1, 1]."""
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
-        raise ValueError("normalize_image expects a nonempty (H, W, 3) image")
-    return bilinear_resize(arr, size, size) / 127.5 - 1.0
-
-
 def alpha_blend(a, b, alpha):
     """(1 - alpha) * a + alpha * b, clamped to [-1, 1]."""
     if not 0.0 <= alpha <= 1.0:
@@ -141,53 +133,14 @@ class MorphRecord:
     alpha_blend: float
 
 
-def _convex_hull(points):
-    """Andrew's monotone chain; returns hull vertices in CCW order."""
-    pts = sorted(map(tuple, points))
-    if len(pts) <= 2:
-        return np.asarray(pts, dtype=np.float64)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1], dtype=np.float64)
-
-
-def face_mask(landmarks, h, w):
-    """Boolean (H, W) mask of pixels inside the landmark convex hull."""
-    hull = _convex_hull(np.asarray(landmarks, dtype=np.float64))
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    inside = np.ones((h, w), dtype=bool)
-    n = len(hull)
-    for i in range(n):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        inside &= (bx - ax) * (ys - ay) - (by - ay) * (xs - ax) >= 0
-    return inside
-
-
-def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5, alpha=0.5,
-                   splice_into=None) -> MorphRecord:
+def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5,
+                   alpha=0.5) -> MorphRecord:
     """Landmark-based morph: warp toward averaged landmarks, then blend.
 
     Target landmarks are (1 - alpha_warp) * lms_a + alpha_warp * lms_b.  Both
     images are warped to the target, in one :func:`geometry.warp_images`
     call, before blending.
-    ``splice_into`` ("a" or "b") optionally restricts the blend to the convex
-    hull of the morph landmarks, keeping that source image elsewhere.
     """
-    if splice_into not in (None, "a", "b"):
-        raise ValueError(f"splice_into must be None, 'a' or 'b', got {splice_into!r}")
     img_a = np.asarray(img_a, dtype=np.float64)
     img_b = np.asarray(img_b, dtype=np.float64)
     if img_a.shape != img_b.shape:
@@ -198,17 +151,15 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5, alpha=0.5,
         raise ValueError("morph source landmark sets must share K")
     target = (1.0 - alpha_warp) * la + alpha_warp * lb
     warped_a, warped_b = geometry.warp_images([(img_a, la), (img_b, lb)], target)
-    blended = alpha_blend(warped_a, warped_b, alpha)
-    if splice_into is not None:
-        base = img_a if splice_into == "a" else img_b
-        mask = face_mask(target, *img_a.shape[:2])[:, :, None]
-        blended = np.where(mask, blended, base)
-    return MorphRecord(image=blended, landmarks=target, alpha_warp=alpha_warp,
-                       alpha_blend=alpha)
+    return MorphRecord(image=alpha_blend(warped_a, warped_b, alpha),
+                       landmarks=target, alpha_warp=alpha_warp, alpha_blend=alpha)
 
 
 # ---------------------------------------------------------------------------
 # triplets
+
+# variance of the i.i.d. Gaussian landmark offsets delta (px^2)
+DELTA_VARIANCE = 3.0
 
 
 @dataclass
@@ -225,17 +176,19 @@ class Triplet:
     delta: np.ndarray
 
 
-def build_triplet(image, lms, label, pool, rng, variance=3.0) -> Triplet:
+def build_triplet(image, lms, label, pool, rng) -> Triplet:
     """Mine the nearest other-class neighbor and warp onto its landmarks.
 
     ``pool`` entries are (image, landmarks, label); the neighbor is picked by
-    L2 landmark distance, excluding ``label``'s class.
+    L2 landmark distance, excluding ``label``'s class.  The intermediate is
+    ``image`` warped onto the neighbor's landmarks plus a delta drawn from
+    ``rng`` with variance :data:`DELTA_VARIANCE` per coordinate.
     """
     lms = np.asarray(lms, dtype=np.float64)
     idx = geometry.nearest_neighbor(
         lms, [(p[1], p[2]) for p in pool], exclude_class=label)
     other_img, other_lms, other_label = pool[idx]
-    delta = geometry.sample_perturbation(rng, variance, k=lms.shape[0])
+    delta = rng.normal(0.0, np.sqrt(DELTA_VARIANCE), size=(lms.shape[0], 2))
     intermediate = geometry.warp_image(image, lms, other_lms, delta=delta)
     return Triplet(appearance=np.asarray(image, dtype=np.float64),
                    landmark_image=np.asarray(other_img, dtype=np.float64),

@@ -779,6 +779,35 @@ def test_training_checks_manifest_files_first(tiny_dataset, tmp_path,
         assert str(root / rel) in message
 
 
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("field,value,least", [
+    ("batch_size", 0, 1), ("batch_size", -2, 1), ("batch_size", 2.0, 1),
+    ("batch_size", True, 1), ("epochs", -1, 0), ("epochs", 1.5, 0),
+    ("epochs", None, 0)])
+def test_training_rejects_bad_loop_sizes(tiny_dataset, monkeypatch, stage, field,
+                                         value, least):
+    # unchecked, batch_size 0 divides by zero, a negative batch_size trains one
+    # full batch per epoch, and epochs -1 returns untrained params
+    rows, root = tiny_dataset
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("data loaded before the loop sizes were checked")
+
+    monkeypatch.setattr(en, "_load_checked", no_load)
+    with pytest.raises(ValueError) as err:
+        _run_stage(stage, rows, root, **{field: value})
+    assert str(err.value) == f"{field} must be an integer >= {least}, got {value!r}"
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_training_zero_epochs_returns_initial_params(tiny_dataset, stage):
+    rows, root = tiny_dataset
+    params, history = _run_stage(stage, rows, root, epochs=0)
+    assert history == []
+    for name, value in en.init_params(train_cfg(), 17).tensors.items():
+        assert params.tensors[name].tobytes() == value.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -846,3 +875,18 @@ def test_config_from_meta_malformed_key_names_it(key, value):
     meta = dict(_nondefault_meta(), **{key: value})
     with pytest.raises(ValueError, match=f"'{key}={value}'"):
         en.config_from_meta(meta)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("input_size", "0"), ("in_channels", "0"), ("kernel", "0"), ("d_a", "0"),
+    ("d_g", "-4"), ("d_f", "0"), ("n_classes", "0"), ("critic_hidden", "0"),
+    ("channels", "4,0"), ("channels", "-4,8"), ("strides", "2,0"),
+    ("strides", "-1,2")])
+def test_config_from_meta_non_positive_size_names_field(field, value):
+    # unchecked, these end in numpy's OverflowError, a ZeroDivisionError or
+    # "negative dimensions" once the config is used
+    meta = dict(_nondefault_meta(), **{f"enc.{field}": value})
+    with pytest.raises(ValueError) as err:
+        en.config_from_meta(meta)
+    got = tuple(map(int, value.split(","))) if "," in value else int(value)
+    assert str(err.value) == f"EncoderConfig.{field} must be >= 1, got {got!r}"

@@ -1,4 +1,4 @@
-"""TPS fitting/warping, mining, phi_g, and alignment."""
+"""TPS fitting/warping, mining, phi_g, and landmark files."""
 
 import numpy as np
 import pytest
@@ -23,14 +23,14 @@ def random_landmarks(r, k=10, lo=0.0, hi=100.0):
 
 def test_tps_identity_fit():
     src = random_landmarks(rng(1))
-    fit = geo.tps_fit(src, src, lam=0.0)
+    fit = geo.tps_fit(src, src)
     np.testing.assert_allclose(fit.affine, [[0, 1, 0], [0, 0, 1]], atol=1e-9)
     np.testing.assert_allclose(fit.kernel_weights, 0.0, atol=1e-9)
 
 
 def test_tps_pure_translation():
     src = random_landmarks(rng(2))
-    fit = geo.tps_fit(src, src + np.array([5.0, 0.0]), lam=0.0)
+    fit = geo.tps_fit(src, src + np.array([5.0, 0.0]))
     np.testing.assert_allclose(fit.affine, [[5, 1, 0], [0, 0, 1]], atol=1e-8)
     np.testing.assert_allclose(fit.kernel_weights, 0.0, atol=1e-8)
 
@@ -39,7 +39,7 @@ def test_tps_interpolates_random_targets():
     r = rng(3)
     src = random_landmarks(r)
     tgt = random_landmarks(r)
-    fit = geo.tps_fit(src, tgt, lam=0.0)
+    fit = geo.tps_fit(src, tgt)
     np.testing.assert_allclose(geo.tps_apply(fit, src), tgt, atol=1e-6)
 
 
@@ -49,7 +49,7 @@ def test_tps_affine_reproduction():
     src = random_landmarks(r, k=15)
     a = np.array([[1.2, -0.3], [0.4, 0.9]])
     b = np.array([3.0, -7.0])
-    fit = geo.tps_fit(src, src @ a.T + b, lam=0.0)
+    fit = geo.tps_fit(src, src @ a.T + b)
     assert np.abs(fit.kernel_weights).max() <= 1e-8
     np.testing.assert_allclose(fit.affine[:, 0], b, atol=1e-7)
     np.testing.assert_allclose(fit.affine[:, 1:], a, atol=1e-8)
@@ -57,7 +57,7 @@ def test_tps_affine_reproduction():
 
 def test_tps_side_conditions():
     r = rng(5)
-    fit = geo.tps_fit(random_landmarks(r), random_landmarks(r), lam=0.0)
+    fit = geo.tps_fit(random_landmarks(r), random_landmarks(r))
     w = fit.kernel_weights
     assert np.abs(w.sum(axis=0)).max() <= 1e-8
     moments = fit.control_points.T @ w
@@ -71,7 +71,7 @@ def test_tps_exactness_sweep():
     for _ in range(100):
         src = random_landmarks(r, k=68, lo=0.0, hi=112.0)
         tgt = src + r.normal(0, 4.0, size=src.shape)
-        fit = geo.tps_fit(src, tgt, lam=0.0)
+        fit = geo.tps_fit(src, tgt)
         worst = max(worst, np.abs(geo.tps_apply(fit, src) - tgt).max())
     assert worst <= 1e-6
 
@@ -79,22 +79,22 @@ def test_tps_exactness_sweep():
 def test_tps_duplicate_points_error():
     src = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="singular"):
-        geo.tps_fit(src, src + 1.0, lam=0.0)
+        geo.tps_fit(src, src + 1.0)
 
 
 def test_tps_collinear_points_error():
     src = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(ValueError, match="singular"):
-        geo.tps_fit(src, src[::-1], lam=0.0)
+        geo.tps_fit(src, src[::-1])
 
 
 def test_tps_apply_cases():
     r = rng(7)
     src = random_landmarks(r)
-    ident = geo.tps_fit(src, src, lam=0.0)
+    ident = geo.tps_fit(src, src)
     p = np.array([12.3, 45.6])
     np.testing.assert_allclose(geo.tps_apply(ident, p), p, atol=1e-8)
-    shift = geo.tps_fit(src, src + np.array([2.0, -3.0]), lam=0.0)
+    shift = geo.tps_fit(src, src + np.array([2.0, -3.0]))
     mid = (src[0] + src[1]) / 2
     np.testing.assert_allclose(geo.tps_apply(shift, mid),
                                mid + np.array([2.0, -3.0]), atol=1e-7)
@@ -150,11 +150,11 @@ def bilinear_sample_oracle(image, coords):
     return top * (1 - fy) + bot * fy
 
 
-def warp_image_oracle(image, source_lms, target_lms, delta=None, lam=0.0):
+def warp_image_oracle(image, source_lms, target_lms, delta=None):
     """The TPS warp evaluated point by point over the whole pixel grid."""
     img = np.asarray(image, dtype=np.float64)
     tgt = target_lms if delta is None else target_lms + delta
-    fit = geo.tps_fit(tgt, source_lms, lam=lam)
+    fit = geo.tps_fit(tgt, source_lms)
     grid = pixel_grid(*img.shape[:2])
     coords = (fit.affine[:, 0] + grid @ fit.affine[:, 1:].T
               + kernel_matrix_oracle(grid, fit.control_points) @ fit.kernel_weights)
@@ -176,18 +176,14 @@ def hwc_layout(img, layout):
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 130), w=st.integers(1, 130), c=st.sampled_from([1, 3]),
        k=st.integers(3, 24), on_pixels=st.integers(0, 4),
-       use_delta=st.booleans(), lam=st.sampled_from([0.0, 0.3]),
-       layout=st.sampled_from(["c", "chw", "strided"]), seed=st.integers(0, 2**32 - 1))
-@example(h=112, w=112, c=3, k=24, on_pixels=4, use_delta=True, lam=0.0,
-         layout="chw", seed=0)
-@example(h=130, w=1, c=1, k=3, on_pixels=1, use_delta=False, lam=0.0,
-         layout="c", seed=1)
-@example(h=1, w=130, c=3, k=5, on_pixels=2, use_delta=True, lam=0.3,
-         layout="strided", seed=2)
-@example(h=1, w=1, c=1, k=3, on_pixels=1, use_delta=False, lam=0.3,
-         layout="c", seed=3)
+       use_delta=st.booleans(), layout=st.sampled_from(["c", "chw", "strided"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=112, w=112, c=3, k=24, on_pixels=4, use_delta=True, layout="chw", seed=0)
+@example(h=130, w=1, c=1, k=3, on_pixels=1, use_delta=False, layout="c", seed=1)
+@example(h=1, w=130, c=3, k=5, on_pixels=2, use_delta=True, layout="strided", seed=2)
+@example(h=1, w=1, c=1, k=3, on_pixels=1, use_delta=False, layout="c", seed=3)
 def test_warp_image_bit_identical_to_pointwise_oracle(h, w, c, k, on_pixels,
-                                                      use_delta, lam, layout, seed):
+                                                      use_delta, layout, seed):
     r = rng(seed)
     img = hwc_layout(r.uniform(-1, 1, size=(h, w, c)), layout)
     # control points of the inverse fit (target + delta) reach past the edges
@@ -202,12 +198,12 @@ def test_warp_image_bit_identical_to_pointwise_oracle(h, w, c, k, on_pixels,
     if delta is not None:
         delta[:on_pixels] = 0.0
     try:
-        want = warp_image_oracle(img, src, tgt, delta=delta, lam=lam)
+        want = warp_image_oracle(img, src, tgt, delta=delta)
     except ValueError:  # collinear or near-singular draw: both must refuse it
         with pytest.raises(ValueError, match="singular"):
-            geo.warp_image(img, src, tgt, delta=delta, lam=lam)
+            geo.warp_image(img, src, tgt, delta=delta)
         return
-    got = geo.warp_image(img, src, tgt, delta=delta, lam=lam)
+    got = geo.warp_image(img, src, tgt, delta=delta)
     assert got.shape == want.shape == img.shape
     assert got.tobytes() == want.tobytes()
 
@@ -228,11 +224,11 @@ def test_grid_kernel_matrix_bit_identical_with_control_points_on_pixels():
 @given(h=st.integers(1, 60), w=st.integers(1, 60),
        channels=st.lists(st.sampled_from([None, 1, 3]), min_size=1, max_size=3),
        k=st.integers(3, 24), on_pixels=st.integers(0, 4),
-       lam=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
-@example(h=112, w=112, channels=[3, 3], k=24, on_pixels=4, lam=0.0, seed=0)
-@example(h=7, w=1, channels=[None, 3, 1], k=3, on_pixels=1, lam=0.3, seed=1)
+       seed=st.integers(0, 2**32 - 1))
+@example(h=112, w=112, channels=[3, 3], k=24, on_pixels=4, seed=0)
+@example(h=7, w=1, channels=[None, 3, 1], k=3, on_pixels=1, seed=1)
 def test_warp_images_bit_identical_to_one_warp_image_per_source(h, w, channels, k,
-                                                                on_pixels, lam, seed):
+                                                                on_pixels, seed):
     r = rng(seed)
     # (H, W) images (None) and (H, W, C) ones, all warped onto one target
     images = [r.uniform(-1, 1, size=(h, w) if c is None else (h, w, c))
@@ -245,12 +241,12 @@ def test_warp_images_bit_identical_to_one_warp_image_per_source(h, w, channels, 
                                        r.integers(0, h, size=on_pixels)])
     sources = [(img, tgt + r.normal(0, 1.5, size=tgt.shape)) for img in images]
     try:
-        want = [geo.warp_image(img, lms, tgt, lam=lam) for img, lms in sources]
+        want = [geo.warp_image(img, lms, tgt) for img, lms in sources]
     except ValueError:  # a collinear or near-singular fit: both must refuse it
         with pytest.raises(ValueError, match="singular"):
-            geo.warp_images(sources, tgt, lam=lam)
+            geo.warp_images(sources, tgt)
         return
-    got = geo.warp_images(sources, tgt, lam=lam)
+    got = geo.warp_images(sources, tgt)
     assert len(got) == len(want)
     for g, wnt in zip(got, want):
         assert g.shape == wnt.shape
@@ -285,19 +281,14 @@ def test_bilinear_sample_bit_identical_to_oracle(h, w, c, layout, seed):
 
 @pytest.mark.parametrize("shape", [(112, 112, 3), (37, 90, 3), (5, 3, 1)])
 def test_bilinear_resize_and_align_bit_identical_to_oracle(monkeypatch, shape):
+    # the name predates the removal of geometry.align_face: this checks resizing
     r = rng(35)
     img = r.uniform(-1, 1, size=shape)
-    tpl = template68()
-    lms = tpl @ np.array([[0.9, 0.2], [-0.2, 0.9]]).T + 3.0
     got_resize = [im.bilinear_resize(img, oh, ow) for oh, ow in ((112, 112), (17, 41))]
-    got_align = geo.align_face(img, lms, tpl)
     monkeypatch.setattr(geo, "_bilinear_sample", bilinear_sample_oracle)
     want_resize = [im.bilinear_resize(img, oh, ow) for oh, ow in ((112, 112), (17, 41))]
-    want_align = geo.align_face(img, lms, tpl)
     for got, want in zip(got_resize, want_resize):
         assert got.tobytes() == want.tobytes()
-    assert got_align[0].tobytes() == want_align[0].tobytes()
-    assert got_align[1].tobytes() == want_align[1].tobytes()
 
 
 def test_two_dimensional_images_give_channel_zero():
@@ -307,8 +298,7 @@ def test_two_dimensional_images_give_channel_zero():
     src = im.canonical_landmarks(112)
     tgt = src + r.normal(0, 2.0, size=src.shape)
     pairs = [(geo.warp_image(gray, src, tgt), geo.warp_image(stacked, src, tgt)),
-             (im.bilinear_resize(gray, 50, 70), im.bilinear_resize(stacked, 50, 70)),
-             (geo.align_face(gray, tgt, src)[0], geo.align_face(stacked, tgt, src)[0])]
+             (im.bilinear_resize(gray, 50, 70), im.bilinear_resize(stacked, 50, 70))]
     for flat, full in pairs:
         assert flat.shape == full.shape[:2]
         assert flat.tobytes() == np.ascontiguousarray(full[:, :, 0]).tobytes()
@@ -329,8 +319,6 @@ def test_images_of_other_rank_rejected(monkeypatch, shape):
         geo.warp_image(img, lms, lms + 0.5)
     with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
         geo.warp_images([(np.zeros((8, 8, 3)), lms), (img, lms)], lms + 0.5)
-    with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
-        geo.align_face(img, lms, lms + 0.5)
     with pytest.raises(ValueError, match=r"\(H, W\) or \(H, W, C\)"):
         geo._bilinear_sample(img, np.zeros((3, 2)))
     if len(shape) > 1:
@@ -381,27 +369,6 @@ def test_warp_pure_translation_matches_shift_oracle():
         for x in range(8):
             ref[y, x] = img[y, max(0, min(7, x - 2))]
     np.testing.assert_allclose(out, ref, atol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# perturbations
-
-
-def test_perturbation_zero_variance():
-    out = geo.sample_perturbation(rng(0), variance=0.0, k=68)
-    np.testing.assert_array_equal(out, np.zeros((68, 2)))
-
-
-def test_perturbation_matches_requested_variance():
-    out = geo.sample_perturbation(rng(10), variance=3.0, k=50_000)
-    assert abs(out.mean()) < 0.05
-    assert abs(out.var() - 3.0) < 0.1
-
-
-def test_perturbation_deterministic():
-    a = geo.sample_perturbation(rng(11), 3.0, 68)
-    b = geo.sample_perturbation(rng(11), 3.0, 68)
-    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -489,51 +456,6 @@ def test_phi_g_displacement_formula(seed):
     d = r.normal(0, 2.0, size=l.shape)
     expect = np.linalg.norm(d) / np.linalg.norm(l - l.mean(axis=0))
     np.testing.assert_allclose(geo.phi_g(l, l + d), expect, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# alignment
-
-
-def template68(size=112.0):
-    r = rng(99)
-    return r.uniform(0.15 * size, 0.85 * size, size=(68, 2))
-
-
-def test_align_identity():
-    tpl = template68()
-    img = rng(17).uniform(-1, 1, size=(112, 112, 3))
-    out_img, out_lms = geo.align_face(img, tpl, tpl)
-    np.testing.assert_allclose(out_lms, tpl, atol=1e-9)
-    np.testing.assert_allclose(out_img, img, atol=1e-6)
-
-
-def test_align_rotated_landmarks_recovered():
-    tpl = template68()
-    c = tpl.mean(axis=0)
-    rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rotated = (rot90 @ (tpl - c).T).T + c
-    img = np.zeros((112, 112, 3))
-    _, out_lms = geo.align_face(img, rotated, tpl)
-    np.testing.assert_allclose(out_lms, tpl, atol=1e-6)
-
-
-def test_align_random_similarity_recovered():
-    r = rng(18)
-    tpl = template68()
-    ang = r.uniform(-np.pi, np.pi)
-    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-    scale = r.uniform(0.7, 1.4)
-    shift = r.uniform(-10, 10, size=2)
-    distorted = scale * (rot @ tpl.T).T + shift
-    _, out_lms = geo.align_face(np.zeros((112, 112, 3)), distorted, tpl)
-    np.testing.assert_allclose(out_lms, tpl, atol=1e-6)
-
-
-def test_align_degenerate_errors():
-    tpl = template68()
-    with pytest.raises(ValueError, match="degenerate"):
-        geo.align_face(np.zeros((4, 4, 3)), np.ones((68, 2)), tpl)
 
 
 # ---------------------------------------------------------------------------

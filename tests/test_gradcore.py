@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import morphkit.gradcore as gc
@@ -13,6 +13,32 @@ from morphkit import embednet as en
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# ---------------------------------------------------------------------------
+# a plain conv node: the oracle the fused conv_bias_relu is checked against
+
+
+def conv2d(x, w, stride=1, pad=0):
+    """2-D convolution (cross-correlation) of NCHW input with FCkk filters."""
+    return gc.Node("conv2d", (x, w), stride=int(stride), pad=int(pad))
+
+
+def _conv2d_oracle_backward(g, v, out, p, need, c):
+    # no Graph column buffer: the columns are built again from the input
+    cols = gc._im2col(v[0], *v[1].shape[2:], p["stride"], p["pad"])[0]
+    return gc._conv2d_backward(g, v[0], v[1], p["stride"], p["pad"], need[0], cols)
+
+
+_CONV2D_RULE = gc._Rule(
+    lambda v, p, c: gc._conv2d_forward(v[0], v[1], p["stride"], p["pad"]),
+    _conv2d_oracle_backward)
+
+
+@pytest.fixture
+def conv2d_rule(monkeypatch):
+    """Registers the ``conv2d`` op with the engine for one test."""
+    monkeypatch.setitem(gc._RULES, "conv2d", _CONV2D_RULE)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +134,7 @@ def test_every_public_constructor_op_has_a_rule():
     emitted = {
         "add": gc.add(x, y), "sub": gc.sub(x, y), "mul": gc.mul(x, y),
         "div": gc.div(x, y), "matmul": gc.matmul(x, y),
-        "conv2d": gc.conv2d(x, y), "conv_bias_relu": gc.conv_bias_relu(x, y, x),
+        "conv_bias_relu": gc.conv_bias_relu(x, y, x),
         "relu": gc.relu(x), "exp": gc.exp(x), "log": gc.log(x),
         "sqrt": gc.sqrt(x), "mean": gc.mean(x), "reduce_sum": gc.reduce_sum(x),
         "concat": gc.concat([x, y], 0), "slice_axis": gc.slice_axis(x, 0, 0, 1),
@@ -181,10 +207,10 @@ def test_gradient_wrt_unused_bound_leaf_is_zero():
     np.testing.assert_array_equal(grads["y"], np.zeros(2))
 
 
-def test_conv_input_gradient_computed_when_requested():
+def test_conv_input_gradient_computed_when_requested(conv2d_rule):
     r = rng(13)
     x, w = gc.leaf("x"), gc.leaf("w")
-    loss = gc.relu(gc.conv2d(x, w, stride=2, pad=1)).sum()
+    loss = gc.relu(conv2d(x, w, stride=2, pad=1)).sum()
     bindings = {"x": r.normal(size=(2, 2, 6, 5)), "w": r.normal(size=(3, 2, 3, 3))}
     assert gc.finite_difference_check(loss, bindings, ["x"], max_coords=20) <= 1e-6
     both = gc.value_and_grad(loss, bindings, ["x", "w"])[1]
@@ -305,12 +331,12 @@ def test_logmeanexp_stable_at_large_scores():
     np.testing.assert_allclose(out, expect, rtol=1e-12)
 
 
-def test_conv2d_matches_naive_loops():
+def test_conv2d_matches_naive_loops(conv2d_rule):
     r = rng(11)
     x = r.normal(size=(2, 2, 6, 5))
     w = r.normal(size=(3, 2, 3, 3))
     for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-        out = gc.evaluate(gc.conv2d(gc.leaf("x"), gc.leaf("w"), stride, pad),
+        out = gc.evaluate(conv2d(gc.leaf("x"), gc.leaf("w"), stride, pad),
                           {"x": x, "w": w})
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         oh = (x.shape[2] + 2 * pad - 3) // stride + 1
@@ -413,7 +439,7 @@ def test_conv2d_matches_rowmajor_oracle(n, c, f, h, w, k, stride, pad, need_dx,
     _assert_within_reorder_bound(out, ref, terms.transpose(0, 3, 1, 2), c * k * k)
     g = r.normal(size=ref.shape)
     dx_ref, dw_ref = _conv2d_backward_rowmajor(g, x, wt, stride, pad, need_dx)
-    dx, dw = gc._conv2d_backward(g, x, wt, stride, pad, need_dx)
+    dx, dw = gc._conv2d_backward(g, x, wt, stride, pad, need_dx, cols)
     if f > 1:
         assert dw.tobytes() == dw_ref.tobytes()
     else:
@@ -481,7 +507,7 @@ def test_conv2d_desk_layers_byte_equal_to_oracle(layer, batch):
     out = gc._conv2d_forward(x, wt, 2, 1)
     assert out.tobytes() == _conv2d_forward_rowmajor(x, wt, 2, 1).tobytes()
     g = r.normal(size=out.shape)
-    dx, dw = gc._conv2d_backward(g, x, wt, 2, 1, True)
+    dx, dw = gc._conv2d_backward(g, x, wt, 2, 1, True, gc._im2col(x, 3, 3, 2, 1)[0])
     dx_ref, dw_ref = _conv2d_backward_rowmajor(g, x, wt, 2, 1, True)
     assert dw.tobytes() == dw_ref.tobytes()
     assert dx.tobytes() == dx_ref.tobytes()
@@ -526,7 +552,7 @@ def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
 
 
 def _unfused(x, w, b, stride=1, pad=0):
-    return gc.relu(gc.conv2d(x, w, stride, pad) + b)
+    return gc.relu(conv2d(x, w, stride, pad) + b)
 
 
 def _assert_same_value_and_grad(fused, unfused, bindings, wrt):
@@ -544,14 +570,16 @@ def _two_layer_graph(layer, stride, pad):
     return gc.Graph((h * gc.leaf("r")).sum())
 
 
-@settings(max_examples=50, deadline=None)
+# the rule registration is the same for every example
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(c=st.integers(1, 4), f=st.integers(1, 5), f1=st.integers(1, 4),
        h=st.integers(1, 10), w=st.integers(1, 10), k=st.sampled_from([1, 3, 5]),
        stride=st.integers(1, 3), pad=st.integers(0, 2),
        batches=st.permutations(range(1, 17)), need_dx=st.booleans(),
        nhwc=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_conv_bias_relu_byte_equal_to_unfused(c, f, f1, h, w, k, stride, pad,
-                                             batches, need_dx, nhwc, seed):
+def test_conv_bias_relu_byte_equal_to_unfused(conv2d_rule, c, f, f1, h, w, k, stride,
+                                             pad, batches, need_dx, nhwc, seed):
     assume(h + 2 * pad >= k and w + 2 * pad >= k)
     r = rng(seed)
     params = {"w0": r.normal(size=(f, c, k, k)), "b0": r.normal(size=(f, 1, 1)),
@@ -570,7 +598,7 @@ def test_conv_bias_relu_byte_equal_to_unfused(c, f, f1, h, w, k, stride, pad,
 
 
 @pytest.mark.parametrize("stage", [1, 2])
-def test_stage_graphs_byte_equal_to_unfused_trunk(stage, monkeypatch):
+def test_stage_graphs_byte_equal_to_unfused_trunk(stage, monkeypatch, conv2d_rule):
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=40 + stage)
     build = en.stage1_graph if stage == 1 else en.stage2_graph
@@ -600,7 +628,7 @@ def test_fd_skips_probe_straddling_fused_relu_kink(monkeypatch):
 
 @pytest.mark.parametrize("wval,bval", [(1e308, 0.0), (-1e308, 0.0),
                                        (1.0, -np.inf), (1.0, np.nan)])
-def test_conv_bias_relu_nonfinite_preactivation_raises(wval, bval):
+def test_conv_bias_relu_nonfinite_preactivation_raises(wval, bval, conv2d_rule):
     # 18 products of 1e308 overflow the GEMM; relu would clamp -inf to 0
     bindings = {"x": np.ones((2, 2, 3, 3)), "w": np.full((1, 2, 3, 3), wval),
                 "b": np.full((1, 1, 1), bval)}
