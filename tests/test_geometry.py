@@ -372,6 +372,39 @@ def test_warp_pure_translation_matches_shift_oracle():
 
 
 # ---------------------------------------------------------------------------
+# landmark perturbation delta (drawn by imaging.build_triplet)
+
+
+def triplet_delta(r, pool):
+    img, lms, label = pool[0]
+    return im.build_triplet(img, lms, label, pool, r).delta
+
+
+def perturbation_pool(r, k, size=12):
+    return [(r.uniform(-0.9, 0.9, size=(size, size, 3)),
+             random_landmarks(r, k=k, hi=size - 1.0), c) for c in "ab"]
+
+
+def test_perturbation_matches_requested_variance():
+    # 125 draws of 200 landmarks: 50 000 coordinates of variance DELTA_VARIANCE
+    r = rng(10)
+    pool = perturbation_pool(r, k=200)
+    out = np.concatenate([triplet_delta(r, pool) for _ in range(125)])
+    assert out.shape == (25_000, 2)
+    assert im.DELTA_VARIANCE == 3.0
+    assert abs(out.mean()) < 0.05
+    assert abs(out.var() - 3.0) < 0.1
+
+
+def test_perturbation_deterministic():
+    pool = perturbation_pool(rng(1), k=68)
+    a = triplet_delta(rng(11), pool)
+    b = triplet_delta(rng(11), pool)
+    assert a.shape == (68, 2)
+    assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
 # nearest neighbor mining
 
 
