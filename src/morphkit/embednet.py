@@ -315,18 +315,49 @@ def to_chw(image):
 # training data plumbing
 
 
-def _load_checked(rows, root, kind):
-    """The ``kind`` rows of ``rows`` and their (H, W, 3) faces, after one
+def _load_checked(rows, root, cfg: EncoderConfig, *kinds):
+    """For each of ``kinds``, its rows of ``rows`` and their faces, held as
+    the (S, S, C) uint8 arrays of ``imaging.read_ppm``.
+
+    Training stops before it starts, not when it first reads a bad file: one
     FileNotFoundError lists every image and landmark file of ``rows`` that
-    is not under ``root``, so training stops before it starts instead of
-    when it first reads a missing file."""
+    is not under ``root``, and a face whose shape is not ``cfg``'s (S, S, C)
+    raises ValueError naming its path and both shapes.
+    """
     missing = [str(root / rel) for r in rows for rel in (r.path, r.landmarks_path)
                if not (root / rel).is_file()]
     if missing:
         raise FileNotFoundError(f"{len(missing)} manifest file(s) missing: "
                                 + ", ".join(missing))
-    kept = [r for r in rows if r.kind == kind]
-    return kept, [imaging.load_face(root / r.path) for r in kept]
+    expected = (cfg.input_size, cfg.input_size, cfg.in_channels)
+    loaded = []
+    for kind in kinds:
+        kept = [r for r in rows if r.kind == kind]
+        faces = [imaging.read_ppm(root / r.path) for r in kept]
+        for r, face in zip(kept, faces):
+            if face.shape != expected:
+                raise ValueError(f"{root / r.path}: face of shape {face.shape}, "
+                                 f"the encoder config expects {expected}")
+        loaded.append((kept, faces))
+    return loaded
+
+
+def _load_landmarks(reals, root):
+    """The landmark sets of ``reals``; a file whose landmark count K differs
+    from the first file's raises ValueError naming both paths and counts."""
+    sets = [geometry.load_landmarks(root / r.landmarks_path) for r in reals]
+    for r, lms in zip(reals, sets):
+        if len(lms) != len(sets[0]):
+            raise ValueError(f"{root / r.landmarks_path}: {len(lms)} landmarks, "
+                             f"expected {len(sets[0])} as in "
+                             f"{root / reals[0].landmarks_path}")
+    return sets
+
+
+def _float_leaf(faces):
+    """The (n, C, S, S) float64 leaf of n (S, S, C) uint8 faces, scaled by
+    ``imaging.from_uint8`` in one pass over the batch."""
+    return imaging.from_uint8(np.stack([face.transpose(2, 0, 1) for face in faces]))
 
 
 def _class_map(reals, cfg: EncoderConfig):
@@ -400,37 +431,49 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     """Triplet training of the disentangling encoder from ``init_params(cfg,
     seed)``; returns (params, history).
 
-    Triplets are rebuilt every epoch with fresh landmark perturbations; the
-    whole run is deterministic given the seed.  Every row's image and
-    landmark file must exist, morphs included, or FileNotFoundError lists
-    the missing ones.
+    Triplets are redrawn every epoch with fresh landmark perturbations; the
+    whole run is deterministic given the seed.  Faces are held as uint8, and
+    each batch's float leaves, intermediates included, are built only when
+    its step comes, so one float batch is alive at a time.  Every row's
+    image and landmark file must exist, morphs included, or
+    FileNotFoundError lists the missing ones; a face of another shape than
+    ``cfg``'s or a landmark file of another K raises ValueError first.
     """
     _check_loop(epochs, batch_size)
     root = Path(root)
-    reals, faces = _load_checked(rows, root, "real")
+    [(reals, faces)] = _load_checked(rows, root, cfg, "real")
     cmap = _class_map(reals, cfg)
-    pool = [(face, geometry.load_landmarks(root / r.landmarks_path),
-             r.subject_id) for face, r in zip(faces, reals)]
+    pool = [(lms, r.subject_id)
+            for lms, r in zip(_load_landmarks(reals, root), reals)]
     rng = np.random.Generator(np.random.PCG64([seed, 1]))
 
     def epoch_batches():
-        triplets = [imaging.build_triplet(img, lms, label, pool, rng)
-                    for img, lms, label in pool]
-        shuffled = [triplets[i] for i in rng.permutation(len(triplets))]
+        # every draw of the epoch (neighbor and delta per pool entry, in pool
+        # order, then the shuffle) comes before the first warp
+        drawn = [imaging.draw_triplet(pool, i, rng) for i in range(len(pool))]
+        shuffled = [drawn[i] for i in rng.permutation(len(drawn))]
         n_steps = max(1, math.ceil(len(shuffled) / batch_size))
         for batch in _chunks(shuffled, n_steps):
-            yield {
-                "x": np.stack([to_chw(t.appearance) for t in batch]),
-                "x_prime": np.stack([to_chw(t.landmark_image) for t in batch]),
-                "x_hat": np.stack([to_chw(t.intermediate) for t in batch]),
-                "labels": np.array([cmap[t.label_a] for t in batch], dtype=float),
-                "labels_prime": np.array([cmap[t.label_g] for t in batch],
-                                         dtype=float),
-                "phi": np.array([geometry.phi_g(t.lms_a, t.lms_g) for t in batch]),
-            }, len(batch)
+            yield _bind_stage1_batch(batch, faces, cmap), len(batch)
 
     return _fit(stage1_graph(cfg, margins, weights), init_params(cfg, seed),
                 schedule, epochs, epoch_batches, log)
+
+
+def _bind_stage1_batch(batch, faces, cmap):
+    """The stage-1 graph leaves of drawn triplets, warped from uint8 ``faces``."""
+    x = _float_leaf([faces[t.index_a] for t in batch])
+    x_hat = np.empty_like(x)
+    for out, image, t in zip(x_hat, x, batch):
+        out[...] = imaging.build_triplet(image.transpose(1, 2, 0), t).transpose(2, 0, 1)
+    return {
+        "x": x,
+        "x_prime": _float_leaf([faces[t.index_g] for t in batch]),
+        "x_hat": x_hat,
+        "labels": np.array([cmap[t.label_a] for t in batch], dtype=float),
+        "labels_prime": np.array([cmap[t.label_g] for t in batch], dtype=float),
+        "phi": np.array([geometry.phi_g(t.lms_a, t.lms_g) for t in batch]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +503,17 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
     Genuine pairs are same-subject real pairs; each epoch samples an equal
     number of cross-subject real pairs and (real, morph) pairs as imposters.
+    Faces are held as uint8 and scaled into one float batch per step.
     Every row's image and landmark file must exist, or FileNotFoundError
-    lists the missing ones.
+    lists the missing ones; a face of another shape than ``cfg``'s raises
+    ValueError.
     """
     _check_loop(epochs, batch_size)
     root = Path(root)
-    reals, real_images = _load_checked(rows, root, "real")
-    morphs = [r for r in rows if r.kind == "morph"]
+    (reals, real_faces), (morphs, morph_faces) = _load_checked(
+        rows, root, cfg, "real", "morph")
     genuine, cross = _stage2_pools(reals, morphs)
     cmap = _class_map(reals, cfg)
-    morph_images = [imaging.load_face(root / r.path) for r in morphs]
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
 
     def epoch_batches():
@@ -486,17 +530,17 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
                               math.ceil(total / batch_size)))
         for gen_batch, imp_batch in zip(_chunks(genuine, n_rounds),
                                         _chunks(imposters, n_rounds)):
-            yield (_bind_stage2_batch(gen_batch, imp_batch, reals, real_images,
-                                      morph_images, cmap),
+            yield (_bind_stage2_batch(gen_batch, imp_batch, reals, real_faces,
+                                      morph_faces, cmap),
                    len(gen_batch) + len(imp_batch))
 
     return _fit(stage2_graph(cfg, margins, weights), init.copy(), schedule,
                 epochs, epoch_batches, log)
 
 
-def _bind_stage2_batch(gen_batch, imp_batch, reals, real_images, morph_images,
+def _bind_stage2_batch(gen_batch, imp_batch, reals, real_faces, morph_faces,
                        cmap):
-    """The stage-2 graph leaves for one round of pairs."""
+    """The stage-2 graph leaves for one round of pairs, from uint8 faces."""
     unique = {}  # (is_morph, source idx) -> row in the x batch
 
     def row_of(idx, is_morph):
@@ -513,11 +557,11 @@ def _bind_stage2_batch(gen_batch, imp_batch, reals, real_images, morph_images,
         leaves[f"{side}_j"] = np.array(rows_j, dtype=np.float64)
     x, real_idx, real_labels = [], [], []
     for row, (is_morph, idx) in enumerate(unique):  # rows in insertion order
-        x.append(to_chw(morph_images[idx] if is_morph else real_images[idx]))
+        x.append(morph_faces[idx] if is_morph else real_faces[idx])
         if not is_morph:
             real_idx.append(row)
             real_labels.append(cmap[reals[idx].subject_id])
-    leaves["x"] = np.stack(x)
+    leaves["x"] = _float_leaf(x)
     leaves["real_idx"] = np.array(real_idx, dtype=np.float64)
     leaves["real_labels"] = np.array(real_labels, dtype=np.float64)
     return leaves

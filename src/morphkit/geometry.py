@@ -65,8 +65,9 @@ def tps_fit(source, target) -> TpsTransform:
     if k < 3:
         raise ValueError("TPS needs at least 3 control points")
     p = np.hstack([np.ones((k, 1)), src])
+    u = _kernel_matrix(src, src)
     lhs = np.zeros((k + 3, k + 3))
-    lhs[:k, :k] = _kernel_matrix(src, src)
+    lhs[:k, :k] = u
     lhs[:k, k:] = p
     lhs[k:, :k] = p.T
     rhs = np.zeros((k + 3, 2))
@@ -77,7 +78,7 @@ def tps_fit(source, target) -> TpsTransform:
         raise ValueError(f"singular TPS system (collinear or duplicate points): {err}")
     fit = TpsTransform(control_points=src, affine=sol[k:].T.copy(),
                        kernel_weights=sol[:k].copy())
-    resid = np.abs(tps_apply(fit, src) - tgt).max()
+    resid = np.abs(_tps_map(fit, src, u) - tgt).max()
     if resid > 1e-3:
         raise ValueError(f"numerically singular TPS system (residual {resid:.2e} px)")
     return fit

@@ -1,7 +1,9 @@
 """Face images, preprocessing, morph generation, triplets, synthetic data.
 
-A face image is an (H, W, 3) float64 array with values in [-1, 1].  Images
-are stored on disk as binary 8-bit PPM (P6); datasets are described by a CSV
+A face image is processed as an (H, W, 3) float64 array with values in
+[-1, 1].  Images are stored on disk as binary 8-bit PPM (P6), and training
+holds its faces as the (H, W, 3) uint8 arrays of :func:`read_ppm`, scaled by
+:func:`from_uint8` one batch at a time.  Datasets are described by a CSV
 manifest with columns ``path,subject_id,kind,source_a,source_b,landmarks_path``
 where kind is "real" or "morph" (source columns empty for real images).
 """
@@ -164,11 +166,11 @@ DELTA_VARIANCE = 3.0
 
 @dataclass
 class Triplet:
-    """Stage-1 training item: appearance / landmark / intermediate images."""
+    """A drawn stage-1 item: which pool entries give x_i and x'_i, their
+    labels and landmarks, and the offsets delta of x_hat_i's target."""
 
-    appearance: np.ndarray     # x_i
-    landmark_image: np.ndarray  # x'_i
-    intermediate: np.ndarray   # x_hat_i = appearance warped onto l' + delta
+    index_a: int               # pool index of x_i
+    index_g: int               # pool index of x'_i
     label_a: object            # y_i
     label_g: object            # y'_i
     lms_a: np.ndarray          # l_i
@@ -176,25 +178,29 @@ class Triplet:
     delta: np.ndarray
 
 
-def build_triplet(image, lms, label, pool, rng) -> Triplet:
-    """Mine the nearest other-class neighbor and warp onto its landmarks.
+def draw_triplet(pool, index, rng) -> Triplet:
+    """Mine the nearest other-class neighbor of ``pool[index]`` and draw delta.
 
-    ``pool`` entries are (image, landmarks, label); the neighbor is picked by
-    L2 landmark distance, excluding ``label``'s class.  The intermediate is
-    ``image`` warped onto the neighbor's landmarks plus a delta drawn from
-    ``rng`` with variance :data:`DELTA_VARIANCE` per coordinate.
+    ``pool`` entries are (landmarks, label); the neighbor is picked by L2
+    landmark distance, excluding the entry's own class.  delta is one draw
+    from ``rng`` of (K, 2) offsets with variance :data:`DELTA_VARIANCE` per
+    coordinate, and nothing else is drawn.
     """
+    lms, label = pool[index]
     lms = np.asarray(lms, dtype=np.float64)
-    idx = geometry.nearest_neighbor(
-        lms, [(p[1], p[2]) for p in pool], exclude_class=label)
-    other_img, other_lms, other_label = pool[idx]
+    neighbor = geometry.nearest_neighbor(lms, pool, exclude_class=label)
+    other_lms, other_label = pool[neighbor]
     delta = rng.normal(0.0, np.sqrt(DELTA_VARIANCE), size=(lms.shape[0], 2))
-    intermediate = geometry.warp_image(image, lms, other_lms, delta=delta)
-    return Triplet(appearance=np.asarray(image, dtype=np.float64),
-                   landmark_image=np.asarray(other_img, dtype=np.float64),
-                   intermediate=intermediate, label_a=label,
+    return Triplet(index_a=index, index_g=neighbor, label_a=label,
                    label_g=other_label, lms_a=lms,
                    lms_g=np.asarray(other_lms, dtype=np.float64), delta=delta)
+
+
+def build_triplet(image, triplet: Triplet):
+    """The intermediate x_hat_i of a drawn triplet: ``image`` (x_i as a float
+    face) warped from l_i onto l'_i + delta."""
+    return geometry.warp_image(image, triplet.lms_a, triplet.lms_g,
+                               delta=triplet.delta)
 
 
 # ---------------------------------------------------------------------------

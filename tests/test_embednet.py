@@ -1,14 +1,17 @@
 """Encoder wiring, loss values against hand oracles, and the training loops."""
 
+import dataclasses
 import math
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import morphkit.gradcore as gc
 from morphkit import embednet as en
+from morphkit import geometry as geo
 from morphkit import imaging as im
 
 
@@ -806,6 +809,166 @@ def test_training_zero_epochs_returns_initial_params(tiny_dataset, stage):
     assert history == []
     for name, value in en.init_params(train_cfg(), 17).tensors.items():
         assert params.tensors[name].tobytes() == value.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the float batch construction the uint8 path replaced, kept as its oracle:
+# float faces, every triplet of an epoch warped before its first step, and
+# each leaf a np.stack of float images
+
+
+def _oracle_stage1(rows, root, cfg, schedule, epochs, batch_size, seed):
+    reals = [r for r in rows if r.kind == "real"]
+    cmap = en._class_map(reals, cfg)
+    pool = [(im.load_face(root / r.path), geo.load_landmarks(root / r.landmarks_path),
+             r.subject_id) for r in reals]
+    rng = np.random.Generator(np.random.PCG64([seed, 1]))
+
+    def triplet(image, lms, label):
+        idx = geo.nearest_neighbor(lms, [(p[1], p[2]) for p in pool],
+                                   exclude_class=label)
+        other_image, other_lms, other_label = pool[idx]
+        delta = rng.normal(0.0, np.sqrt(3.0), size=(lms.shape[0], 2))
+        return (image, other_image,
+                geo.warp_image(image, lms, other_lms, delta=delta),
+                cmap[label], cmap[other_label], geo.phi_g(lms, other_lms))
+
+    def epoch_batches():
+        triplets = [triplet(*p) for p in pool]
+        shuffled = [triplets[i] for i in rng.permutation(len(triplets))]
+        n_steps = max(1, math.ceil(len(shuffled) / batch_size))
+        for batch in en._chunks(shuffled, n_steps):
+            x, x_prime, x_hat, labels, labels_prime, phi = zip(*batch)
+            yield {"x": np.stack([en.to_chw(v) for v in x]),
+                   "x_prime": np.stack([en.to_chw(v) for v in x_prime]),
+                   "x_hat": np.stack([en.to_chw(v) for v in x_hat]),
+                   "labels": np.array(labels, dtype=float),
+                   "labels_prime": np.array(labels_prime, dtype=float),
+                   "phi": np.array(phi)}, len(batch)
+
+    graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
+    return en._fit(graph, en.init_params(cfg, seed), schedule, epochs,
+                   epoch_batches, None)
+
+
+def _oracle_stage2(rows, root, cfg, schedule, epochs, batch_size, seed, init):
+    reals = [r for r in rows if r.kind == "real"]
+    morphs = [r for r in rows if r.kind == "morph"]
+    genuine, cross = en._stage2_pools(reals, morphs)
+    cmap = en._class_map(reals, cfg)
+    images = {False: [im.load_face(root / r.path) for r in reals],
+              True: [im.load_face(root / r.path) for r in morphs]}
+    rng = np.random.Generator(np.random.PCG64([seed, 2]))
+
+    def bind(gen_batch, imp_batch):
+        unique = {}
+        leaves = {}
+        for side, pairs in (("gen", [(i, j, False) for i, j in gen_batch]),
+                            ("imp", imp_batch)):
+            rows_ij = [(unique.setdefault((False, i), len(unique)),
+                        unique.setdefault((m, j), len(unique))) for i, j, m in pairs]
+            leaves[f"{side}_i"] = np.array([a for a, _ in rows_ij], dtype=np.float64)
+            leaves[f"{side}_j"] = np.array([b for _, b in rows_ij], dtype=np.float64)
+        leaves["x"] = np.stack([en.to_chw(images[m][idx]) for m, idx in unique])
+        real_rows = [(row, idx) for row, (m, idx) in enumerate(unique) if not m]
+        leaves["real_idx"] = np.array([row for row, _ in real_rows], dtype=np.float64)
+        leaves["real_labels"] = np.array(
+            [cmap[reals[idx].subject_id] for _, idx in real_rows], dtype=np.float64)
+        return leaves
+
+    def epoch_batches():
+        n_gen = len(genuine)
+        cross_pick = [cross[k] for k in rng.integers(0, len(cross), n_gen)]
+        rm_pick = [(int(k) % len(reals), int(k) // len(reals))
+                   for k in rng.integers(0, len(reals) * len(morphs), n_gen)]
+        imposters = ([(i, j, False) for i, j in cross_pick]
+                     + [(i, j, True) for i, j in rm_pick])
+        n_rounds = max(1, min(len(genuine), len(imposters),
+                              math.ceil((len(genuine) + len(imposters)) / batch_size)))
+        for gen_batch, imp_batch in zip(en._chunks(genuine, n_rounds),
+                                        en._chunks(imposters, n_rounds)):
+            yield bind(gen_batch, imp_batch), len(gen_batch) + len(imp_batch)
+
+    graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())
+    return en._fit(graph, init.copy(), schedule, epochs, epoch_batches, None)
+
+
+# 8 reals: stage-1 batch 4 divides them, 3 leaves a short batch; 4 genuine and
+# 8 imposter pairs: stage-2 batch 6 gives steps of 6, 6, and 5 of 5, 4, 3
+@pytest.mark.parametrize("stage,batch_size", [(1, 4), (1, 3), (2, 6), (2, 5)])
+def test_training_byte_equal_to_float_oracle(tiny_dataset, stage, batch_size):
+    rows, root = tiny_dataset
+    cfg = train_cfg()
+    schedule = gc.LrSchedule(initial=0.05)
+    params, history = _run_stage(stage, rows, root, schedule=schedule, epochs=2,
+                                 batch_size=batch_size)
+    if stage == 1:
+        want, want_history = _oracle_stage1(rows, root, cfg, schedule, 2,
+                                            batch_size, 17)
+    else:
+        want, want_history = _oracle_stage2(rows, root, cfg, schedule, 2,
+                                            batch_size, 17, en.init_params(cfg, 17))
+    assert [s.loss for s in history] == [s.loss for s in want_history]
+    init = en.init_params(cfg, 17)
+    assert any(not np.array_equal(want[k], init[k]) for k in init.names())
+    for k in want.names():
+        assert params[k].tobytes() == want[k].tobytes(), k
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("size,channels", [(24, 3), (16, 1)])
+def test_training_rejects_faces_of_another_shape(tiny_dataset, monkeypatch,
+                                                 stage, size, channels):
+    # unchecked, the encoder's reshape fails inside the graph
+    rows, root = tiny_dataset
+    cfg = dataclasses.replace(train_cfg(), input_size=size, in_channels=channels)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran before the shape check")
+
+    monkeypatch.setattr(gc, "value_and_grad", no_step)
+    first = next(r for r in rows if r.kind == "real")
+    with pytest.raises(ValueError) as err:
+        _run_stage(stage, rows, root, cfg=cfg)
+    assert str(err.value) == (f"{root / first.path}: face of shape (16, 16, 3), "
+                              f"the encoder config expects {(size, size, channels)}")
+
+
+def test_stage1_rejects_landmark_file_of_another_count(tiny_dataset, tmp_path):
+    # unchecked, neighbour mining fails on shapes (134,) and (136,)
+    rows, src = tiny_dataset
+    root = tmp_path / "set"
+    shutil.copytree(src, root)
+    first, short = [r for r in rows if r.kind == "real"][:2]
+    lines = (root / short.landmarks_path).read_text().splitlines(keepends=True)
+    (root / short.landmarks_path).write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError) as err:
+        _run_stage(1, rows, root)
+    assert str(err.value) == (f"{root / short.landmarks_path}: 67 landmarks, "
+                              f"expected 68 as in {root / first.landmarks_path}")
+
+
+def test_stage1_traced_peak_does_not_grow_with_float_faces(tmp_path):
+    # one epoch at 4 and 12 subjects, batch 4 at both: the 24 extra faces may
+    # add their uint8 bytes and landmarks, not float copies of faces and
+    # intermediates (the float path grew by ~52 float faces here)
+    peaks = {}
+    for subjects in (12, 4):
+        root = tmp_path / f"s{subjects}"
+        rows = im.synth_dataset(im.SynthConfig(subjects=subjects, captures=3,
+                                               morphs_per_subject=0, seed=7,
+                                               size=32), root)
+        cfg = en.EncoderConfig.desk(subjects, input_size=32)
+        tracemalloc.start()
+        try:
+            en.train_stage1(rows, root, cfg, en.MarginConfig(), en.LossWeights(),
+                            gc.LrSchedule(initial=0.01), epochs=1, batch_size=4,
+                            seed=1)
+            peaks[subjects] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    float_face = 32 * 32 * 3 * 8
+    assert (peaks[12] - peaks[4]) / float_face < 12
 
 
 # ---------------------------------------------------------------------------

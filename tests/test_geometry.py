@@ -88,6 +88,34 @@ def test_tps_collinear_points_error():
         geo.tps_fit(src, src[::-1])
 
 
+def test_tps_near_duplicate_points_residual_error():
+    # solvable, but the fit misses its targets by more than 1e-3 px
+    r = rng(8)
+    src = random_landmarks(r, k=10)
+    src[1] = src[0] + 1e-6
+    with pytest.raises(ValueError, match="numerically singular"):
+        geo.tps_fit(src, src + r.normal(0, 3.0, size=src.shape))
+
+
+def test_tps_fit_checks_residual_with_its_own_kernel(monkeypatch):
+    # one kernel build per fit, and the residual check maps the control
+    # points to the same bytes as tps_apply
+    r = rng(9)
+    src = random_landmarks(r, k=68, lo=0.0, hi=112.0)
+    tgt = src + r.normal(0, 4.0, size=src.shape)
+    kernels, mapped = [], []
+    kernel_matrix, tps_map = geo._kernel_matrix, geo._tps_map
+    monkeypatch.setattr(geo, "_kernel_matrix",
+                        lambda a, b: kernels.append(a) or kernel_matrix(a, b))
+    monkeypatch.setattr(geo, "_tps_map",
+                        lambda t, pts, u: mapped.append(tps_map(t, pts, u))
+                        or mapped[-1])
+    fit = geo.tps_fit(src, tgt)
+    monkeypatch.undo()
+    assert len(kernels) == 1 and len(mapped) == 1
+    assert mapped[0].tobytes() == geo.tps_apply(fit, src).tobytes()
+
+
 def test_tps_apply_cases():
     r = rng(7)
     src = random_landmarks(r)
@@ -372,17 +400,15 @@ def test_warp_pure_translation_matches_shift_oracle():
 
 
 # ---------------------------------------------------------------------------
-# landmark perturbation delta (drawn by imaging.build_triplet)
+# landmark perturbation delta (drawn by imaging.draw_triplet)
 
 
 def triplet_delta(r, pool):
-    img, lms, label = pool[0]
-    return im.build_triplet(img, lms, label, pool, r).delta
+    return im.draw_triplet(pool, 0, r).delta
 
 
 def perturbation_pool(r, k, size=12):
-    return [(r.uniform(-0.9, 0.9, size=(size, size, 3)),
-             random_landmarks(r, k=k, hi=size - 1.0), c) for c in "ab"]
+    return [(random_landmarks(r, k=k, hi=size - 1.0), c) for c in "ab"]
 
 
 def test_perturbation_matches_requested_variance():

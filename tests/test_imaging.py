@@ -144,44 +144,56 @@ def test_morph_bit_identical_to_two_warp_images(size, alpha_warp, alpha, seed):
 
 
 def make_pool(r, n=4, size=16):
-    pool = []
+    """(images, pool): float faces and the (landmarks, label) draw pool."""
+    images, pool = [], []
     for i in range(n):
-        img = r.uniform(-0.9, 0.9, size=(size, size, 3))
-        lms = corner_landmarks(size, size) + r.normal(0, 0.5, size=(5, 2))
-        pool.append((img, lms, f"c{i}"))
-    return pool
+        images.append(r.uniform(-0.9, 0.9, size=(size, size, 3)))
+        pool.append((corner_landmarks(size, size) + r.normal(0, 0.5, size=(5, 2)),
+                     f"c{i}"))
+    return images, pool
 
 
 def test_triplet_never_pairs_same_class():
     r = rng(11)
-    pool = make_pool(r)
-    t = im.build_triplet(pool[0][0], pool[0][1], "c0", pool, r)
+    _, pool = make_pool(r)
+    t = im.draw_triplet(pool, 0, r)
+    assert (t.index_a, t.label_a) == (0, "c0")
     assert t.label_g != "c0"
+    assert pool[t.index_g][1] == t.label_g
+    assert t.lms_g.tobytes() == pool[t.index_g][0].tobytes()
 
 
 def test_triplet_warp_tracks_target_landmarks():
     # the fitted warp maps l' + delta back onto l within TPS exactness
     r = rng(12)
-    pool = make_pool(r)
-    t = im.build_triplet(pool[0][0], pool[0][1], "c0", pool, r)
+    _, pool = make_pool(r)
+    t = im.draw_triplet(pool, 0, r)
     fit = geo.tps_fit(t.lms_g + t.delta, t.lms_a)
     np.testing.assert_allclose(geo.tps_apply(fit, t.lms_g + t.delta),
                                t.lms_a, atol=1e-6)
 
 
+def test_triplet_warp_is_the_warp_onto_drawn_target():
+    images, pool = make_pool(rng(15))
+    t = im.draw_triplet(pool, 2, rng(44))
+    want = geo.warp_image(images[2], pool[2][0], pool[t.index_g][0] + t.delta)
+    assert im.build_triplet(images[2], t).tobytes() == want.tobytes()
+
+
 def test_triplet_deterministic_given_seed():
-    pool = make_pool(rng(13))
-    a = im.build_triplet(pool[0][0], pool[0][1], "c0", pool, rng(42))
-    b = im.build_triplet(pool[0][0], pool[0][1], "c0", pool, rng(42))
-    assert np.array_equal(a.intermediate, b.intermediate)
-    assert np.array_equal(a.delta, b.delta)
+    images, pool = make_pool(rng(13))
+    a = im.draw_triplet(pool, 0, rng(42))
+    b = im.draw_triplet(pool, 0, rng(42))
+    assert np.array_equal(a.delta, b.delta) and a.index_g == b.index_g
+    assert np.array_equal(im.build_triplet(images[0], a),
+                          im.build_triplet(images[0], b))
 
 
 def test_triplet_delta_is_one_normal_draw_of_variance_three():
     # delta is the generator's one draw: (K, 2) offsets of variance 3 px^2
-    pool = make_pool(rng(14))
+    _, pool = make_pool(rng(14))
     r = rng(43)
-    t = im.build_triplet(pool[1][0], pool[1][1], "c1", pool, r)
+    t = im.draw_triplet(pool, 1, r)
     twin = rng(43)
     want = twin.normal(0.0, np.sqrt(3.0), size=(5, 2))
     assert t.delta.tobytes() == want.tobytes()

@@ -82,17 +82,21 @@ def test_bench_bilinear_sample_112(benchmark):
 
 
 def test_bench_build_triplet_pool_30(benchmark):
+    """One stage-1 triplet: the draw (neighbour mining and delta), then the warp."""
     r = rng(9)
     lms = im.canonical_landmarks(112)
-    pool = [(r.uniform(-1, 1, size=(112, 112, 3)),
-             lms + r.normal(0, 2.0, size=lms.shape), i // 3) for i in range(30)]
-    image, query, label = pool[0]
-    trip = benchmark.pedantic(
-        lambda: im.build_triplet(image, query, label, pool, rng(10)),
-        rounds=3, iterations=1, warmup_rounds=1)
-    assert trip.label_g != label
-    assert trip.intermediate.shape == image.shape
-    assert np.isfinite(trip.intermediate).all()
+    image = r.uniform(-1, 1, size=(112, 112, 3))
+    pool = [(lms + r.normal(0, 2.0, size=lms.shape), i // 3) for i in range(30)]
+
+    def draw_and_warp():
+        t = im.draw_triplet(pool, 0, rng(10))
+        return t, im.build_triplet(image, t)
+
+    trip, intermediate = benchmark.pedantic(draw_and_warp, rounds=3,
+                                            iterations=1, warmup_rounds=1)
+    assert trip.label_g != pool[0][1]
+    assert intermediate.shape == image.shape
+    assert np.isfinite(intermediate).all()
 
 
 def test_bench_nearest_neighbor_pool_2000(benchmark):

@@ -20,6 +20,10 @@ UNCALLED_ALLOWED = {
     # the checkpoint-meta and manifest readers the planned CLI loads runs and
     # datasets with (ROADMAP item 3)
     "embednet.config_meta", "embednet.config_from_meta", "imaging.load_manifest",
+    # looked up by name in bench/harness.py, which traces it for its
+    # ``geometry.tps_apply.s`` figure; ``tps_fit`` maps its control points
+    # through ``_tps_map`` with the kernel it already built (ROADMAP item 5)
+    "geometry.tps_apply",
 }
 
 
