@@ -399,14 +399,19 @@ def _fit(graph, params, schedule, epochs, epoch_batches, log):
 
     ``epoch_batches()`` yields ``(leaves, item_count)`` for each step of one
     epoch; an epoch's loss is the item-weighted mean of its step losses.
+    Each step computes in float32: it binds float32 copies of the params
+    and of the step's leaves, and ``value_and_grad`` hands back float64
+    gradients, which update the float64 params in place.  So the params
+    and checkpoints stay float64 (mixed-precision training, Micikevicius
+    et al., arXiv:1710.03740).
     """
     history = []
     for epoch in range(epochs):
         lr = schedule.at(epoch)
         total_loss, total_n = 0.0, 0
         for leaves, n_items in epoch_batches():
-            bindings = dict(params.tensors)
-            bindings.update(leaves)
+            bindings = {name: np.asarray(v, dtype=np.float32)
+                        for name, v in {**params.tensors, **leaves}.items()}
             loss, grads = gc.value_and_grad(graph, bindings, params.names())
             # free this batch before ``epoch_batches`` builds the next one
             del leaves, bindings

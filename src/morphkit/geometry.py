@@ -211,15 +211,21 @@ def nearest_neighbor(query, pool, exclude_class):
 
     ``pool`` is a sequence of (landmarks, class) tuples; distance is the L2
     norm of the flattened coordinate difference.  Ties resolve to the lowest
-    index.
+    index.  An entry whose landmark count K is not the query's raises
+    ValueError naming its index and both counts, before any distance.
     """
     q = _as_landmarks(query).ravel()
+    sets = [_as_landmarks(lms).ravel() for lms, _ in pool]
+    for idx, flat in enumerate(sets):
+        if flat.size != q.size:
+            raise ValueError(f"pool entry {idx} has {flat.size // 2} landmarks, "
+                             f"the query has {q.size // 2}")
     best_idx = -1
     best_dist = np.inf
-    for idx, (lms, cls) in enumerate(pool):
+    for idx, (flat, (_, cls)) in enumerate(zip(sets, pool)):
         if cls == exclude_class:
             continue
-        d = _as_landmarks(lms).ravel() - q
+        d = flat - q
         dist = np.sqrt((d * d).sum())
         if dist < best_dist:
             best_dist = dist

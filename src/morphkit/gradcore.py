@@ -1,12 +1,19 @@
-"""Minimal deterministic reverse-mode autodiff over dense float64 arrays.
+"""Minimal deterministic reverse-mode autodiff over dense float arrays.
 
 Expression graphs are built lazily from named ``leaf`` nodes and constants;
 ``evaluate`` runs a forward pass for given leaf bindings and
 ``value_and_grad`` adds a reverse pass.  Every tensor is a plain ``numpy``
-float64 array; any NaN/Inf produced by an op aborts with
-:class:`NonFiniteError`.  A forward pass sets numpy's error state once, to
-ignore floating-point warnings, and restores it when the pass returns or
-raises; the check of each op's output stands in for the warnings.
+array, and a pass computes in the float dtype of its bindings: a leaf bound
+to a float32 or float64 array keeps it as is, anything else becomes float64.
+Scalar constants are Python floats, which numpy's promotion treats as weak,
+so they never upcast a float32 pass; array constants are float64.  The
+buffers an op allocates follow its input's dtype.  ``value_and_grad``
+returns float64 gradients whatever the compute dtype, and
+``finite_difference_check``, ``ParamStore`` and ``sgd_update`` are float64
+only.  Any NaN/Inf produced by an op aborts with :class:`NonFiniteError`.
+A forward pass sets numpy's error state once, to ignore floating-point
+warnings, and restores it when the pass returns or raises; the check of
+each op's output stands in for the warnings.
 ``profile()`` times each node's rules.
 
 An op's forward, backward and kink rules live in one ``_RULES`` entry, the
@@ -19,8 +26,9 @@ channel-last (NHWC) in memory, and ``_unbroadcast`` sums in C order, so a
 bias gradient has the same bytes whatever layout its gradient arrives in.
 A :class:`Graph` owns one im2col column buffer per fused ``conv_bias_relu``
 node: ``value_and_grad`` builds the columns there in the forward pass and
-reads them back in the backward pass, and a buffer grows only when a larger
-batch arrives.  So one ``Graph`` serves one ``value_and_grad`` call at a time.
+reads them back in the backward pass, and a buffer is replaced only when a
+larger batch or another dtype arrives.  So one ``Graph`` serves one
+``value_and_grad`` call at a time.
 """
 
 from __future__ import annotations
@@ -162,6 +170,10 @@ def leaf(name: str) -> Node:
 
 
 def const(value) -> Node:
+    """A constant: a scalar is kept as a Python float, weak in numpy's type
+    promotion, so it computes in the dtype of the array it meets."""
+    if np.ndim(value) == 0:
+        return Node("const", value=float(value))
     return Node("const", value=np.asarray(value, dtype=np.float64))
 
 
@@ -288,6 +300,7 @@ def grad_scale(x, k):
 
 def _indices(v, size, op):
     """int64 indices from an index leaf; integral values in [0, size) only."""
+    v = np.asarray(v)  # a scalar const is a Python float
     idx = v.astype(np.int64)
     bad = (idx != v) | (idx < 0) | (idx >= size)
     if bad.any():
@@ -350,12 +363,13 @@ def _im2col(x, kh, kw, stride, pad, out=None):
     n, c, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     sc, sn, sh, sw = xp.strides
     windows = np.ndarray((c, kh, kw, n, oh, ow), xp.dtype, xp,
                          strides=(sc, sh, sw, sn, stride * sh, stride * sw))
-    cols = np.empty(windows.shape) if out is None else out.reshape(windows.shape)
+    cols = (np.empty(windows.shape, xp.dtype) if out is None
+            else out.reshape(windows.shape))
     np.copyto(cols, windows)
     return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
 
@@ -393,7 +407,7 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
     if not need_dx:
         return None, dw
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    dxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, c))
+    dxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), np.result_type(gm, wt))
     for ki in range(kh):
         for kj in range(kw):
             dxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
@@ -445,7 +459,7 @@ def _matmul(a, b):
 
 def _onehot_forward(v, p, c):
     lab = _indices(v[0], p["depth"], "onehot")
-    out = np.zeros((lab.shape[0], p["depth"]))
+    out = np.zeros((lab.shape[0], p["depth"]), v[0].dtype)
     out[np.arange(lab.shape[0]), lab] = 1.0
     return out
 
@@ -550,19 +564,20 @@ class _Rule:
 
 
 _RULES = {
+    # either input of a binary op may be a scalar const, a Python float
     "add": _Rule(lambda v, p, c: v[0] + v[1],
-                 lambda g, v, *_: (_unbroadcast(g, v[0].shape),
-                                   _unbroadcast(g, v[1].shape))),
+                 lambda g, v, *_: (_unbroadcast(g, np.shape(v[0])),
+                                   _unbroadcast(g, np.shape(v[1])))),
     "sub": _Rule(lambda v, p, c: v[0] - v[1],
-                 lambda g, v, *_: (_unbroadcast(g, v[0].shape),
-                                   _unbroadcast(-g, v[1].shape))),
+                 lambda g, v, *_: (_unbroadcast(g, np.shape(v[0])),
+                                   _unbroadcast(-g, np.shape(v[1])))),
     "mul": _Rule(lambda v, p, c: v[0] * v[1],
-                 lambda g, v, *_: (_unbroadcast(g * v[1], v[0].shape),
-                                   _unbroadcast(g * v[0], v[1].shape))),
+                 lambda g, v, *_: (_unbroadcast(g * v[1], np.shape(v[0])),
+                                   _unbroadcast(g * v[0], np.shape(v[1])))),
     "div": _Rule(lambda v, p, c: v[0] / v[1],
-                 lambda g, v, *_: (_unbroadcast(g / v[1], v[0].shape),
+                 lambda g, v, *_: (_unbroadcast(g / v[1], np.shape(v[0])),
                                    _unbroadcast(-g * v[0] / (v[1] * v[1]),
-                                                v[1].shape))),
+                                                np.shape(v[1])))),
     "matmul": _Rule(lambda v, p, c: _matmul(v[0], v[1]),
                     lambda g, v, *_: (g @ v[1].T, v[0].T @ g)),
     "conv_bias_relu": _Rule(
@@ -658,20 +673,25 @@ class Graph:
     def _columns(self, node, vals):
         """The column buffer of fused conv ``node`` at input values ``vals``.
 
-        A buffer is kept across calls and grown only when a larger batch
-        arrives, so a training step allocates no columns.
+        A buffer is kept across calls and reallocated only when a larger
+        batch or another dtype arrives, so a training step allocates no
+        columns.
         """
         x, w = vals[0], vals[1]
         oh, ow = _conv_out_hw(x, w, node.params["stride"], node.params["pad"])
         size = w[0].size * x.shape[0] * oh * ow
         buf = self._column_buffers.get(node.uid)
-        if buf is None or buf.size < size:
-            buf = self._column_buffers[node.uid] = np.empty(size)
+        if buf is None or buf.size < size or buf.dtype != x.dtype:
+            buf = self._column_buffers[node.uid] = np.empty(size, x.dtype)
         return buf[:size]
 
 
 def _as_graph(g):
     return g if isinstance(g, Graph) else Graph(g)
+
+
+# leaf dtypes a pass computes in; a leaf bound to anything else is float64
+_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 def _forward(nodes, bindings, kinks=None, graph=None):
@@ -683,7 +703,9 @@ def _forward(nodes, bindings, kinks=None, graph=None):
             if n.op == "leaf":
                 if n.name not in bindings:
                     raise GradcoreError(f"unbound leaf '{n.name}'")
-                v = np.asarray(bindings[n.name], dtype=np.float64)
+                v = bindings[n.name]
+                if type(v) is not np.ndarray or v.dtype not in _FLOAT_DTYPES:
+                    v = np.asarray(v, dtype=np.float64)
             elif n.op == "const":
                 v = n.params["value"]
             else:
@@ -724,7 +746,7 @@ def value_and_grad(graph, bindings, wrt):
     if len(g.outputs) != 1:
         raise GradcoreError(f"gradient requires one output, got {len(g.outputs)}")
     values = _forward(g.nodes, bindings, graph=g)
-    out = values[g.output.uid]
+    out = np.asarray(values[g.output.uid])  # a constant output is a float
     if out.size != 1:
         raise GradcoreError(f"gradient requires a scalar output, got shape {out.shape}")
     # only nodes with a path to a requested leaf carry an adjoint; the sweep
@@ -781,6 +803,8 @@ def finite_difference_check(graph, bindings, wrt, eps=1e-5,
     are probes that leave the finite domain.
     """
     g = _as_graph(graph)
+    # central differences at eps need float64, whatever dtype was bound
+    bindings = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
     _, analytic = value_and_grad(graph, bindings, wrt)
     worst = 0.0
     for name in wrt:

@@ -141,8 +141,11 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5,
 
     Target landmarks are (1 - alpha_warp) * lms_a + alpha_warp * lms_b.  Both
     images are warped to the target, in one :func:`geometry.warp_images`
-    call, before blending.
+    call, before blending.  ``alpha_warp`` outside [0, 1], or NaN, raises
+    ValueError, as ``alpha`` does in :func:`alpha_blend`.
     """
+    if not 0.0 <= alpha_warp <= 1.0:
+        raise ValueError(f"alpha_warp must lie in [0, 1], got {alpha_warp!r}")
     img_a = np.asarray(img_a, dtype=np.float64)
     img_b = np.asarray(img_b, dtype=np.float64)
     if img_a.shape != img_b.shape:

@@ -139,6 +139,22 @@ def test_encode_byte_equal_to_fresh_graph(batch, hwc):
                           fresh_graph_encode(cfg, params, x))
 
 
+def test_encode_batch1_agrees_with_batches_of_8():
+    """The bench ``verify`` check in tier-1: batch-1 embeddings of 8-bit
+    faces match batched ones (of 8, as in training) within 1e-9 x
+    max(1, max |z|).  A float32 encode misses it, by 3.7e-9 on these faces."""
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=29)
+    images = im.from_uint8(rng(30).integers(0, 256, size=(12, 3, 112, 112),
+                                            dtype=np.uint8))
+    single = np.stack([en.encode(cfg, params, x).z_f for x in images])
+    batched = np.concatenate([en.encode(cfg, params, images[i:i + 8]).z_f
+                              for i in (0, 8)])
+    assert single.dtype == batched.dtype == np.float64
+    tol = 1e-9 * max(1.0, float(np.abs(single).max()))
+    assert np.abs(batched - single).max() <= tol
+
+
 def test_encoder_graph_built_once_per_config(monkeypatch):
     calls = []
     build = en.build_encoder
@@ -735,7 +751,10 @@ def test_training_runs_and_logs(tiny_dataset, monkeypatch, stage):
     step_log = []
 
     def recording(graph, bindings, wrt):
+        # each step computes in float32 and updates float64 params
+        assert {v.dtype for v in bindings.values()} == {np.dtype(np.float32)}
         loss, grads = value_and_grad(graph, bindings, wrt)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
         n = (len(bindings["labels"]) if stage == 1
              else len(bindings["gen_i"]) + len(bindings["imp_i"]))
         step_log.append((loss, n))
@@ -744,8 +763,9 @@ def test_training_runs_and_logs(tiny_dataset, monkeypatch, stage):
     monkeypatch.setattr(gc, "value_and_grad", recording)
     seen = []
     schedule = gc.LrSchedule(initial=0.01, every=1)
-    _, history = _run_stage(stage, rows, root, schedule=schedule, epochs=3,
-                            batch_size=batch_size, log=seen.append)
+    params, history = _run_stage(stage, rows, root, schedule=schedule, epochs=3,
+                                 batch_size=batch_size, log=seen.append)
+    assert all(t.dtype == np.float64 for t in params.tensors.values())
     assert seen == history and len(history) == 3
     assert [n for _, n in step_log] == steps * 3
     for e, stats in enumerate(history):

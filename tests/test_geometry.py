@@ -459,6 +459,16 @@ def test_nn_all_same_class_errors():
         geo.nearest_neighbor(q, pool, exclude_class="a")
 
 
+def test_nn_rejects_entry_of_another_landmark_count():
+    q = random_landmarks(rng(15), k=68)
+    pool = [(q + 1.0, "a"), (q[:67].copy(), "b"), (q + 2.0, "c")]
+    # an entry of the excluded class is checked too
+    for excl in ("a", "b"):
+        with pytest.raises(ValueError,
+                           match="pool entry 1 has 67 landmarks, the query has 68"):
+            geo.nearest_neighbor(q, pool, exclude_class=excl)
+
+
 def test_nn_matches_exhaustive_oracle():
     r = rng(14)
     for trial in range(100):

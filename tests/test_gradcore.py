@@ -518,7 +518,8 @@ def _stage_bindings(stage, cfg, params, batch, seed):
     bindings = dict(params.tensors)
     images = ("x", "x_prime", "x_hat") if stage == 1 else ("x",)
     for name in images:
-        bindings[name] = r.uniform(-1, 1, size=(batch, 3, 112, 112))
+        bindings[name] = r.uniform(-1, 1, size=(batch, 3, cfg.input_size,
+                                                cfg.input_size))
     if stage == 1:
         for name in ("labels", "labels_prime"):
             bindings[name] = r.integers(0, cfg.n_classes, size=batch).astype(float)
@@ -545,6 +546,125 @@ def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
     assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
     for name in params.names():
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# compute dtype: a pass computes in the float dtype of its bindings
+
+
+def _tiny_cfg():
+    return en.EncoderConfig(input_size=16, channels=(4, 8), strides=(2, 2),
+                            d_a=8, d_g=8, d_f=16, n_classes=3, critic_hidden=6)
+
+
+def _float32(bindings):
+    """The bindings as a training step binds them (``embednet._fit``)."""
+    return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_float32_step_within_stated_bound_of_float64(stage, seed):
+    """The per-step bound of float32 training: at the same inputs, the loss
+    is within 1e-5 relative and each gradient within 1e-4 x its max |g| of
+    the float64 step."""
+    cfg = _tiny_cfg()
+    params = en.init_params(cfg, seed=60 + seed)
+    bindings = _stage_bindings(stage, cfg, params, 6, seed=70 + seed)
+    build = en.stage1_graph if stage == 1 else en.stage2_graph
+    graph = build(cfg, en.MarginConfig(), en.LossWeights())
+    names = params.names()
+    loss64, grads64 = gc.value_and_grad(graph, bindings, names)
+    loss32, grads32 = gc.value_and_grad(graph, _float32(bindings), names)
+    # the column buffers the float64 step left were replaced, not reused
+    assert all(b.dtype == np.float32 for b in graph._column_buffers.values())
+    assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
+    # d loss / d crit_*_out_b is -1 + 1: the genuine mean and the logmeanexp
+    # weights, which sum to 1, cancel, so only roundoff is left to compare
+    cancelling = {"crit_a_out_b", "crit_g_out_b"} if stage == 2 else set()
+    for name in names:
+        assert grads32[name].dtype == np.float64, name
+        err = np.abs(grads32[name] - grads64[name]).max()
+        if name in cancelling:
+            assert np.abs(grads64[name]).max() <= 1e-12 and err <= 1e-6, name
+        else:
+            assert err <= 1e-4 * np.abs(grads64[name]).max(), name
+    # the graph's column buffers followed the dtype, and back again
+    loss, grads = gc.value_and_grad(graph, bindings, names)
+    assert np.float64(loss).tobytes() == np.float64(loss64).tobytes()
+    for name in names:
+        assert grads[name].tobytes() == grads64[name].tobytes(), name
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_float32_bindings_compute_in_float32(stage, monkeypatch):
+    """No silent upcast: every forward value, the scalar consts' and the
+    onehot's products included, every gradient a backward rule returns and
+    every column buffer is float32."""
+    backward = set()
+    for op, rule in list(gc._RULES.items()):
+        def bwd(*args, _bwd=rule.bwd, _op=op):
+            grads = _bwd(*args)
+            backward.update((_op, g.dtype) for g in grads if g is not None)
+            return grads
+        monkeypatch.setitem(gc._RULES, op, replace(rule, bwd=bwd))
+    cfg = _tiny_cfg()
+    params = en.init_params(cfg, seed=80)
+    bindings = _float32(_stage_bindings(stage, cfg, params, 5, seed=81))
+    build = en.stage1_graph if stage == 1 else en.stage2_graph
+    graph = build(cfg, en.MarginConfig(), en.LossWeights())
+    values = gc._forward(graph.nodes, bindings)
+    consts = [n for n in graph.nodes if n.op == "const"]
+    assert consts and "onehot" in {n.op for n in graph.nodes}
+    # a scalar const is a Python float, weak in numpy's type promotion
+    assert all(type(values[n.uid]) is float for n in consts)
+    upcast = {n.op for n in graph.nodes
+              if n.op != "const" and values[n.uid].dtype != np.float32}
+    assert not upcast
+    gc.value_and_grad(graph, bindings, params.names())
+    assert backward and {dtype for _, dtype in backward} == {np.dtype(np.float32)}
+    assert graph._column_buffers
+    assert all(b.dtype == np.float32 for b in graph._column_buffers.values())
+
+
+def test_finite_difference_check_probes_in_float64():
+    x, w = gc.leaf("x"), gc.leaf("w")
+    loss = gc.exp(gc.matmul(x, w) * 0.3).sum()
+    r = rng(84)
+    b32 = {"x": r.normal(size=(2, 3)).astype(np.float32),
+           "w": r.normal(size=(3, 2)).astype(np.float32)}
+    b64 = {k: v.astype(np.float64) for k, v in b32.items()}
+    assert (gc.finite_difference_check(loss, b32, ["x", "w"])
+            == gc.finite_difference_check(loss, b64, ["x", "w"]))
+
+
+def test_value_and_grad_returns_float64_gradients_of_float32_bindings():
+    x, w = gc.leaf("x"), gc.leaf("w")
+    loss = (gc.matmul(x, w) * 0.5).sum()
+    r = rng(82)
+    bindings = {"x": r.normal(size=(3, 4)).astype(np.float32),
+                "w": r.normal(size=(4, 2)).astype(np.float32),
+                "unused": np.ones(5, dtype=np.float32)}
+    value, grads = gc.value_and_grad(loss, bindings, ["x", "w", "unused"])
+    assert type(value) is float
+    assert all(g.dtype == np.float64 for g in grads.values())
+    # the upcast is exact: the float32 gradient, widened
+    want = 0.5 * bindings["x"].T @ np.ones((3, 2), dtype=np.float32)
+    assert grads["w"].tobytes() == want.astype(np.float64).tobytes()
+    assert np.array_equal(grads["unused"], np.zeros(5))
+
+
+def test_value_and_grad_of_a_constant():
+    # a scalar const is a Python float, and so is a product of them
+    value, grads = gc.value_and_grad(gc.const(2.0) * 3.0, {"x": 1.0}, ["x"])
+    assert value == 6.0 and np.array_equal(grads["x"], np.zeros(()))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, ">f8"])
+def test_leaf_of_another_dtype_binds_as_float64(dtype):
+    v = np.arange(6.0).reshape(2, 3)
+    out = gc.evaluate(gc.leaf("v") * 2.0, {"v": v.astype(dtype)})
+    assert out.dtype == np.float64 and np.array_equal(out, 2.0 * v)
 
 
 # ---------------------------------------------------------------------------

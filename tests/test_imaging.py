@@ -97,6 +97,15 @@ def test_morph_symmetric_under_swap():
     np.testing.assert_allclose(fwd.landmarks, rev.landmarks, atol=1e-9)
 
 
+@pytest.mark.parametrize("alpha_warp", [2.0, -0.1, 1.0 + 1e-12, np.nan])
+def test_morph_rejects_alpha_warp_outside_unit_interval(alpha_warp):
+    r = rng(9)
+    img = r.uniform(-0.9, 0.9, size=(16, 16, 3))
+    lms = corner_landmarks(16, 16)
+    with pytest.raises(ValueError, match=r"alpha_warp must lie in \[0, 1\]"):
+        im.generate_morph(img, lms, img.copy(), lms + 1.0, alpha_warp, 0.5)
+
+
 def test_morph_values_stay_in_range():
     r = rng(8)
     img_a = r.uniform(-1, 1, size=(16, 16, 3))

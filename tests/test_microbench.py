@@ -136,7 +136,13 @@ def test_bench_det_curve_40k_tied(benchmark):
     assert curve.apcer[-1] == 1.0 and curve.bpcer[-1] == 0.0
 
 
+def _as_fit_binds(bindings):
+    """float32 copies of the bindings, as ``embednet._fit`` binds a step."""
+    return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
+
+
 def test_bench_stage1_value_and_grad_batch8(benchmark):
+    """One stage-1 step, in float32 as training runs it."""
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=3)
     r = rng(4)
@@ -149,14 +155,15 @@ def test_bench_stage1_value_and_grad_batch8(benchmark):
     bindings["phi"] = r.uniform(0.05, 0.2, size=n)
     graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = benchmark.pedantic(
-        gc.value_and_grad, args=(graph, bindings, params.names()),
+        gc.value_and_grad, args=(graph, _as_fit_binds(bindings), params.names()),
         rounds=3, iterations=1, warmup_rounds=1)
     assert np.isfinite(loss)
     assert sorted(grads) == sorted(params.names())
 
 
 def test_bench_stage2_value_and_grad_batch14(benchmark):
-    """One stage-2 step; a stage-2 round binds batches of 12-16 images."""
+    """One stage-2 step, in float32 as training runs it; a stage-2 round
+    binds batches of 12-16 images."""
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=11)
     r = rng(12)
@@ -168,7 +175,7 @@ def test_bench_stage2_value_and_grad_batch14(benchmark):
     bindings["real_labels"] = r.integers(0, 10, size=n).astype(float)
     graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = benchmark.pedantic(
-        gc.value_and_grad, args=(graph, bindings, params.names()),
+        gc.value_and_grad, args=(graph, _as_fit_binds(bindings), params.names()),
         rounds=3, iterations=1, warmup_rounds=1)
     assert np.isfinite(loss)
     assert sorted(grads) == sorted(params.names())

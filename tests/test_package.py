@@ -12,13 +12,13 @@ PYPROJECT = REPO / "pyproject.toml"
 
 # public names kept without a caller in src/ or bench/, each for a planned one
 UNCALLED_ALLOWED = {
-    # texture baselines, to be wired into the evaluation table (ROADMAP item 4)
+    # texture baselines, to be wired into the evaluation table (ROADMAP item 7)
     "features.lbp_histogram", "features.bsif_code", "features.train_filterbank",
     "features.sample_patches", "features.landmark_displacement_feature",
-    # the report and curve export of the planned CLI (ROADMAP item 3)
+    # the report and curve export of the planned CLI (ROADMAP item 6)
     "evalkit.summary_block", "evalkit.write_curve_csv",
     # the checkpoint-meta and manifest readers the planned CLI loads runs and
-    # datasets with (ROADMAP item 3)
+    # datasets with (ROADMAP item 6)
     "embednet.config_meta", "embednet.config_from_meta", "imaging.load_manifest",
     # looked up by name in bench/harness.py, which traces it for its
     # ``geometry.tps_apply.s`` figure; ``tps_fit`` maps its control points
