@@ -283,11 +283,11 @@ def _encoder_plan(cfg: EncoderConfig):
 def encode(cfg: EncoderConfig, params: gc.ParamStore, images) -> EmbeddingTriple:
     """Embed a batch (N, C, S, S) or single image (C, S, S).
 
-    C is ``cfg.in_channels`` and S is ``cfg.input_size``; any other shape
-    raises ValueError naming it.  The encoder graph and its topological
-    order are built once per config and reused.
+    C is ``cfg.in_channels`` and S is ``cfg.input_size``; any other shape,
+    or a dtype other than float, raises ValueError naming it.  The encoder
+    graph and its topological order are built once per config and reused.
     """
-    x = np.asarray(images, dtype=np.float64)
+    x = np.asarray(_float_images(images, "encode"), dtype=np.float64)
     expected = (cfg.in_channels, cfg.input_size, cfg.input_size)
     if x.shape[-3:] != expected or x.ndim not in (3, 4):
         raise ValueError(f"encode expects images of shape {expected} or a "
@@ -303,9 +303,20 @@ def encode(cfg: EncoderConfig, params: gc.ParamStore, images) -> EmbeddingTriple
     return EmbeddingTriple(z_a=va, z_g=vg, z_f=vf)
 
 
+def _float_images(images, caller):
+    """``images`` as an array, which must hold floats: 8-bit values would
+    reach the encoder at 127.5 times the scale it was trained on."""
+    arr = np.asarray(images)
+    if not np.issubdtype(arr.dtype, np.floating):
+        raise ValueError(f"{caller} expects float images in [-1, 1], got dtype "
+                         f"{arr.dtype}; scale 8-bit faces with imaging.from_uint8")
+    return arr
+
+
 def to_chw(image):
-    """(H, W, 3) image -> (3, H, W) network layout."""
-    arr = np.asarray(image, dtype=np.float64)
+    """(H, W, 3) float image -> (3, H, W) network layout; any other dtype
+    raises ValueError naming it."""
+    arr = np.asarray(_float_images(image, "to_chw"), dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"to_chw expects an (H, W, 3) image, got {arr.shape}")
     return np.transpose(arr, (2, 0, 1))
@@ -354,10 +365,15 @@ def _load_landmarks(reals, root):
     return sets
 
 
+# each 8-bit level as ``imaging.from_uint8`` scales it, rounded once to float32
+_LEVELS32 = imaging.from_uint8(np.arange(256, dtype=np.uint8)).astype(np.float32)
+
+
 def _float_leaf(faces):
-    """The (n, C, S, S) float64 leaf of n (S, S, C) uint8 faces, scaled by
-    ``imaging.from_uint8`` in one pass over the batch."""
-    return imaging.from_uint8(np.stack([face.transpose(2, 0, 1) for face in faces]))
+    """The (n, C, S, S) float32 leaf of n (S, S, C) uint8 faces: each value
+    is ``imaging.from_uint8``'s cast to float32, looked up in one table, so
+    no float64 copy of the batch is made."""
+    return _LEVELS32[np.stack([face.transpose(2, 0, 1) for face in faces])]
 
 
 def _class_map(reals, cfg: EncoderConfig):
@@ -399,11 +415,12 @@ def _fit(graph, params, schedule, epochs, epoch_batches, log):
 
     ``epoch_batches()`` yields ``(leaves, item_count)`` for each step of one
     epoch; an epoch's loss is the item-weighted mean of its step losses.
-    Each step computes in float32: it binds float32 copies of the params
-    and of the step's leaves, and ``value_and_grad`` hands back float64
-    gradients, which update the float64 params in place.  So the params
-    and checkpoints stay float64 (mixed-precision training, Micikevicius
-    et al., arXiv:1710.03740).
+    Each step computes in float32: it binds float32 copies of the params,
+    and the step's leaves as they are, since both stages build them in
+    float32.  ``value_and_grad`` hands back float64 gradients, which update
+    the float64 params in place.  So the params and checkpoints stay
+    float64 (mixed-precision training, Micikevicius et al.,
+    arXiv:1710.03740).
     """
     history = []
     for epoch in range(epochs):
@@ -438,11 +455,12 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
     Triplets are redrawn every epoch with fresh landmark perturbations; the
     whole run is deterministic given the seed.  Faces are held as uint8, and
-    each batch's float leaves, intermediates included, are built only when
-    its step comes, so one float batch is alive at a time.  Every row's
-    image and landmark file must exist, morphs included, or
-    FileNotFoundError lists the missing ones; a face of another shape than
-    ``cfg``'s or a landmark file of another K raises ValueError first.
+    each batch's float32 leaves, intermediates included, are built only when
+    its step comes, so one float32 batch is alive at a time and no float64
+    batch is built.  Every row's image and landmark file must exist, morphs
+    included, or FileNotFoundError lists the missing ones; a face of another
+    shape than ``cfg``'s or a landmark file of another K raises ValueError
+    first.
     """
     _check_loop(epochs, batch_size)
     root = Path(root)
@@ -466,18 +484,21 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
 
 def _bind_stage1_batch(batch, faces, cmap):
-    """The stage-1 graph leaves of drawn triplets, warped from uint8 ``faces``."""
+    """The float32 stage-1 graph leaves of drawn triplets, from uint8
+    ``faces``; each x_hat is warped in float64 and rounded into its slot."""
     x = _float_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
-    for out, image, t in zip(x_hat, x, batch):
-        out[...] = imaging.build_triplet(image.transpose(1, 2, 0), t).transpose(2, 0, 1)
+    for out, t in zip(x_hat, batch):
+        face = imaging.from_uint8(faces[t.index_a])
+        out[...] = imaging.build_triplet(face, t).transpose(2, 0, 1)
     return {
         "x": x,
         "x_prime": _float_leaf([faces[t.index_g] for t in batch]),
         "x_hat": x_hat,
-        "labels": np.array([cmap[t.label_a] for t in batch], dtype=float),
-        "labels_prime": np.array([cmap[t.label_g] for t in batch], dtype=float),
-        "phi": np.array([geometry.phi_g(t.lms_a, t.lms_g) for t in batch]),
+        "labels": np.array([cmap[t.label_a] for t in batch], dtype=np.float32),
+        "labels_prime": np.array([cmap[t.label_g] for t in batch], dtype=np.float32),
+        "phi": np.array([geometry.phi_g(t.lms_a, t.lms_g) for t in batch],
+                        dtype=np.float32),
     }
 
 
@@ -508,7 +529,7 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
     Genuine pairs are same-subject real pairs; each epoch samples an equal
     number of cross-subject real pairs and (real, morph) pairs as imposters.
-    Faces are held as uint8 and scaled into one float batch per step.
+    Faces are held as uint8 and scaled into one float32 batch per step.
     Every row's image and landmark file must exist, or FileNotFoundError
     lists the missing ones; a face of another shape than ``cfg``'s raises
     ValueError.
@@ -545,7 +566,8 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
 def _bind_stage2_batch(gen_batch, imp_batch, reals, real_faces, morph_faces,
                        cmap):
-    """The stage-2 graph leaves for one round of pairs, from uint8 faces."""
+    """The float32 stage-2 graph leaves for one round of pairs, from uint8
+    faces."""
     unique = {}  # (is_morph, source idx) -> row in the x batch
 
     def row_of(idx, is_morph):
@@ -558,8 +580,8 @@ def _bind_stage2_batch(gen_batch, imp_batch, reals, real_faces, morph_faces,
         for i, j, j_is_morph in pairs:
             rows_i.append(row_of(i, False))
             rows_j.append(row_of(j, j_is_morph))
-        leaves[f"{side}_i"] = np.array(rows_i, dtype=np.float64)
-        leaves[f"{side}_j"] = np.array(rows_j, dtype=np.float64)
+        leaves[f"{side}_i"] = np.array(rows_i, dtype=np.float32)
+        leaves[f"{side}_j"] = np.array(rows_j, dtype=np.float32)
     x, real_idx, real_labels = [], [], []
     for row, (is_morph, idx) in enumerate(unique):  # rows in insertion order
         x.append(morph_faces[idx] if is_morph else real_faces[idx])
@@ -567,8 +589,8 @@ def _bind_stage2_batch(gen_batch, imp_batch, reals, real_faces, morph_faces,
             real_idx.append(row)
             real_labels.append(cmap[reals[idx].subject_id])
     leaves["x"] = _float_leaf(x)
-    leaves["real_idx"] = np.array(real_idx, dtype=np.float64)
-    leaves["real_labels"] = np.array(real_labels, dtype=np.float64)
+    leaves["real_idx"] = np.array(real_idx, dtype=np.float32)
+    leaves["real_labels"] = np.array(real_labels, dtype=np.float32)
     return leaves
 
 

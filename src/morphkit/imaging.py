@@ -2,15 +2,18 @@
 
 A face image is processed as an (H, W, 3) float64 array with values in
 [-1, 1].  Images are stored on disk as binary 8-bit PPM (P6), and training
-holds its faces as the (H, W, 3) uint8 arrays of :func:`read_ppm`, scaled by
-:func:`from_uint8` one batch at a time.  Datasets are described by a CSV
-manifest with columns ``path,subject_id,kind,source_a,source_b,landmarks_path``
-where kind is "real" or "morph" (source columns empty for real images).
+holds its faces as the (H, W, 3) uint8 arrays of :func:`read_ppm`, building
+one float32 batch at a time whose values are :func:`from_uint8`'s rounded
+once.  Datasets are described by a CSV manifest with columns
+``path,subject_id,kind,source_a,source_b,landmarks_path`` where kind is
+"real" or "morph" (source columns empty for real images).
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -303,6 +306,28 @@ def _subject_face(rng, size, template):
     return np.clip(img, -0.95, 0.95), lms
 
 
+def _check_synth_config(config: SynthConfig):
+    """Raise ValueError naming the first field ``synth_dataset`` cannot use.
+
+    Below 8 px ``_subject_face`` clips every landmark into [3, size - 4], at
+    most one pixel wide.
+    """
+    for name, least in (("subjects", 2), ("captures", 1),
+                        ("morphs_per_subject", 0), ("seed", 0), ("size", 8)):
+        v = getattr(config, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+            raise ValueError(f"SynthConfig.{name} must be an integer >= {least}, "
+                             f"got {v!r}")
+    for name, high in (("landmark_jitter", math.inf), ("brightness_jitter", math.inf),
+                       ("alpha_warp", 1.0), ("alpha_blend", 1.0)):
+        v = getattr(config, name)
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not (math.isfinite(v) and 0.0 <= v <= high)):
+            rule = ">= 0" if high == math.inf else "in [0, 1]"
+            raise ValueError(f"SynthConfig.{name} must be finite and {rule}, "
+                             f"got {v!r}")
+
+
 def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     """Generate a deterministic parametric face dataset on disk.
 
@@ -311,15 +336,10 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     captures (the 8-bit arrays written as PPM, and the landmark arrays, which
     their text files round-trip exactly), so re-running
     :func:`generate_morph` from the named files reproduces each stored morph
-    exactly.
+    exactly.  A config field out of range raises ValueError naming it before
+    any directory is made.
     """
-    if config.subjects < 2:
-        raise ValueError("need >= 2 subjects")
-    if config.captures < 1:
-        raise ValueError(f"SynthConfig.captures must be >= 1, got {config.captures}")
-    if config.morphs_per_subject < 0:
-        raise ValueError("SynthConfig.morphs_per_subject must be >= 0, "
-                         f"got {config.morphs_per_subject}")
+    _check_synth_config(config)
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "landmarks").mkdir(parents=True, exist_ok=True)

@@ -137,7 +137,8 @@ def test_bench_det_curve_40k_tied(benchmark):
 
 
 def _as_fit_binds(bindings):
-    """float32 copies of the bindings, as ``embednet._fit`` binds a step."""
+    """The bindings in float32, as ``embednet._fit`` binds a step: float32
+    copies of the params, and the leaves the stages build in float32."""
     return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
 
 
