@@ -372,8 +372,14 @@ _LEVELS32 = imaging.from_uint8(np.arange(256, dtype=np.uint8)).astype(np.float32
 def _float_leaf(faces):
     """The (n, C, S, S) float32 leaf of n (S, S, C) uint8 faces: each value
     is ``imaging.from_uint8``'s cast to float32, looked up in one table, so
-    no float64 copy of the batch is made."""
-    return _LEVELS32[np.stack([face.transpose(2, 0, 1) for face in faces])]
+    no float64 copy of the batch is made.  Each face is looked up on its
+    own and written transposed into its slot of the preallocated leaf; no
+    uint8 batch and no index array of the whole batch are built."""
+    leaf = np.empty((len(faces),) + faces[0].shape[2:] + faces[0].shape[:2],
+                    np.float32)
+    for slot, face in zip(leaf, faces):
+        slot[...] = _LEVELS32.take(face).transpose(2, 0, 1)
+    return leaf
 
 
 def _class_map(reals, cfg: EncoderConfig):

@@ -111,8 +111,9 @@ def _grid_kernel_matrix(h, w, ctrl):
     On a grid (x - cx)^2 depends only on the column and (y - cy)^2 only on
     the row, so both squares come from (w, K) and (h, K) tables and r^2 costs
     one add per entry.  Blocks of whole rows, ~1024 entries each, keep the
-    temporaries in cache.  The log runs unmasked: r^2 = 0 only where a
-    control point sits on a pixel (both squares 0), and those few entries,
+    temporaries in cache.  The output is not zero-filled first: the blocks
+    write every entry.  The log runs unmasked: r^2 = 0 only where a control
+    point sits on a pixel (both squares 0), and those few entries,
     -inf * 0 = nan, are set to U(0) = 0 afterwards.
     """
     k = ctrl.shape[0]
@@ -120,7 +121,7 @@ def _grid_kernel_matrix(h, w, ctrl):
     dx2 *= dx2
     dy2 = np.arange(h, dtype=np.float64)[:, None] - ctrl[:, 1]
     dy2 *= dy2
-    out = np.zeros((h * w, k))
+    out = np.empty((h * w, k))
     step = max(1, 1024 // max(w, 1))
     buf = np.empty((step, w, k))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -156,20 +157,33 @@ def _bilinear_sample(image, coords):
     y0 = np.floor(y)
     fx = x - x0
     fy = y - y0
-    x0i = x0.astype(np.int64)
-    x1i = np.minimum(x0i + 1, w - 1)
-    y0i = y0.astype(np.int64)
-    y1i = np.minimum(y0i + 1, h - 1)
-    # the four taps are rows y * w + x of an (H * W[, C]) view
+    # the four taps are rows idx, idx + sx, idx + sy and idx + sy + sx of an
+    # (H * W[, C]) view; a step is 0 on the last row or column (edge clamp)
     flat = image.reshape(h * w, *image.shape[2:])
-    row0 = y0i * w
-    row1 = y1i * w
+    x0i = x0.astype(np.int64)
+    y0i = y0.astype(np.int64)
+    idx = y0i * w + x0i
+    sx = (x0i < w - 1).astype(np.int64)
+    sy = (y0i < h - 1) * w
     if image.ndim == 3:
         fx = fx[:, None]
         fy = fy[:, None]
-    top = flat.take(row0 + x0i, axis=0) * (1 - fx) + flat.take(row0 + x1i, axis=0) * fx
-    bot = flat.take(row1 + x0i, axis=0) * (1 - fx) + flat.take(row1 + x1i, axis=0) * fx
-    return top * (1 - fy) + bot * fy
+    gx = 1 - fx
+
+    def lerp_x(row):  # taps row and row + sx, weighted 1 - fx and fx
+        out = flat.take(row, axis=0)
+        out *= gx
+        right = flat.take(row + sx, axis=0)
+        right *= fx
+        out += right
+        return out
+
+    top = lerp_x(idx)
+    bot = lerp_x(idx + sy)
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+    return top
 
 
 def warp_image(image, source_lms, target_lms, delta=None):

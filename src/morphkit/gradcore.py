@@ -392,11 +392,18 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
     ``cols`` holds the forward pass's im2col columns of ``x``.
 
     dx is built tap by tap: for each kernel offset one (N*oh*ow, F) @ (F, C)
-    product is added into a zeroed NHWC padded buffer, in the same tap order
-    as a scatter of the full (N*oh*ow, C*kh*kw) column gradient, so each
-    element sums the same dot products in the same order.  dx is the NCHW
-    crop of that buffer, NHWC in memory like a conv output, so the layer
-    below masks and reshapes it without a copy.
+    product is added into the padded NHWC gradient, in the same tap order as
+    a scatter of the full (N*oh*ow, C*kh*kw) column gradient, so each
+    element sums the same dot products in the same order.  The padded
+    gradient is held as s x s stride-phase planes of zeros: padded pixel
+    (r, q) is pixel (r // s, q // s) of plane (r % s, q % s), so tap
+    (ki, kj) lands in plane (ki % s, kj % s) at offset (ki // s, kj // s)
+    with unit steps, and each add runs over whole rows instead of C floats
+    at a time (the phase split of a strided transposed convolution, Shi et
+    al., arXiv:1609.05158).  One copy of the transposed planes interleaves
+    them into a C-contiguous padded buffer, and dx is its NCHW crop, NHWC in
+    memory like a conv output, so the layer below masks and reshapes it
+    without a copy.
     """
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
@@ -407,11 +414,16 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
     if not need_dx:
         return None, dw
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    dxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), np.result_type(gm, wt))
+    s = stride
+    ph, pw = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
+    planes = np.zeros((s, s, n, ph, pw, c), np.result_type(gm, wt))
     for ki in range(kh):
         for kj in range(kw):
-            dxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+            i0, j0 = ki // s, kj // s
+            planes[ki % s, kj % s, :, i0:i0 + oh, j0:j0 + ow] += \
                 (gm @ wt[ki, kj]).reshape(n, oh, ow, c)
+    dxp = np.empty((n, ph * s, pw * s, c), planes.dtype)
+    dxp.reshape(n, ph, s, pw, s, c)[...] = planes.transpose(2, 3, 0, 4, 1, 5)
     return dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2), dw
 
 

@@ -272,8 +272,9 @@ def _smooth_field(rng, size, cells=8, amplitude=0.35):
     return amplitude * field / max(np.abs(field).max(), 1e-9)
 
 
-def _subject_face(rng, size, template):
-    """Per-subject (base image, landmark template) with texture+geometry identity."""
+def _subject_landmarks(rng, size, template):
+    """A subject's landmark template: the canonical layout under a random
+    similarity, shift and per-point noise, clipped into [3, size - 4]."""
     ang = rng.uniform(-0.15, 0.15)
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
     scale = rng.uniform(0.85, 1.15, size=2)
@@ -281,8 +282,13 @@ def _subject_face(rng, size, template):
     center = template.mean(axis=0)
     lms = ((template - center) * scale) @ rot.T + center + shift
     lms += rng.normal(0.0, 2.0, size=lms.shape)
-    lms = np.clip(lms, 3.0, size - 4.0)
+    return np.clip(lms, 3.0, size - 4.0)
 
+
+def _subject_face(rng, size, template, lms):
+    """A subject's base image: texture identity, with dark blobs anchored at
+    its landmarks ``lms``; drawn from ``rng`` after ``_subject_landmarks``."""
+    center = template.mean(axis=0)
     xs, ys = np.meshgrid(np.arange(size, dtype=np.float64),
                          np.arange(size, dtype=np.float64))
     # face oval brighter than background
@@ -303,13 +309,13 @@ def _subject_face(rng, size, template):
     for (cx, cy), amp, sigma in anchors:
         img -= (amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2)
                              / (2.0 * sigma ** 2)))[:, :, None]
-    return np.clip(img, -0.95, 0.95), lms
+    return np.clip(img, -0.95, 0.95)
 
 
 def _check_synth_config(config: SynthConfig):
     """Raise ValueError naming the first field ``synth_dataset`` cannot use.
 
-    Below 8 px ``_subject_face`` clips every landmark into [3, size - 4], at
+    Below 8 px ``_subject_landmarks`` clips every landmark into [3, size - 4], at
     most one pixel wide.
     """
     for name, least in (("subjects", 2), ("captures", 1),
@@ -328,6 +334,23 @@ def _check_synth_config(config: SynthConfig):
                              f"got {v!r}")
 
 
+def _check_identity_fits(subject_lms, size):
+    """With no landmark jitter every capture of a subject is warped by the
+    identity TPS fit on its clipped landmarks.  Two of them coincide at
+    small sizes, and the fit is then singular; make that fit first and
+    raise ValueError naming the subject and the fields to change."""
+    for s, lms in enumerate(subject_lms):
+        try:
+            geometry.tps_fit(lms, lms)
+        except ValueError as err:
+            raise ValueError(
+                f"subject s{s:03d}: its landmarks, clipped into [3, {size - 4}], "
+                f"coincide or nearly so, and SynthConfig.landmark_jitter 0 "
+                f"warps its captures with a fit on them ({err}); raise "
+                f"SynthConfig.size (got {size}) or SynthConfig.landmark_jitter"
+            ) from None
+
+
 def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     """Generate a deterministic parametric face dataset on disk.
 
@@ -337,21 +360,27 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     their text files round-trip exactly), so re-running
     :func:`generate_morph` from the named files reproduces each stored morph
     exactly.  A config field out of range raises ValueError naming it before
-    any directory is made.
+    any directory is made, and so does a subject whose clipped landmarks
+    give a singular identity fit when ``landmark_jitter`` is 0 (two of them
+    coincide, at sizes up to ~30 px).
     """
     _check_synth_config(config)
+    template = canonical_landmarks(config.size)
+    # each subject's generator draws its landmarks first, then its image and
+    # captures, so every landmark set is known before anything is written
+    rngs = [np.random.Generator(np.random.PCG64([config.seed, s]))
+            for s in range(config.subjects)]
+    subject_lms = [_subject_landmarks(rng, config.size, template) for rng in rngs]
+    if config.landmark_jitter == 0:
+        _check_identity_fits(subject_lms, config.size)
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "landmarks").mkdir(parents=True, exist_ok=True)
-    template = canonical_landmarks(config.size)
     rows: list[DatasetRow] = []
-    subject_lms = []
     captures = {}  # subject index -> list of (uint8 image, landmarks)
 
-    for s in range(config.subjects):
-        rng = np.random.Generator(np.random.PCG64([config.seed, s]))
-        base, lms = _subject_face(rng, config.size, template)
-        subject_lms.append(lms)
+    for s, (rng, lms) in enumerate(zip(rngs, subject_lms)):
+        base = _subject_face(rng, config.size, template, lms)
         sid = f"s{s:03d}"
         captures[s] = []
         for c in range(config.captures):

@@ -1041,6 +1041,26 @@ def test_float_leaf_table_is_from_uint8_cast_to_float32():
     assert leaf.tobytes() == _float64_leaf(faces).astype(np.float32).tobytes()
 
 
+def _float_leaf_stacked(faces):
+    """``_float_leaf`` as it was before it filled its leaf face by face: one
+    table lookup indexed by the stacked, transposed uint8 batch."""
+    return en._LEVELS32[np.stack([face.transpose(2, 0, 1) for face in faces])]
+
+
+@pytest.mark.parametrize("n", [1, 8, 15])
+def test_float_leaf_byte_equal_to_stacked_lookup(n):
+    r = np.random.Generator(np.random.PCG64(n))
+    big = r.integers(0, 256, size=(n, 40, 40, 3), dtype=np.uint8)
+    # contiguous faces, flipped views and crops of a larger array
+    faces = [big[i, 4:36, 4:36] if i % 3 == 0 else
+             big[i, 8:, 8:][::-1] if i % 3 == 1 else
+             np.ascontiguousarray(big[i, :32, :32]) for i in range(n)]
+    leaf = en._float_leaf(faces)
+    assert leaf.dtype == np.float32 and leaf.shape == (n, 3, 32, 32)
+    assert leaf.flags.c_contiguous
+    assert leaf.tobytes() == _float_leaf_stacked(faces).tobytes()
+
+
 def test_float32_leaves_lower_the_traced_peak(tmp_path, monkeypatch):
     # the float64 oracle's batch stays alive next to its float32 copy through
     # each step; built in float32, that batch is never made.  Here the gap is

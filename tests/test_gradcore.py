@@ -394,6 +394,27 @@ def _conv2d_backward_rowmajor(g, x, w, stride, pad, need_dx, cols=None):
     return dx, dw
 
 
+def _conv2d_backward_taps(g, x, w, stride, pad, need_dx, cols):
+    """``gc._conv2d_backward`` as it was before it summed dx in stride-phase
+    planes: each tap's product is added straight into a strided view of
+    the padded NHWC buffer, in the same tap order."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    cols = cols.reshape(c * kh * kw, n * oh * ow)
+    gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
+    dw = (gm.T @ cols.T).reshape(w.shape)
+    if not need_dx:
+        return None, dw
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    dxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), np.result_type(gm, wt))
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+                (gm @ wt[ki, kj]).reshape(n, oh, ow, c)
+    return dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2), dw
+
+
 def _nhwc_view(x):
     """The same values as NCHW ``x``, laid out NHWC as conv outputs are."""
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
@@ -464,6 +485,37 @@ def test_conv2d_matches_rowmajor_oracle(n, c, f, h, w, k, stride, pad, need_dx,
         _assert_within_reorder_bound(dx, dx_ref, terms, f + k * k)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), c=st.integers(1, 5), f=st.integers(1, 6),
+       h=st.integers(1, 13), w=st.integers(1, 13), k=st.sampled_from([1, 3, 5]),
+       stride=st.integers(1, 3), pad=st.integers(0, 2), need_dx=st.booleans(),
+       nhwc=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv2d_backward_byte_equal_to_tap_oracle(n, c, f, h, w, k, stride, pad,
+                                                  need_dx, nhwc, dtype, seed):
+    # the phase planes hold each padded pixel's taps in the same order as
+    # the strided adds did, so every dtype and shape keeps its bytes; odd
+    # and even H + 2p leave a short or a full last plane row
+    assume(h + 2 * pad >= k and w + 2 * pad >= k)
+    r = rng(seed)
+    x = r.normal(size=(n, c, h, w)).astype(dtype)
+    if nhwc:
+        x = _nhwc_view(x)
+    wt = r.normal(size=(f, c, k, k)).astype(dtype)
+    cols = gc._im2col(x, k, k, stride, pad)[0]
+    oh, ow = gc._conv_out_hw(x, wt, stride, pad)
+    g = r.normal(size=(n, f, oh, ow)).astype(dtype)
+    dx, dw = gc._conv2d_backward(g, x, wt, stride, pad, need_dx, cols)
+    dx_ref, dw_ref = _conv2d_backward_taps(g, x, wt, stride, pad, need_dx, cols)
+    assert dw.dtype == dtype and dw.tobytes() == dw_ref.tobytes()
+    if not need_dx:
+        assert dx is None
+        return
+    assert dx.dtype == dtype and dx.shape == x.shape
+    assert dx.strides[1] == dx.itemsize
+    assert dx.tobytes() == dx_ref.tobytes()
+
+
 def _unbroadcast_parent(grad, shape):
     """``_unbroadcast`` as it was before it copied to C order: sums the kept
     size-1 axes in ``grad``'s own memory order."""
@@ -495,22 +547,43 @@ def _desk_conv(layer):
     return ((3,) + cfg.channels)[layer], cfg.channels[layer], cfg.spatial_sizes()[layer]
 
 
+def _desk_layer_against_oracles(layer, batch, dtype):
+    """A desk conv layer's forward, dw and dx against the row-major oracle,
+    and its dx against the tap oracle; returns dx and the row-major dx."""
+    c, f, size = _desk_conv(layer)
+    r = rng(100 + 10 * layer + batch)
+    x = r.uniform(-1, 1, size=(batch, c, size, size)).astype(dtype)
+    if layer:
+        x = _nhwc_view(x)
+    wt = r.uniform(-0.2, 0.2, size=(f, c, 3, 3)).astype(dtype)
+    out = gc._conv2d_forward(x, wt, 2, 1)
+    assert out.dtype == dtype
+    assert out.tobytes() == _conv2d_forward_rowmajor(x, wt, 2, 1).tobytes()
+    g = r.normal(size=out.shape).astype(dtype)
+    cols = gc._im2col(x, 3, 3, 2, 1)[0]
+    dx, dw = gc._conv2d_backward(g, x, wt, 2, 1, True, cols)
+    dx_ref, dw_ref = _conv2d_backward_rowmajor(g, x, wt, 2, 1, True)
+    assert dw.dtype == dtype and dw.tobytes() == dw_ref.tobytes()
+    assert dx.dtype == dtype
+    assert dx.tobytes() == _conv2d_backward_taps(g, x, wt, 2, 1, True, cols)[0].tobytes()
+    return dx, dx_ref
+
+
 @pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
 @pytest.mark.parametrize("layer", range(4))
 def test_conv2d_desk_layers_byte_equal_to_oracle(layer, batch):
-    c, f, size = _desk_conv(layer)
-    r = rng(100 + 10 * layer + batch)
-    x = r.uniform(-1, 1, size=(batch, c, size, size))
-    if layer:
-        x = _nhwc_view(x)
-    wt = r.uniform(-0.2, 0.2, size=(f, c, 3, 3))
-    out = gc._conv2d_forward(x, wt, 2, 1)
-    assert out.tobytes() == _conv2d_forward_rowmajor(x, wt, 2, 1).tobytes()
-    g = r.normal(size=out.shape)
-    dx, dw = gc._conv2d_backward(g, x, wt, 2, 1, True, gc._im2col(x, 3, 3, 2, 1)[0])
-    dx_ref, dw_ref = _conv2d_backward_rowmajor(g, x, wt, 2, 1, True)
-    assert dw.tobytes() == dw_ref.tobytes()
+    dx, dx_ref = _desk_layer_against_oracles(layer, batch, np.float64)
     assert dx.tobytes() == dx_ref.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
+@pytest.mark.parametrize("layer", range(4))
+def test_conv2d_desk_layers_float32_byte_equal_to_oracle(layer, batch):
+    # the dtype training binds; the row-major dx sums in a float64 buffer
+    # from one (N*oh*ow, F) @ (F, C*9) product, which in float32 differs
+    # from the per-tap products in the last bits, so only the tap oracle
+    # holds dx to its bytes here
+    _desk_layer_against_oracles(layer, batch, np.float32)
 
 
 def _stage_bindings(stage, cfg, params, batch, seed):
@@ -531,21 +604,35 @@ def _stage_bindings(stage, cfg, params, batch, seed):
     return bindings
 
 
-@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
-@pytest.mark.parametrize("stage", [1, 2])
-def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
+def _stage_against_oracle(stage, batch, monkeypatch, as_bound, backward):
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=20 + batch)
-    bindings = _stage_bindings(stage, cfg, params, batch, seed=30 + batch)
+    bindings = as_bound(_stage_bindings(stage, cfg, params, batch, seed=30 + batch))
     build = en.stage1_graph if stage == 1 else en.stage2_graph
     graph = build(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = gc.value_and_grad(graph, bindings, params.names())
     monkeypatch.setattr(gc, "_conv2d_forward", _conv2d_forward_rowmajor)
-    monkeypatch.setattr(gc, "_conv2d_backward", _conv2d_backward_rowmajor)
+    monkeypatch.setattr(gc, "_conv2d_backward", backward)
     loss_ref, grads_ref = gc.value_and_grad(graph, bindings, params.names())
     assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
     for name in params.names():
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
+    _stage_against_oracle(stage, batch, monkeypatch, dict,
+                          _conv2d_backward_rowmajor)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stage_value_and_grad_float32_byte_equal_to_oracle(stage, batch,
+                                                           monkeypatch):
+    # float32, as a training step binds; the tap oracle, as above
+    _stage_against_oracle(stage, batch, monkeypatch, _float32,
+                          _conv2d_backward_taps)
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,30 @@ def test_synth_smallest_size_writes_faces(tmp_path):
     assert [im.read_ppm(tmp_path / "d" / r.path).shape for r in rows] == [(8, 8, 3)] * 4
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("size", range(8, 22))
+def test_synth_no_jitter_coinciding_landmarks_name_fields(tmp_path, size, seed):
+    # clipping into [3, size - 4] makes some subject's landmarks coincide, so
+    # the identity fit of its captures is singular: this raised tps_fit's bare
+    # "singular TPS system" after images/ and landmarks/ were made
+    cfg = im.SynthConfig(size=size, seed=seed, landmark_jitter=0.0)
+    with pytest.raises(ValueError, match=r"^subject s\d{3}: ") as err:
+        im.synth_dataset(cfg, tmp_path / "d")
+    assert "SynthConfig.size" in str(err.value)
+    assert "SynthConfig.landmark_jitter" in str(err.value)
+    assert not (tmp_path / "d").exists()
+
+
+def test_synth_small_size_with_jitter_synthesises(tmp_path):
+    rows = im.synth_dataset(im.SynthConfig(subjects=4, captures=2,
+                                           morphs_per_subject=1, seed=0,
+                                           size=16, landmark_jitter=1.0),
+                            tmp_path / "d")
+    assert len(rows) == 12
+    assert all(im.read_ppm(tmp_path / "d" / r.path).shape == (16, 16, 3)
+               for r in rows)
+
+
 def synth_dataset_rereading(config, out_dir):
     """synth_dataset as it was before it morphed from its in-memory captures:
     each morph re-reads its two captures from the files just written, and
@@ -423,7 +447,8 @@ def synth_dataset_rereading(config, out_dir):
     captures = {}
     for s in range(config.subjects):
         r = np.random.Generator(np.random.PCG64([config.seed, s]))
-        base, lms = im._subject_face(r, config.size, template)
+        lms = im._subject_landmarks(r, config.size, template)
+        base = im._subject_face(r, config.size, template, lms)
         subject_lms.append(lms)
         sid = f"s{s:03d}"
         captures[s] = []

@@ -1,6 +1,7 @@
-"""Micro-benchmarks of the hot spots: TPS warp, one morph, the benchmark's
-synthetic set, bilinear sampling, triplet build, neighbour search, DET curve,
-each desk conv layer, one batch-1 encode, one scored verify pair and one step
+"""Micro-benchmarks of the hot spots: TPS warp and its grid kernel matrix,
+one morph, the benchmark's synthetic set, bilinear sampling, triplet build,
+neighbour search, DET curve, each desk conv layer at batch 8 and 15, a
+stage-2 image leaf, one batch-1 encode, one scored verify pair and one step
 of each training stage.
 
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
@@ -193,28 +194,66 @@ def _conv_fwd_bwd(x, w, b, g, need_dx, cols):
     return (out,) + gc._conv_bias_relu_backward(g, x, w, b, out, 2, 1, need_dx, cols)
 
 
-@pytest.mark.parametrize("layer", range(4))
-def test_bench_conv_layer_fwd_bwd_batch8(benchmark, layer):
-    """One fused conv + bias + relu layer on the training path: the forward
-    builds its columns in a kept buffer and the backward reads them."""
+def _bench_conv_layer(benchmark, layer, n):
+    """One fused conv + bias + relu layer on the training path, in float32
+    as a training step binds it: the forward builds its columns in a kept
+    buffer and the backward reads them."""
     c, f, size = _desk_conv(layer)
     r = rng(10 + layer)
-    x = r.uniform(-1, 1, size=(8, c, size, size))
+    x = r.uniform(-1, 1, size=(n, c, size, size)).astype(np.float32)
     if layer:
         # conv outputs, and so the inputs of conv1-conv3, are NHWC in memory
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    w = r.uniform(-0.2, 0.2, size=(f, c, 3, 3))
-    b = r.uniform(-0.1, 0.1, size=(f, 1, 1))
-    g = r.normal(size=(8, f, size // 2, size // 2))
-    cols = np.empty(c * 9 * g[:, 0].size)
+    w = r.uniform(-0.2, 0.2, size=(f, c, 3, 3)).astype(np.float32)
+    b = r.uniform(-0.1, 0.1, size=(f, 1, 1)).astype(np.float32)
+    g = r.normal(size=(n, f, size // 2, size // 2)).astype(np.float32)
+    cols = np.empty(c * 9 * g[:, 0].size, np.float32)
     # training never asks for the image gradient, so conv0 skips dX
     out, dx, dw, db = benchmark.pedantic(
         _conv_fwd_bwd, args=(x, w, b, g, layer > 0, cols),
         rounds=5, iterations=1, warmup_rounds=1)
     assert out.shape == g.shape and (out >= 0).all() and (out > 0).any()
+    assert {out.dtype, dw.dtype, db.dtype} == {np.dtype(np.float32)}
     assert dw.shape == w.shape and np.isfinite(dw).all()
     assert db.shape == b.shape and np.isfinite(db).all()
     assert dx is None if layer == 0 else dx.shape == x.shape
+
+
+@pytest.mark.parametrize("layer", range(4))
+def test_bench_conv_layer_fwd_bwd_batch8(benchmark, layer):
+    """A stage-1 encoder pass: batch 8."""
+    _bench_conv_layer(benchmark, layer, 8)
+
+
+@pytest.mark.parametrize("layer", range(4))
+def test_bench_conv_layer_fwd_bwd_batch15(benchmark, layer):
+    """A stage-2 step, which binds 12-16 unique images."""
+    _bench_conv_layer(benchmark, layer, 15)
+
+
+def test_bench_float_leaf_batch15(benchmark):
+    """A stage-2 step's image leaf from 15 uint8 faces."""
+    r = rng(16)
+    faces = [r.integers(0, 256, size=(112, 112, 3), dtype=np.uint8)
+             for _ in range(15)]
+    leaf = benchmark.pedantic(en._float_leaf, args=(faces,),
+                              rounds=10, iterations=1, warmup_rounds=1)
+    # the one-lookup oracle: the stacked, transposed uint8 batch
+    want = en._LEVELS32[np.stack([face.transpose(2, 0, 1) for face in faces])]
+    assert leaf.tobytes() == want.tobytes()
+
+
+def test_bench_grid_kernel_matrix_112(benchmark):
+    """The TPS kernel matrix of a 112 px pixel grid and 68 control points,
+    the largest array of every warp."""
+    ctrl = im.canonical_landmarks(112) + rng(17).normal(0, 2.0, size=(68, 2))
+    # one control point on a pixel, so an r^2 = 0 entry is zeroed
+    ctrl[0] = (40.0, 50.0)
+    u = benchmark.pedantic(geo._grid_kernel_matrix, args=(112, 112, ctrl),
+                           rounds=5, iterations=1, warmup_rounds=1)
+    want = geo._kernel_matrix(geo._pixel_grid(112, 112), ctrl)
+    assert u.tobytes() == want.tobytes()
+    assert u[50 * 112 + 40, 0] == 0.0
 
 
 def test_bench_encode_batch1(benchmark):
