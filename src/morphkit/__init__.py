@@ -1,11 +1,10 @@
 """Desk-scale differential face-morph detection toolkit.
 
 Submodules:
-    gradcore  - reverse-mode autodiff over dense float64 tensors
+    gradcore  - reverse-mode autodiff over dense float32 or float64 tensors
     profiling - per-node forward/backward timing of gradcore graphs
     geometry  - landmarks, thin-plate-spline fitting/warping, mining
     imaging   - face images, morph generation, triplets, synthetic datasets
-    features  - LBP / BSIF / landmark-displacement descriptors
     embednet  - disentangled encoder, losses, two-stage training
     evalkit   - APCER/BPCER, DET curves, D-EER
 """

@@ -538,9 +538,11 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     Faces are held as uint8 and scaled into one float32 batch per step.
     Every row's image and landmark file must exist, or FileNotFoundError
     lists the missing ones; a face of another shape than ``cfg``'s raises
-    ValueError.
+    ValueError.  So does an ``init`` whose tensors are not ``cfg``'s, before
+    any face is read.
     """
     _check_loop(epochs, batch_size)
+    _check_init(init, cfg)
     root = Path(root)
     (reals, real_faces), (morphs, morph_faces) = _load_checked(
         rows, root, cfg, "real", "morph")
@@ -568,6 +570,19 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
     return _fit(stage2_graph(cfg, margins, weights), init.copy(), schedule,
                 epochs, epoch_batches, log)
+
+
+def _check_init(init: gc.ParamStore, cfg: EncoderConfig):
+    """Raise ValueError naming the first tensor that ``param_specs(cfg)``
+    defines and ``init`` lacks or holds in another shape, or that ``init``
+    holds and ``cfg`` does not define, with both shapes."""
+    expected = {spec.name: tuple(spec.shape) for spec in param_specs(cfg)}
+    for name in {**expected, **init.tensors}:
+        want = expected.get(name, "no tensor")
+        got = np.shape(init.tensors[name]) if name in init.tensors else "no tensor"
+        if got != want:
+            raise ValueError(f"stage-2 init tensor {name!r}: init has {got}, "
+                             f"the encoder config expects {want}")
 
 
 def _bind_stage2_batch(gen_batch, imp_batch, reals, real_faces, morph_faces,

@@ -21,23 +21,15 @@ def _as_landmarks(lms):
 
 
 def _kernel_matrix(pts_a, pts_b):
-    """(M, K) matrix of U(r) = r^2 log(r^2), with U(0) = 0, between point sets.
-
-    Built per axis, 1024 rows at a time: for a full pixel grid the per-block
-    temporaries (~0.5 MB at K = 68) stay in cache, and a pass over the whole
-    matrix for every elementwise step took twice as long.
-    """
-    out = np.zeros((pts_a.shape[0], pts_b.shape[0]))
-    for start in range(0, pts_a.shape[0], 1024):
-        rows = pts_a[start:start + 1024]
-        r2 = rows[:, :1] - pts_b[:, 0]
-        r2 *= r2
-        dy = rows[:, 1:] - pts_b[:, 1]
-        dy *= dy
-        r2 += dy
-        u = out[start:start + 1024]
-        np.log(r2, out=u, where=r2 > 0)
-        u *= r2
+    """(M, K) matrix of U(r) = r^2 log(r^2), with U(0) = 0, between point sets."""
+    r2 = pts_a[:, :1] - pts_b[:, 0]
+    r2 *= r2
+    dy = pts_a[:, 1:] - pts_b[:, 1]
+    dy *= dy
+    r2 += dy
+    out = np.zeros_like(r2)
+    np.log(r2, out=out, where=r2 > 0)
+    out *= r2
     return out
 
 

@@ -733,6 +733,47 @@ def test_stage2_leaves_init_unchanged(tiny_dataset):
     assert any(not np.array_equal(params[k], before[k]) for k in before.names())
 
 
+def _init_missing_critic(cfg):
+    init = en.init_params(cfg, 0)
+    del init.tensors["crit_a_fc_w"]
+    return init
+
+
+def _init_with_extra(cfg):
+    init = en.init_params(cfg, 0)
+    init.tensors["extra_w"] = np.zeros((2, 3))
+    return init
+
+
+@pytest.mark.parametrize("make_init,message", [
+    # unchecked, the first step fails to broadcast (6, 5) with (6, 4) in numpy
+    (lambda cfg: en.init_params(tiny_cfg(5), 0),
+     "stage-2 init tensor 'class_w': init has (5, 16), "
+     "the encoder config expects (4, 16)"),
+    # unchecked, the first step raises GradcoreError: unbound leaf
+    (_init_missing_critic,
+     "stage-2 init tensor 'crit_a_fc_w': init has no tensor, "
+     "the encoder config expects (8, 6)"),
+    # unchecked, it trains and returns the stray tensor
+    (_init_with_extra,
+     "stage-2 init tensor 'extra_w': init has (2, 3), "
+     "the encoder config expects no tensor"),
+], ids=["misshapen", "missing", "extra"])
+def test_stage2_rejects_init_of_another_config(tiny_dataset, monkeypatch,
+                                               make_init, message):
+    rows, root = tiny_dataset
+    cfg = train_cfg()
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("faces loaded before init was checked")
+
+    monkeypatch.setattr(en, "_load_checked", no_load)
+    with pytest.raises(ValueError) as err:
+        en.train_stage2(rows, root, cfg, en.MarginConfig(), en.LossWeights(),
+                        gc.LrSchedule(), 1, 8, 0, init=make_init(cfg))
+    assert str(err.value) == message
+
+
 def _run_stage(stage, rows, root, cfg=None, **overrides):
     cfg = cfg or train_cfg()
     kw = dict(margins=en.MarginConfig(), weights=en.LossWeights(),

@@ -149,7 +149,7 @@ def test_kernel_matrix_bit_identical_to_oracle(seed):
     r = rng(30 + seed)
     ctrl = random_landmarks(r, k=68, hi=40.0)
     ctrl[:3] = np.rint(ctrl[:3])  # on the pixel grid: r^2 = 0 there
-    # 1681 grid rows span more than one of the kernel's 1024-row blocks
+    # a 41 x 41 pixel grid, the control points themselves, 7 free points
     for pts in (pixel_grid(41, 41), ctrl, random_landmarks(r, k=7, hi=40.0)):
         got = geo._kernel_matrix(pts, ctrl)
         want = kernel_matrix_oracle(pts, ctrl)
