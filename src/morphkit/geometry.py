@@ -48,6 +48,8 @@ def tps_fit(source, target) -> TpsTransform:
     Uses the radial kernel U(r) = r^2 log(r^2).  Raises ValueError on
     singular systems (collinear or duplicate control points), and on
     numerically singular ones whose fit misses a target by over 1e-3 px.
+    Two coinciding control points are refused before the solve, which
+    rounding may let through with huge, cancelling kernel weights.
     """
     src = _as_landmarks(source)
     tgt = _as_landmarks(target)
@@ -56,6 +58,11 @@ def tps_fit(source, target) -> TpsTransform:
         raise ValueError("source and target must have the same number of points")
     if k < 3:
         raise ValueError("TPS needs at least 3 control points")
+    same = (src[:, :1] == src[:, 0]) & (src[:, 1:] == src[:, 1])
+    if np.count_nonzero(same) > k:  # more than the diagonal
+        i, j = np.argwhere(np.triu(same, 1))[0]
+        raise ValueError(f"singular TPS system: control points {i} and {j} "
+                         f"coincide at {tuple(src[i].tolist())}")
     p = np.hstack([np.ones((k, 1)), src])
     u = _kernel_matrix(src, src)
     lhs = np.zeros((k + 3, k + 3))

@@ -1,20 +1,19 @@
 """Minimal deterministic reverse-mode autodiff over dense float arrays.
 
 Expression graphs are built lazily from named ``leaf`` nodes and constants;
-``evaluate`` runs a forward pass for given leaf bindings and
+``evaluate_many`` runs a forward pass for given leaf bindings and
 ``value_and_grad`` adds a reverse pass.  Every tensor is a plain ``numpy``
 array, and a pass computes in the float dtype of its bindings: a leaf bound
 to a float32 or float64 array keeps it as is, anything else becomes float64.
 Scalar constants are Python floats, which numpy's promotion treats as weak,
 so they never upcast a float32 pass; array constants are float64.  The
 buffers an op allocates follow its input's dtype.  ``value_and_grad``
-returns float64 gradients whatever the compute dtype, and
-``finite_difference_check``, ``ParamStore`` and ``sgd_update`` are float64
-only.  Any NaN/Inf produced by an op aborts with :class:`NonFiniteError`.
-A forward pass sets numpy's error state once, to ignore floating-point
-warnings, and restores it when the pass returns or raises; the check of
-each op's output stands in for the warnings.
-``profile()`` times each node's rules.
+returns float64 gradients whatever the compute dtype, and ``ParamStore``
+and ``sgd_update`` are float64 only.  Any NaN/Inf produced by an op aborts
+with :class:`NonFiniteError`.  A forward pass sets numpy's error state
+once, to ignore floating-point warnings, and restores it when the pass
+returns or raises; the check of each op's output stands in for the
+warnings.  ``profile()`` times each node's rules.
 
 An op's forward, backward and kink rules live in one ``_RULES`` entry, the
 only place the passes learn what an op is; a new or fused op is one entry.
@@ -59,9 +58,6 @@ __all__ = [
     "matmul",
     "conv_bias_relu",
     "relu",
-    "exp",
-    "log",
-    "sqrt",
     "mean",
     "reduce_sum",
     "concat",
@@ -77,12 +73,9 @@ __all__ = [
     "cos",
     "clip",
     "logmeanexp",
-    "grad_scale",
-    "evaluate",
     "evaluate_many",
     "value_and_grad",
     "profile",
-    "finite_difference_check",
     "ParamSpec",
     "ParamStore",
     "sgd_update",
@@ -207,18 +200,6 @@ def relu(x):
     return Node("relu", (x,))
 
 
-def exp(x):
-    return Node("exp", (x,))
-
-
-def log(x):
-    return Node("log", (x,))
-
-
-def sqrt(x):
-    return Node("sqrt", (x,))
-
-
 def mean(x, axis=None):
     return Node("mean", (x,), axis=axis)
 
@@ -283,15 +264,6 @@ def clip(x, lo, hi):
 def logmeanexp(x):
     """log(mean(exp(x))) over all elements, computed with max-subtraction."""
     return Node("logmeanexp", (x,))
-
-
-def grad_scale(x, k):
-    """Identity forward, gradient multiplied by ``k`` on the way back.
-
-    Diagnostics hook: with k != 1 the analytic gradient is deliberately
-    biased, which gradient-check gates must detect.
-    """
-    return Node("grad_scale", (x,), k=float(k))
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +533,9 @@ class _Rule:
     ``fwd(vals, p, cols)`` is its value and ``bwd(g, vals, out, p, need,
     cols)`` one gradient per input, None where none flows (``need[i]`` is
     false when input i's would be discarded).  ``kink(vals, out, p)``, for a
-    gradient with discontinuities, is a mask whose flip skips a
-    finite-difference probe.  A ``columns`` op gets its Graph's column buffer
+    gradient with discontinuities, is a mask whose flip between two probes
+    tells the finite-difference checker of the test suite to skip them; the
+    passes never read it.  A ``columns`` op gets its Graph's column buffer
     as ``cols``, and a ``checks_finite`` op raises NonFiniteError itself.
     Forward rules name all three parameters: a ``*_`` catch-all costs a
     tuple per call on the batch-1 forward path.
@@ -600,10 +573,6 @@ _RULES = {
     "relu": _Rule(lambda v, p, c: np.maximum(v[0], 0.0),
                   lambda g, v, *_: (g * (v[0] > 0),),
                   kink=lambda v, out, p: v[0] > 0),
-    "exp": _Rule(lambda v, p, c: np.exp(v[0]), lambda g, v, out, *_: (g * out,)),
-    "log": _Rule(lambda v, p, c: np.log(v[0]), lambda g, v, *_: (g / v[0],)),
-    "sqrt": _Rule(lambda v, p, c: np.sqrt(v[0]),
-                  lambda g, v, out, *_: (g * 0.5 / out,)),
     "mean": _Rule(lambda v, p, c: np.asarray(v[0].mean(axis=p["axis"])),
                   _mean_backward),
     "sum": _Rule(lambda v, p, c: np.asarray(v[0].sum(axis=p["axis"])),
@@ -634,8 +603,6 @@ _RULES = {
                   lambda g, v, out, p, *_: (g * _clip_mask(v, out, p),),
                   kink=_clip_mask),
     "logmeanexp": _Rule(_logmeanexp_forward, _logmeanexp_backward),
-    "grad_scale": _Rule(lambda v, p, c: v[0],
-                        lambda g, v, out, p, *_: (g * p["k"],)),
 }
 
 
@@ -666,12 +633,12 @@ class Graph:
 
     ``outputs`` is one node, or a sequence of nodes that ``evaluate_many``
     evaluates in one shared pass; ``output`` is the first of them, which
-    ``evaluate`` returns and ``value_and_grad`` differentiates.  The graph
-    also owns the column buffers of its fused conv nodes, which
-    ``value_and_grad`` fills in the forward pass and reads in the backward
-    pass; so one Graph serves one ``value_and_grad`` call at a time.  A
-    plain forward pass builds its columns in temporaries, so a Graph may be
-    evaluated by any number of callers.
+    ``value_and_grad`` differentiates.  The graph also owns the column
+    buffers of its fused conv nodes, which ``value_and_grad`` fills in the
+    forward pass and reads in the backward pass; so one Graph serves one
+    ``value_and_grad`` call at a time.  A plain forward pass builds its
+    columns in temporaries, so a Graph may be evaluated by any number of
+    callers.
     """
 
     def __init__(self, outputs):
@@ -706,7 +673,7 @@ def _as_graph(g):
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
-def _forward(nodes, bindings, kinks=None, graph=None):
+def _forward(nodes, bindings, graph=None):
     """Node values by uid; with ``graph``, ``columns`` ops build their
     columns in its buffers and leave them there for the backward pass."""
     values = {}
@@ -732,16 +699,8 @@ def _forward(nodes, bindings, kinks=None, graph=None):
                     v = rule.fwd(vals, n.params, cols)
                 if not rule.checks_finite and not np.isfinite(v).all():
                     raise NonFiniteError(f"non-finite value produced by '{n.op}'")
-                if kinks is not None and rule.kink is not None:
-                    kinks.append(rule.kink(vals, v, n.params))
             values[n.uid] = v
     return values
-
-
-def evaluate(graph, bindings) -> np.ndarray:
-    """Forward-evaluate a graph (or output node) at the given leaf bindings."""
-    g = _as_graph(graph)
-    return _forward(g.nodes, bindings)[g.output.uid]
 
 
 def evaluate_many(outputs, bindings):
@@ -803,48 +762,6 @@ def value_and_grad(graph, bindings, wrt):
         else:
             raise GradcoreError(f"cannot differentiate w.r.t. unknown leaf '{name}'")
     return float(out.reshape(())), result
-
-
-def finite_difference_check(graph, bindings, wrt, eps=1e-5,
-                            max_coords=8, seed=0):
-    """Max relative error between analytic and central-difference gradients.
-
-    Coordinates are subsampled deterministically per leaf (at most
-    ``max_coords`` each).  Probes whose +/-eps evaluations land on different
-    sides of a kink (an op's ``kink`` mask changes) are skipped, as
-    are probes that leave the finite domain.
-    """
-    g = _as_graph(graph)
-    # central differences at eps need float64, whatever dtype was bound
-    bindings = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
-    _, analytic = value_and_grad(graph, bindings, wrt)
-    worst = 0.0
-    for name in wrt:
-        base = np.asarray(bindings[name], dtype=np.float64)
-        flat = base.ravel()
-        if flat.size <= max_coords:
-            coords = np.arange(flat.size)
-        else:
-            rng = np.random.Generator(np.random.PCG64(seed + zlib.crc32(name.encode())))
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
-            coords.sort()
-        for idx in coords:
-            values, kinks = [], ([], [])
-            try:
-                for step, k in zip((eps, -eps), kinks):
-                    probe = flat.copy()
-                    probe[idx] = flat[idx] + step
-                    bound = {**bindings, name: probe.reshape(base.shape)}
-                    values.append(_forward(g.nodes, bound, kinks=k)[g.output.uid])
-            except NonFiniteError:
-                continue
-            if any(not np.array_equal(a, b) for a, b in zip(*kinks)):
-                continue
-            num = float((values[0] - values[1]).reshape(())) / (2.0 * eps)
-            ana = analytic[name].ravel()[idx]
-            rel = abs(ana - num) / max(1.0, abs(ana))
-            worst = max(worst, rel)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import morphkit.gradcore as gc
+from gradcheck import finite_difference_check
 from morphkit import embednet as en
 
 
@@ -47,46 +48,46 @@ def conv2d_rule(monkeypatch):
 
 def test_identity_graph():
     x = gc.leaf("x")
-    np.testing.assert_array_equal(gc.evaluate(x, {"x": [1.0, 2.0, 3.0]}),
+    np.testing.assert_array_equal(gc.evaluate_many(x, {"x": [1.0, 2.0, 3.0]})[0],
                                   [1.0, 2.0, 3.0])
 
 
 def test_cosine_self_is_one():
     v = rng(1).normal(size=(5, 7))
-    out = gc.evaluate(gc.cosine_similarity(gc.leaf("v"), gc.leaf("v")), {"v": v})
+    out = gc.evaluate_many(gc.cosine_similarity(gc.leaf("v"), gc.leaf("v")), {"v": v})[0]
     np.testing.assert_allclose(out, np.ones(5), atol=1e-12)
 
 
 def test_matmul_identity():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = gc.evaluate(gc.matmul(gc.const(np.eye(2)), gc.leaf("m")), {"m": m})
+    out = gc.evaluate_many(gc.matmul(gc.const(np.eye(2)), gc.leaf("m")), {"m": m})[0]
     np.testing.assert_array_equal(out, m)
 
 
 def test_evaluate_deterministic():
     x = rng(2).normal(size=(4, 4))
     g = gc.relu(gc.matmul(gc.leaf("x"), gc.leaf("x"))).sum()
-    a = gc.evaluate(g, {"x": x})
-    b = gc.evaluate(g, {"x": x})
+    a = gc.evaluate_many(g, {"x": x})[0]
+    b = gc.evaluate_many(g, {"x": x})[0]
     assert np.array_equal(a, b)
 
 
 def test_unbound_leaf_errors():
     with pytest.raises(gc.GradcoreError, match="unbound leaf"):
-        gc.evaluate(gc.leaf("x") + gc.leaf("y"), {"x": 1.0})
+        gc.evaluate_many(gc.leaf("x") + gc.leaf("y"), {"x": 1.0})
 
 
 def test_matmul_shape_mismatch_errors():
     with pytest.raises(gc.GradcoreError, match="matmul"):
-        gc.evaluate(gc.matmul(gc.leaf("a"), gc.leaf("b")),
-                    {"a": np.ones((2, 3)), "b": np.ones((2, 3))})
+        gc.evaluate_many(gc.matmul(gc.leaf("a"), gc.leaf("b")),
+                         {"a": np.ones((2, 3)), "b": np.ones((2, 3))})
 
 
 def test_nonfinite_aborts():
-    with pytest.raises(gc.NonFiniteError):
-        gc.evaluate(gc.exp(gc.leaf("x")), {"x": 1e4})
-    with pytest.raises(gc.NonFiniteError):
-        gc.evaluate(gc.log(gc.leaf("x")), {"x": 0.0})
+    # 1 / 0 is Inf, 0 / 0 is NaN
+    for x in (1.0, 0.0):
+        with pytest.raises(gc.NonFiniteError, match="produced by 'div'"):
+            gc.evaluate_many(gc.leaf("x") / gc.leaf("y"), {"x": x, "y": 0.0})
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -94,12 +95,12 @@ def test_forward_restores_numpy_error_state(bad):
     loss = gc.relu(gc.leaf("x") * gc.leaf("k")).sum()
     with np.errstate(all="raise"):
         before = np.geterr()
-        assert gc.evaluate(loss, {"x": np.arange(3.0), "k": 2.0}) == 6.0
+        assert gc.evaluate_many(loss, {"x": np.arange(3.0), "k": 2.0})[0] == 6.0
         assert np.geterr() == before
         # inf * 0 is NaN: under the caller's "raise" state numpy itself
         # would raise FloatingPointError, so the pass must override it
         with pytest.raises(gc.NonFiniteError, match="produced by 'mul'"):
-            gc.evaluate(loss, {"x": np.array([bad, 0.0]), "k": 0.0})
+            gc.evaluate_many(loss, {"x": np.array([bad, 0.0]), "k": 0.0})
         assert np.geterr() == before
         with pytest.raises(gc.NonFiniteError):
             gc.value_and_grad(loss, {"x": np.array([bad, 1.0]), "k": 1.0}, ["k"])
@@ -109,7 +110,7 @@ def test_forward_restores_numpy_error_state(bad):
 def test_graph_of_several_outputs_evaluates_like_node_list():
     x, w = gc.leaf("x"), gc.leaf("w")
     h = gc.matmul(x, w)
-    outs = [gc.relu(h), h.sum(), gc.exp(h * 0.1)]
+    outs = [gc.relu(h), h.sum(), gc.cos(h * 0.1)]
     bindings = {"x": rng(3).normal(size=(4, 3)), "w": rng(4).normal(size=(3, 2))}
     graph = gc.Graph(outs)
     assert graph.outputs == tuple(outs) and graph.output is outs[0]
@@ -124,9 +125,8 @@ def test_graph_of_several_outputs_evaluates_like_node_list():
 
 _NOT_CONSTRUCTORS = {
     "GradcoreError", "NonFiniteError", "Node", "Graph", "leaf", "const",
-    "evaluate", "evaluate_many", "value_and_grad", "profile",
-    "finite_difference_check", "ParamSpec", "ParamStore", "sgd_update",
-    "LrSchedule"}
+    "evaluate_many", "value_and_grad", "profile", "ParamSpec", "ParamStore",
+    "sgd_update", "LrSchedule"}
 
 
 def test_every_public_constructor_op_has_a_rule():
@@ -135,20 +135,29 @@ def test_every_public_constructor_op_has_a_rule():
         "add": gc.add(x, y), "sub": gc.sub(x, y), "mul": gc.mul(x, y),
         "div": gc.div(x, y), "matmul": gc.matmul(x, y),
         "conv_bias_relu": gc.conv_bias_relu(x, y, x),
-        "relu": gc.relu(x), "exp": gc.exp(x), "log": gc.log(x),
-        "sqrt": gc.sqrt(x), "mean": gc.mean(x), "reduce_sum": gc.reduce_sum(x),
+        "relu": gc.relu(x), "mean": gc.mean(x), "reduce_sum": gc.reduce_sum(x),
         "concat": gc.concat([x, y], 0), "slice_axis": gc.slice_axis(x, 0, 0, 1),
         "reshape": gc.reshape(x, (1,)), "transpose2d": gc.transpose2d(x),
         "take_rows": gc.take_rows(x, [0.0]), "onehot": gc.onehot([0.0], 2),
         "l2norm": gc.l2norm(x), "cosine_similarity": gc.cosine_similarity(x, y),
         "softmax_cross_entropy": gc.softmax_cross_entropy(x, [0.0]),
         "acos": gc.acos(x), "cos": gc.cos(x), "clip": gc.clip(x, 0, 1),
-        "logmeanexp": gc.logmeanexp(x), "grad_scale": gc.grad_scale(x, 2.0),
+        "logmeanexp": gc.logmeanexp(x),
     }
     sugar = [x + 1.0, 1.0 + x, x - 1.0, 1.0 - x, x * 2.0, 2.0 * x, x / 2.0,
              -x, x.relu(), x.sum(), x.mean(), x.reshape((1,))]
     assert set(emitted) == set(gc.__all__) - _NOT_CONSTRUCTORS
     assert {n.op for n in [*emitted.values(), *sugar]} == set(gc._RULES)
+
+
+def test_every_rule_is_an_op_of_the_pipeline():
+    # an op rule that no stage graph nor the encoder emits has no caller;
+    # the AST guard cannot see that, as ``np.exp`` reads like ``gc.exp``
+    cfg = _tiny_cfg()
+    args = (cfg, en.MarginConfig(), en.LossWeights())
+    graphs = [en.stage1_graph(*args), en.stage2_graph(*args), en._encoder_plan(cfg)]
+    ops = {n.op for g in graphs for n in g.nodes} - {"leaf", "const"}
+    assert ops == set(gc._RULES)
 
 
 def test_rule_flags_name_exactly_the_kink_column_and_self_checked_ops():
@@ -162,7 +171,7 @@ def test_rule_flags_name_exactly_the_kink_column_and_self_checked_ops():
 def test_op_without_rule_names_it():
     loss = gc.Node("bogus", (gc.leaf("x"),)).sum()
     with pytest.raises(gc.GradcoreError, match="unknown primitive 'bogus'"):
-        gc.evaluate(loss, {"x": np.ones(2)})
+        gc.evaluate_many(loss, {"x": np.ones(2)})
     with pytest.raises(gc.GradcoreError, match="unknown primitive 'bogus'"):
         gc.value_and_grad(loss, {"x": np.ones(2)}, ["x"])
 
@@ -192,7 +201,7 @@ def test_gradient_linearity():
     r = rng(3)
     x = gc.leaf("x")
     g1 = (x * x).sum()
-    g2 = gc.exp(x * 0.3).sum()
+    g2 = gc.cos(x * 0.3).sum()
     xv = r.normal(size=6)
     ga = gc.value_and_grad(g1, {"x": xv}, ["x"])[1]["x"]
     gb = gc.value_and_grad(g2, {"x": xv}, ["x"])[1]["x"]
@@ -212,7 +221,7 @@ def test_conv_input_gradient_computed_when_requested(conv2d_rule):
     x, w = gc.leaf("x"), gc.leaf("w")
     loss = gc.relu(conv2d(x, w, stride=2, pad=1)).sum()
     bindings = {"x": r.normal(size=(2, 2, 6, 5)), "w": r.normal(size=(3, 2, 3, 3))}
-    assert gc.finite_difference_check(loss, bindings, ["x"], max_coords=20) <= 1e-6
+    assert finite_difference_check(loss, bindings, ["x"], max_coords=20) <= 1e-6
     both = gc.value_and_grad(loss, bindings, ["x", "w"])[1]
     for name in ("x", "w"):
         only = gc.value_and_grad(loss, bindings, [name])[1]
@@ -225,7 +234,7 @@ def test_cosine_loss_gradient_matches_fd():
     a, b = gc.leaf("a"), gc.leaf("b")
     loss = -gc.cosine_similarity(a, b).mean()
     bindings = {"a": r.normal(size=(6, 16)), "b": r.normal(size=(6, 16))}
-    err = gc.finite_difference_check(loss, bindings, ["a", "b"],
+    err = finite_difference_check(loss, bindings, ["a", "b"],
                                      eps=1e-5, max_coords=24)
     assert err <= 1e-4
 
@@ -236,7 +245,7 @@ def test_cosine_loss_gradient_matches_fd():
 
 def test_fd_quadratic_is_exact():
     x = gc.leaf("x")
-    err = gc.finite_difference_check(x * x, {"x": 3.0}, ["x"], eps=1e-5)
+    err = finite_difference_check(x * x, {"x": 3.0}, ["x"], eps=1e-5)
     assert err <= 1e-8
 
 
@@ -245,18 +254,21 @@ def test_fd_relu_kink_excluded():
     x = gc.leaf("x")
     loss = gc.relu(x).sum()
     v = np.array([0.0, -1.0, 2.0, 0.5e-5, -0.5e-5])
-    err = gc.finite_difference_check(loss, {"x": v}, ["x"], eps=1e-5)
+    err = finite_difference_check(loss, {"x": v}, ["x"], eps=1e-5)
     assert err <= 1e-4
 
 
+# fixed ids, in pytest's generated form: a case keeps its name when
+# another is added or removed
 ELEMENTWISE = [
-    ("relu", lambda x: gc.relu(x), (0.2, 3.0)),
-    ("exp", lambda x: gc.exp(x), (-2.0, 2.0)),
-    ("log", lambda x: gc.log(x), (0.2, 4.0)),
-    ("sqrt", lambda x: gc.sqrt(x), (0.2, 4.0)),
-    ("cos", lambda x: gc.cos(x), (-3.0, 3.0)),
-    ("acos", lambda x: gc.acos(x), (-0.9, 0.9)),
-    ("clip", lambda x: gc.clip(x, -0.5, 0.5), (-2.0, 2.0)),
+    pytest.param("relu", lambda x: gc.relu(x), (0.2, 3.0),
+                 id="relu-<lambda>-rng_range0"),
+    pytest.param("cos", lambda x: gc.cos(x), (-3.0, 3.0),
+                 id="cos-<lambda>-rng_range4"),
+    pytest.param("acos", lambda x: gc.acos(x), (-0.9, 0.9),
+                 id="acos-<lambda>-rng_range5"),
+    pytest.param("clip", lambda x: gc.clip(x, -0.5, 0.5), (-2.0, 2.0),
+                 id="clip-<lambda>-rng_range6"),
 ]
 
 
@@ -266,7 +278,7 @@ def test_fd_elementwise_primitives(name, make, rng_range):
     lo, hi = rng_range
     v = rng(hash(name) % 2**32).uniform(lo, hi, size=100)
     loss = make(gc.leaf("x")).sum()
-    err = gc.finite_difference_check(loss, {"x": v}, ["x"], max_coords=100)
+    err = finite_difference_check(loss, {"x": v}, ["x"], max_coords=100)
     assert err <= 1e-4
 
 
@@ -289,8 +301,8 @@ def test_fd_binary_and_structural_primitives():
         (gc.take_rows(a, gc.const([2, 0, 2])), {"a": av}),
     ]
     for node, bindings in cases:
-        loss = node.sum() if gc.evaluate(node, bindings).ndim else node
-        err = gc.finite_difference_check(loss, bindings,
+        loss = node.sum() if gc.evaluate_many(node, bindings)[0].ndim else node
+        err = finite_difference_check(loss, bindings,
                                          [k for k in bindings], max_coords=10)
         assert err <= 1e-4, node.op
 
@@ -300,7 +312,7 @@ def test_fd_broadcast_bias():
     x, b = gc.leaf("x"), gc.leaf("b")
     loss = ((x + b) * (x + b)).mean()
     bindings = {"x": r.normal(size=(3, 4, 2, 2)), "b": r.normal(size=(4, 1, 1))}
-    assert gc.finite_difference_check(loss, bindings, ["x", "b"]) <= 1e-4
+    assert finite_difference_check(loss, bindings, ["x", "b"]) <= 1e-4
 
 
 def test_fd_softmax_cross_entropy():
@@ -308,7 +320,7 @@ def test_fd_softmax_cross_entropy():
     logits = gc.leaf("z")
     labels = np.array([0, 2, 1])
     loss = gc.softmax_cross_entropy(logits, gc.const(labels)).mean()
-    err = gc.finite_difference_check(loss, {"z": r.normal(size=(3, 4))}, ["z"],
+    err = finite_difference_check(loss, {"z": r.normal(size=(3, 4))}, ["z"],
                                      max_coords=12)
     assert err <= 1e-4
 
@@ -317,7 +329,8 @@ def test_softmax_cross_entropy_matches_manual():
     r = rng(10)
     z = r.normal(size=(5, 3))
     lab = np.array([2, 0, 1, 1, 0])
-    out = gc.evaluate(gc.softmax_cross_entropy(gc.leaf("z"), gc.const(lab)), {"z": z})
+    out = gc.evaluate_many(gc.softmax_cross_entropy(gc.leaf("z"), gc.const(lab)),
+                           {"z": z})[0]
     # independent log-softmax computation
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     expect = -np.log(p[np.arange(5), lab])
@@ -326,7 +339,7 @@ def test_softmax_cross_entropy_matches_manual():
 
 def test_logmeanexp_stable_at_large_scores():
     v = np.array([1000.0, 1000.0, 999.0])
-    out = gc.evaluate(gc.logmeanexp(gc.leaf("x")), {"x": v})
+    out = gc.evaluate_many(gc.logmeanexp(gc.leaf("x")), {"x": v})[0]
     expect = 1000.0 + np.log((1 + 1 + np.exp(-1.0)) / 3)
     np.testing.assert_allclose(out, expect, rtol=1e-12)
 
@@ -336,8 +349,8 @@ def test_conv2d_matches_naive_loops(conv2d_rule):
     x = r.normal(size=(2, 2, 6, 5))
     w = r.normal(size=(3, 2, 3, 3))
     for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-        out = gc.evaluate(conv2d(gc.leaf("x"), gc.leaf("w"), stride, pad),
-                          {"x": x, "w": w})
+        out = gc.evaluate_many(conv2d(gc.leaf("x"), gc.leaf("w"), stride, pad),
+                               {"x": x, "w": w})[0]
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         oh = (x.shape[2] + 2 * pad - 3) // stride + 1
         ow = (x.shape[3] + 2 * pad - 3) // stride + 1
@@ -716,13 +729,13 @@ def test_float32_bindings_compute_in_float32(stage, monkeypatch):
 
 def test_finite_difference_check_probes_in_float64():
     x, w = gc.leaf("x"), gc.leaf("w")
-    loss = gc.exp(gc.matmul(x, w) * 0.3).sum()
+    loss = gc.cos(gc.matmul(x, w) * 0.3).sum()
     r = rng(84)
     b32 = {"x": r.normal(size=(2, 3)).astype(np.float32),
            "w": r.normal(size=(3, 2)).astype(np.float32)}
     b64 = {k: v.astype(np.float64) for k, v in b32.items()}
-    assert (gc.finite_difference_check(loss, b32, ["x", "w"])
-            == gc.finite_difference_check(loss, b64, ["x", "w"]))
+    assert (finite_difference_check(loss, b32, ["x", "w"])
+            == finite_difference_check(loss, b64, ["x", "w"]))
 
 
 def test_value_and_grad_returns_float64_gradients_of_float32_bindings():
@@ -750,7 +763,7 @@ def test_value_and_grad_of_a_constant():
 @pytest.mark.parametrize("dtype", [np.int64, np.float16, ">f8"])
 def test_leaf_of_another_dtype_binds_as_float64(dtype):
     v = np.arange(6.0).reshape(2, 3)
-    out = gc.evaluate(gc.leaf("v") * 2.0, {"v": v.astype(dtype)})
+    out = gc.evaluate_many(gc.leaf("v") * 2.0, {"v": v.astype(dtype)})[0]
     assert out.dtype == np.float64 and np.array_equal(out, 2.0 * v)
 
 
@@ -827,10 +840,10 @@ def test_fd_skips_probe_straddling_fused_relu_kink(monkeypatch):
     loss = gc.conv_bias_relu(x, w, b).sum()
     bindings = {"x": np.array([[[[1.0, 3.0]]]]), "w": np.ones((1, 1, 1, 1)),
                 "b": np.full((1, 1, 1), -1.0 + 0.5e-5)}
-    assert gc.finite_difference_check(loss, bindings, ["x", "w", "b"]) <= 1e-8
+    assert finite_difference_check(loss, bindings, ["x", "w", "b"]) <= 1e-8
     rule = gc._RULES["conv_bias_relu"]
     monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, kink=None))
-    assert gc.finite_difference_check(loss, bindings, ["x", "w", "b"]) > 0.1
+    assert finite_difference_check(loss, bindings, ["x", "w", "b"]) > 0.1
 
 
 @pytest.mark.parametrize("wval,bval", [(1e308, 0.0), (-1e308, 0.0),
@@ -843,7 +856,7 @@ def test_conv_bias_relu_nonfinite_preactivation_raises(wval, bval, conv2d_rule):
     for layer, ops in ((gc.conv_bias_relu, "conv_bias_relu"),
                        (_unfused, "conv2d|add")):
         loss = layer(x, w, b).sum()
-        for run in (lambda: gc.evaluate(loss, bindings),
+        for run in (lambda: gc.evaluate_many(loss, bindings)[0],
                     lambda: gc.value_and_grad(gc.Graph(loss), bindings, ["w", "b"])):
             with pytest.raises(gc.NonFiniteError, match=f"produced by '({ops})'"):
                 run()
@@ -852,8 +865,8 @@ def test_conv_bias_relu_nonfinite_preactivation_raises(wval, bval, conv2d_rule):
 def test_conv_bias_relu_rejects_other_bias_shapes():
     loss = gc.conv_bias_relu(gc.leaf("x"), gc.leaf("w"), gc.leaf("b")).sum()
     with pytest.raises(gc.GradcoreError, match=r"bias \(2,\) is not \(2, 1, 1\)"):
-        gc.evaluate(loss, {"x": np.ones((1, 1, 3, 3)), "w": np.ones((2, 1, 3, 3)),
-                           "b": np.zeros(2)})
+        gc.evaluate_many(loss, {"x": np.ones((1, 1, 3, 3)),
+                                "w": np.ones((2, 1, 3, 3)), "b": np.zeros(2)})
 
 
 @settings(max_examples=20, deadline=None)
@@ -861,8 +874,8 @@ def test_conv_bias_relu_rejects_other_bias_shapes():
 def test_fd_random_smooth_chains(seed):
     r = rng(seed)
     x = gc.leaf("x")
-    loss = gc.logmeanexp(gc.exp(x * 0.5) + gc.sqrt(x + 5.0))
-    err = gc.finite_difference_check(loss, {"x": r.uniform(-2, 2, size=8)}, ["x"])
+    loss = gc.logmeanexp(gc.cos(x * 0.5) + gc.acos(x * 0.4))
+    err = finite_difference_check(loss, {"x": r.uniform(-2, 2, size=8)}, ["x"])
     assert err <= 1e-4
 
 
@@ -898,18 +911,18 @@ def test_profile_one_row_per_layer_and_values_unchanged():
 
 def test_profile_records_only_inside_innermost_block():
     x = gc.leaf("x")
-    loss = gc.exp(x * gc.leaf("k")).sum()
+    loss = gc.cos(x * gc.leaf("k")).sum()
     bindings = {"x": np.arange(3.0), "k": 0.5}
     with gc.profile() as outer:
-        gc.evaluate(loss, bindings)
+        gc.evaluate_many(loss, bindings)
         with gc.profile() as inner:
             gc.value_and_grad(loss, bindings, ["x"])
-        gc.evaluate(loss, bindings)
+        gc.evaluate_many(loss, bindings)
     gc.value_and_grad(loss, bindings, ["x"])
     assert {key: row[1::2] for key, row in outer.stats.items()} == {
-        ("mul", "k"): [2, 0], ("exp", None): [2, 0], ("sum", None): [2, 0]}
+        ("mul", "k"): [2, 0], ("cos", None): [2, 0], ("sum", None): [2, 0]}
     assert {key: row[1::2] for key, row in inner.stats.items()} == {
-        ("mul", "k"): [1, 1], ("exp", None): [1, 1], ("sum", None): [1, 1]}
+        ("mul", "k"): [1, 1], ("cos", None): [1, 1], ("sum", None): [1, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -1103,13 +1116,13 @@ def test_paramstore_single_bit_flip_anywhere_raises(tmp_path):
 def test_take_rows_rejects_bad_indices(idx):
     rows = gc.take_rows(gc.leaf("x"), gc.leaf("i"))
     with pytest.raises(gc.GradcoreError, match="integer indices in \\[0, 3\\)"):
-        gc.evaluate(rows, {"x": np.arange(6.0).reshape(3, 2), "i": idx})
+        gc.evaluate_many(rows, {"x": np.arange(6.0).reshape(3, 2), "i": idx})
 
 
 def test_take_rows_integral_floats_select_rows():
     x = np.arange(6.0).reshape(3, 2)
-    out = gc.evaluate(gc.take_rows(gc.leaf("x"), gc.leaf("i")),
-                      {"x": x, "i": [2.0, 0.0, 2.0]})
+    out = gc.evaluate_many(gc.take_rows(gc.leaf("x"), gc.leaf("i")),
+                           {"x": x, "i": [2.0, 0.0, 2.0]})[0]
     np.testing.assert_array_equal(out, x[[2, 0, 2]])
     loss = gc.take_rows(gc.leaf("x"), gc.leaf("i")).sum()
     grads = gc.value_and_grad(loss, {"x": x, "i": np.array([2.0, 0.0, 2.0])},
@@ -1120,11 +1133,11 @@ def test_take_rows_integral_floats_select_rows():
 @pytest.mark.parametrize("labels", [[0.5], [4.0], [-1.0]])
 def test_onehot_rejects_bad_labels(labels):
     with pytest.raises(gc.GradcoreError, match="integer indices in \\[0, 4\\)"):
-        gc.evaluate(gc.onehot(gc.leaf("y"), 4), {"y": labels})
+        gc.evaluate_many(gc.onehot(gc.leaf("y"), 4), {"y": labels})
 
 
 @pytest.mark.parametrize("labels", [[0.0, 2.5], [0.0, 3.0], [-1.0, 0.0]])
 def test_softmax_cross_entropy_rejects_bad_labels(labels):
     loss = gc.softmax_cross_entropy(gc.leaf("z"), gc.leaf("y"))
     with pytest.raises(gc.GradcoreError, match="integer indices in \\[0, 3\\)"):
-        gc.evaluate(loss, {"z": np.zeros((2, 3)), "y": labels})
+        gc.evaluate_many(loss, {"z": np.zeros((2, 3)), "y": labels})
