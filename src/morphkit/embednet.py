@@ -275,8 +275,7 @@ def stage2_graph(cfg: EncoderConfig, margins: MarginConfig,
 @functools.cache
 def _encoder_plan(cfg: EncoderConfig):
     """The (z_a, z_g, z_f) encoder graph over leaf ``x``, built once per
-    config; ``encode`` evaluates it with temporary columns, so callers share
-    no buffers."""
+    config; a Graph holds no arrays, so every ``encode`` call may share it."""
     return gc.Graph(build_encoder(cfg, gc.leaf("x")))
 
 

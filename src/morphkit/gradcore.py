@@ -23,11 +23,11 @@ bit-identical outputs, which the training code relies on for reproducible
 checkpoints.  Conv outputs and conv input gradients are NCHW arrays that are
 channel-last (NHWC) in memory, and ``_unbroadcast`` sums in C order, so a
 bias gradient has the same bytes whatever layout its gradient arrives in.
-A :class:`Graph` owns one im2col column buffer per fused ``conv_bias_relu``
-node: ``value_and_grad`` builds the columns there in the forward pass and
-reads them back in the backward pass, and a buffer is replaced only when a
-larger batch or another dtype arrives.  So one ``Graph`` serves one
-``value_and_grad`` call at a time.
+A :class:`Graph` holds nodes only, no arrays.  ``value_and_grad`` gives each
+fused ``conv_bias_relu`` node an im2col column buffer for that call: the
+forward pass builds the columns there, the node's backward reads them, and
+the buffer is dropped right after, as is each node's forward value once its
+own backward has run or been skipped (Chen et al., arXiv:1604.06174).
 """
 
 from __future__ import annotations
@@ -120,14 +120,8 @@ class Node:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
 
     def __mul__(self, other):
         return mul(self, _lift(other))
@@ -135,14 +129,8 @@ class Node:
     def __rmul__(self, other):
         return mul(_lift(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
     def __neg__(self):
         return mul(self, const(-1.0))
-
-    def relu(self):
-        return relu(self)
 
     def sum(self, axis=None):
         return reduce_sum(self, axis)
@@ -535,8 +523,10 @@ class _Rule:
     false when input i's would be discarded).  ``kink(vals, out, p)``, for a
     gradient with discontinuities, is a mask whose flip between two probes
     tells the finite-difference checker of the test suite to skip them; the
-    passes never read it.  A ``columns`` op gets its Graph's column buffer
-    as ``cols``, and a ``checks_finite`` op raises NonFiniteError itself.
+    passes never read it.  In ``value_and_grad`` a ``columns`` op gets as
+    ``cols`` a column buffer that its forward fills and its backward reads;
+    elsewhere ``cols`` is None.  A ``checks_finite`` op raises
+    NonFiniteError itself.
     Forward rules name all three parameters: a ``*_`` catch-all costs a
     tuple per call on the batch-1 forward path.
     """
@@ -633,12 +623,9 @@ class Graph:
 
     ``outputs`` is one node, or a sequence of nodes that ``evaluate_many``
     evaluates in one shared pass; ``output`` is the first of them, which
-    ``value_and_grad`` differentiates.  The graph also owns the column
-    buffers of its fused conv nodes, which ``value_and_grad`` fills in the
-    forward pass and reads in the backward pass; so one Graph serves one
-    ``value_and_grad`` call at a time.  A plain forward pass builds its
-    columns in temporaries, so a Graph may be evaluated by any number of
-    callers.
+    ``value_and_grad`` differentiates.  A Graph holds no arrays: each pass
+    keeps its values and column buffers to itself, so one Graph may be
+    evaluated and differentiated by any number of callers.
     """
 
     def __init__(self, outputs):
@@ -647,22 +634,6 @@ class Graph:
             raise GradcoreError("a Graph needs at least one output node")
         self.output = self.outputs[0]
         self.nodes = _topo_order(self.outputs)
-        self._column_buffers = {}
-
-    def _columns(self, node, vals):
-        """The column buffer of fused conv ``node`` at input values ``vals``.
-
-        A buffer is kept across calls and reallocated only when a larger
-        batch or another dtype arrives, so a training step allocates no
-        columns.
-        """
-        x, w = vals[0], vals[1]
-        oh, ow = _conv_out_hw(x, w, node.params["stride"], node.params["pad"])
-        size = w[0].size * x.shape[0] * oh * ow
-        buf = self._column_buffers.get(node.uid)
-        if buf is None or buf.size < size or buf.dtype != x.dtype:
-            buf = self._column_buffers[node.uid] = np.empty(size, x.dtype)
-        return buf[:size]
 
 
 def _as_graph(g):
@@ -673,9 +644,17 @@ def _as_graph(g):
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
-def _forward(nodes, bindings, graph=None):
-    """Node values by uid; with ``graph``, ``columns`` ops build their
-    columns in its buffers and leave them there for the backward pass."""
+def _column_buffer(node, vals):
+    """An empty im2col buffer of fused conv ``node`` at input values ``vals``."""
+    x, w = vals[0], vals[1]
+    oh, ow = _conv_out_hw(x, w, node.params["stride"], node.params["pad"])
+    return np.empty(w[0].size * x.shape[0] * oh * ow, x.dtype)
+
+
+def _forward(nodes, bindings, columns=None):
+    """Node values by uid.  With a ``columns`` dict, each ``columns`` op
+    builds its im2col columns in a new buffer that it leaves there, under
+    its uid, for the backward pass; without one it builds temporaries."""
     values = {}
     with np.errstate(all="ignore"):
         for n in nodes:
@@ -693,8 +672,9 @@ def _forward(nodes, bindings, graph=None):
                 except KeyError:
                     raise GradcoreError(f"unknown primitive '{n.op}'") from None
                 vals = [values[i.uid] for i in n.inputs]
-                cols = (graph._columns(n, vals) if rule.columns and graph is not None
-                        else None)
+                cols = None
+                if rule.columns and columns is not None:
+                    cols = columns[n.uid] = _column_buffer(n, vals)
                 with _span(n):
                     v = rule.fwd(vals, n.params, cols)
                 if not rule.checks_finite and not np.isfinite(v).all():
@@ -712,11 +692,17 @@ def evaluate_many(outputs, bindings):
 
 
 def value_and_grad(graph, bindings, wrt):
-    """Forward value plus reverse-mode gradients for the named leaves."""
+    """Forward value plus reverse-mode gradients for the named leaves.
+
+    The im2col columns of each fused conv live from its forward to its own
+    backward, and each node's value until its own backward has run or been
+    skipped; nothing is kept on the Graph.
+    """
     g = _as_graph(graph)
     if len(g.outputs) != 1:
         raise GradcoreError(f"gradient requires one output, got {len(g.outputs)}")
-    values = _forward(g.nodes, bindings, graph=g)
+    columns = {}
+    values = _forward(g.nodes, bindings, columns)
     out = np.asarray(values[g.output.uid])  # a constant output is a float
     if out.size != 1:
         raise GradcoreError(f"gradient requires a scalar output, got shape {out.shape}")
@@ -731,6 +717,9 @@ def value_and_grad(graph, bindings, wrt):
     grads = {g.output.uid: np.ones_like(out)}
     leaf_grads = {}
     for n in reversed(g.nodes):
+        # every consumer of n comes later in topological order and has run
+        # its backward, so this is the last read of n's value and columns
+        v, cols = values.pop(n.uid), columns.pop(n.uid, None)
         if n.uid not in live:
             continue
         gout = grads.pop(n.uid, None)
@@ -745,9 +734,8 @@ def value_and_grad(graph, bindings, wrt):
         rule = _RULES[n.op]
         need = [i.uid in live for i in n.inputs]
         vals = [values[i.uid] for i in n.inputs]
-        cols = g._columns(n, vals) if rule.columns else None
         with _span(n, backward=True):
-            in_grads = rule.bwd(gout, vals, values[n.uid], n.params, need, cols)
+            in_grads = rule.bwd(gout, vals, v, n.params, need, cols)
         for inp, ig, keep in zip(n.inputs, in_grads, need):
             if ig is None or not keep:
                 continue

@@ -1,5 +1,6 @@
 """Autodiff engine: forward values, gradients vs central differences, params."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ def conv2d(x, w, stride=1, pad=0):
 
 
 def _conv2d_oracle_backward(g, v, out, p, need, c):
-    # no Graph column buffer: the columns are built again from the input
+    # not a ``columns`` op, so no buffer: the columns are built again
     cols = gc._im2col(v[0], *v[1].shape[2:], p["stride"], p["pad"])[0]
     return gc._conv2d_backward(g, v[0], v[1], p["stride"], p["pad"], need[0], cols)
 
@@ -87,7 +88,7 @@ def test_nonfinite_aborts():
     # 1 / 0 is Inf, 0 / 0 is NaN
     for x in (1.0, 0.0):
         with pytest.raises(gc.NonFiniteError, match="produced by 'div'"):
-            gc.evaluate_many(gc.leaf("x") / gc.leaf("y"), {"x": x, "y": 0.0})
+            gc.evaluate_many(gc.div(gc.leaf("x"), gc.leaf("y")), {"x": x, "y": 0.0})
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -144,8 +145,8 @@ def test_every_public_constructor_op_has_a_rule():
         "acos": gc.acos(x), "cos": gc.cos(x), "clip": gc.clip(x, 0, 1),
         "logmeanexp": gc.logmeanexp(x),
     }
-    sugar = [x + 1.0, 1.0 + x, x - 1.0, 1.0 - x, x * 2.0, 2.0 * x, x / 2.0,
-             -x, x.relu(), x.sum(), x.mean(), x.reshape((1,))]
+    sugar = [x + 1.0, x - 1.0, x * 2.0, 2.0 * x, -x, x.sum(), x.mean(),
+             x.reshape((1,))]
     assert set(emitted) == set(gc.__all__) - _NOT_CONSTRUCTORS
     assert {n.op for n in [*emitted.values(), *sugar]} == set(gc._RULES)
 
@@ -290,7 +291,7 @@ def test_fd_binary_and_structural_primitives():
         (a + b, {"a": av, "b": bv}),
         (a - b, {"a": av, "b": bv}),
         (a * b, {"a": av, "b": bv}),
-        (a / b, {"a": av, "b": bv}),
+        (gc.div(a, b), {"a": av, "b": bv}),
         (gc.matmul(a, gc.transpose2d(b)), {"a": av, "b": bv}),
         (gc.concat([a, b], axis=1), {"a": av, "b": bv}),
         (gc.slice_axis(a, 1, 1, 4), {"a": av}),
@@ -381,8 +382,8 @@ def _im2col_rowmajor(x, kh, kw, stride, pad):
 
 
 def _conv2d_forward_rowmajor(x, w, stride, pad, cols=None):
-    # ``cols``, the buffer a fused conv keeps its columns in, is left unused:
-    # the backward below builds its own
+    # ``cols``, the buffer a fused conv's columns go to, is left unused: the
+    # backward oracles are given columns built by ``gc._im2col``
     f, _, kh, kw = w.shape
     cols, oh, ow = _im2col_rowmajor(x, kh, kw, stride, pad)
     out = cols @ w.reshape(f, -1).T
@@ -625,7 +626,12 @@ def _stage_against_oracle(stage, batch, monkeypatch, as_bound, backward):
     graph = build(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = gc.value_and_grad(graph, bindings, params.names())
     monkeypatch.setattr(gc, "_conv2d_forward", _conv2d_forward_rowmajor)
-    monkeypatch.setattr(gc, "_conv2d_backward", backward)
+    # the row-major forward writes no columns, so the oracle builds its own
+    monkeypatch.setattr(
+        gc, "_conv2d_backward",
+        lambda g, x, w, stride, pad, need_dx, cols: backward(
+            g, x, w, stride, pad, need_dx,
+            gc._im2col(x, *w.shape[2:], stride, pad)[0]))
     loss_ref, grads_ref = gc.value_and_grad(graph, bindings, params.names())
     assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
     for name in params.names():
@@ -662,9 +668,22 @@ def _float32(bindings):
     return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
 
 
+def _backward_column_dtypes(monkeypatch):
+    """A list that gets the dtype of the ``cols`` each ``conv_bias_relu``
+    backward receives."""
+    dtypes = []
+    rule = gc._RULES["conv_bias_relu"]
+
+    def bwd(g, v, out, p, need, cols):
+        dtypes.append(cols.dtype)
+        return rule.bwd(g, v, out, p, need, cols)
+    monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, bwd=bwd))
+    return dtypes
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("stage", [1, 2])
-def test_float32_step_within_stated_bound_of_float64(stage, seed):
+def test_float32_step_within_stated_bound_of_float64(stage, seed, monkeypatch):
     """The per-step bound of float32 training: at the same inputs, the loss
     is within 1e-5 relative and each gradient within 1e-4 x its max |g| of
     the float64 step."""
@@ -674,10 +693,12 @@ def test_float32_step_within_stated_bound_of_float64(stage, seed):
     build = en.stage1_graph if stage == 1 else en.stage2_graph
     graph = build(cfg, en.MarginConfig(), en.LossWeights())
     names = params.names()
+    convs = sum(n.op == "conv_bias_relu" for n in graph.nodes)
     loss64, grads64 = gc.value_and_grad(graph, bindings, names)
+    columns = _backward_column_dtypes(monkeypatch)
     loss32, grads32 = gc.value_and_grad(graph, _float32(bindings), names)
-    # the column buffers the float64 step left were replaced, not reused
-    assert all(b.dtype == np.float32 for b in graph._column_buffers.values())
+    # each conv backward read columns of this step's dtype, not the last's
+    assert columns == [np.dtype(np.float32)] * convs
     assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
     # d loss / d crit_*_out_b is -1 + 1: the genuine mean and the logmeanexp
     # weights, which sum to 1, cancel, so only roundoff is left to compare
@@ -689,8 +710,10 @@ def test_float32_step_within_stated_bound_of_float64(stage, seed):
             assert np.abs(grads64[name]).max() <= 1e-12 and err <= 1e-6, name
         else:
             assert err <= 1e-4 * np.abs(grads64[name]).max(), name
-    # the graph's column buffers followed the dtype, and back again
+    # the columns followed the dtype, and back again
+    columns.clear()
     loss, grads = gc.value_and_grad(graph, bindings, names)
+    assert columns == [np.dtype(np.float64)] * convs
     assert np.float64(loss).tobytes() == np.float64(loss64).tobytes()
     for name in names:
         assert grads[name].tobytes() == grads64[name].tobytes(), name
@@ -700,8 +723,9 @@ def test_float32_step_within_stated_bound_of_float64(stage, seed):
 def test_float32_bindings_compute_in_float32(stage, monkeypatch):
     """No silent upcast: every forward value, the scalar consts' and the
     onehot's products included, every gradient a backward rule returns and
-    every column buffer is float32."""
+    the columns every conv backward reads are float32."""
     backward = set()
+    columns = _backward_column_dtypes(monkeypatch)
     for op, rule in list(gc._RULES.items()):
         def bwd(*args, _bwd=rule.bwd, _op=op):
             grads = _bwd(*args)
@@ -723,8 +747,31 @@ def test_float32_bindings_compute_in_float32(stage, monkeypatch):
     assert not upcast
     gc.value_and_grad(graph, bindings, params.names())
     assert backward and {dtype for _, dtype in backward} == {np.dtype(np.float32)}
-    assert graph._column_buffers
-    assert all(b.dtype == np.float32 for b in graph._column_buffers.values())
+    assert columns and set(columns) == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_value_and_grad_frees_columns_and_values_at_last_use(stage, monkeypatch):
+    """A conv's columns and output are freed before the next conv backward
+    runs, and the Graph holds no array once ``value_and_grad`` returns."""
+    rule = gc._RULES["conv_bias_relu"]
+    earlier = []  # weak references to the cols and out of earlier calls
+
+    def bwd(g, v, out, p, need, cols):
+        assert all(ref() is None for ref in earlier)
+        earlier.extend((weakref.ref(cols), weakref.ref(out)))
+        return rule.bwd(g, v, out, p, need, cols)
+    monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, bwd=bwd))
+    cfg = _tiny_cfg()
+    params = en.init_params(cfg, seed=86)
+    bindings = _float32(_stage_bindings(stage, cfg, params, 4, seed=87))
+    build = en.stage1_graph if stage == 1 else en.stage2_graph
+    graph = build(cfg, en.MarginConfig(), en.LossWeights())
+    gc.value_and_grad(graph, bindings, params.names())
+    assert len(earlier) == 2 * sum(n.op == "conv_bias_relu" for n in graph.nodes)
+    held = [v for attr in vars(graph).values()
+            for v in (attr.values() if isinstance(attr, dict) else [attr])]
+    assert not any(isinstance(v, np.ndarray) for v in held)
 
 
 def test_finite_difference_check_probes_in_float64():
@@ -805,8 +852,8 @@ def test_conv_bias_relu_byte_equal_to_unfused(conv2d_rule, c, f, f1, h, w, k, st
     params = {"w0": r.normal(size=(f, c, k, k)), "b0": r.normal(size=(f, 1, 1)),
               "w1": r.normal(size=(f1, f, 3, 3)), "b1": r.normal(size=(f1, 1, 1))}
     wrt = list(params) + (["x"] if need_dx else [])
-    # one graph each for every batch size, in random order: a column buffer
-    # that is stale or sized for another batch shows as a byte difference
+    # one graph each for every batch size, in random order: columns left
+    # from another call or sized for another batch show as a byte difference
     fused = _two_layer_graph(gc.conv_bias_relu, stride, pad)
     unfused = _two_layer_graph(_unfused, stride, pad)
     oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1

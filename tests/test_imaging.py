@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folds import fold_share
 from morphkit import geometry as geo
 from morphkit import imaging as im
 
@@ -209,6 +210,28 @@ def test_triplet_delta_is_one_normal_draw_of_variance_three():
     assert t.delta.tobytes() == want.tobytes()
     # and nothing else was drawn from it
     assert r.bit_generator.state == twin.bit_generator.state
+
+
+def test_stage1_triplet_warps_fold_within_measured_bands(tmp_path):
+    """How much of the face the stage-1 x_hat warps fold over on the
+    bench-size set today (ROADMAP item 10): every epoch's draws in pool
+    order, as ``train_stage1`` makes them.  A remedy for the folds has to
+    move these bands on purpose."""
+    cfg = im.SynthConfig(subjects=10, captures=3, morphs_per_subject=2,
+                         seed=101, size=112)
+    rows = im.synth_dataset(cfg, tmp_path / "d")
+    pool = [(geo.load_landmarks(tmp_path / "d" / r.landmarks_path), r.subject_id)
+            for r in rows if r.kind == "real"]
+    assert len(pool) == 30
+    assert all(fold_share(lms, lms, cfg.size) == 0 for lms, _ in pool)
+    for s in (0, 1):
+        r = np.random.Generator(np.random.PCG64([s, 1]))
+        drawn = [im.draw_triplet(pool, i, r) for i in range(len(pool))]
+        x_hat = [fold_share(t.lms_a, t.lms_g + t.delta, cfg.size) for t in drawn]
+        assert 0.10 <= np.median(x_hat) <= 0.20, s
+    # the neighbour does not depend on the generator, so neither does this
+    no_delta = [fold_share(t.lms_a, t.lms_g, cfg.size) for t in drawn]
+    assert 0.07 <= np.median(no_delta) <= 0.12
 
 
 def test_from_uint8_byte_equal_to_formula_for_every_value():

@@ -7,8 +7,13 @@ of each training stage.
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
 suite stays fast; ``pytest tests/test_microbench.py --benchmark-only`` prints
 the timing table alone.  Each benchmark also checks its result, so a run
-with ``--benchmark-disable`` still exercises the code once.
+with ``--benchmark-disable`` still exercises the code once.  The two
+training steps also run once under ``tracemalloc`` and record that step's
+peak in ``extra_info["traced_peak_mb"]``, which ``--benchmark-json FILE``
+writes beside the step's timings.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +148,22 @@ def _as_fit_binds(bindings):
     return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
 
 
+def _bench_step(benchmark, graph, bindings, names):
+    """Times ``value_and_grad`` on one step, then records the ``tracemalloc``
+    peak of one more step, in MB above its start; returns the timed result."""
+    args = (graph, _as_fit_binds(bindings), names)
+    result = benchmark.pedantic(gc.value_and_grad, args=args,
+                                rounds=3, iterations=1, warmup_rounds=1)
+    tracemalloc.start()
+    try:
+        gc.value_and_grad(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["traced_peak_mb"] = peak / 2 ** 20
+    return result
+
+
 def test_bench_stage1_value_and_grad_batch8(benchmark):
     """One stage-1 step, in float32 as training runs it."""
     cfg = en.EncoderConfig.desk(10)
@@ -156,9 +177,7 @@ def test_bench_stage1_value_and_grad_batch8(benchmark):
     bindings["labels_prime"] = r.integers(0, 10, size=n).astype(float)
     bindings["phi"] = r.uniform(0.05, 0.2, size=n)
     graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
-    loss, grads = benchmark.pedantic(
-        gc.value_and_grad, args=(graph, _as_fit_binds(bindings), params.names()),
-        rounds=3, iterations=1, warmup_rounds=1)
+    loss, grads = _bench_step(benchmark, graph, bindings, params.names())
     assert np.isfinite(loss)
     assert sorted(grads) == sorted(params.names())
 
@@ -176,9 +195,7 @@ def test_bench_stage2_value_and_grad_batch14(benchmark):
         bindings[name] = r.integers(0, n, size=n).astype(float)
     bindings["real_labels"] = r.integers(0, 10, size=n).astype(float)
     graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())
-    loss, grads = benchmark.pedantic(
-        gc.value_and_grad, args=(graph, _as_fit_binds(bindings), params.names()),
-        rounds=3, iterations=1, warmup_rounds=1)
+    loss, grads = _bench_step(benchmark, graph, bindings, params.names())
     assert np.isfinite(loss)
     assert sorted(grads) == sorted(params.names())
 
@@ -196,8 +213,8 @@ def _conv_fwd_bwd(x, w, b, g, need_dx, cols):
 
 def _bench_conv_layer(benchmark, layer, n):
     """One fused conv + bias + relu layer on the training path, in float32
-    as a training step binds it: the forward builds its columns in a kept
-    buffer and the backward reads them."""
+    as a training step binds it: the forward builds its columns in a buffer
+    and the backward reads them."""
     c, f, size = _desk_conv(layer)
     r = rng(10 + layer)
     x = r.uniform(-1, 1, size=(n, c, size, size)).astype(np.float32)
