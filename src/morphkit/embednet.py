@@ -88,14 +88,36 @@ class MarginConfig:
     m3: float = 0.15
     s: float = 64.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            _check_real(self, f.name, "> 0" if f.name == "s" else None)
+
 
 @dataclass(frozen=True)
 class LossWeights:
+    """Loss-term weights; 0 switches a term off."""
+
     alpha_g: float = 9.4
     lambda1_a: float = 1.3
     lambda1_g: float = 0.75
     lambda2_a: float = 1.0
     lambda2_g: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check_real(self, f.name, ">= 0")
+
+
+def _check_real(obj, name, bound=None):
+    """``obj.<name>`` must be a finite real, also > 0 or >= 0 as ``bound``
+    says, or a ValueError names it as ``<Class>.<name>``."""
+    v = getattr(obj, name)
+    ok = isinstance(v, numbers.Real) and math.isfinite(v)
+    if ok and bound:
+        ok = v > 0 if bound == "> 0" else v >= 0
+    if not ok:
+        rule = f"finite and {bound}" if bound else "finite"
+        raise ValueError(f"{type(obj).__name__}.{name} must be {rule}, got {v!r}")
 
 
 @dataclass
@@ -114,30 +136,26 @@ def param_specs(cfg: EncoderConfig):
     c_in = cfg.in_channels
     k = cfg.kernel
     for i, (c_out, _) in enumerate(zip(cfg.channels, cfg.strides)):
-        specs.append(gc.ParamSpec(f"conv{i}_w", (c_out, c_in, k, k),
-                                  "uniform", fan_in=c_in * k * k))
-        specs.append(gc.ParamSpec(f"conv{i}_b", (c_out, 1, 1), "zeros"))
+        specs.append(gc.ParamSpec(f"conv{i}_w", (c_out, c_in, k, k), c_in * k * k))
+        specs.append(gc.ParamSpec(f"conv{i}_b", (c_out, 1, 1)))
         c_in = c_out
     bd = cfg.branch_dim
     specs += [
-        gc.ParamSpec("fc_a_w", (bd, cfg.d_a), "uniform", fan_in=bd),
-        gc.ParamSpec("fc_a_b", (cfg.d_a,), "zeros"),
-        gc.ParamSpec("fc_g_w", (bd, cfg.d_g), "uniform", fan_in=bd),
-        gc.ParamSpec("fc_g_b", (cfg.d_g,), "zeros"),
-        gc.ParamSpec("fc_f_w", (cfg.d_a + cfg.d_g, cfg.d_f),
-                     "uniform", fan_in=cfg.d_a + cfg.d_g),
-        gc.ParamSpec("fc_f_b", (cfg.d_f,), "zeros"),
-        gc.ParamSpec("class_w", (cfg.n_classes, cfg.d_f),
-                     "uniform", fan_in=cfg.d_f),
+        gc.ParamSpec("fc_a_w", (bd, cfg.d_a), bd),
+        gc.ParamSpec("fc_a_b", (cfg.d_a,)),
+        gc.ParamSpec("fc_g_w", (bd, cfg.d_g), bd),
+        gc.ParamSpec("fc_g_b", (cfg.d_g,)),
+        gc.ParamSpec("fc_f_w", (cfg.d_a + cfg.d_g, cfg.d_f), cfg.d_a + cfg.d_g),
+        gc.ParamSpec("fc_f_b", (cfg.d_f,)),
+        gc.ParamSpec("class_w", (cfg.n_classes, cfg.d_f), cfg.d_f),
     ]
     for br, dim in (("a", cfg.d_a), ("g", cfg.d_g)):
         h = cfg.critic_hidden
         specs += [
-            gc.ParamSpec(f"crit_{br}_fc_w", (dim, h), "uniform", fan_in=dim),
-            gc.ParamSpec(f"crit_{br}_fc_b", (h,), "zeros"),
-            gc.ParamSpec(f"crit_{br}_out_w", (2 * h, 1), "uniform",
-                         fan_in=2 * h),
-            gc.ParamSpec(f"crit_{br}_out_b", (1,), "zeros"),
+            gc.ParamSpec(f"crit_{br}_fc_w", (dim, h), dim),
+            gc.ParamSpec(f"crit_{br}_fc_b", (h,)),
+            gc.ParamSpec(f"crit_{br}_out_w", (2 * h, 1), 2 * h),
+            gc.ParamSpec(f"crit_{br}_out_b", (1,)),
         ]
     return specs
 

@@ -23,11 +23,12 @@ bit-identical outputs, which the training code relies on for reproducible
 checkpoints.  Conv outputs and conv input gradients are NCHW arrays that are
 channel-last (NHWC) in memory, and ``_unbroadcast`` sums in C order, so a
 bias gradient has the same bytes whatever layout its gradient arrives in.
-A :class:`Graph` holds nodes only, no arrays.  ``value_and_grad`` gives each
-fused ``conv_bias_relu`` node an im2col column buffer for that call: the
-forward pass builds the columns there, the node's backward reads them, and
-the buffer is dropped right after, as is each node's forward value once its
-own backward has run or been skipped (Chen et al., arXiv:1604.06174).
+A :class:`Graph` holds nodes only, no arrays.  A conv layer's im2col
+columns are the value of an ``im2col`` node like any other, so every pass
+frees them as it frees every value, at its last read: ``evaluate_many``
+once the last node that reads a value has run, ``value_and_grad`` once the
+value's own backward has run or been skipped (Chen et al.,
+arXiv:1604.06174).
 """
 
 from __future__ import annotations
@@ -179,9 +180,14 @@ def matmul(a, b):
 
 
 def conv_bias_relu(x, w, b, stride=1, pad=0):
-    """``relu(conv(x, w, stride, pad) + b)`` as one node: a 2-D convolution
-    (cross-correlation) of NCHW input with FCkk filters; ``b`` is (F, 1, 1)."""
-    return Node("conv_bias_relu", (x, w, b), stride=int(stride), pad=int(pad))
+    """``relu(conv(x, w, stride, pad) + b)``: a 2-D convolution
+    (cross-correlation) of NCHW input with FCkk filters; ``b`` is (F, 1, 1).
+
+    Two nodes: an ``im2col`` node over (x, w), whose value is the columns,
+    and the fused node over (x, w, b, columns), a GEMM plus bias and relu.
+    """
+    p = dict(stride=int(stride), pad=int(pad))
+    return Node("conv_bias_relu", (x, w, b, Node("im2col", (x, w), **p)), **p)
 
 
 def relu(x):
@@ -312,44 +318,38 @@ def _conv_out_hw(x, w, stride, pad):
             (x.shape[3] + 2 * pad - kw) // stride + 1)
 
 
-def _im2col(x, kh, kw, stride, pad, out=None):
-    """Channel-major columns: a (C*kh*kw, N*oh*ow) matrix of input windows.
+def _im2col(x, w, stride, pad):
+    """Channel-major columns of NCHW ``x`` for FCkk filters ``w``: a
+    C-contiguous (C, kh, kw, N, oh, ow) array of input windows.
 
-    The input is copied once into a zero-padded (C, N, H+2p, W+2p) buffer,
-    and the columns are one copy of a strided (C, kh, kw, N, oh, ow) window
-    view of it.  They are written into ``out``, a 1-D array of exactly
-    C*kh*kw*N*oh*ow elements, when given.
+    The shapes are checked first.  The input is copied once into a
+    zero-padded (C, N, H+2p, W+2p) buffer, and the columns are one copy of
+    a strided window view of it.
     """
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    oh, ow = _conv_out_hw(x, w, stride, pad)
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    xp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x.transpose(1, 0, 2, 3)
     sc, sn, sh, sw = xp.strides
-    windows = np.ndarray((c, kh, kw, n, oh, ow), xp.dtype, xp,
-                         strides=(sc, sh, sw, sn, stride * sh, stride * sw))
-    cols = (np.empty(windows.shape, xp.dtype) if out is None
-            else out.reshape(windows.shape))
-    np.copyto(cols, windows)
-    return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
+    return np.ndarray((c, kh, kw, n, oh, ow), xp.dtype, xp,
+                      strides=(sc, sh, sw, sn, stride * sh, stride * sw)).copy()
 
 
-def _conv2d_forward(x, w, stride, pad, cols=None):
-    """NCHW conv output, NHWC in memory; ``cols`` receives the im2col columns."""
-    _conv_out_hw(x, w, stride, pad)
-    f, _, kh, kw = w.shape
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad, cols)
+def _conv2d_forward(cols, w):
+    """NCHW conv output from im2col ``cols``, NHWC in memory."""
+    _, _, _, n, oh, ow = cols.shape
+    f = w.shape[0]
     # the operand roles of row-major columns, (N*oh*ow, CKK) @ (CKK, F), kept
     # through a transposed view: on the encoder's layer shapes this is
     # byte-equal to the row-major product, and ``w2 @ cols`` is not
-    out = cols.T @ w.reshape(f, -1).T
-    return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
+    out = cols.reshape(-1, n * oh * ow).T @ w.reshape(f, -1).T
+    return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
 
 def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
-    """(dx, dw); dx is None when ``need_dx`` is false.
-
-    ``cols`` holds the forward pass's im2col columns of ``x``.
+    """(dx, dw) from the forward pass's im2col columns ``cols`` of ``x``;
+    dx is None when ``need_dx`` is false.
 
     dx is built tap by tap: for each kernel offset one (N*oh*ow, F) @ (F, C)
     product is added into the padded NHWC gradient, in the same tap order as
@@ -387,12 +387,12 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
     return dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2), dw
 
 
-def _conv_bias_relu_forward(x, w, b, stride, pad, cols=None):
+def _conv_bias_relu_forward(w, b, cols):
     """relu(conv2d + b), the bias and relu applied in place on the GEMM output.
 
     The pre-activation is checked here, since relu would turn a -inf into 0.
     """
-    out = _conv2d_forward(x, w, stride, pad, cols)
+    out = _conv2d_forward(cols, w)
     if b.shape != (w.shape[0], 1, 1):
         raise GradcoreError(
             f"conv_bias_relu bias {b.shape} is not ({w.shape[0]}, 1, 1)")
@@ -402,15 +402,16 @@ def _conv_bias_relu_forward(x, w, b, stride, pad, cols=None):
     return np.maximum(out, 0.0, out=out)
 
 
-def _conv_bias_relu_backward(g, x, w, b, out, stride, pad, need_dx, cols):
-    """(dx, dw, db) with the arithmetic of separate relu, add and conv2d rules.
+def _conv_bias_relu_backward(g, x, w, b, cols, out, stride, pad, need_dx):
+    """(dx, dw, db, None) with the arithmetic of separate relu, add and
+    conv2d rules; no gradient flows to the columns.
 
     ``out > 0`` is relu's mask: the pre-activation is finite, so it is
     positive exactly where the output is.
     """
     gz = g * (out > 0)
     dx, dw = _conv2d_backward(gz, x, w, stride, pad, need_dx, cols)
-    return dx, dw, _unbroadcast(gz, b.shape)
+    return dx, dw, _unbroadcast(gz, b.shape), None
 
 
 def _cosine_parts(a, b):
@@ -429,7 +430,7 @@ def _matmul(a, b):
     return a @ b
 
 
-def _onehot_forward(v, p, c):
+def _onehot_forward(v, p):
     lab = _indices(v[0], p["depth"], "onehot")
     out = np.zeros((lab.shape[0], p["depth"]), v[0].dtype)
     out[np.arange(lab.shape[0]), lab] = 1.0
@@ -475,7 +476,7 @@ def _cosine_backward(g, v, *_):
     return (ga, gb)
 
 
-def _softmax_xent_forward(v, p, c):
+def _softmax_xent_forward(v, p):
     logits, lab = v[0], _indices(v[1], v[0].shape[1], "softmax_xent")
     m = logits.max(axis=1)
     lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
@@ -497,7 +498,7 @@ def _acos_backward(g, v, *_):
     return (-g / np.sqrt(d),)
 
 
-def _logmeanexp_forward(v, p, c):
+def _logmeanexp_forward(v, p):
     x = v[0].ravel()
     m = x.max()
     return np.asarray(m + np.log(np.exp(x - m).mean()))
@@ -518,78 +519,78 @@ def _clip_mask(v, out, p):
 class _Rule:
     """Everything the engine knows about one op.
 
-    ``fwd(vals, p, cols)`` is its value and ``bwd(g, vals, out, p, need,
-    cols)`` one gradient per input, None where none flows (``need[i]`` is
-    false when input i's would be discarded).  ``kink(vals, out, p)``, for a
-    gradient with discontinuities, is a mask whose flip between two probes
-    tells the finite-difference checker of the test suite to skip them; the
-    passes never read it.  In ``value_and_grad`` a ``columns`` op gets as
-    ``cols`` a column buffer that its forward fills and its backward reads;
-    elsewhere ``cols`` is None.  A ``checks_finite`` op raises
-    NonFiniteError itself.
-    Forward rules name all three parameters: a ``*_`` catch-all costs a
-    tuple per call on the batch-1 forward path.
+    ``fwd(vals, p)`` is its value and ``bwd(g, vals, out, p, need)`` one
+    gradient per input, None where none flows (``need[i]`` is false when
+    input i's would be discarded).  ``kink(vals, out, p)``, for a gradient
+    with discontinuities, is a mask whose flip between two probes tells the
+    finite-difference checker of the test suite to skip them; the passes
+    never read it.  A ``checks_finite`` op raises NonFiniteError itself, or
+    leaves it to the one op that reads its value, as ``im2col`` does: any
+    non-finite column entry reaches the fused conv's pre-activation.
+    Forward rules name both parameters: a ``*_`` catch-all costs a tuple
+    per call on the batch-1 forward path.
     """
 
     fwd: Callable
     bwd: Callable
     kink: Callable | None = None
-    columns: bool = False
     checks_finite: bool = False
 
 
 _RULES = {
     # either input of a binary op may be a scalar const, a Python float
-    "add": _Rule(lambda v, p, c: v[0] + v[1],
+    "add": _Rule(lambda v, p: v[0] + v[1],
                  lambda g, v, *_: (_unbroadcast(g, np.shape(v[0])),
                                    _unbroadcast(g, np.shape(v[1])))),
-    "sub": _Rule(lambda v, p, c: v[0] - v[1],
+    "sub": _Rule(lambda v, p: v[0] - v[1],
                  lambda g, v, *_: (_unbroadcast(g, np.shape(v[0])),
                                    _unbroadcast(-g, np.shape(v[1])))),
-    "mul": _Rule(lambda v, p, c: v[0] * v[1],
+    "mul": _Rule(lambda v, p: v[0] * v[1],
                  lambda g, v, *_: (_unbroadcast(g * v[1], np.shape(v[0])),
                                    _unbroadcast(g * v[0], np.shape(v[1])))),
-    "div": _Rule(lambda v, p, c: v[0] / v[1],
+    "div": _Rule(lambda v, p: v[0] / v[1],
                  lambda g, v, *_: (_unbroadcast(g / v[1], np.shape(v[0])),
                                    _unbroadcast(-g * v[0] / (v[1] * v[1]),
                                                 np.shape(v[1])))),
-    "matmul": _Rule(lambda v, p, c: _matmul(v[0], v[1]),
+    "matmul": _Rule(lambda v, p: _matmul(v[0], v[1]),
                     lambda g, v, *_: (g @ v[1].T, v[0].T @ g)),
+    "im2col": _Rule(lambda v, p: _im2col(v[0], v[1], p["stride"], p["pad"]),
+                    lambda g, v, *_: (None, None), checks_finite=True),
     "conv_bias_relu": _Rule(
-        lambda v, p, c: _conv_bias_relu_forward(*v, p["stride"], p["pad"], c),
-        lambda g, v, out, p, need, c: _conv_bias_relu_backward(
-            g, *v, out, p["stride"], p["pad"], need[0], c),
-        kink=lambda v, out, p: out > 0, columns=True, checks_finite=True),
-    "relu": _Rule(lambda v, p, c: np.maximum(v[0], 0.0),
+        lambda v, p: _conv_bias_relu_forward(v[1], v[2], v[3]),
+        lambda g, v, out, p, need: _conv_bias_relu_backward(
+            g, *v, out, p["stride"], p["pad"], need[0]),
+        kink=lambda v, out, p: out > 0, checks_finite=True),
+    "relu": _Rule(lambda v, p: np.maximum(v[0], 0.0),
                   lambda g, v, *_: (g * (v[0] > 0),),
                   kink=lambda v, out, p: v[0] > 0),
-    "mean": _Rule(lambda v, p, c: np.asarray(v[0].mean(axis=p["axis"])),
+    "mean": _Rule(lambda v, p: np.asarray(v[0].mean(axis=p["axis"])),
                   _mean_backward),
-    "sum": _Rule(lambda v, p, c: np.asarray(v[0].sum(axis=p["axis"])),
+    "sum": _Rule(lambda v, p: np.asarray(v[0].sum(axis=p["axis"])),
                  lambda g, v, out, p, *_: (
                      _restore_dims(np.asarray(g), v[0].shape, p["axis"]).copy(),)),
-    "concat": _Rule(lambda v, p, c: np.concatenate(v, axis=p["axis"]),
+    "concat": _Rule(lambda v, p: np.concatenate(v, axis=p["axis"]),
                     lambda g, v, out, p, *_: tuple(np.split(
                         g, np.cumsum([x.shape[p["axis"]] for x in v])[:-1],
                         axis=p["axis"]))),
-    "slice": _Rule(lambda v, p, c: v[0][_slice_index(v[0], p)], _slice_backward),
-    "reshape": _Rule(lambda v, p, c: v[0].reshape(p["shape"]),
+    "slice": _Rule(lambda v, p: v[0][_slice_index(v[0], p)], _slice_backward),
+    "reshape": _Rule(lambda v, p: v[0].reshape(p["shape"]),
                      lambda g, v, *_: (g.reshape(v[0].shape),)),
-    "transpose2d": _Rule(lambda v, p, c: v[0].T, lambda g, v, *_: (g.T,)),
+    "transpose2d": _Rule(lambda v, p: v[0].T, lambda g, v, *_: (g.T,)),
     "take_rows": _Rule(
-        lambda v, p, c: v[0][_indices(v[1], v[0].shape[0], "take_rows")],
+        lambda v, p: v[0][_indices(v[1], v[0].shape[0], "take_rows")],
         _take_rows_backward),
     "onehot": _Rule(_onehot_forward, lambda g, v, *_: (None,)),
-    "l2norm": _Rule(lambda v, p, c: np.sqrt((v[0] * v[0]).sum(axis=-1)),
+    "l2norm": _Rule(lambda v, p: np.sqrt((v[0] * v[0]).sum(axis=-1)),
                     _l2norm_backward),
-    "cosine_similarity": _Rule(lambda v, p, c: _cosine_parts(v[0], v[1])[2],
+    "cosine_similarity": _Rule(lambda v, p: _cosine_parts(v[0], v[1])[2],
                                _cosine_backward),
     "softmax_xent": _Rule(_softmax_xent_forward, _softmax_xent_backward),
-    "acos": _Rule(lambda v, p, c: np.arccos(np.clip(v[0], -1.0, 1.0)),
+    "acos": _Rule(lambda v, p: np.arccos(np.clip(v[0], -1.0, 1.0)),
                   _acos_backward),
-    "cos": _Rule(lambda v, p, c: np.cos(v[0]),
+    "cos": _Rule(lambda v, p: np.cos(v[0]),
                  lambda g, v, *_: (-g * np.sin(v[0]),)),
-    "clip": _Rule(lambda v, p, c: np.clip(v[0], p["lo"], p["hi"]),
+    "clip": _Rule(lambda v, p: np.clip(v[0], p["lo"], p["hi"]),
                   lambda g, v, out, p, *_: (g * _clip_mask(v, out, p),),
                   kink=_clip_mask),
     "logmeanexp": _Rule(_logmeanexp_forward, _logmeanexp_backward),
@@ -623,9 +624,10 @@ class Graph:
 
     ``outputs`` is one node, or a sequence of nodes that ``evaluate_many``
     evaluates in one shared pass; ``output`` is the first of them, which
-    ``value_and_grad`` differentiates.  A Graph holds no arrays: each pass
-    keeps its values and column buffers to itself, so one Graph may be
-    evaluated and differentiated by any number of callers.
+    ``value_and_grad`` differentiates.  ``frees[k]`` lists the uids of the
+    values that ``nodes[k]`` is the last to read, outputs excepted.  A Graph
+    holds no arrays: each pass keeps its values to itself, so one Graph may
+    be evaluated and differentiated by any number of callers.
     """
 
     def __init__(self, outputs):
@@ -634,6 +636,12 @@ class Graph:
             raise GradcoreError("a Graph needs at least one output node")
         self.output = self.outputs[0]
         self.nodes = _topo_order(self.outputs)
+        outs = {o.uid for o in self.outputs}
+        last = {i.uid: k for k, n in enumerate(self.nodes) for i in n.inputs
+                if i.uid not in outs}
+        self.frees = [[] for _ in self.nodes]
+        for uid, k in last.items():
+            self.frees[k].append(uid)
 
 
 def _as_graph(g):
@@ -644,20 +652,13 @@ def _as_graph(g):
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
-def _column_buffer(node, vals):
-    """An empty im2col buffer of fused conv ``node`` at input values ``vals``."""
-    x, w = vals[0], vals[1]
-    oh, ow = _conv_out_hw(x, w, node.params["stride"], node.params["pad"])
-    return np.empty(w[0].size * x.shape[0] * oh * ow, x.dtype)
-
-
-def _forward(nodes, bindings, columns=None):
-    """Node values by uid.  With a ``columns`` dict, each ``columns`` op
-    builds its im2col columns in a new buffer that it leaves there, under
-    its uid, for the backward pass; without one it builds temporaries."""
+def _forward(nodes, bindings, frees=None):
+    """Node values by uid.  With ``frees``, a Graph's schedule of last
+    reads, each value is dropped once the last node that reads it has run;
+    without it every value is kept."""
     values = {}
     with np.errstate(all="ignore"):
-        for n in nodes:
+        for n, dead in zip(nodes, frees or itertools.repeat(())):
             if n.op == "leaf":
                 if n.name not in bindings:
                     raise GradcoreError(f"unbound leaf '{n.name}'")
@@ -672,37 +673,37 @@ def _forward(nodes, bindings, columns=None):
                 except KeyError:
                     raise GradcoreError(f"unknown primitive '{n.op}'") from None
                 vals = [values[i.uid] for i in n.inputs]
-                cols = None
-                if rule.columns and columns is not None:
-                    cols = columns[n.uid] = _column_buffer(n, vals)
                 with _span(n):
-                    v = rule.fwd(vals, n.params, cols)
+                    v = rule.fwd(vals, n.params)
                 if not rule.checks_finite and not np.isfinite(v).all():
                     raise NonFiniteError(f"non-finite value produced by '{n.op}'")
             values[n.uid] = v
+            for uid in dead:
+                del values[uid]
     return values
 
 
 def evaluate_many(outputs, bindings):
     """Evaluate several output nodes, or the outputs of a :class:`Graph`, in
-    one shared forward pass; a Graph reuses its topological order."""
+    one shared forward pass; a Graph reuses its topological order.  Each
+    value, a conv layer's columns included, is dropped once the last node
+    that reads it has run, so the pass holds about one layer's arrays."""
     g = _as_graph(outputs)
-    values = _forward(g.nodes, bindings)
+    values = _forward(g.nodes, bindings, g.frees)
     return [values[o.uid] for o in g.outputs]
 
 
 def value_and_grad(graph, bindings, wrt):
     """Forward value plus reverse-mode gradients for the named leaves.
 
-    The im2col columns of each fused conv live from its forward to its own
-    backward, and each node's value until its own backward has run or been
-    skipped; nothing is kept on the Graph.
+    The forward pass keeps every value; each one, a conv layer's columns
+    included, is dropped once its own backward has run or been skipped.
+    Nothing is kept on the Graph.
     """
     g = _as_graph(graph)
     if len(g.outputs) != 1:
         raise GradcoreError(f"gradient requires one output, got {len(g.outputs)}")
-    columns = {}
-    values = _forward(g.nodes, bindings, columns)
+    values = _forward(g.nodes, bindings)
     out = np.asarray(values[g.output.uid])  # a constant output is a float
     if out.size != 1:
         raise GradcoreError(f"gradient requires a scalar output, got shape {out.shape}")
@@ -718,8 +719,8 @@ def value_and_grad(graph, bindings, wrt):
     leaf_grads = {}
     for n in reversed(g.nodes):
         # every consumer of n comes later in topological order and has run
-        # its backward, so this is the last read of n's value and columns
-        v, cols = values.pop(n.uid), columns.pop(n.uid, None)
+        # its backward, so this is the last read of n's value
+        v = values.pop(n.uid)
         if n.uid not in live:
             continue
         gout = grads.pop(n.uid, None)
@@ -735,7 +736,7 @@ def value_and_grad(graph, bindings, wrt):
         need = [i.uid in live for i in n.inputs]
         vals = [values[i.uid] for i in n.inputs]
         with _span(n, backward=True):
-            in_grads = rule.bwd(gout, vals, v, n.params, need, cols)
+            in_grads = rule.bwd(gout, vals, v, n.params, need)
         for inp, ig, keep in zip(n.inputs, in_grads, need):
             if ig is None or not keep:
                 continue
@@ -758,11 +759,11 @@ def value_and_grad(graph, bindings, wrt):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Initialization recipe for one named tensor."""
+    """Initialization recipe for one named tensor: uniform in
+    +-1/sqrt(``fan_in``), or zeros when ``fan_in`` is None."""
 
     name: str
     shape: tuple
-    init: str = "uniform"  # "uniform" (fan-in scaled) or "zeros"
     fan_in: int | None = None
 
 
@@ -783,13 +784,11 @@ class ParamStore:
         for spec in specs:
             if spec.name in tensors:
                 raise GradcoreError(f"duplicate parameter '{spec.name}'")
-            if spec.init == "zeros":
+            if spec.fan_in is None:
                 tensors[spec.name] = np.zeros(spec.shape)
-            elif spec.init == "uniform":
+            else:
                 bound = 1.0 / np.sqrt(float(spec.fan_in))
                 tensors[spec.name] = rng.uniform(-bound, bound, size=spec.shape)
-            else:
-                raise GradcoreError(f"unknown init scheme '{spec.init}'")
         return cls(tensors=tensors)
 
     def copy(self):

@@ -134,8 +134,6 @@ def alpha_blend(a, b, alpha):
 class MorphRecord:
     image: np.ndarray
     landmarks: np.ndarray
-    alpha_warp: float
-    alpha_blend: float
 
 
 def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5,
@@ -159,8 +157,7 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5,
         raise ValueError("morph source landmark sets must share K")
     target = (1.0 - alpha_warp) * la + alpha_warp * lb
     warped_a, warped_b = geometry.warp_images([(img_a, la), (img_b, lb)], target)
-    return MorphRecord(image=alpha_blend(warped_a, warped_b, alpha),
-                       landmarks=target, alpha_warp=alpha_warp, alpha_blend=alpha)
+    return MorphRecord(image=alpha_blend(warped_a, warped_b, alpha), landmarks=target)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,7 @@ def test_profile_through_encode_one_row_per_layer():
         profiled = en.encode(cfg, params, x)
     assert_same_bytes(plain, profiled)
     for i in range(len(cfg.channels)):
+        assert prof.stats[("im2col", f"conv{i}_w")][1::2] == [1, 0]
         assert prof.stats[("conv_bias_relu", f"conv{i}_w")][1::2] == [1, 0]
     for branch in "agf":
         assert prof.stats[("matmul", f"fc_{branch}_w")][1::2] == [1, 0]
@@ -1280,3 +1281,27 @@ def test_config_from_meta_non_positive_size_names_field(field, value):
         en.config_from_meta(meta)
     got = tuple(map(int, value.split(","))) if "," in value else int(value)
     assert str(err.value) == f"EncoderConfig.{field} must be >= 1, got {got!r}"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("margin.m1", "nan"), ("margin.m2", "inf"), ("margin.m3", "-inf"),
+    ("margin.s", "nan"), ("margin.s", "0"), ("margin.s", "-64"),
+    ("loss.alpha_g", "inf"), ("loss.lambda1_a", "-1"), ("loss.lambda1_g", "nan"),
+    ("loss.lambda2_a", "-1e-9"), ("loss.lambda2_g", "-inf")])
+def test_config_from_meta_bad_loss_hyperparameter_names_field(key, value):
+    # unchecked, a NaN scale or a negative weight trains on without complaint
+    meta = dict(_nondefault_meta(), **{key: value})
+    with pytest.raises(ValueError) as err:
+        en.config_from_meta(meta)
+    tag, field = key.split(".")
+    cls, rule = {"margin": ("MarginConfig", "finite and > 0" if field == "s"
+                            else "finite"),
+                 "loss": ("LossWeights", "finite and >= 0")}[tag]
+    assert str(err.value) == f"{cls}.{field} must be {rule}, got {float(value)!r}"
+
+
+@pytest.mark.parametrize("cls,field", [(en.MarginConfig, "m2"),
+                                       (en.LossWeights, "lambda1_g")])
+def test_loss_configs_reject_a_field_that_is_not_a_real(cls, field):
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must be finite"):
+        cls(**{field: "0.5"})

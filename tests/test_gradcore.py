@@ -26,14 +26,15 @@ def conv2d(x, w, stride=1, pad=0):
     return gc.Node("conv2d", (x, w), stride=int(stride), pad=int(pad))
 
 
-def _conv2d_oracle_backward(g, v, out, p, need, c):
-    # not a ``columns`` op, so no buffer: the columns are built again
-    cols = gc._im2col(v[0], *v[1].shape[2:], p["stride"], p["pad"])[0]
+def _conv2d_oracle_backward(g, v, out, p, need):
+    # one node, so the columns are built again
+    cols = gc._im2col(v[0], v[1], p["stride"], p["pad"])
     return gc._conv2d_backward(g, v[0], v[1], p["stride"], p["pad"], need[0], cols)
 
 
 _CONV2D_RULE = gc._Rule(
-    lambda v, p, c: gc._conv2d_forward(v[0], v[1], p["stride"], p["pad"]),
+    lambda v, p: gc._conv2d_forward(gc._im2col(v[0], v[1], p["stride"], p["pad"]),
+                                    v[1]),
     _conv2d_oracle_backward)
 
 
@@ -148,7 +149,9 @@ def test_every_public_constructor_op_has_a_rule():
     sugar = [x + 1.0, x - 1.0, x * 2.0, 2.0 * x, -x, x.sum(), x.mean(),
              x.reshape((1,))]
     assert set(emitted) == set(gc.__all__) - _NOT_CONSTRUCTORS
-    assert {n.op for n in [*emitted.values(), *sugar]} == set(gc._RULES)
+    # conv_bias_relu emits its im2col node as an input
+    ops = {n.op for n in gc.Graph([*emitted.values(), *sugar]).nodes}
+    assert ops - {"leaf", "const"} == set(gc._RULES)
 
 
 def test_every_rule_is_an_op_of_the_pipeline():
@@ -165,8 +168,8 @@ def test_rule_flags_name_exactly_the_kink_column_and_self_checked_ops():
     def having(flag):
         return {op for op, rule in gc._RULES.items() if getattr(rule, flag)}
     assert having("kink") == {"relu", "conv_bias_relu", "clip"}
-    assert having("columns") == {"conv_bias_relu"}
-    assert having("checks_finite") == {"conv_bias_relu"}
+    # im2col's one reader, the fused conv, checks its own pre-activation
+    assert having("checks_finite") == {"conv_bias_relu", "im2col"}
 
 
 def test_op_without_rule_names_it():
@@ -381,9 +384,7 @@ def _im2col_rowmajor(x, kh, kw, stride, pad):
     return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
 
 
-def _conv2d_forward_rowmajor(x, w, stride, pad, cols=None):
-    # ``cols``, the buffer a fused conv's columns go to, is left unused: the
-    # backward oracles are given columns built by ``gc._im2col``
+def _conv2d_forward_rowmajor(x, w, stride, pad):
     f, _, kh, kw = w.shape
     cols, oh, ow = _im2col_rowmajor(x, kh, kw, stride, pad)
     out = cols @ w.reshape(f, -1).T
@@ -458,13 +459,14 @@ def test_conv2d_matches_rowmajor_oracle(n, c, f, h, w, k, stride, pad, need_dx,
         with pytest.raises(ValueError):
             _conv2d_forward_rowmajor(x, wt, stride, pad)
         with pytest.raises(gc.GradcoreError, match="larger than padded input"):
-            gc._conv2d_forward(x, wt, stride, pad)
+            gc._im2col(x, wt, stride, pad)
         return
     cols_rm = _im2col_rowmajor(x, k, k, stride, pad)[0]
-    cols = gc._im2col(x, k, k, stride, pad)[0]
-    assert cols.T.tobytes() == cols_rm.tobytes()
+    cols = gc._im2col(x, wt, stride, pad)
+    assert cols.flags.c_contiguous
+    assert cols.reshape(c * k * k, -1).T.tobytes() == cols_rm.tobytes()
     ref = _conv2d_forward_rowmajor(x, wt, stride, pad)
-    out = gc._conv2d_forward(x, wt, stride, pad)
+    out = gc._conv2d_forward(cols, wt)
     assert out.shape == ref.shape
     # the forward GEMM passes BLAS a transposed operand; OpenBLAS's
     # small-matrix kernels and numpy's matrix-vector path (f == 1) sum those
@@ -516,7 +518,7 @@ def test_conv2d_backward_byte_equal_to_tap_oracle(n, c, f, h, w, k, stride, pad,
     if nhwc:
         x = _nhwc_view(x)
     wt = r.normal(size=(f, c, k, k)).astype(dtype)
-    cols = gc._im2col(x, k, k, stride, pad)[0]
+    cols = gc._im2col(x, wt, stride, pad)
     oh, ow = gc._conv_out_hw(x, wt, stride, pad)
     g = r.normal(size=(n, f, oh, ow)).astype(dtype)
     dx, dw = gc._conv2d_backward(g, x, wt, stride, pad, need_dx, cols)
@@ -570,11 +572,11 @@ def _desk_layer_against_oracles(layer, batch, dtype):
     if layer:
         x = _nhwc_view(x)
     wt = r.uniform(-0.2, 0.2, size=(f, c, 3, 3)).astype(dtype)
-    out = gc._conv2d_forward(x, wt, 2, 1)
-    assert out.dtype == dtype
+    cols = gc._im2col(x, wt, 2, 1)
+    out = gc._conv2d_forward(cols, wt)
+    assert cols.dtype == out.dtype == dtype
     assert out.tobytes() == _conv2d_forward_rowmajor(x, wt, 2, 1).tobytes()
     g = r.normal(size=out.shape).astype(dtype)
-    cols = gc._im2col(x, 3, 3, 2, 1)[0]
     dx, dw = gc._conv2d_backward(g, x, wt, 2, 1, True, cols)
     dx_ref, dw_ref = _conv2d_backward_rowmajor(g, x, wt, 2, 1, True)
     assert dw.dtype == dtype and dw.tobytes() == dw_ref.tobytes()
@@ -625,13 +627,13 @@ def _stage_against_oracle(stage, batch, monkeypatch, as_bound, backward):
     build = en.stage1_graph if stage == 1 else en.stage2_graph
     graph = build(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = gc.value_and_grad(graph, bindings, params.names())
-    monkeypatch.setattr(gc, "_conv2d_forward", _conv2d_forward_rowmajor)
-    # the row-major forward writes no columns, so the oracle builds its own
-    monkeypatch.setattr(
-        gc, "_conv2d_backward",
-        lambda g, x, w, stride, pad, need_dx, cols: backward(
-            g, x, w, stride, pad, need_dx,
-            gc._im2col(x, *w.shape[2:], stride, pad)[0]))
+    # the row-major product, then the bias and relu as separate steps; the
+    # backward oracle reads the columns of the graph's im2col node
+    rule = gc._RULES["conv_bias_relu"]
+    monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, fwd=lambda v, p: (
+        np.maximum(_conv2d_forward_rowmajor(v[0], v[1], p["stride"], p["pad"])
+                   + v[2], 0.0))))
+    monkeypatch.setattr(gc, "_conv2d_backward", backward)
     loss_ref, grads_ref = gc.value_and_grad(graph, bindings, params.names())
     assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
     for name in params.names():
@@ -669,14 +671,14 @@ def _float32(bindings):
 
 
 def _backward_column_dtypes(monkeypatch):
-    """A list that gets the dtype of the ``cols`` each ``conv_bias_relu``
-    backward receives."""
+    """A list that gets the dtype of the columns, the value of the im2col
+    node, that each ``conv_bias_relu`` backward receives."""
     dtypes = []
     rule = gc._RULES["conv_bias_relu"]
 
-    def bwd(g, v, out, p, need, cols):
-        dtypes.append(cols.dtype)
-        return rule.bwd(g, v, out, p, need, cols)
+    def bwd(g, v, out, p, need):
+        dtypes.append(v[3].dtype)
+        return rule.bwd(g, v, out, p, need)
     monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, bwd=bwd))
     return dtypes
 
@@ -752,15 +754,16 @@ def test_float32_bindings_compute_in_float32(stage, monkeypatch):
 
 @pytest.mark.parametrize("stage", [1, 2])
 def test_value_and_grad_frees_columns_and_values_at_last_use(stage, monkeypatch):
-    """A conv's columns and output are freed before the next conv backward
-    runs, and the Graph holds no array once ``value_and_grad`` returns."""
+    """A conv's columns, the value of its im2col node, and its output are
+    freed before the next conv backward runs, and the Graph holds no array
+    once ``value_and_grad`` returns."""
     rule = gc._RULES["conv_bias_relu"]
-    earlier = []  # weak references to the cols and out of earlier calls
+    earlier = []  # weak references to the columns and out of earlier calls
 
-    def bwd(g, v, out, p, need, cols):
+    def bwd(g, v, out, p, need):
         assert all(ref() is None for ref in earlier)
-        earlier.extend((weakref.ref(cols), weakref.ref(out)))
-        return rule.bwd(g, v, out, p, need, cols)
+        earlier.extend((weakref.ref(v[3]), weakref.ref(out)))
+        return rule.bwd(g, v, out, p, need)
     monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, bwd=bwd))
     cfg = _tiny_cfg()
     params = en.init_params(cfg, seed=86)
@@ -772,6 +775,30 @@ def test_value_and_grad_frees_columns_and_values_at_last_use(stage, monkeypatch)
     held = [v for attr in vars(graph).values()
             for v in (attr.values() if isinstance(attr, dict) else [attr])]
     assert not any(isinstance(v, np.ndarray) for v in held)
+
+
+def test_evaluate_many_frees_each_value_after_its_last_read(monkeypatch):
+    """A forward-only pass holds one layer's columns at a time: an earlier
+    layer's im2col value is freed before the next conv's forward runs, and
+    the three outputs are kept, equal to a pass that keeps every value."""
+    cfg = en.EncoderConfig.desk(10)
+    params = en.init_params(cfg, seed=88)
+    bindings = dict(params.tensors, x=rng(89).uniform(-1, 1, size=(8, 3, 112, 112)))
+    plan = en._encoder_plan(cfg)
+    values = gc._forward(plan.nodes, bindings)
+    want = [values[o.uid].tobytes() for o in plan.outputs]
+    del values
+    rule = gc._RULES["conv_bias_relu"]
+    earlier = []  # weak references to the columns of earlier layers
+
+    def fwd(v, p):
+        assert all(ref() is None for ref in earlier)
+        earlier.append(weakref.ref(v[3]))
+        return rule.fwd(v, p)
+    monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, fwd=fwd))
+    got = gc.evaluate_many(plan, bindings)
+    assert len(earlier) == len(cfg.channels)
+    assert [z.tobytes() for z in got] == want
 
 
 def test_finite_difference_check_probes_in_float64():
@@ -946,6 +973,8 @@ def test_profile_one_row_per_layer_and_values_unchanged():
     for i in range(len(cfg.channels)):
         fs, fc, bs, bc = prof.stats[("conv_bias_relu", f"conv{i}_w")]
         assert (fc, bc) == (3, 3) and fs > 0 and bs > 0
+        # no gradient flows to the columns, so their backward never runs
+        assert prof.stats[("im2col", f"conv{i}_w")][1::2] == [3, 0]
     assert prof.stats[("matmul", "fc_a_w")][1::2] == [3, 3]
     assert prof.stats[("add", "fc_a_b")][1::2] == [3, 3]
     assert not any(label in ("x", "x_prime", "x_hat") for _, label in prof.stats)
@@ -1021,8 +1050,7 @@ def test_lr_schedule_accepts_edge_values():
 
 
 def test_paramstore_seeded_init_bit_identical():
-    specs = [gc.ParamSpec("w", (4, 3), "uniform", fan_in=3),
-             gc.ParamSpec("b", (4,), "zeros")]
+    specs = [gc.ParamSpec("w", (4, 3), fan_in=3), gc.ParamSpec("b", (4,))]
     a = gc.ParamStore.initialize(specs, seed=42)
     b = gc.ParamStore.initialize(specs, seed=42)
     for k in a.names():
