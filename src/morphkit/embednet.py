@@ -382,8 +382,10 @@ def _load_landmarks(reals, root):
     return sets
 
 
-# each 8-bit level as ``imaging.from_uint8`` scales it, rounded once to float32
-_LEVELS32 = imaging.from_uint8(np.arange(256, dtype=np.uint8)).astype(np.float32)
+# each 8-bit level as ``imaging.from_uint8`` scales it, and that rounded once
+# to float32
+_LEVELS64 = imaging.from_uint8(np.arange(256, dtype=np.uint8))
+_LEVELS32 = _LEVELS64.astype(np.float32)
 
 
 def _float_leaf(faces):
@@ -508,12 +510,16 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
 def _bind_stage1_batch(batch, faces, cmap):
     """The float32 stage-1 graph leaves of drawn triplets, from uint8
-    ``faces``; each x_hat is warped in float64 and rounded into its slot."""
+    ``faces``.  Each x_hat source is decoded straight into (C, H, W) planes
+    by a lookup in ``_LEVELS64`` (``imaging.from_uint8``'s values), warped in
+    float64 as the (H, W, C) view of those planes, and its channel-major
+    result is rounded into its float32 slot by one contiguous cast."""
     x = _float_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
     for out, t in zip(x_hat, batch):
-        face = imaging.from_uint8(faces[t.index_a])
-        out[...] = imaging.build_triplet(face, t).transpose(2, 0, 1)
+        planes = _LEVELS64.take(faces[t.index_a].transpose(2, 0, 1))
+        warped = imaging.build_triplet(planes.transpose(1, 2, 0), t)
+        out[...] = warped.transpose(2, 0, 1)
     return {
         "x": x,
         "x_prime": _float_leaf([faces[t.index_g] for t in batch]),

@@ -6,6 +6,7 @@ order semantically stable (index i always names the same facial point).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,15 +94,27 @@ def tps_apply(t: TpsTransform, p):
 
 
 def _tps_map(t: TpsTransform, pts, u):
-    """Mapped (M, 2) points, given their (M, K) kernel matrix ``u``."""
-    return t.affine[:, 0] + pts @ t.affine[:, 1:].T + u @ t.kernel_weights
+    """Mapped (M, 2) points, given their (M, K) kernel matrix ``u``.
+
+    (bias + pts @ A) + u @ W, with each axis's bias added to its column as a
+    scalar rather than broadcast as a 2-wide row.
+    """
+    out = pts @ t.affine[:, 1:].T
+    for axis in range(2):
+        out[:, axis] += t.affine[axis, 0]
+    out += u @ t.kernel_weights
+    return out
 
 
+@functools.lru_cache(maxsize=8)
 def _pixel_grid(h, w):
-    """(h * w, 2) (x, y) coordinates of the pixels, row-major."""
+    """(h * w, 2) (x, y) coordinates of the pixels, row-major; one read-only
+    array per (h, w), shared by every warp of that size."""
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
                          np.arange(h, dtype=np.float64))
-    return np.stack([xs.ravel(), ys.ravel()], axis=1)
+    grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    grid.flags.writeable = False
+    return grid
 
 
 def _grid_kernel_matrix(h, w, ctrl):
@@ -146,33 +159,35 @@ def _as_image(image):
 def _bilinear_sample(image, coords):
     """Sample an (H, W) or (H, W, C) image at (M, 2) float (x, y) coords.
 
-    Out-of-range coords clamp to the edge.  Returns (M,) or (M, C).
+    Out-of-range coords clamp to the edge.  The four taps of each point are
+    gathered from one C-contiguous (C, H * W) copy of the image, a plane per
+    channel, and interpolated with (M,) weight vectors; an image that is
+    already channel-major in memory (an (H, W, C) view of (C, H, W) data) is
+    not copied.  Returns (M,), or (M, C) as a view of (C, M) memory.
     """
     image = _as_image(image)
     h, w = image.shape[:2]
+    planes = np.ascontiguousarray(np.moveaxis(np.atleast_3d(image), 2, 0))
+    planes = planes.reshape(len(planes), h * w)
     x = np.clip(coords[:, 0], 0.0, w - 1.0)
     y = np.clip(coords[:, 1], 0.0, h - 1.0)
     x0 = np.floor(x)
     y0 = np.floor(y)
     fx = x - x0
     fy = y - y0
-    # the four taps are rows idx, idx + sx, idx + sy and idx + sy + sx of an
-    # (H * W[, C]) view; a step is 0 on the last row or column (edge clamp)
-    flat = image.reshape(h * w, *image.shape[2:])
+    # the four taps are columns idx, idx + sx, idx + sy and idx + sy + sx of
+    # the planes; a step is 0 on the last row or column (edge clamp)
     x0i = x0.astype(np.int64)
     y0i = y0.astype(np.int64)
     idx = y0i * w + x0i
     sx = (x0i < w - 1).astype(np.int64)
     sy = (y0i < h - 1) * w
-    if image.ndim == 3:
-        fx = fx[:, None]
-        fy = fy[:, None]
     gx = 1 - fx
 
-    def lerp_x(row):  # taps row and row + sx, weighted 1 - fx and fx
-        out = flat.take(row, axis=0)
+    def lerp_x(col):  # taps col and col + sx, weighted 1 - fx and fx
+        out = planes.take(col, axis=1)
         out *= gx
-        right = flat.take(row + sx, axis=0)
+        right = planes.take(col + sx, axis=1)
         right *= fx
         out += right
         return out
@@ -182,17 +197,22 @@ def _bilinear_sample(image, coords):
     top *= 1 - fy
     bot *= fy
     top += bot
-    return top
+    return top[0] if image.ndim == 2 else top.T
 
 
 def warp_image(image, source_lms, target_lms, delta=None):
     """Warp ``image`` so features at ``source_lms`` move to ``target_lms + delta``.
 
-    The one-image case of :func:`warp_images`.
+    The one-image case of :func:`warp_images`.  ``delta`` must have the
+    target's (K, 2) shape; any other shape raises ValueError naming both.
     """
     tgt = _as_landmarks(target_lms)
     if delta is not None:
-        tgt = tgt + _as_landmarks(delta)
+        d = np.asarray(delta, dtype=np.float64)
+        if d.shape != tgt.shape:
+            raise ValueError(f"delta must have the target landmarks' shape "
+                             f"{tgt.shape}, got {d.shape}")
+        tgt = tgt + _as_landmarks(d)
     return warp_images([(image, source_lms)], tgt)[0]
 
 
@@ -205,6 +225,9 @@ def warp_images(sources, target_lms):
     (H, W, C) and share (H, W); the pixel grid and its kernel matrix depend
     only on the target, so they are built once for all sources.  Returns the
     warped images in order, each byte-equal to its own :func:`warp_image`.
+    An (H, W, C) result is a view of channel-major (C, H, W) memory, as
+    :func:`_bilinear_sample` returns it, and a channel-major input is
+    sampled without a copy.
     """
     imgs = [_as_image(image) for image, _ in sources]
     if len({img.shape[:2] for img in imgs}) != 1:
@@ -262,10 +285,9 @@ def phi_g(l, l_prime):
 
 def save_landmarks(path, lms):
     """Write one 'x y' line per landmark with exact float round-trip."""
-    arr = _as_landmarks(lms)
+    text = "".join(f"{x!r} {y!r}\n" for x, y in _as_landmarks(lms).tolist())
     with open(path, "w") as f:
-        for x, y in arr:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
+        f.write(text)
 
 
 def load_landmarks(path):

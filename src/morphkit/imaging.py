@@ -1,7 +1,10 @@
 """Face images, preprocessing, morph generation, triplets, synthetic data.
 
 A face image is processed as an (H, W, 3) float64 array with values in
-[-1, 1].  Images are stored on disk as binary 8-bit PPM (P6), and training
+[-1, 1].  That is its shape, not always its memory order: a warped or
+synthesised face is an (H, W, 3) view of channel-major (3, H, W) memory,
+as :func:`geometry.warp_images` returns it, and elementwise steps keep that
+order.  Images are stored on disk as binary 8-bit PPM (P6), and training
 holds its faces as the (H, W, 3) uint8 arrays of :func:`read_ppm`, building
 one float32 batch at a time whose values are :func:`from_uint8`'s rounded
 once.  Datasets are described by a CSV manifest with columns
@@ -74,8 +77,16 @@ def read_ppm(path):
 
 
 def to_uint8(img):
-    """Quantize a [-1, 1] float image to 8-bit."""
-    return np.clip(np.rint((np.asarray(img) + 1.0) * 127.5), 0, 255).astype(np.uint8)
+    """Quantize a [-1, 1] float image to 8-bit; values past the range, -inf
+    and +inf included, clip to 0 or 255.  A NaN value raises ValueError
+    giving the number of pixels that hold one."""
+    arr = np.asarray(img)
+    nan = np.isnan(arr)
+    if nan.any():
+        pixels = np.count_nonzero(nan.any(axis=2) if arr.ndim == 3 else nan)
+        raise ValueError(f"cannot quantize an image with NaN values: "
+                         f"{pixels} NaN pixel(s)")
+    return np.clip(np.rint((arr + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
 def from_uint8(raw):
@@ -292,8 +303,10 @@ def _subject_face(rng, size, template, lms):
     e = np.sqrt(((xs - center[0]) / (0.38 * size)) ** 2
                 + ((ys - (center[1] - 0.03 * size)) / (0.47 * size)) ** 2)
     base = 0.30 - 0.85 / (1.0 + np.exp(-(e - 1.0) * 10.0))
-    img = base[:, :, None] + _smooth_field(rng, size)
-    img += rng.uniform(-0.15, 0.15, size=3)  # subject tint
+    # built on (3, size, size) planes, so each (size, size) term broadcasts
+    # over whole planes; the field is already channel-major in memory
+    img = base + _smooth_field(rng, size).transpose(2, 0, 1)
+    img += rng.uniform(-0.15, 0.15, size=3)[:, None, None]  # subject tint
     # landmark-anchored dark blobs: eyes, nose tip, mouth, brow mids
     anchors = [
         (lms[36:42].mean(axis=0), 0.70, 0.035 * size),
@@ -304,9 +317,9 @@ def _subject_face(rng, size, template, lms):
         (lms[22:27].mean(axis=0), 0.30, 0.025 * size),
     ]
     for (cx, cy), amp, sigma in anchors:
-        img -= (amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2)
-                             / (2.0 * sigma ** 2)))[:, :, None]
-    return np.clip(img, -0.95, 0.95)
+        img -= amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2)
+                            / (2.0 * sigma ** 2))
+    return np.clip(img, -0.95, 0.95).transpose(1, 2, 0)
 
 
 def _check_synth_config(config: SynthConfig):

@@ -1075,6 +1075,7 @@ def test_float32_leaves_byte_equal_to_float64_leaves(tiny_dataset, monkeypatch,
 
 def test_float_leaf_table_is_from_uint8_cast_to_float32():
     levels = np.arange(256, dtype=np.uint8)
+    assert en._LEVELS64.tobytes() == im.from_uint8(levels).tobytes()
     assert en._LEVELS32.dtype == np.float32
     assert en._LEVELS32.tobytes() == im.from_uint8(levels).astype(np.float32).tobytes()
     # every level in every channel of a batch of two faces

@@ -252,14 +252,18 @@ def test_grid_kernel_matrix_bit_identical_with_control_points_on_pixels():
 @given(h=st.integers(1, 60), w=st.integers(1, 60),
        channels=st.lists(st.sampled_from([None, 1, 3]), min_size=1, max_size=3),
        k=st.integers(3, 24), on_pixels=st.integers(0, 4),
+       layout=st.sampled_from(["c", "chw", "strided"]),
        seed=st.integers(0, 2**32 - 1))
-@example(h=112, w=112, channels=[3, 3], k=24, on_pixels=4, seed=0)
-@example(h=7, w=1, channels=[None, 3, 1], k=3, on_pixels=1, seed=1)
+@example(h=112, w=112, channels=[3, 3], k=24, on_pixels=4, layout="chw", seed=0)
+@example(h=7, w=1, channels=[None, 3, 1], k=3, on_pixels=1, layout="strided", seed=1)
 def test_warp_images_bit_identical_to_one_warp_image_per_source(h, w, channels, k,
-                                                                on_pixels, seed):
+                                                                on_pixels, layout,
+                                                                seed):
     r = rng(seed)
-    # (H, W) images (None) and (H, W, C) ones, all warped onto one target
-    images = [r.uniform(-1, 1, size=(h, w) if c is None else (h, w, c))
+    # (H, W) images (None) and (H, W, C) ones in ``layout``, all warped onto
+    # one target
+    images = [r.uniform(-1, 1, size=(h, w)) if c is None
+              else hwc_layout(r.uniform(-1, 1, size=(h, w, c)), layout)
               for c in channels]
     span = max(h, w)
     tgt = r.uniform(-0.2 * span - 2, 1.2 * span + 2, size=(k, 2))
@@ -279,6 +283,26 @@ def test_warp_images_bit_identical_to_one_warp_image_per_source(h, w, channels, 
     for g, wnt in zip(got, want):
         assert g.shape == wnt.shape
         assert g.tobytes() == wnt.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (5, 2)])
+def test_warp_image_rejects_delta_of_another_shape(shape):
+    # a (1, 2) delta would broadcast onto every landmark, a (5, 2) one fail
+    # inside numpy; both are refused naming the two shapes
+    lms = corner_landmarks(8, 8)[:4]
+    delta = np.zeros(shape)
+    with pytest.raises(ValueError) as err:
+        geo.warp_image(np.zeros((8, 8, 3)), lms, lms, delta=delta)
+    assert str(err.value) == ("delta must have the target landmarks' shape "
+                              f"(4, 2), got {shape}")
+
+
+def test_pixel_grid_is_one_read_only_array_per_size():
+    grid = geo._pixel_grid(5, 7)
+    assert grid is geo._pixel_grid(5, 7)
+    assert grid.tobytes() == pixel_grid(5, 7).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("shapes", [[(8, 8, 3), (8, 9)], [(8, 8), (9, 8, 3)], []])
@@ -301,6 +325,7 @@ def test_bilinear_sample_bit_identical_to_oracle(h, w, c, layout, seed):
     coords[:50] = np.rint(coords[:50])  # on pixels and on the clamped edges
     got = geo._bilinear_sample(img, coords)
     assert got.tobytes() == bilinear_sample_oracle(img, coords).tobytes()
+    assert got.T.flags.c_contiguous  # (M, C) over channel-major memory
     # an (H, W) image gives channel 0 of the same call on (H, W, C)
     flat = geo._bilinear_sample(np.ascontiguousarray(img[:, :, 0]), coords)
     assert flat.shape == (200,)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folds import fold_share
+from test_geometry import bilinear_sample_oracle
 from morphkit import geometry as geo
 from morphkit import imaging as im
 
@@ -242,6 +243,22 @@ def test_from_uint8_byte_equal_to_formula_for_every_value():
     floats = raw.astype(np.float64)
     assert im.from_uint8(floats).tobytes() == out.tobytes()
     assert np.array_equal(floats, raw)
+
+
+def test_save_face_refuses_nan_and_clips_infinities(tmp_path):
+    img = np.zeros((4, 5, 3))
+    img[0, 0] = np.nan       # one pixel NaN in every channel
+    img[2, 3, 1] = np.nan    # another in one channel
+    with pytest.raises(ValueError) as err:
+        im.save_face(tmp_path / "nan.ppm", img)
+    assert str(err.value) == ("cannot quantize an image with NaN values: "
+                              "2 NaN pixel(s)")
+    assert not (tmp_path / "nan.ppm").exists()
+    img[0, 0] = -np.inf
+    img[2, 3, 1] = np.inf
+    im.save_face(tmp_path / "inf.ppm", img)
+    raw = im.read_ppm(tmp_path / "inf.ppm")
+    assert raw[0, 0].tolist() == [0, 0, 0] and raw[2, 3, 1] == 255
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +530,14 @@ def synth_dataset_rereading(config, out_dir):
     # the benchmark's set: 10 subjects x 3 captures x 2 morphs at 112 px
     im.SynthConfig(subjects=10, captures=3, morphs_per_subject=2, seed=18, size=112),
 ], ids=["32px", "112px-desk"])
-def test_synth_tree_bit_identical_to_rereading_loop(tmp_path, cfg):
+def test_synth_tree_bit_identical_to_rereading_loop(tmp_path, monkeypatch, cfg):
     rows = im.synth_dataset(cfg, tmp_path / "new")
     want = synth_dataset_rereading(cfg, tmp_path / "old")
     assert rows == want
-    assert tree_digest(tmp_path / "new") == tree_digest(tmp_path / "old")
+    digest = tree_digest(tmp_path / "new")
+    assert digest == tree_digest(tmp_path / "old")
+    # the same tree with every warp and resize sampled by the fancy-indexing
+    # oracle on (H, W, C) arrays, not by the channel-major sampler
+    monkeypatch.setattr(geo, "_bilinear_sample", bilinear_sample_oracle)
+    assert im.synth_dataset(cfg, tmp_path / "oracle") == rows
+    assert tree_digest(tmp_path / "oracle") == digest

@@ -1,8 +1,8 @@
 """Micro-benchmarks of the hot spots: TPS warp and its grid kernel matrix,
 one morph, the benchmark's synthetic set, bilinear sampling, triplet build,
-neighbour search, DET curve, each desk conv layer at batch 8 and 15, a
-stage-2 image leaf, one batch-1 encode, one scored verify pair and one step
-of each training stage.
+one stage-1 batch of leaves, neighbour search, DET curve, each desk conv
+layer at batch 8 and 15, a stage-2 image leaf, one batch-1 encode, one
+scored verify pair and one step of each training stage.
 
 Each runs a few rounds through pytest-benchmark's ``pedantic`` mode, so the
 suite stays fast; ``pytest tests/test_microbench.py --benchmark-only`` prints
@@ -103,6 +103,24 @@ def test_bench_build_triplet_pool_30(benchmark):
     assert trip.label_g != pool[0][1]
     assert intermediate.shape == image.shape
     assert np.isfinite(intermediate).all()
+
+
+def test_bench_bind_stage1_batch(benchmark):
+    """One stage-1 batch of leaves at 112 px: 8 drawn triplets, so 8 x_hat
+    warps, and the x and x' leaves."""
+    r = rng(17)
+    lms = im.canonical_landmarks(112)
+    pool = [(lms + r.normal(0, 2.0, size=lms.shape), f"s{i // 3}")
+            for i in range(12)]
+    faces = [r.integers(0, 256, size=(112, 112, 3), dtype=np.uint8)
+             for _ in pool]
+    cmap = {f"s{i}": i for i in range(4)}
+    batch = [im.draw_triplet(pool, i, r) for i in range(8)]
+    leaves = benchmark.pedantic(en._bind_stage1_batch, args=(batch, faces, cmap),
+                                rounds=5, iterations=1, warmup_rounds=1)
+    x_hat = leaves["x_hat"]
+    assert x_hat.shape == (8, 3, 112, 112) and x_hat.dtype == np.float32
+    assert np.isfinite(x_hat).all()
 
 
 def test_bench_nearest_neighbor_pool_2000(benchmark):
