@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -48,9 +47,7 @@ class EncoderConfig:
         object.__setattr__(self, "strides", tuple(self.strides))
         # every field is a size or a stride, or a tuple of them
         for f in fields(self):
-            v = getattr(self, f.name)
-            if min(v if isinstance(v, tuple) else (v,), default=0) < 1:
-                raise ValueError(f"EncoderConfig.{f.name} must be >= 1, got {v!r}")
+            gc._check_integer(f"EncoderConfig.{f.name}", getattr(self, f.name), 1)
         if self.channels[-1] % 2:
             raise ValueError("final conv depth must be even for the depth split")
         if len(self.channels) != len(self.strides):
@@ -90,12 +87,17 @@ class MarginConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_real(self, f.name, "> 0" if f.name == "s" else None)
+            gc._check_real(f"MarginConfig.{f.name}", getattr(self, f.name),
+                           "> 0" if f.name == "s" else None)
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Loss-term weights; 0 switches a term off."""
+    """Loss weights.  The ``lambda*`` fields weight the stage-1 (L_a, L_g)
+    and stage-2 (L2_a, L2_g) terms, and 0 switches a term off.  ``alpha_g``
+    is no term weight: it scales the margin of the repel hinge of
+    ``landmark_loss``, relu(cos(g(x'), g(x)) - alpha_g * phi), so at 0 the
+    hinge fires wherever that cosine is positive."""
 
     alpha_g: float = 9.4
     lambda1_a: float = 1.3
@@ -105,19 +107,7 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_real(self, f.name, ">= 0")
-
-
-def _check_real(obj, name, bound=None):
-    """``obj.<name>`` must be a finite real, also > 0 or >= 0 as ``bound``
-    says, or a ValueError names it as ``<Class>.<name>``."""
-    v = getattr(obj, name)
-    ok = isinstance(v, numbers.Real) and math.isfinite(v)
-    if ok and bound:
-        ok = v > 0 if bound == "> 0" else v >= 0
-    if not ok:
-        rule = f"finite and {bound}" if bound else "finite"
-        raise ValueError(f"{type(obj).__name__}.{name} must be {rule}, got {v!r}")
+            gc._check_real(f"LossWeights.{f.name}", getattr(self, f.name), ">= 0")
 
 
 @dataclass
@@ -427,14 +417,6 @@ class EpochStats:
     loss: float
 
 
-def _check_loop(epochs, batch_size):
-    """Reject an epoch count or batch size that ``_fit`` cannot run as asked."""
-    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _fit(graph, params, schedule, epochs, epoch_batches, log):
     """SGD over ``graph`` for both stages; returns (params, history).
 
@@ -487,7 +469,8 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     shape than ``cfg``'s or a landmark file of another K raises ValueError
     first.
     """
-    _check_loop(epochs, batch_size)
+    gc._check_integer("epochs", epochs, 0)
+    gc._check_integer("batch_size", batch_size, 1)
     root = Path(root)
     [(reals, faces)] = _load_checked(rows, root, cfg, "real")
     cmap = _class_map(reals, cfg)
@@ -558,13 +541,20 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
     Genuine pairs are same-subject real pairs; each epoch samples an equal
     number of cross-subject real pairs and (real, morph) pairs as imposters.
+    The imposter list holds the cross-subject pairs first and the (real,
+    morph) pairs last, and ``_chunks`` cuts it into contiguous rounds, so a
+    round sees mostly or only one kind of imposter: at 10 subjects x 3
+    captures and batch 8, rounds 1-6 of 12 each hold 5 cross-subject
+    imposters and rounds 7-12 each hold 5 (real, morph) imposters, and the
+    DV bound of each step compares the genuine pairs with one kind alone.
     Faces are held as uint8 and scaled into one float32 batch per step.
     Every row's image and landmark file must exist, or FileNotFoundError
     lists the missing ones; a face of another shape than ``cfg``'s raises
     ValueError.  So does an ``init`` whose tensors are not ``cfg``'s, before
     any face is read.
     """
-    _check_loop(epochs, batch_size)
+    gc._check_integer("epochs", epochs, 0)
+    gc._check_integer("batch_size", batch_size, 1)
     _check_init(init, cfg)
     root = Path(root)
     (reals, real_faces), (morphs, morph_faces) = _load_checked(

@@ -338,12 +338,13 @@ def _im2col(x, w, stride, pad):
 
 def _conv2d_forward(cols, w):
     """NCHW conv output from im2col ``cols``, NHWC in memory."""
-    _, _, _, n, oh, ow = cols.shape
+    c, kh, kw, n, oh, ow = cols.shape
     f = w.shape[0]
     # the operand roles of row-major columns, (N*oh*ow, CKK) @ (CKK, F), kept
     # through a transposed view: on the encoder's layer shapes this is
-    # byte-equal to the row-major product, and ``w2 @ cols`` is not
-    out = cols.reshape(-1, n * oh * ow).T @ w.reshape(f, -1).T
+    # byte-equal to the row-major product, and ``w2 @ cols`` is not.  The
+    # row count is given, since a -1 is ambiguous for an empty batch
+    out = cols.reshape(c * kh * kw, n * oh * ow).T @ w.reshape(f, -1).T
     return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
 
@@ -896,6 +897,31 @@ def sgd_update(params: ParamStore, grads, lr):
     return params
 
 
+# ---------------------------------------------------------------------------
+# config fields: every config of the package checks each field when it is built
+
+
+def _check_integer(name, value, least):
+    """ValueError naming ``name`` unless ``value``, or each item of a nonempty
+    tuple ``value``, is a ``numbers.Integral`` other than a bool >= ``least``."""
+    items = value if isinstance(value, tuple) else (value,)
+    if not items or not all(not isinstance(v, bool) and isinstance(v, numbers.Integral)
+                            and v >= least for v in items):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(name, value, bound=None):
+    """ValueError naming ``name`` unless ``value`` is a finite ``numbers.Real``
+    other than a bool that meets ``bound``: "> 0", ">= 0", "in [0, 1]" or None."""
+    ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+          and math.isfinite(value))
+    if ok and bound:
+        ok = {"> 0": 0 < value, ">= 0": 0 <= value, "in [0, 1]": 0 <= value <= 1}[bound]
+    if not ok:
+        rule = f"finite and {bound}" if bound else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """Step decay: multiply by ``decay`` every ``every`` epochs, floored."""
@@ -906,16 +932,10 @@ class LrSchedule:
     floor: float = 1e-6
 
     def __post_init__(self):
-        if (isinstance(self.every, bool) or not isinstance(self.every, numbers.Integral)
-                or self.every < 1):
-            raise ValueError("LrSchedule.every must be an integer >= 1, "
-                             f"got {self.every!r}")
-        for name in ("initial", "decay", "floor"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Real) or not math.isfinite(v) or v < 0:
-                raise ValueError(f"LrSchedule.{name} must be finite and >= 0, got {v!r}")
-        if self.decay > 1:
-            raise ValueError(f"LrSchedule.decay must be <= 1, got {self.decay!r}")
+        _check_integer("LrSchedule.every", self.every, 1)
+        for name, bound in (("initial", ">= 0"), ("decay", "in [0, 1]"),
+                            ("floor", ">= 0")):
+            _check_real(f"LrSchedule.{name}", getattr(self, name), bound)
 
     def at(self, epoch: int) -> float:
         return max(self.initial * self.decay ** (epoch // self.every), self.floor)

@@ -15,14 +15,12 @@ once.  Datasets are described by a CSV manifest with columns
 from __future__ import annotations
 
 import csv
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import geometry
+from . import geometry, gradcore as gc
 
 MANIFEST_COLUMNS = ("path", "subject_id", "kind", "source_a", "source_b",
                     "landmarks_path")
@@ -233,6 +231,16 @@ class SynthConfig:
     alpha_warp: float = 0.5
     alpha_blend: float = 0.5
 
+    def __post_init__(self):
+        # below 8 px ``_subject_landmarks`` clips every landmark into
+        # [3, size - 4], at most one pixel wide
+        for name, least in (("subjects", 2), ("captures", 1),
+                            ("morphs_per_subject", 0), ("seed", 0), ("size", 8)):
+            gc._check_integer(f"SynthConfig.{name}", getattr(self, name), least)
+        for name, bound in (("landmark_jitter", ">= 0"), ("brightness_jitter", ">= 0"),
+                            ("alpha_warp", "in [0, 1]"), ("alpha_blend", "in [0, 1]")):
+            gc._check_real(f"SynthConfig.{name}", getattr(self, name), bound)
+
 
 @dataclass
 class DatasetRow:
@@ -322,28 +330,6 @@ def _subject_face(rng, size, template, lms):
     return np.clip(img, -0.95, 0.95).transpose(1, 2, 0)
 
 
-def _check_synth_config(config: SynthConfig):
-    """Raise ValueError naming the first field ``synth_dataset`` cannot use.
-
-    Below 8 px ``_subject_landmarks`` clips every landmark into [3, size - 4], at
-    most one pixel wide.
-    """
-    for name, least in (("subjects", 2), ("captures", 1),
-                        ("morphs_per_subject", 0), ("seed", 0), ("size", 8)):
-        v = getattr(config, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
-            raise ValueError(f"SynthConfig.{name} must be an integer >= {least}, "
-                             f"got {v!r}")
-    for name, high in (("landmark_jitter", math.inf), ("brightness_jitter", math.inf),
-                       ("alpha_warp", 1.0), ("alpha_blend", 1.0)):
-        v = getattr(config, name)
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                or not (math.isfinite(v) and 0.0 <= v <= high)):
-            rule = ">= 0" if high == math.inf else "in [0, 1]"
-            raise ValueError(f"SynthConfig.{name} must be finite and {rule}, "
-                             f"got {v!r}")
-
-
 def _check_identity_fits(subject_lms, size):
     """With no landmark jitter every capture of a subject is warped by the
     identity TPS fit on its clipped landmarks.  Two of them coincide at
@@ -369,12 +355,12 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     captures (the 8-bit arrays written as PPM, and the landmark arrays, which
     their text files round-trip exactly), so re-running
     :func:`generate_morph` from the named files reproduces each stored morph
-    exactly.  A config field out of range raises ValueError naming it before
-    any directory is made, and so does a subject whose clipped landmarks
-    give a singular identity fit when ``landmark_jitter`` is 0 (two of them
-    coincide, at sizes up to ~30 px).
+    exactly.  A subject whose clipped landmarks give a singular identity fit
+    when ``landmark_jitter`` is 0 (two of them coincide, at sizes up to
+    ~30 px) raises ValueError naming the fields to change before any
+    directory is made; a field out of range fails when the ``SynthConfig``
+    is built.
     """
-    _check_synth_config(config)
     template = canonical_landmarks(config.size)
     # each subject's generator draws its landmarks first, then its image and
     # captures, so every landmark set is known before anything is written

@@ -51,6 +51,17 @@ def test_encode_deterministic():
     assert np.array_equal(a.z_f, b.z_f)
 
 
+@pytest.mark.parametrize("cfg", [tiny_cfg(), en.EncoderConfig.desk(10)],
+                         ids=["tiny", "desk"])
+def test_encode_empty_batch_gives_empty_embeddings(cfg):
+    # the conv product's reshape(-1, 0) raised numpy's "cannot reshape array
+    # of size 0" here
+    params = en.init_params(cfg, seed=1)
+    out = en.encode(cfg, params, np.empty((0, 3, cfg.input_size, cfg.input_size)))
+    assert (out.z_a.shape, out.z_g.shape, out.z_f.shape) == \
+        ((0, cfg.d_a), (0, cfg.d_g), (0, cfg.d_f))
+
+
 def test_encode_zero_params_zero_embeddings():
     cfg = tiny_cfg()
     params = en.init_params(cfg, seed=1)
@@ -1281,7 +1292,8 @@ def test_config_from_meta_non_positive_size_names_field(field, value):
     with pytest.raises(ValueError) as err:
         en.config_from_meta(meta)
     got = tuple(map(int, value.split(","))) if "," in value else int(value)
-    assert str(err.value) == f"EncoderConfig.{field} must be >= 1, got {got!r}"
+    assert str(err.value) == (f"EncoderConfig.{field} must be an integer >= 1, "
+                              f"got {got!r}")
 
 
 @pytest.mark.parametrize("key,value", [
@@ -1306,3 +1318,74 @@ def test_config_from_meta_bad_loss_hyperparameter_names_field(key, value):
 def test_loss_configs_reject_a_field_that_is_not_a_real(cls, field):
     with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must be finite"):
         cls(**{field: "0.5"})
+
+
+# the rule of each field of the five configs and of the two training loop
+# sizes, as its ValueError states it; the bad values below are derived from it
+_FIELD_RULES = {
+    "EncoderConfig": dict.fromkeys(
+        ("input_size", "in_channels", "channels", "strides", "kernel", "d_a",
+         "d_g", "d_f", "n_classes", "critic_hidden"), "an integer >= 1"),
+    "MarginConfig": {"m1": "finite", "m2": "finite", "m3": "finite",
+                     "s": "finite and > 0"},
+    "LossWeights": dict.fromkeys(
+        ("alpha_g", "lambda1_a", "lambda1_g", "lambda2_a", "lambda2_g"),
+        "finite and >= 0"),
+    "LrSchedule": {"initial": "finite and >= 0", "decay": "finite and in [0, 1]",
+                   "every": "an integer >= 1", "floor": "finite and >= 0"},
+    "SynthConfig": {"subjects": "an integer >= 2", "captures": "an integer >= 1",
+                    "morphs_per_subject": "an integer >= 0",
+                    "seed": "an integer >= 0", "size": "an integer >= 8",
+                    "landmark_jitter": "finite and >= 0",
+                    "brightness_jitter": "finite and >= 0",
+                    "alpha_warp": "finite and in [0, 1]",
+                    "alpha_blend": "finite and in [0, 1]"},
+    "train_stage1": {"epochs": "an integer >= 0", "batch_size": "an integer >= 1"},
+    "train_stage2": {"epochs": "an integer >= 0", "batch_size": "an integer >= 1"},
+}
+_CONFIGS = {"EncoderConfig": en.EncoderConfig, "MarginConfig": en.MarginConfig,
+            "LossWeights": en.LossWeights, "LrSchedule": gc.LrSchedule,
+            "SynthConfig": im.SynthConfig}
+_OUT_OF_RANGE = {"finite": (), "finite and > 0": (0.0, -1.0),
+                 "finite and >= 0": (-1e-9,), "finite and in [0, 1]": (-0.1, 1.5)}
+
+
+def _bad_field_cases():
+    for owner, rules in _FIELD_RULES.items():
+        for field, rule in rules.items():
+            if rule.startswith("an integer"):
+                bad = [("bool", True), ("type", 2.0),
+                       ("range", int(rule.rpartition(" ")[2]) - 1)]
+            else:
+                bad = [("bool", True), ("type", "0.5"), ("finite", math.nan),
+                       ("finite", math.inf), ("finite", -math.inf),
+                       *(("range", v) for v in _OUT_OF_RANGE[rule])]
+            for kind, value in bad:
+                yield pytest.param(owner, field, rule, value,
+                                   id=f"{owner}.{field}-{kind}-{value!r}")
+
+
+def test_field_rule_table_names_every_config_field():
+    for owner, cls in _CONFIGS.items():
+        assert list(_FIELD_RULES[owner]) == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("owner,field,rule,value", _bad_field_cases())
+def test_every_config_field_and_loop_size_rejects_bad_values(owner, field, rule,
+                                                             value):
+    # unchecked before, EncoderConfig took a float or a bool size and
+    # init_params died on numpy's TypeError, and MarginConfig, LossWeights and
+    # LrSchedule took a bool for a real
+    if owner in _CONFIGS:
+        default = getattr(_CONFIGS[owner](), field)
+        if isinstance(default, tuple):  # a bad item among good ones
+            value = (default[0], value) + default[2:]
+        with pytest.raises(ValueError) as err:
+            _CONFIGS[owner](**{field: value})
+        label = f"{owner}.{field}"
+    else:
+        # the loop sizes are checked before any row or file is looked at
+        with pytest.raises(ValueError) as err:
+            _run_stage(int(owner[-1]), [], None, **{field: value})
+        label = field
+    assert str(err.value) == f"{label} must be {rule}, got {value!r}"

@@ -432,10 +432,11 @@ def test_synth_bad_counts_name_field(tmp_path, field, value):
     # unchecked, captures=0 died with ZeroDivisionError in the morph loop,
     # morphs_per_subject=-1 silently wrote no morphs, captures=2.0 raised a
     # TypeError, seed=-1, size=0 and negative jitters raised numpy's errors,
-    # and alpha_warp=1.5 was caught after every capture was on disk
-    cfg = im.SynthConfig(**{"subjects": 2, "size": 16, field: value})
+    # and alpha_warp=1.5 was caught after every capture was on disk.  The
+    # config itself now refuses the field, so no directory can be made
     with pytest.raises(ValueError) as err:
-        im.synth_dataset(cfg, tmp_path / "d")
+        im.synth_dataset(im.SynthConfig(**{"subjects": 2, "size": 16, field: value}),
+                         tmp_path / "d")
     assert str(err.value) == (f"SynthConfig.{field} must be {_SYNTH_RULES[field]}, "
                               f"got {value!r}")
     assert not (tmp_path / "d").exists()
@@ -473,10 +474,67 @@ def test_synth_small_size_with_jitter_synthesises(tmp_path):
                for r in rows)
 
 
+def smooth_field_oracle(rng, size, cells=8, amplitude=0.35):
+    """``imaging._smooth_field`` on an (H, W, 3) array: a cells x cells x 3
+    normal draw resized by half-pixel-center bilinear sampling through the
+    fancy-indexing oracle, scaled so its largest magnitude is ``amplitude``."""
+    coarse = rng.normal(0.0, 1.0, size=(cells, cells, 3))
+    ticks = (np.arange(size) + 0.5) * (cells / size) - 0.5
+    gx, gy = np.meshgrid(ticks, ticks)
+    coords = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    field = bilinear_sample_oracle(coarse, coords).reshape(size, size, 3)
+    return amplitude * field / max(np.abs(field).max(), 1e-9)
+
+
+def subject_face_oracle(rng, size, template, lms):
+    """``imaging._subject_face`` as (H, W, 3) arithmetic: the face oval, the
+    smooth field, the subject tint, then the six landmark blobs subtracted
+    in order, each broadcast over the channel axis."""
+    center = template.mean(axis=0)
+    xs, ys = np.meshgrid(np.arange(size, dtype=np.float64),
+                         np.arange(size, dtype=np.float64))
+    e = np.sqrt(((xs - center[0]) / (0.38 * size)) ** 2
+                + ((ys - (center[1] - 0.03 * size)) / (0.47 * size)) ** 2)
+    base = 0.30 - 0.85 / (1.0 + np.exp(-(e - 1.0) * 10.0))
+    img = base[:, :, None] + smooth_field_oracle(rng, size)
+    img += rng.uniform(-0.15, 0.15, size=3)
+    anchors = [
+        (lms[36:42].mean(axis=0), 0.70, 0.035 * size),
+        (lms[42:48].mean(axis=0), 0.70, 0.035 * size),
+        (lms[30], 0.35, 0.030 * size),
+        (lms[48:68].mean(axis=0), 0.55, 0.050 * size),
+        (lms[17:22].mean(axis=0), 0.30, 0.025 * size),
+        (lms[22:27].mean(axis=0), 0.30, 0.025 * size),
+    ]
+    for (cx, cy), amp, sigma in anchors:
+        img -= (amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2)
+                             / (2.0 * sigma ** 2)))[:, :, None]
+    return np.clip(img, -0.95, 0.95)
+
+
+@pytest.mark.parametrize("seed", [7, 101, 2024])
+@pytest.mark.parametrize("size", [32, 48, 112])
+def test_subject_face_byte_equal_to_hwc_oracle(size, seed):
+    # the synthetic tree's oracle below draws its base faces with this oracle,
+    # so a last-bit change to ``_subject_face`` or ``_smooth_field`` fails here
+    template = im.canonical_landmarks(size)
+    for s in range(3):
+        got_rng, want_rng = (np.random.Generator(np.random.PCG64([seed, s]))
+                             for _ in range(2))
+        lms = im._subject_landmarks(got_rng, size, template)
+        im._subject_landmarks(want_rng, size, template)
+        got = im._subject_face(got_rng, size, template, lms)
+        want = subject_face_oracle(want_rng, size, template, lms)
+        assert got.shape == want.shape == (size, size, 3)
+        assert got.tobytes() == want.tobytes(), (size, seed, s)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def synth_dataset_rereading(config, out_dir):
     """synth_dataset as it was before it morphed from its in-memory captures:
     each morph re-reads its two captures from the files just written, and
-    warps them with one warp_image each."""
+    warps them with one warp_image each.  Base faces come from
+    ``subject_face_oracle``."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "landmarks").mkdir(parents=True, exist_ok=True)
@@ -487,7 +545,7 @@ def synth_dataset_rereading(config, out_dir):
     for s in range(config.subjects):
         r = np.random.Generator(np.random.PCG64([config.seed, s]))
         lms = im._subject_landmarks(r, config.size, template)
-        base = im._subject_face(r, config.size, template, lms)
+        base = subject_face_oracle(r, config.size, template, lms)
         subject_lms.append(lms)
         sid = f"s{s:03d}"
         captures[s] = []
