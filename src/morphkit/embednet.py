@@ -15,6 +15,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,11 +30,11 @@ from . import geometry, gradcore as gc, imaging
 class EncoderConfig:
     """Backbone and head sizes; defaults mirror the full-scale recipe."""
 
+    in_channels: ClassVar[int] = 3  # ``imaging.read_ppm`` reads P6 faces only
+    kernel: ClassVar[int] = 3  # every conv is 3 x 3
     input_size: int = 112
-    in_channels: int = 3
     channels: tuple = (64, 128, 256, 512)
     strides: tuple = (2, 2, 2, 2)
-    kernel: int = 3
     d_a: int = 256
     d_g: int = 256
     d_f: int = 512
@@ -43,8 +44,11 @@ class EncoderConfig:
     def __post_init__(self):
         # tuples keep the config hashable (it keys the encoder plan cache)
         # and written by ``config_meta`` in the form ``config_from_meta`` reads
-        object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "strides", tuple(self.strides))
+        for name in ("channels", "strides"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"EncoderConfig.{name} must be a tuple, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         # every field is a size or a stride, or a tuple of them
         for f in fields(self):
             gc._check_integer(f"EncoderConfig.{f.name}", getattr(self, f.name), 1)
@@ -417,7 +421,7 @@ class EpochStats:
     loss: float
 
 
-def _fit(graph, params, schedule, epochs, epoch_batches, log):
+def _fit(graph, params, schedule, epochs, epoch_batches):
     """SGD over ``graph`` for both stages; returns (params, history).
 
     ``epoch_batches()`` yields ``(leaves, item_count)`` for each step of one
@@ -443,10 +447,7 @@ def _fit(graph, params, schedule, epochs, epoch_batches, log):
             normalize_class_rows(params)
             total_loss += loss * n_items
             total_n += n_items
-        stats = EpochStats(epoch=epoch, lr=lr, loss=total_loss / total_n)
-        history.append(stats)
-        if log:
-            log(stats)
+        history.append(EpochStats(epoch=epoch, lr=lr, loss=total_loss / total_n))
     return params, history
 
 
@@ -456,7 +457,7 @@ def _fit(graph, params, schedule, epochs, epoch_batches, log):
 
 def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
                  weights: LossWeights, schedule: gc.LrSchedule, epochs,
-                 batch_size, seed, log=None):
+                 batch_size, seed):
     """Triplet training of the disentangling encoder from ``init_params(cfg,
     seed)``; returns (params, history).
 
@@ -488,7 +489,7 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
             yield _bind_stage1_batch(batch, faces, cmap), len(batch)
 
     return _fit(stage1_graph(cfg, margins, weights), init_params(cfg, seed),
-                schedule, epochs, epoch_batches, log)
+                schedule, epochs, epoch_batches)
 
 
 def _bind_stage1_batch(batch, faces, cmap):
@@ -535,7 +536,7 @@ def _stage2_pools(reals, morphs):
 
 def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
                  weights: LossWeights, schedule: gc.LrSchedule, epochs,
-                 batch_size, seed, init: gc.ParamStore, log=None):
+                 batch_size, seed, init: gc.ParamStore):
     """Contrastive training on genuine vs imposter pairs; returns
     (params, history) and leaves ``init`` unchanged.
 
@@ -582,7 +583,7 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
                    len(gen_batch) + len(imp_batch))
 
     return _fit(stage2_graph(cfg, margins, weights), init.copy(), schedule,
-                epochs, epoch_batches, log)
+                epochs, epoch_batches)
 
 
 def _check_init(init: gc.ParamStore, cfg: EncoderConfig):

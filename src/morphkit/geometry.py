@@ -149,26 +149,25 @@ def _grid_kernel_matrix(h, w, ctrl):
 
 
 def _as_image(image):
-    """``image`` as a float64 (H, W) or (H, W, C) array; other ranks raise."""
+    """``image`` as a float64 (H, W, C) array; other ranks raise."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim not in (2, 3):
-        raise ValueError(f"image must be (H, W) or (H, W, C), got shape {img.shape}")
+    if img.ndim != 3:
+        raise ValueError(f"image must be (H, W, C), got shape {img.shape}")
     return img
 
 
 def _bilinear_sample(image, coords):
-    """Sample an (H, W) or (H, W, C) image at (M, 2) float (x, y) coords.
+    """Sample an (H, W, C) image at (M, 2) float (x, y) coords.
 
     Out-of-range coords clamp to the edge.  The four taps of each point are
     gathered from one C-contiguous (C, H * W) copy of the image, a plane per
     channel, and interpolated with (M,) weight vectors; an image that is
     already channel-major in memory (an (H, W, C) view of (C, H, W) data) is
-    not copied.  Returns (M,), or (M, C) as a view of (C, M) memory.
+    not copied.  Returns (M, C) as a view of (C, M) memory.
     """
     image = _as_image(image)
-    h, w = image.shape[:2]
-    planes = np.ascontiguousarray(np.moveaxis(np.atleast_3d(image), 2, 0))
-    planes = planes.reshape(len(planes), h * w)
+    h, w, c = image.shape
+    planes = np.ascontiguousarray(np.moveaxis(image, 2, 0)).reshape(c, h * w)
     x = np.clip(coords[:, 0], 0.0, w - 1.0)
     y = np.clip(coords[:, 1], 0.0, h - 1.0)
     x0 = np.floor(x)
@@ -197,7 +196,7 @@ def _bilinear_sample(image, coords):
     top *= 1 - fy
     bot *= fy
     top += bot
-    return top[0] if image.ndim == 2 else top.T
+    return top.T
 
 
 def warp_image(image, source_lms, target_lms, delta=None):
@@ -221,11 +220,11 @@ def warp_images(sources, target_lms):
 
     Inverse-mapped: fits one TPS per source from the target back to its
     landmarks and bilinearly samples that image at each output pixel,
-    clamping out-of-bounds samples to the edge.  Images are (H, W) or
-    (H, W, C) and share (H, W); the pixel grid and its kernel matrix depend
+    clamping out-of-bounds samples to the edge.  Images are (H, W, C) and
+    share (H, W); the pixel grid and its kernel matrix depend
     only on the target, so they are built once for all sources.  Returns the
     warped images in order, each byte-equal to its own :func:`warp_image`.
-    An (H, W, C) result is a view of channel-major (C, H, W) memory, as
+    Each result is a view of channel-major (C, H, W) memory, as
     :func:`_bilinear_sample` returns it, and a channel-major input is
     sampled without a copy.
     """

@@ -282,10 +282,10 @@ def canonical_landmarks(size=112):
     return np.asarray(pts, dtype=np.float64) * s
 
 
-def _smooth_field(rng, size, cells=8, amplitude=0.35):
-    coarse = rng.normal(0.0, 1.0, size=(cells, cells, 3))
+def _smooth_field(rng, size):
+    coarse = rng.normal(0.0, 1.0, size=(8, 8, 3))
     field = bilinear_resize(coarse, size, size)
-    return amplitude * field / max(np.abs(field).max(), 1e-9)
+    return 0.35 * field / max(np.abs(field).max(), 1e-9)
 
 
 def _subject_landmarks(rng, size, template):

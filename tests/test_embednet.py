@@ -840,12 +840,11 @@ def test_training_runs_and_logs(tiny_dataset, monkeypatch, stage):
 
     monkeypatch.setattr(en, f"_bind_stage{stage}_batch", binding)
     monkeypatch.setattr(gc, "value_and_grad", recording)
-    seen = []
     schedule = gc.LrSchedule(initial=0.01, every=1)
     params, history = _run_stage(stage, rows, root, schedule=schedule, epochs=3,
-                                 batch_size=batch_size, log=seen.append)
+                                 batch_size=batch_size)
     assert all(t.dtype == np.float64 for t in params.tensors.values())
-    assert seen == history and len(history) == 3
+    assert len(history) == 3
     assert [n for _, n in step_log] == steps * 3 and not built
     for e, stats in enumerate(history):
         epoch_steps = step_log[e * len(steps):(e + 1) * len(steps)]
@@ -911,112 +910,9 @@ def test_training_zero_epochs_returns_initial_params(tiny_dataset, stage):
 
 
 # ---------------------------------------------------------------------------
-# the float batch construction the uint8 path replaced, kept as its oracle:
-# float faces, every triplet of an epoch warped before its first step, and
-# each leaf a np.stack of float images
-
-
-def _oracle_stage1(rows, root, cfg, schedule, epochs, batch_size, seed):
-    reals = [r for r in rows if r.kind == "real"]
-    cmap = en._class_map(reals, cfg)
-    pool = [(im.load_face(root / r.path), geo.load_landmarks(root / r.landmarks_path),
-             r.subject_id) for r in reals]
-    rng = np.random.Generator(np.random.PCG64([seed, 1]))
-
-    def triplet(image, lms, label):
-        idx = geo.nearest_neighbor(lms, [(p[1], p[2]) for p in pool],
-                                   exclude_class=label)
-        other_image, other_lms, other_label = pool[idx]
-        delta = rng.normal(0.0, np.sqrt(3.0), size=(lms.shape[0], 2))
-        return (image, other_image,
-                geo.warp_image(image, lms, other_lms, delta=delta),
-                cmap[label], cmap[other_label], geo.phi_g(lms, other_lms))
-
-    def epoch_batches():
-        triplets = [triplet(*p) for p in pool]
-        shuffled = [triplets[i] for i in rng.permutation(len(triplets))]
-        n_steps = max(1, math.ceil(len(shuffled) / batch_size))
-        for batch in en._chunks(shuffled, n_steps):
-            x, x_prime, x_hat, labels, labels_prime, phi = zip(*batch)
-            yield {"x": np.stack([en.to_chw(v) for v in x]),
-                   "x_prime": np.stack([en.to_chw(v) for v in x_prime]),
-                   "x_hat": np.stack([en.to_chw(v) for v in x_hat]),
-                   "labels": np.array(labels, dtype=float),
-                   "labels_prime": np.array(labels_prime, dtype=float),
-                   "phi": np.array(phi)}, len(batch)
-
-    graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
-    return en._fit(graph, en.init_params(cfg, seed), schedule, epochs,
-                   epoch_batches, None)
-
-
-def _oracle_stage2(rows, root, cfg, schedule, epochs, batch_size, seed, init):
-    reals = [r for r in rows if r.kind == "real"]
-    morphs = [r for r in rows if r.kind == "morph"]
-    genuine, cross = en._stage2_pools(reals, morphs)
-    cmap = en._class_map(reals, cfg)
-    images = {False: [im.load_face(root / r.path) for r in reals],
-              True: [im.load_face(root / r.path) for r in morphs]}
-    rng = np.random.Generator(np.random.PCG64([seed, 2]))
-
-    def bind(gen_batch, imp_batch):
-        unique = {}
-        leaves = {}
-        for side, pairs in (("gen", [(i, j, False) for i, j in gen_batch]),
-                            ("imp", imp_batch)):
-            rows_ij = [(unique.setdefault((False, i), len(unique)),
-                        unique.setdefault((m, j), len(unique))) for i, j, m in pairs]
-            leaves[f"{side}_i"] = np.array([a for a, _ in rows_ij], dtype=np.float64)
-            leaves[f"{side}_j"] = np.array([b for _, b in rows_ij], dtype=np.float64)
-        leaves["x"] = np.stack([en.to_chw(images[m][idx]) for m, idx in unique])
-        real_rows = [(row, idx) for row, (m, idx) in enumerate(unique) if not m]
-        leaves["real_idx"] = np.array([row for row, _ in real_rows], dtype=np.float64)
-        leaves["real_labels"] = np.array(
-            [cmap[reals[idx].subject_id] for _, idx in real_rows], dtype=np.float64)
-        return leaves
-
-    def epoch_batches():
-        n_gen = len(genuine)
-        cross_pick = [cross[k] for k in rng.integers(0, len(cross), n_gen)]
-        rm_pick = [(int(k) % len(reals), int(k) // len(reals))
-                   for k in rng.integers(0, len(reals) * len(morphs), n_gen)]
-        imposters = ([(i, j, False) for i, j in cross_pick]
-                     + [(i, j, True) for i, j in rm_pick])
-        n_rounds = max(1, min(len(genuine), len(imposters),
-                              math.ceil((len(genuine) + len(imposters)) / batch_size)))
-        for gen_batch, imp_batch in zip(en._chunks(genuine, n_rounds),
-                                        en._chunks(imposters, n_rounds)):
-            yield bind(gen_batch, imp_batch), len(gen_batch) + len(imp_batch)
-
-    graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())
-    return en._fit(graph, init.copy(), schedule, epochs, epoch_batches, None)
-
-
-# 8 reals: stage-1 batch 4 divides them, 3 leaves a short batch; 4 genuine and
-# 8 imposter pairs: stage-2 batch 6 gives steps of 6, 6, and 5 of 5, 4, 3
-@pytest.mark.parametrize("stage,batch_size", [(1, 4), (1, 3), (2, 6), (2, 5)])
-def test_training_byte_equal_to_float_oracle(tiny_dataset, stage, batch_size):
-    rows, root = tiny_dataset
-    cfg = train_cfg()
-    schedule = gc.LrSchedule(initial=0.05)
-    params, history = _run_stage(stage, rows, root, schedule=schedule, epochs=2,
-                                 batch_size=batch_size)
-    if stage == 1:
-        want, want_history = _oracle_stage1(rows, root, cfg, schedule, 2,
-                                            batch_size, 17)
-    else:
-        want, want_history = _oracle_stage2(rows, root, cfg, schedule, 2,
-                                            batch_size, 17, en.init_params(cfg, 17))
-    assert [s.loss for s in history] == [s.loss for s in want_history]
-    init = en.init_params(cfg, 17)
-    assert any(not np.array_equal(want[k], init[k]) for k in init.names())
-    for k in want.names():
-        assert params[k].tobytes() == want[k].tobytes(), k
-
-
-# ---------------------------------------------------------------------------
-# the float64 leaves the float32 ones replaced, kept as their oracle: each
-# batch scaled by ``from_uint8`` in float64, which ``_fit`` casts as it binds
+# the float64 batch construction the float32 one replaced, kept as its
+# oracle: each leaf scaled by ``from_uint8`` in float64, which ``_fit`` casts
+# as it binds, and x_hat warped from the float64 x
 
 
 def _float64_leaf(faces):
@@ -1066,55 +962,108 @@ def _bind_float64_leaves(monkeypatch, on_batch=None):
         monkeypatch.setattr(en, f"_bind_stage{stage}_batch", bind)
 
 
-@pytest.mark.parametrize("seed", [17, 29])
-@pytest.mark.parametrize("stage", [1, 2])
-def test_float32_leaves_byte_equal_to_float64_leaves(tiny_dataset, monkeypatch,
-                                                     stage, seed):
+# the two training loops written out from their sampling rules, each batch
+# bound by the float64 binder of its stage
+
+
+def _oracle_stage1(rows, root, cfg, schedule, epochs, batch_size, seed):
+    reals = [r for r in rows if r.kind == "real"]
+    cmap = en._class_map(reals, cfg)
+    faces = [im.read_ppm(root / r.path) for r in reals]
+    pool = [(geo.load_landmarks(root / r.landmarks_path), r.subject_id)
+            for r in reals]
+    rng = np.random.Generator(np.random.PCG64([seed, 1]))
+
+    def triplet(index):
+        lms, label = pool[index]
+        other = geo.nearest_neighbor(lms, pool, exclude_class=label)
+        delta = rng.normal(0.0, np.sqrt(3.0), size=(lms.shape[0], 2))
+        return im.Triplet(index, other, label, pool[other][1], lms,
+                          pool[other][0], delta)
+
+    def epoch_batches():
+        triplets = [triplet(i) for i in range(len(pool))]
+        shuffled = [triplets[i] for i in rng.permutation(len(triplets))]
+        n_steps = max(1, math.ceil(len(shuffled) / batch_size))
+        for batch in en._chunks(shuffled, n_steps):
+            yield _float64_stage1_batch(batch, faces, cmap), len(batch)
+
+    graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
+    return en._fit(graph, en.init_params(cfg, seed), schedule, epochs,
+                   epoch_batches)
+
+
+def _oracle_stage2(rows, root, cfg, schedule, epochs, batch_size, seed, init):
+    reals = [r for r in rows if r.kind == "real"]
+    morphs = [r for r in rows if r.kind == "morph"]
+    genuine, cross = en._stage2_pools(reals, morphs)
+    cmap = en._class_map(reals, cfg)
+    real_faces = [im.read_ppm(root / r.path) for r in reals]
+    morph_faces = [im.read_ppm(root / r.path) for r in morphs]
+    rng = np.random.Generator(np.random.PCG64([seed, 2]))
+
+    def epoch_batches():
+        n_gen = len(genuine)
+        cross_pick = [cross[k] for k in rng.integers(0, len(cross), n_gen)]
+        rm_pick = [(int(k) % len(reals), int(k) // len(reals))
+                   for k in rng.integers(0, len(reals) * len(morphs), n_gen)]
+        imposters = ([(i, j, False) for i, j in cross_pick]
+                     + [(i, j, True) for i, j in rm_pick])
+        n_rounds = max(1, min(len(genuine), len(imposters),
+                              math.ceil((len(genuine) + len(imposters)) / batch_size)))
+        for gen_batch, imp_batch in zip(en._chunks(genuine, n_rounds),
+                                        en._chunks(imposters, n_rounds)):
+            yield (_float64_stage2_batch(gen_batch, imp_batch, reals, real_faces,
+                                         morph_faces, cmap),
+                   len(gen_batch) + len(imp_batch))
+
+    graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())
+    return en._fit(graph, init.copy(), schedule, epochs, epoch_batches)
+
+
+# 8 reals: stage-1 batch 4 divides them, 3 leaves a short batch; 4 genuine and
+# 8 imposter pairs: stage-2 batch 6 gives steps of 6, 6, and 5 of 5, 4, 3
+@pytest.mark.parametrize("stage,batch_size,seed", [
+    (1, 4, 17), (1, 3, 17), (1, 3, 29), (2, 6, 17), (2, 5, 17), (2, 5, 29)])
+def test_training_byte_equal_to_float_oracle(tiny_dataset, stage, batch_size,
+                                             seed):
     rows, root = tiny_dataset
-    kw = dict(schedule=gc.LrSchedule(initial=0.05), epochs=2,
-              batch_size=_UNEQUAL_STEPS[stage][0], seed=seed)
-    params, history = _run_stage(stage, rows, root, **kw)
-    with monkeypatch.context() as m:
-        _bind_float64_leaves(m)
-        want, want_history = _run_stage(stage, rows, root, **kw)
+    cfg = train_cfg()
+    schedule = gc.LrSchedule(initial=0.05)
+    params, history = _run_stage(stage, rows, root, schedule=schedule, epochs=2,
+                                 batch_size=batch_size, seed=seed)
+    init = en.init_params(cfg, seed if stage == 1 else 17)
+    if stage == 1:
+        want, want_history = _oracle_stage1(rows, root, cfg, schedule, 2,
+                                            batch_size, seed)
+    else:
+        want, want_history = _oracle_stage2(rows, root, cfg, schedule, 2,
+                                            batch_size, seed, init)
     assert [s.loss for s in history] == [s.loss for s in want_history]
-    init = en.init_params(train_cfg(), 17 if stage == 2 else seed)
     assert any(not np.array_equal(want[k], init[k]) for k in init.names())
     for k in want.names():
         assert params[k].tobytes() == want[k].tobytes(), k
 
 
-def test_float_leaf_table_is_from_uint8_cast_to_float32():
+@pytest.mark.parametrize("n", [1, 8, 15])
+def test_float_leaf_table_is_from_uint8_cast_to_float32(n):
     levels = np.arange(256, dtype=np.uint8)
     assert en._LEVELS64.tobytes() == im.from_uint8(levels).tobytes()
     assert en._LEVELS32.dtype == np.float32
     assert en._LEVELS32.tobytes() == im.from_uint8(levels).astype(np.float32).tobytes()
-    # every level in every channel of a batch of two faces
-    faces = [np.stack([levels.reshape(16, 16), levels.reshape(16, 16).T,
-                       levels[::-1].reshape(16, 16)], axis=2), np.full((16, 16, 3), 255, np.uint8)]
+    # two faces that hold every level in every channel, then contiguous
+    # faces, flipped views and crops of a larger array
+    big = rng(n).integers(0, 256, size=(n, 24, 24, 3), dtype=np.uint8)
+    faces = ([np.stack([levels.reshape(16, 16), levels.reshape(16, 16).T,
+                        levels[::-1].reshape(16, 16)], axis=2),
+              np.full((16, 16, 3), 255, np.uint8)]
+             + [big[i, 4:20, 4:20] if i % 3 == 0 else big[i, 8:, 8:][::-1]
+                if i % 3 == 1 else np.ascontiguousarray(big[i, :16, :16])
+                for i in range(n)])[:n]
     leaf = en._float_leaf(faces)
-    assert leaf.dtype == np.float32 and leaf.shape == (2, 3, 16, 16)
-    assert leaf.tobytes() == _float64_leaf(faces).astype(np.float32).tobytes()
-
-
-def _float_leaf_stacked(faces):
-    """``_float_leaf`` as it was before it filled its leaf face by face: one
-    table lookup indexed by the stacked, transposed uint8 batch."""
-    return en._LEVELS32[np.stack([face.transpose(2, 0, 1) for face in faces])]
-
-
-@pytest.mark.parametrize("n", [1, 8, 15])
-def test_float_leaf_byte_equal_to_stacked_lookup(n):
-    r = np.random.Generator(np.random.PCG64(n))
-    big = r.integers(0, 256, size=(n, 40, 40, 3), dtype=np.uint8)
-    # contiguous faces, flipped views and crops of a larger array
-    faces = [big[i, 4:36, 4:36] if i % 3 == 0 else
-             big[i, 8:, 8:][::-1] if i % 3 == 1 else
-             np.ascontiguousarray(big[i, :32, :32]) for i in range(n)]
-    leaf = en._float_leaf(faces)
-    assert leaf.dtype == np.float32 and leaf.shape == (n, 3, 32, 32)
+    assert leaf.dtype == np.float32 and leaf.shape == (n, 3, 16, 16)
     assert leaf.flags.c_contiguous
-    assert leaf.tobytes() == _float_leaf_stacked(faces).tobytes()
+    assert leaf.tobytes() == _float64_leaf(faces).astype(np.float32).tobytes()
 
 
 def test_float32_leaves_lower_the_traced_peak(tmp_path, monkeypatch):
@@ -1156,12 +1105,11 @@ def test_float32_leaves_lower_the_traced_peak(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("stage", [1, 2])
-@pytest.mark.parametrize("size,channels", [(24, 3), (16, 1)])
 def test_training_rejects_faces_of_another_shape(tiny_dataset, monkeypatch,
-                                                 stage, size, channels):
+                                                 stage):
     # unchecked, the encoder's reshape fails inside the graph
     rows, root = tiny_dataset
-    cfg = dataclasses.replace(train_cfg(), input_size=size, in_channels=channels)
+    cfg = dataclasses.replace(train_cfg(), input_size=24)
 
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran before the shape check")
@@ -1171,7 +1119,7 @@ def test_training_rejects_faces_of_another_shape(tiny_dataset, monkeypatch,
     with pytest.raises(ValueError) as err:
         _run_stage(stage, rows, root, cfg=cfg)
     assert str(err.value) == (f"{root / first.path}: face of shape (16, 16, 3), "
-                              f"the encoder config expects {(size, size, channels)}")
+                              "the encoder config expects (24, 24, 3)")
 
 
 def test_stage1_rejects_landmark_file_of_another_count(tiny_dataset, tmp_path):
@@ -1272,7 +1220,7 @@ def test_config_from_meta_missing_key_names_it(key):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("enc.channels", "8,16,x"), ("enc.strides", ""), ("enc.kernel", "3.5"),
+    ("enc.channels", "8,16,x"), ("enc.strides", ""), ("enc.d_a", "3.5"),
     ("margin.s", "abc"), ("loss.alpha_g", "")])
 def test_config_from_meta_malformed_key_names_it(key, value):
     meta = dict(_nondefault_meta(), **{key: value})
@@ -1281,8 +1229,8 @@ def test_config_from_meta_malformed_key_names_it(key, value):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("input_size", "0"), ("in_channels", "0"), ("kernel", "0"), ("d_a", "0"),
-    ("d_g", "-4"), ("d_f", "0"), ("n_classes", "0"), ("critic_hidden", "0"),
+    ("input_size", "0"), ("d_a", "0"), ("d_g", "-4"), ("d_f", "0"),
+    ("n_classes", "0"), ("critic_hidden", "0"),
     ("channels", "4,0"), ("channels", "-4,8"), ("strides", "2,0"),
     ("strides", "-1,2")])
 def test_config_from_meta_non_positive_size_names_field(field, value):
@@ -1324,8 +1272,8 @@ def test_loss_configs_reject_a_field_that_is_not_a_real(cls, field):
 # sizes, as its ValueError states it; the bad values below are derived from it
 _FIELD_RULES = {
     "EncoderConfig": dict.fromkeys(
-        ("input_size", "in_channels", "channels", "strides", "kernel", "d_a",
-         "d_g", "d_f", "n_classes", "critic_hidden"), "an integer >= 1"),
+        ("input_size", "channels", "strides", "d_a", "d_g", "d_f", "n_classes",
+         "critic_hidden"), "an integer >= 1"),
     "MarginConfig": {"m1": "finite", "m2": "finite", "m3": "finite",
                      "s": "finite and > 0"},
     "LossWeights": dict.fromkeys(
@@ -1360,9 +1308,17 @@ def _bad_field_cases():
                 bad = [("bool", True), ("type", "0.5"), ("finite", math.nan),
                        ("finite", math.inf), ("finite", -math.inf),
                        *(("range", v) for v in _OUT_OF_RANGE[rule])]
+            default = getattr(_CONFIGS[owner](), field) if owner in _CONFIGS else None
             for kind, value in bad:
-                yield pytest.param(owner, field, rule, value,
-                                   id=f"{owner}.{field}-{kind}-{value!r}")
+                case = f"{owner}.{field}-{kind}-{value!r}"
+                if isinstance(default, tuple):  # a bad item among good ones
+                    value = (default[0], value) + default[2:]
+                yield pytest.param(owner, field, rule, value, id=case)
+    # a layer list that is no tuple or list is refused whole (5 and None
+    # raised a bare TypeError, and "8,16" was split into its characters)
+    for field, value in (("channels", 5), ("channels", "8,16"), ("strides", None)):
+        yield pytest.param("EncoderConfig", field, "a tuple", value,
+                           id=f"EncoderConfig.{field}-whole-{value!r}")
 
 
 def test_field_rule_table_names_every_config_field():
@@ -1377,9 +1333,6 @@ def test_every_config_field_and_loop_size_rejects_bad_values(owner, field, rule,
     # init_params died on numpy's TypeError, and MarginConfig, LossWeights and
     # LrSchedule took a bool for a real
     if owner in _CONFIGS:
-        default = getattr(_CONFIGS[owner](), field)
-        if isinstance(default, tuple):  # a bad item among good ones
-            value = (default[0], value) + default[2:]
         with pytest.raises(ValueError) as err:
             _CONFIGS[owner](**{field: value})
         label = f"{owner}.{field}"

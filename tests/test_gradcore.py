@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import morphkit.gradcore as gc
 from gradcheck import finite_difference_check
+from test_embednet import tiny_cfg
 from morphkit import embednet as en
 
 
@@ -157,7 +158,7 @@ def test_every_public_constructor_op_has_a_rule():
 def test_every_rule_is_an_op_of_the_pipeline():
     # an op rule that no stage graph nor the encoder emits has no caller;
     # the AST guard cannot see that, as ``np.exp`` reads like ``gc.exp``
-    cfg = _tiny_cfg()
+    cfg = tiny_cfg()
     args = (cfg, en.MarginConfig(), en.LossWeights())
     graphs = [en.stage1_graph(*args), en.stage2_graph(*args), en._encoder_plan(cfg)]
     ops = {n.op for g in graphs for n in g.nodes} - {"leaf", "const"}
@@ -563,9 +564,14 @@ def _desk_conv(layer):
     return ((3,) + cfg.channels)[layer], cfg.channels[layer], cfg.spatial_sizes()[layer]
 
 
-def _desk_layer_against_oracles(layer, batch, dtype):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
+@pytest.mark.parametrize("layer", range(4))
+def test_conv2d_desk_layers_byte_equal_to_oracle(layer, batch, dtype):
     """A desk conv layer's forward, dw and dx against the row-major oracle,
-    and its dx against the tap oracle; returns dx and the row-major dx."""
+    and its dx against the tap oracle, in float64 and in float32, the dtype
+    training binds."""
     c, f, size = _desk_conv(layer)
     r = rng(100 + 10 * layer + batch)
     x = r.uniform(-1, 1, size=(batch, c, size, size)).astype(dtype)
@@ -582,24 +588,11 @@ def _desk_layer_against_oracles(layer, batch, dtype):
     assert dw.dtype == dtype and dw.tobytes() == dw_ref.tobytes()
     assert dx.dtype == dtype
     assert dx.tobytes() == _conv2d_backward_taps(g, x, wt, 2, 1, True, cols)[0].tobytes()
-    return dx, dx_ref
-
-
-@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
-@pytest.mark.parametrize("layer", range(4))
-def test_conv2d_desk_layers_byte_equal_to_oracle(layer, batch):
-    dx, dx_ref = _desk_layer_against_oracles(layer, batch, np.float64)
-    assert dx.tobytes() == dx_ref.tobytes()
-
-
-@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
-@pytest.mark.parametrize("layer", range(4))
-def test_conv2d_desk_layers_float32_byte_equal_to_oracle(layer, batch):
-    # the dtype training binds; the row-major dx sums in a float64 buffer
-    # from one (N*oh*ow, F) @ (F, C*9) product, which in float32 differs
-    # from the per-tap products in the last bits, so only the tap oracle
-    # holds dx to its bytes here
-    _desk_layer_against_oracles(layer, batch, np.float32)
+    # the row-major dx sums in a float64 buffer from one (N*oh*ow, F) @
+    # (F, C*9) product, which in float32 differs from the per-tap products
+    # in the last bits, so only the tap oracle holds a float32 dx to its bytes
+    if dtype == np.float64:
+        assert dx.tobytes() == dx_ref.tobytes()
 
 
 def _stage_bindings(stage, cfg, params, batch, seed):
@@ -620,7 +613,20 @@ def _stage_bindings(stage, cfg, params, batch, seed):
     return bindings
 
 
-def _stage_against_oracle(stage, batch, monkeypatch, as_bound, backward):
+def _float32(bindings):
+    """The bindings as a training step binds them (``embednet._fit``)."""
+    return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
+
+
+# float64 against the row-major backward; float32, as a training step binds,
+# against the tap oracle, as above
+@pytest.mark.parametrize("as_bound,backward", [
+    (dict, _conv2d_backward_rowmajor), (_float32, _conv2d_backward_taps)],
+    ids=["float64", "float32"])
+@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, as_bound,
+                                                   backward, monkeypatch):
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=20 + batch)
     bindings = as_bound(_stage_bindings(stage, cfg, params, batch, seed=30 + batch))
@@ -640,34 +646,8 @@ def _stage_against_oracle(stage, batch, monkeypatch, as_bound, backward):
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
 
 
-@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
-@pytest.mark.parametrize("stage", [1, 2])
-def test_stage_value_and_grad_byte_equal_to_oracle(stage, batch, monkeypatch):
-    _stage_against_oracle(stage, batch, monkeypatch, dict,
-                          _conv2d_backward_rowmajor)
-
-
-@pytest.mark.parametrize("batch", [1, 7, 8, 12, 15, 16])
-@pytest.mark.parametrize("stage", [1, 2])
-def test_stage_value_and_grad_float32_byte_equal_to_oracle(stage, batch,
-                                                           monkeypatch):
-    # float32, as a training step binds; the tap oracle, as above
-    _stage_against_oracle(stage, batch, monkeypatch, _float32,
-                          _conv2d_backward_taps)
-
-
 # ---------------------------------------------------------------------------
 # compute dtype: a pass computes in the float dtype of its bindings
-
-
-def _tiny_cfg():
-    return en.EncoderConfig(input_size=16, channels=(4, 8), strides=(2, 2),
-                            d_a=8, d_g=8, d_f=16, n_classes=3, critic_hidden=6)
-
-
-def _float32(bindings):
-    """The bindings as a training step binds them (``embednet._fit``)."""
-    return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
 
 
 def _backward_column_dtypes(monkeypatch):
@@ -689,7 +669,7 @@ def test_float32_step_within_stated_bound_of_float64(stage, seed, monkeypatch):
     """The per-step bound of float32 training: at the same inputs, the loss
     is within 1e-5 relative and each gradient within 1e-4 x its max |g| of
     the float64 step."""
-    cfg = _tiny_cfg()
+    cfg = tiny_cfg()
     params = en.init_params(cfg, seed=60 + seed)
     bindings = _stage_bindings(stage, cfg, params, 6, seed=70 + seed)
     build = en.stage1_graph if stage == 1 else en.stage2_graph
@@ -734,7 +714,7 @@ def test_float32_bindings_compute_in_float32(stage, monkeypatch):
             backward.update((_op, g.dtype) for g in grads if g is not None)
             return grads
         monkeypatch.setitem(gc._RULES, op, replace(rule, bwd=bwd))
-    cfg = _tiny_cfg()
+    cfg = tiny_cfg()
     params = en.init_params(cfg, seed=80)
     bindings = _float32(_stage_bindings(stage, cfg, params, 5, seed=81))
     build = en.stage1_graph if stage == 1 else en.stage2_graph
@@ -765,7 +745,7 @@ def test_value_and_grad_frees_columns_and_values_at_last_use(stage, monkeypatch)
         earlier.extend((weakref.ref(v[3]), weakref.ref(out)))
         return rule.bwd(g, v, out, p, need)
     monkeypatch.setitem(gc._RULES, "conv_bias_relu", replace(rule, bwd=bwd))
-    cfg = _tiny_cfg()
+    cfg = tiny_cfg()
     params = en.init_params(cfg, seed=86)
     bindings = _float32(_stage_bindings(stage, cfg, params, 4, seed=87))
     build = en.stage1_graph if stage == 1 else en.stage2_graph

@@ -19,6 +19,9 @@ import numpy as np
 import pytest
 
 import morphkit.gradcore as gc
+from test_embednet import _float64_leaf
+from test_gradcore import _desk_conv, _float32, _stage_bindings
+from test_imaging import generate_morph_two_warps
 from morphkit import embednet as en
 from morphkit import evalkit as ev
 from morphkit import geometry as geo
@@ -49,11 +52,9 @@ def test_bench_generate_morph_112(benchmark):
     rec = benchmark.pedantic(im.generate_morph, args=(img_a, lms_a, img_b, lms_b),
                              rounds=5, iterations=1, warmup_rounds=1)
     # the blend of the two contributors, each warped on its own
-    target = (lms_a + lms_b) / 2
-    want = im.alpha_blend(geo.warp_image(img_a, lms_a, target),
-                          geo.warp_image(img_b, lms_b, target), 0.5)
-    assert rec.image.tobytes() == want.tobytes()
-    assert np.array_equal(rec.landmarks, target)
+    want = generate_morph_two_warps(img_a, lms_a, img_b, lms_b)
+    assert rec.image.tobytes() == want.image.tobytes()
+    assert rec.landmarks.tobytes() == want.landmarks.tobytes()
 
 
 def test_bench_synth_dataset_desk(benchmark, tmp_path):
@@ -160,16 +161,10 @@ def test_bench_det_curve_40k_tied(benchmark):
     assert curve.apcer[-1] == 1.0 and curve.bpcer[-1] == 0.0
 
 
-def _as_fit_binds(bindings):
-    """The bindings in float32, as ``embednet._fit`` binds a step: float32
-    copies of the params, and the leaves the stages build in float32."""
-    return {k: np.asarray(v, dtype=np.float32) for k, v in bindings.items()}
-
-
 def _bench_step(benchmark, graph, bindings, names):
     """Times ``value_and_grad`` on one step, then records the ``tracemalloc``
     peak of one more step, in MB above its start; returns the timed result."""
-    args = (graph, _as_fit_binds(bindings), names)
+    args = (graph, _float32(bindings), names)
     result = benchmark.pedantic(gc.value_and_grad, args=args,
                                 rounds=3, iterations=1, warmup_rounds=1)
     tracemalloc.start()
@@ -186,14 +181,7 @@ def test_bench_stage1_value_and_grad_batch8(benchmark):
     """One stage-1 step, in float32 as training runs it."""
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=3)
-    r = rng(4)
-    n = 8
-    bindings = dict(params.tensors)
-    for name in ("x", "x_prime", "x_hat"):
-        bindings[name] = r.uniform(-1, 1, size=(n, 3, 112, 112))
-    bindings["labels"] = r.integers(0, 10, size=n).astype(float)
-    bindings["labels_prime"] = r.integers(0, 10, size=n).astype(float)
-    bindings["phi"] = r.uniform(0.05, 0.2, size=n)
+    bindings = _stage_bindings(1, cfg, params, 8, seed=4)
     graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = _bench_step(benchmark, graph, bindings, params.names())
     assert np.isfinite(loss)
@@ -205,23 +193,11 @@ def test_bench_stage2_value_and_grad_batch14(benchmark):
     binds batches of 12-16 images."""
     cfg = en.EncoderConfig.desk(10)
     params = en.init_params(cfg, seed=11)
-    r = rng(12)
-    n = 14
-    bindings = dict(params.tensors)
-    bindings["x"] = r.uniform(-1, 1, size=(n, 3, 112, 112))
-    for name in ("gen_i", "gen_j", "imp_i", "imp_j", "real_idx"):
-        bindings[name] = r.integers(0, n, size=n).astype(float)
-    bindings["real_labels"] = r.integers(0, 10, size=n).astype(float)
+    bindings = _stage_bindings(2, cfg, params, 14, seed=12)
     graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())
     loss, grads = _bench_step(benchmark, graph, bindings, params.names())
     assert np.isfinite(loss)
     assert sorted(grads) == sorted(params.names())
-
-
-def _desk_conv(layer):
-    """(channels in, channels out, input size) of a desk encoder conv layer."""
-    cfg = en.EncoderConfig.desk(10)
-    return ((3,) + cfg.channels)[layer], cfg.channels[layer], cfg.spatial_sizes()[layer]
 
 
 def _conv_fwd_bwd(x, w, b, g, need_dx):
@@ -274,9 +250,7 @@ def test_bench_float_leaf_batch15(benchmark):
              for _ in range(15)]
     leaf = benchmark.pedantic(en._float_leaf, args=(faces,),
                               rounds=10, iterations=1, warmup_rounds=1)
-    # the one-lookup oracle: the stacked, transposed uint8 batch
-    want = en._LEVELS32[np.stack([face.transpose(2, 0, 1) for face in faces])]
-    assert leaf.tobytes() == want.tobytes()
+    assert leaf.tobytes() == _float64_leaf(faces).astype(np.float32).tobytes()
 
 
 def test_bench_grid_kernel_matrix_112(benchmark):
