@@ -1023,8 +1023,8 @@ def _oracle_stage2(rows, root, cfg, schedule, epochs, batch_size, seed, init):
 
 # 8 reals: stage-1 batch 4 divides them, 3 leaves a short batch; 4 genuine and
 # 8 imposter pairs: stage-2 batch 6 gives steps of 6, 6, and 5 of 5, 4, 3
-@pytest.mark.parametrize("stage,batch_size,seed", [
-    (1, 4, 17), (1, 3, 17), (1, 3, 29), (2, 6, 17), (2, 5, 17), (2, 5, 29)])
+@pytest.mark.parametrize("seed", [17, 29])
+@pytest.mark.parametrize("stage,batch_size", [(1, 4), (1, 3), (2, 6), (2, 5)])
 def test_training_byte_equal_to_float_oracle(tiny_dataset, stage, batch_size,
                                              seed):
     rows, root = tiny_dataset
@@ -1045,7 +1045,7 @@ def test_training_byte_equal_to_float_oracle(tiny_dataset, stage, batch_size,
         assert params[k].tobytes() == want[k].tobytes(), k
 
 
-@pytest.mark.parametrize("n", [1, 8, 15])
+@pytest.mark.parametrize("n", [1, 2, 8, 15])
 def test_float_leaf_table_is_from_uint8_cast_to_float32(n):
     levels = np.arange(256, dtype=np.uint8)
     assert en._LEVELS64.tobytes() == im.from_uint8(levels).tobytes()
@@ -1105,11 +1105,12 @@ def test_float32_leaves_lower_the_traced_peak(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("size", [24, 8])
 def test_training_rejects_faces_of_another_shape(tiny_dataset, monkeypatch,
-                                                 stage):
+                                                 stage, size):
     # unchecked, the encoder's reshape fails inside the graph
     rows, root = tiny_dataset
-    cfg = dataclasses.replace(train_cfg(), input_size=24)
+    cfg = dataclasses.replace(train_cfg(), input_size=size)
 
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran before the shape check")
@@ -1119,7 +1120,7 @@ def test_training_rejects_faces_of_another_shape(tiny_dataset, monkeypatch,
     with pytest.raises(ValueError) as err:
         _run_stage(stage, rows, root, cfg=cfg)
     assert str(err.value) == (f"{root / first.path}: face of shape (16, 16, 3), "
-                              "the encoder config expects (24, 24, 3)")
+                              f"the encoder config expects {(size, size, 3)}")
 
 
 def test_stage1_rejects_landmark_file_of_another_count(tiny_dataset, tmp_path):
@@ -1316,9 +1317,28 @@ def _bad_field_cases():
                 yield pytest.param(owner, field, rule, value, id=case)
     # a layer list that is no tuple or list is refused whole (5 and None
     # raised a bare TypeError, and "8,16" was split into its characters)
-    for field, value in (("channels", 5), ("channels", "8,16"), ("strides", None)):
-        yield pytest.param("EncoderConfig", field, "a tuple", value,
-                           id=f"EncoderConfig.{field}-whole-{value!r}")
+    for field in ("channels", "strides"):
+        for value in (5, "8,16", None):
+            yield pytest.param("EncoderConfig", field, "a tuple", value,
+                               id=f"EncoderConfig.{field}-whole-{value!r}")
+
+
+@pytest.mark.parametrize("name", ["in_channels", "kernel"])
+def test_encoder_trunk_constants_are_not_settings(name):
+    # read_ppm reads 3-channel faces only, and every conv is 3 x 3
+    assert getattr(en.EncoderConfig, name) == getattr(tiny_cfg(), name) == 3
+    assert name not in [f.name for f in dataclasses.fields(en.EncoderConfig)]
+    with pytest.raises(TypeError, match=name):
+        en.EncoderConfig(**{name: 3})
+    assert f"enc.{name}" not in _nondefault_meta()
+
+
+@pytest.mark.parametrize("name", ["in_channels", "kernel"])
+def test_config_from_meta_reads_meta_that_still_holds_a_trunk_constant(name):
+    # checkpoint meta written while these were fields holds them as "3"
+    meta = {k: str(v) for k, v in _nondefault_meta().items()}
+    assert en.config_from_meta(dict(meta, **{f"enc.{name}": "3"})) == \
+        en.config_from_meta(meta)
 
 
 def test_field_rule_table_names_every_config_field():
