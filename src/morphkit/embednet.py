@@ -32,6 +32,7 @@ class EncoderConfig:
 
     in_channels: ClassVar[int] = 3  # ``imaging.read_ppm`` reads P6 faces only
     kernel: ClassVar[int] = 3  # every conv is 3 x 3
+    critic_hidden: ClassVar[int] = 64  # width of each critic's hidden layer
     input_size: int = 112
     channels: tuple = (64, 128, 256, 512)
     strides: tuple = (2, 2, 2, 2)
@@ -39,7 +40,6 @@ class EncoderConfig:
     d_g: int = 256
     d_f: int = 512
     n_classes: int = 2
-    critic_hidden: int = 64
 
     def __post_init__(self):
         # tuples keep the config hashable (it keys the encoder plan cache)
@@ -129,7 +129,7 @@ def param_specs(cfg: EncoderConfig):
     specs = []
     c_in = cfg.in_channels
     k = cfg.kernel
-    for i, (c_out, _) in enumerate(zip(cfg.channels, cfg.strides)):
+    for i, c_out in enumerate(cfg.channels):
         specs.append(gc.ParamSpec(f"conv{i}_w", (c_out, c_in, k, k), c_in * k * k))
         specs.append(gc.ParamSpec(f"conv{i}_b", (c_out, 1, 1)))
         c_in = c_out
@@ -227,7 +227,11 @@ def id_loss(z_f, labels, class_w, margins: MarginConfig, n_classes):
 
 
 def critic_score(z_i, z_j, prefix):
-    """Shared FC+relu per embedding, concatenated, mapped to one scalar per pair."""
+    """Shared FC+relu per embedding, concatenated, mapped to one scalar per pair.
+
+    The output layer is linear, so the score is separable, f(z_i) + g(z_j),
+    and against product-of-marginals imposters the Donsker-Varadhan bound
+    that ``mi_loss`` negates cannot exceed 0 (Jensen's inequality)."""
     p = lambda name: gc.leaf(prefix + name)
     h_i = gc.relu(gc.matmul(z_i, p("fc_w")) + p("fc_b"))
     h_j = gc.relu(gc.matmul(z_j, p("fc_w")) + p("fc_b"))
@@ -574,8 +578,7 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
         imposters = [(i, j, False) for i, j in cross_pick] + \
                     [(i, j, True) for i, j in rm_pick]
         total = len(genuine) + len(imposters)
-        n_rounds = max(1, min(len(genuine), len(imposters),
-                              math.ceil(total / batch_size)))
+        n_rounds = max(1, min(len(genuine), math.ceil(total / batch_size)))
         for gen_batch, imp_batch in zip(_chunks(genuine, n_rounds),
                                         _chunks(imposters, n_rounds)):
             yield (_bind_stage2_batch(gen_batch, imp_batch, reals, real_faces,
@@ -654,10 +657,24 @@ def config_from_meta(meta: dict):
     """(EncoderConfig, MarginConfig, LossWeights) from ``config_meta`` keys.
 
     Each field is parsed as the type of its default, a tuple as its items'
-    type; a missing or malformed key raises ValueError naming it.
+    type; a missing or malformed key raises ValueError naming it.  So does a
+    ``<tag>.`` key that names no field, unless it names a class constant
+    (meta written while that was a field) and holds the constant's value.
     """
     configs = []
     for cls, tag in _META_TAGS:
+        names = [f.name for f in fields(cls)]
+        for key, value in meta.items():
+            name = key.removeprefix(f"{tag}.")
+            if name == key or name in names:
+                continue
+            if name not in cls.__annotations__:
+                raise ValueError(f"checkpoint meta '{key}={value}' names no "
+                                 f"{cls.__name__} field")
+            constant = getattr(cls, name)
+            if str(value) != str(constant):
+                raise ValueError(f"checkpoint meta '{key}={value}' differs from "
+                                 f"{cls.__name__}.{name}, which is always {constant}")
         kwargs = {}
         for f in fields(cls):
             key = f"{tag}.{f.name}"

@@ -23,8 +23,7 @@ def rng(seed=0):
 
 def tiny_cfg(n_classes=3):
     return en.EncoderConfig(input_size=16, channels=(4, 8), strides=(2, 2),
-                            d_a=8, d_g=8, d_f=16, n_classes=n_classes,
-                            critic_hidden=6)
+                            d_a=8, d_g=8, d_f=16, n_classes=n_classes)
 
 
 def vec_with_cosine(base, target_cos, r):
@@ -242,7 +241,7 @@ def test_encode_and_to_chw_reject_non_float_images(dtype):
 
 def test_list_valued_config_encodes_and_round_trips():
     cfg = en.EncoderConfig(input_size=16, channels=[4, 8], strides=[2, 2],
-                           d_a=8, d_g=8, d_f=16, n_classes=3, critic_hidden=6)
+                           d_a=8, d_g=8, d_f=16, n_classes=3)
     assert cfg == tiny_cfg() and hash(cfg) == hash(tiny_cfg())
     params = en.init_params(cfg, seed=29)
     x = rng(30).uniform(-1, 1, size=(2, 3, 16, 16))
@@ -767,7 +766,7 @@ def _init_with_extra(cfg):
     # unchecked, the first step raises GradcoreError: unbound leaf
     (_init_missing_critic,
      "stage-2 init tensor 'crit_a_fc_w': init has no tensor, "
-     "the encoder config expects (8, 6)"),
+     "the encoder config expects (8, 64)"),
     # unchecked, it trains and returns the stray tensor
     (_init_with_extra,
      "stage-2 init tensor 'extra_w': init has (2, 3), "
@@ -777,11 +776,8 @@ def test_stage2_rejects_init_of_another_config(tiny_dataset, monkeypatch,
                                                make_init, message):
     rows, root = tiny_dataset
     cfg = train_cfg()
-
-    def no_load(*args, **kwargs):
-        raise AssertionError("faces loaded before init was checked")
-
-    monkeypatch.setattr(en, "_load_checked", no_load)
+    monkeypatch.setattr(en, "_load_checked", lambda *args: pytest.fail(
+        "faces loaded before init was checked"))
     with pytest.raises(ValueError) as err:
         en.train_stage2(rows, root, cfg, en.MarginConfig(), en.LossWeights(),
                         gc.LrSchedule(), 1, 8, 0, init=make_init(cfg))
@@ -878,26 +874,6 @@ def test_training_checks_manifest_files_first(tiny_dataset, tmp_path,
     assert message.startswith(f"{len(gone)} manifest file(s) missing")
     for rel in gone:
         assert str(root / rel) in message
-
-
-@pytest.mark.parametrize("stage", [1, 2])
-@pytest.mark.parametrize("field,value,least", [
-    ("batch_size", 0, 1), ("batch_size", -2, 1), ("batch_size", 2.0, 1),
-    ("batch_size", True, 1), ("epochs", -1, 0), ("epochs", 1.5, 0),
-    ("epochs", None, 0)])
-def test_training_rejects_bad_loop_sizes(tiny_dataset, monkeypatch, stage, field,
-                                         value, least):
-    # unchecked, batch_size 0 divides by zero, a negative batch_size trains one
-    # full batch per epoch, and epochs -1 returns untrained params
-    rows, root = tiny_dataset
-
-    def no_load(*args, **kwargs):
-        raise AssertionError("data loaded before the loop sizes were checked")
-
-    monkeypatch.setattr(en, "_load_checked", no_load)
-    with pytest.raises(ValueError) as err:
-        _run_stage(stage, rows, root, **{field: value})
-    assert str(err.value) == f"{field} must be an integer >= {least}, got {value!r}"
 
 
 @pytest.mark.parametrize("stage", [1, 2])
@@ -1175,10 +1151,7 @@ def test_checkpoint_roundtrip(tmp_path):
     meta2 = loaded.meta
     for k in params.names():
         assert np.array_equal(loaded[k], params[k])
-    cfg2, margins2, weights2 = en.config_from_meta(meta2)
-    assert cfg2 == cfg
-    assert margins2 == en.MarginConfig()
-    assert weights2 == en.LossWeights()
+    assert en.config_from_meta(meta2) == (cfg, en.MarginConfig(), en.LossWeights())
     assert meta2["stage"] == "1"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -1229,52 +1202,12 @@ def test_config_from_meta_malformed_key_names_it(key, value):
         en.config_from_meta(meta)
 
 
-@pytest.mark.parametrize("field,value", [
-    ("input_size", "0"), ("d_a", "0"), ("d_g", "-4"), ("d_f", "0"),
-    ("n_classes", "0"), ("critic_hidden", "0"),
-    ("channels", "4,0"), ("channels", "-4,8"), ("strides", "2,0"),
-    ("strides", "-1,2")])
-def test_config_from_meta_non_positive_size_names_field(field, value):
-    # unchecked, these end in numpy's OverflowError, a ZeroDivisionError or
-    # "negative dimensions" once the config is used
-    meta = dict(_nondefault_meta(), **{f"enc.{field}": value})
-    with pytest.raises(ValueError) as err:
-        en.config_from_meta(meta)
-    got = tuple(map(int, value.split(","))) if "," in value else int(value)
-    assert str(err.value) == (f"EncoderConfig.{field} must be an integer >= 1, "
-                              f"got {got!r}")
-
-
-@pytest.mark.parametrize("key,value", [
-    ("margin.m1", "nan"), ("margin.m2", "inf"), ("margin.m3", "-inf"),
-    ("margin.s", "nan"), ("margin.s", "0"), ("margin.s", "-64"),
-    ("loss.alpha_g", "inf"), ("loss.lambda1_a", "-1"), ("loss.lambda1_g", "nan"),
-    ("loss.lambda2_a", "-1e-9"), ("loss.lambda2_g", "-inf")])
-def test_config_from_meta_bad_loss_hyperparameter_names_field(key, value):
-    # unchecked, a NaN scale or a negative weight trains on without complaint
-    meta = dict(_nondefault_meta(), **{key: value})
-    with pytest.raises(ValueError) as err:
-        en.config_from_meta(meta)
-    tag, field = key.split(".")
-    cls, rule = {"margin": ("MarginConfig", "finite and > 0" if field == "s"
-                            else "finite"),
-                 "loss": ("LossWeights", "finite and >= 0")}[tag]
-    assert str(err.value) == f"{cls}.{field} must be {rule}, got {float(value)!r}"
-
-
-@pytest.mark.parametrize("cls,field", [(en.MarginConfig, "m2"),
-                                       (en.LossWeights, "lambda1_g")])
-def test_loss_configs_reject_a_field_that_is_not_a_real(cls, field):
-    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must be finite"):
-        cls(**{field: "0.5"})
-
-
 # the rule of each field of the five configs and of the two training loop
 # sizes, as its ValueError states it; the bad values below are derived from it
 _FIELD_RULES = {
     "EncoderConfig": dict.fromkeys(
-        ("input_size", "channels", "strides", "d_a", "d_g", "d_f", "n_classes",
-         "critic_hidden"), "an integer >= 1"),
+        ("input_size", "channels", "strides", "d_a", "d_g", "d_f", "n_classes"),
+        "an integer >= 1"),
     "MarginConfig": {"m1": "finite", "m2": "finite", "m3": "finite",
                      "s": "finite and > 0"},
     "LossWeights": dict.fromkeys(
@@ -1297,9 +1230,31 @@ _CONFIGS = {"EncoderConfig": en.EncoderConfig, "MarginConfig": en.MarginConfig,
             "SynthConfig": im.SynthConfig}
 _OUT_OF_RANGE = {"finite": (), "finite and > 0": (0.0, -1.0),
                  "finite and >= 0": (-1e-9,), "finite and in [0, 1]": (-0.1, 1.5)}
+# further bad values, kept from the per-config tests the table replaced; a
+# tuple is a whole layer list.  Unchecked, captures=0 and batch_size 0 divided
+# by zero, and epochs -1 returned untrained params
+_LOOP_SIZES = {"batch_size": [("range", -2)],
+               "epochs": [("type", 1.5), ("type", None)]}
+_MORE_BAD = {
+    "EncoderConfig": {"d_g": [("range", -4)], "channels": [("range", (-4, 8))],
+                      "strides": [("range", (-1, 2))]},
+    "MarginConfig": {"s": [("range", -64.0)]},
+    "LossWeights": {"lambda1_a": [("range", -1.0)]},
+    "LrSchedule": {"every": [("range", -1)], "initial": [("range", -0.1)],
+                   "decay": [("range", -0.9)],
+                   "floor": [("range", -1e-6), ("type", "0")]},
+    "SynthConfig": {"captures": [("range", -2)], "size": [("range", 0)],
+                    "morphs_per_subject": [("type", "1")], "seed": [("type", 1.5)],
+                    "landmark_jitter": [("range", -0.5)],
+                    "brightness_jitter": [("range", -0.1)]},
+    "train_stage1": _LOOP_SIZES, "train_stage2": _LOOP_SIZES,
+}
+_META_TAGS = {cls.__name__: tag for cls, tag in en._META_TAGS}
 
 
-def _bad_field_cases():
+def _bad_field_cases(meta=False):
+    """(owner, field, rule, bad value) of each case; with ``meta``, only the
+    range and non-finite values of the configs a checkpoint's meta holds."""
     for owner, rules in _FIELD_RULES.items():
         for field, rule in rules.items():
             if rule.startswith("an integer"):
@@ -1309,12 +1264,17 @@ def _bad_field_cases():
                 bad = [("bool", True), ("type", "0.5"), ("finite", math.nan),
                        ("finite", math.inf), ("finite", -math.inf),
                        *(("range", v) for v in _OUT_OF_RANGE[rule])]
+            bad += _MORE_BAD.get(owner, {}).get(field, [])
             default = getattr(_CONFIGS[owner](), field) if owner in _CONFIGS else None
             for kind, value in bad:
+                if meta and (owner not in _META_TAGS or kind in ("bool", "type")):
+                    continue
                 case = f"{owner}.{field}-{kind}-{value!r}"
-                if isinstance(default, tuple):  # a bad item among good ones
-                    value = (default[0], value) + default[2:]
+                if isinstance(default, tuple) and not isinstance(value, tuple):
+                    value = (default[0], value) + default[2:]  # among good items
                 yield pytest.param(owner, field, rule, value, id=case)
+    if meta:
+        return
     # a layer list that is no tuple or list is refused whole (5 and None
     # raised a bare TypeError, and "8,16" was split into its characters)
     for field in ("channels", "strides"):
@@ -1323,22 +1283,41 @@ def _bad_field_cases():
                                id=f"EncoderConfig.{field}-whole-{value!r}")
 
 
-@pytest.mark.parametrize("name", ["in_channels", "kernel"])
+# read_ppm reads 3-channel faces only, every conv is 3 x 3, and every caller
+# used critics 64 wide
+_ENCODER_CONSTANTS = {"in_channels": 3, "kernel": 3, "critic_hidden": 64}
+
+
+@pytest.mark.parametrize("name", list(_ENCODER_CONSTANTS))
 def test_encoder_trunk_constants_are_not_settings(name):
-    # read_ppm reads 3-channel faces only, and every conv is 3 x 3
-    assert getattr(en.EncoderConfig, name) == getattr(tiny_cfg(), name) == 3
-    assert name not in [f.name for f in dataclasses.fields(en.EncoderConfig)]
+    value = _ENCODER_CONSTANTS[name]
+    assert getattr(en.EncoderConfig, name) == getattr(tiny_cfg(), name) == value
     with pytest.raises(TypeError, match=name):
-        en.EncoderConfig(**{name: 3})
+        en.EncoderConfig(**{name: value})
     assert f"enc.{name}" not in _nondefault_meta()
 
 
-@pytest.mark.parametrize("name", ["in_channels", "kernel"])
+@pytest.mark.parametrize("name", list(_ENCODER_CONSTANTS))
 def test_config_from_meta_reads_meta_that_still_holds_a_trunk_constant(name):
-    # checkpoint meta written while these were fields holds them as "3"
+    # checkpoint meta written while these were fields holds their values
     meta = {k: str(v) for k, v in _nondefault_meta().items()}
-    assert en.config_from_meta(dict(meta, **{f"enc.{name}": "3"})) == \
-        en.config_from_meta(meta)
+    held = dict(meta, **{f"enc.{name}": str(_ENCODER_CONSTANTS[name])})
+    assert en.config_from_meta(held) == en.config_from_meta(meta)
+
+
+@pytest.mark.parametrize("key,value,error", [
+    ("enc.in_channels", "1",
+     "differs from EncoderConfig.in_channels, which is always 3"),
+    ("enc.kernel", "5", "differs from EncoderConfig.kernel, which is always 3"),
+    ("enc.critic_hidden", "32",
+     "differs from EncoderConfig.critic_hidden, which is always 64"),
+    ("enc.typo_d_a", "8", "names no EncoderConfig field"),
+    ("loss.typo", "1", "names no LossWeights field")])
+def test_config_from_meta_refuses_a_key_no_config_defines(key, value, error):
+    # unchecked, each loaded silently as the config without that key
+    with pytest.raises(ValueError) as err:
+        en.config_from_meta(dict(_nondefault_meta(), **{key: value}))
+    assert str(err.value) == f"checkpoint meta '{key}={value}' {error}"
 
 
 def test_field_rule_table_names_every_config_field():
@@ -1347,8 +1326,8 @@ def test_field_rule_table_names_every_config_field():
 
 
 @pytest.mark.parametrize("owner,field,rule,value", _bad_field_cases())
-def test_every_config_field_and_loop_size_rejects_bad_values(owner, field, rule,
-                                                             value):
+def test_every_config_field_and_loop_size_rejects_bad_values(monkeypatch, owner,
+                                                             field, rule, value):
     # unchecked before, EncoderConfig took a float or a bool size and
     # init_params died on numpy's TypeError, and MarginConfig, LossWeights and
     # LrSchedule took a bool for a real
@@ -1357,8 +1336,21 @@ def test_every_config_field_and_loop_size_rejects_bad_values(owner, field, rule,
             _CONFIGS[owner](**{field: value})
         label = f"{owner}.{field}"
     else:
-        # the loop sizes are checked before any row or file is looked at
+        monkeypatch.setattr(en, "_load_checked", lambda *args: pytest.fail(
+            "data loaded before the loop sizes were checked"))
         with pytest.raises(ValueError) as err:
             _run_stage(int(owner[-1]), [], None, **{field: value})
         label = field
     assert str(err.value) == f"{label} must be {rule}, got {value!r}"
+
+
+@pytest.mark.parametrize("owner,field,rule,value", _bad_field_cases(meta=True))
+def test_config_from_meta_rejects_every_bad_range_and_non_finite_value(
+        owner, field, rule, value):
+    # unchecked, a zero size ended in numpy's errors once the config was used,
+    # and a NaN scale or a negative weight trained on without complaint
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    with pytest.raises(ValueError) as err:
+        en.config_from_meta(dict(_nondefault_meta(),
+                                 **{f"{_META_TAGS[owner]}.{field}": text}))
+    assert str(err.value) == f"{owner}.{field} must be {rule}, got {value!r}"

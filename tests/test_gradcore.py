@@ -1011,17 +1011,6 @@ def test_lr_schedule_epoch_10():
     assert sched.at(10_000) == 1e-6
 
 
-@pytest.mark.parametrize("field, value", [
-    ("every", 0), ("every", -1), ("every", 2.0), ("every", True),
-    ("initial", -0.1), ("initial", float("nan")), ("initial", float("inf")),
-    ("decay", -0.9), ("decay", 1.5), ("decay", float("nan")),
-    ("floor", -1e-6), ("floor", float("inf")), ("floor", "0"),
-])
-def test_lr_schedule_rejects_bad_field(field, value):
-    with pytest.raises(ValueError, match=f"LrSchedule.{field} must be"):
-        gc.LrSchedule(**{field: value})
-
-
 def test_lr_schedule_accepts_edge_values():
     assert gc.LrSchedule(initial=0.0, floor=0.0).at(7) == 0.0
     assert gc.LrSchedule(initial=0.2, decay=1.0, every=1).at(50) == 0.2
