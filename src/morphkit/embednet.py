@@ -215,8 +215,8 @@ def id_loss(z_f, labels, class_w, margins: MarginConfig, n_classes):
     """
     zn = gc.l2norm(z_f)
     wn = gc.l2norm(class_w)
-    cos_all = gc.div(gc.matmul(z_f, gc.transpose2d(class_w)),
-                     gc.mul(zn.reshape((-1, 1)), wn.reshape((1, -1))))
+    cos_all = (gc.matmul(z_f, gc.transpose2d(class_w))
+               / (zn.reshape((-1, 1)) * wn.reshape((1, -1))))
     oh = gc.onehot(labels, n_classes)
     cos_y = (cos_all * oh).sum(axis=1)
     theta = gc.acos(gc.clip(cos_y, -1.0 + 1e-7, 1.0 - 1e-7))
@@ -342,8 +342,10 @@ def to_chw(image):
 
 
 def _load_checked(rows, root, cfg: EncoderConfig, *kinds):
-    """For each of ``kinds``, its rows of ``rows`` and their faces, held as
-    the (S, S, C) uint8 arrays of ``imaging.read_ppm``.
+    """(rows of each of ``kinds``, faces): one list of ``rows`` per kind, and
+    one face list of them all in that order, each face held as the (S, S, C)
+    uint8 array of ``imaging.read_ppm``.  So with kinds ("real", "morph") and
+    R reals, face R + m is morph m.
 
     Training stops before it starts, not when it first reads a bad file: one
     FileNotFoundError lists every image and landmark file of ``rows`` that
@@ -356,16 +358,15 @@ def _load_checked(rows, root, cfg: EncoderConfig, *kinds):
         raise FileNotFoundError(f"{len(missing)} manifest file(s) missing: "
                                 + ", ".join(missing))
     expected = (cfg.input_size, cfg.input_size, cfg.in_channels)
-    loaded = []
-    for kind in kinds:
-        kept = [r for r in rows if r.kind == kind]
-        faces = [imaging.read_ppm(root / r.path) for r in kept]
-        for r, face in zip(kept, faces):
-            if face.shape != expected:
-                raise ValueError(f"{root / r.path}: face of shape {face.shape}, "
-                                 f"the encoder config expects {expected}")
-        loaded.append((kept, faces))
-    return loaded
+    kept = [[r for r in rows if r.kind == kind] for kind in kinds]
+    faces = []
+    for r in sum(kept, []):
+        face = imaging.read_ppm(root / r.path)
+        if face.shape != expected:
+            raise ValueError(f"{root / r.path}: face of shape {face.shape}, "
+                             f"the encoder config expects {expected}")
+        faces.append(face)
+    return kept, faces
 
 
 def _load_landmarks(reals, root):
@@ -399,16 +400,17 @@ def _float_leaf(faces):
     return leaf
 
 
-def _class_map(reals, cfg: EncoderConfig):
-    """Subject id -> class index; at least 2 classes, as many as ``cfg``."""
-    classes = sorted({r.subject_id for r in reals})
+def _class_labels(reals, cfg: EncoderConfig):
+    """The class index of each of ``reals``, its subject id's rank among the
+    sorted ids; at least 2 classes, as many as ``cfg``."""
+    classes, labels = np.unique([r.subject_id for r in reals], return_inverse=True)
     if len(classes) < 2:
         raise ValueError("training needs at least 2 classes, the manifest "
                          f"has {len(classes)}")
     if cfg.n_classes != len(classes):
         raise ValueError(f"config says {cfg.n_classes} classes, manifest has "
                          f"{len(classes)}")
-    return {c: i for i, c in enumerate(classes)}
+    return labels.tolist()
 
 
 def _chunks(seq, n_parts):
@@ -477,10 +479,9 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     gc._check_integer("epochs", epochs, 0)
     gc._check_integer("batch_size", batch_size, 1)
     root = Path(root)
-    [(reals, faces)] = _load_checked(rows, root, cfg, "real")
-    cmap = _class_map(reals, cfg)
-    pool = [(lms, r.subject_id)
-            for lms, r in zip(_load_landmarks(reals, root), reals)]
+    [reals], faces = _load_checked(rows, root, cfg, "real")
+    labels = _class_labels(reals, cfg)
+    pool = list(zip(_load_landmarks(reals, root), labels))
     rng = np.random.Generator(np.random.PCG64([seed, 1]))
 
     def epoch_batches():
@@ -490,18 +491,19 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
         shuffled = [drawn[i] for i in rng.permutation(len(drawn))]
         n_steps = max(1, math.ceil(len(shuffled) / batch_size))
         for batch in _chunks(shuffled, n_steps):
-            yield _bind_stage1_batch(batch, faces, cmap), len(batch)
+            yield _bind_stage1_batch(batch, faces), len(batch)
 
     return _fit(stage1_graph(cfg, margins, weights), init_params(cfg, seed),
                 schedule, epochs, epoch_batches)
 
 
-def _bind_stage1_batch(batch, faces, cmap):
-    """The float32 stage-1 graph leaves of drawn triplets, from uint8
-    ``faces``.  Each x_hat source is decoded straight into (C, H, W) planes
-    by a lookup in ``_LEVELS64`` (``imaging.from_uint8``'s values), warped in
-    float64 as the (H, W, C) view of those planes, and its channel-major
-    result is rounded into its float32 slot by one contiguous cast."""
+def _bind_stage1_batch(batch, faces):
+    """The float32 stage-1 graph leaves of drawn triplets, whose labels are
+    class indices, from uint8 ``faces``.  Each x_hat source is decoded
+    straight into (C, H, W) planes by a lookup in ``_LEVELS64``
+    (``imaging.from_uint8``'s values), warped in float64 as the (H, W, C)
+    view of those planes, and its channel-major result is rounded into its
+    float32 slot by one contiguous cast."""
     x = _float_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
     for out, t in zip(x_hat, batch):
@@ -512,8 +514,8 @@ def _bind_stage1_batch(batch, faces, cmap):
         "x": x,
         "x_prime": _float_leaf([faces[t.index_g] for t in batch]),
         "x_hat": x_hat,
-        "labels": np.array([cmap[t.label_a] for t in batch], dtype=np.float32),
-        "labels_prime": np.array([cmap[t.label_g] for t in batch], dtype=np.float32),
+        "labels": np.array([t.label_a for t in batch], dtype=np.float32),
+        "labels_prime": np.array([t.label_g for t in batch], dtype=np.float32),
         "phi": np.array([geometry.phi_g(t.lms_a, t.lms_g) for t in batch],
                         dtype=np.float32),
     }
@@ -546,8 +548,10 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
     Genuine pairs are same-subject real pairs; each epoch samples an equal
     number of cross-subject real pairs and (real, morph) pairs as imposters.
-    The imposter list holds the cross-subject pairs first and the (real,
-    morph) pairs last, and ``_chunks`` cuts it into contiguous rounds, so a
+    Every pair indexes one face list, the R reals and then the morphs, so a
+    (real, morph) imposter pairs real i with face R + m, morph m.  The
+    imposter list holds the cross-subject pairs first and the (real, morph)
+    pairs last, and ``_chunks`` cuts it into contiguous rounds, so a
     round sees mostly or only one kind of imposter: at 10 subjects x 3
     captures and batch 8, rounds 1-6 of 12 each hold 5 cross-subject
     imposters and rounds 7-12 each hold 5 (real, morph) imposters, and the
@@ -562,27 +566,22 @@ def train_stage2(rows, root, cfg: EncoderConfig, margins: MarginConfig,
     gc._check_integer("batch_size", batch_size, 1)
     _check_init(init, cfg)
     root = Path(root)
-    (reals, real_faces), (morphs, morph_faces) = _load_checked(
-        rows, root, cfg, "real", "morph")
+    (reals, morphs), faces = _load_checked(rows, root, cfg, "real", "morph")
     genuine, cross = _stage2_pools(reals, morphs)
-    cmap = _class_map(reals, cfg)
+    labels = _class_labels(reals, cfg)
+    n_reals = len(reals)
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
 
     def epoch_batches():
         n_gen = len(genuine)
-        cross_pick = [cross[k] for k in rng.integers(0, len(cross), n_gen)]
-        rm_pick = [(int(k) % len(reals), int(k) // len(reals))
-                   for k in rng.integers(0, len(reals) * len(morphs), n_gen)]
-        # pair lists: (real idx, real idx) genuine; imposters mix cross-real
-        # pairs and (real, morph) pairs, morph flagged by offset index
-        imposters = [(i, j, False) for i, j in cross_pick] + \
-                    [(i, j, True) for i, j in rm_pick]
+        imposters = [cross[k] for k in rng.integers(0, len(cross), n_gen)]
+        imposters += [(int(k) % n_reals, n_reals + int(k) // n_reals)
+                      for k in rng.integers(0, n_reals * len(morphs), n_gen)]
         total = len(genuine) + len(imposters)
         n_rounds = max(1, min(len(genuine), math.ceil(total / batch_size)))
         for gen_batch, imp_batch in zip(_chunks(genuine, n_rounds),
                                         _chunks(imposters, n_rounds)):
-            yield (_bind_stage2_batch(gen_batch, imp_batch, reals, real_faces,
-                                      morph_faces, cmap),
+            yield (_bind_stage2_batch(gen_batch, imp_batch, faces, labels),
                    len(gen_batch) + len(imp_batch))
 
     return _fit(stage2_graph(cfg, margins, weights), init.copy(), schedule,
@@ -602,33 +601,25 @@ def _check_init(init: gc.ParamStore, cfg: EncoderConfig):
                              f"the encoder config expects {want}")
 
 
-def _bind_stage2_batch(gen_batch, imp_batch, reals, real_faces, morph_faces,
-                       cmap):
-    """The float32 stage-2 graph leaves for one round of pairs, from uint8
-    faces."""
-    unique = {}  # (is_morph, source idx) -> row in the x batch
+def _bind_stage2_batch(gen_batch, imp_batch, faces, labels):
+    """The float32 stage-2 graph leaves for one round of pairs of indices
+    into uint8 ``faces``, whose first ``len(labels)`` are the reals and
+    ``labels`` their class indices."""
+    unique = {}  # face index -> row in the x batch, in order of first use
 
-    def row_of(idx, is_morph):
-        return unique.setdefault((is_morph, idx), len(unique))
+    def row_of(k):
+        return unique.setdefault(k, len(unique))
 
     leaves = {}
-    for side, pairs in (("gen", [(i, j, False) for i, j in gen_batch]),
-                        ("imp", imp_batch)):
-        rows_i, rows_j = [], []
-        for i, j, j_is_morph in pairs:
-            rows_i.append(row_of(i, False))
-            rows_j.append(row_of(j, j_is_morph))
-        leaves[f"{side}_i"] = np.array(rows_i, dtype=np.float32)
-        leaves[f"{side}_j"] = np.array(rows_j, dtype=np.float32)
-    x, real_idx, real_labels = [], [], []
-    for row, (is_morph, idx) in enumerate(unique):  # rows in insertion order
-        x.append(morph_faces[idx] if is_morph else real_faces[idx])
-        if not is_morph:
-            real_idx.append(row)
-            real_labels.append(cmap[reals[idx].subject_id])
-    leaves["x"] = _float_leaf(x)
-    leaves["real_idx"] = np.array(real_idx, dtype=np.float32)
-    leaves["real_labels"] = np.array(real_labels, dtype=np.float32)
+    for side, pairs in (("gen", gen_batch), ("imp", imp_batch)):
+        rows = [(row_of(i), row_of(j)) for i, j in pairs]
+        leaves[f"{side}_i"] = np.array([r for r, _ in rows], dtype=np.float32)
+        leaves[f"{side}_j"] = np.array([r for _, r in rows], dtype=np.float32)
+    real_rows = [(row, k) for row, k in enumerate(unique) if k < len(labels)]
+    leaves["x"] = _float_leaf([faces[k] for k in unique])
+    leaves["real_idx"] = np.array([row for row, _ in real_rows], dtype=np.float32)
+    leaves["real_labels"] = np.array([labels[k] for _, k in real_rows],
+                                     dtype=np.float32)
     return leaves
 
 

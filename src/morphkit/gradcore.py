@@ -1,6 +1,10 @@
 """Minimal deterministic reverse-mode autodiff over dense float arrays.
 
-Expression graphs are built lazily from named ``leaf`` nodes and constants;
+Expression graphs are built lazily from named ``leaf`` nodes and constants.
+Each op has one form: arithmetic is written with the ``Node`` operators
+(``a + b``, ``a - b``, ``a * b``, ``a / b``, ``-a``), sums, means and
+reshapes with its methods (``x.sum(axis)``, ``x.mean(axis)``,
+``x.reshape(shape)``), and every other op with its constructor function.
 ``evaluate_many`` runs a forward pass for given leaf bindings and
 ``value_and_grad`` adds a reverse pass.  Every tensor is a plain ``numpy``
 array, and a pass computes in the float dtype of its bindings: a leaf bound
@@ -52,18 +56,11 @@ __all__ = [
     "Graph",
     "leaf",
     "const",
-    "add",
-    "sub",
-    "mul",
-    "div",
     "matmul",
     "conv_bias_relu",
     "relu",
-    "mean",
-    "reduce_sum",
     "concat",
     "slice_axis",
-    "reshape",
     "transpose2d",
     "take_rows",
     "onehot",
@@ -117,30 +114,34 @@ class Node:
             return f"Node(leaf '{self.name}')"
         return f"Node({self.op}, {len(self.inputs)} in)"
 
-    # arithmetic sugar; scalars and arrays are lifted to constants
+    # the operator and method forms are the only constructors of these
+    # ops; scalars and arrays are lifted to constants
     def __add__(self, other):
-        return add(self, _lift(other))
+        return Node("add", (self, _lift(other)))
 
     def __sub__(self, other):
-        return sub(self, _lift(other))
+        return Node("sub", (self, _lift(other)))
 
     def __mul__(self, other):
-        return mul(self, _lift(other))
+        return Node("mul", (self, _lift(other)))
 
     def __rmul__(self, other):
-        return mul(_lift(other), self)
+        return Node("mul", (_lift(other), self))
+
+    def __truediv__(self, other):
+        return Node("div", (self, _lift(other)))
 
     def __neg__(self):
-        return mul(self, const(-1.0))
+        return self * const(-1.0)
 
     def sum(self, axis=None):
-        return reduce_sum(self, axis)
+        return Node("sum", (self,), axis=axis)
 
     def mean(self, axis=None):
-        return mean(self, axis)
+        return Node("mean", (self,), axis=axis)
 
     def reshape(self, shape):
-        return reshape(self, shape)
+        return Node("reshape", (self,), shape=tuple(int(s) for s in shape))
 
 
 def _lift(x):
@@ -157,22 +158,6 @@ def const(value) -> Node:
     if np.ndim(value) == 0:
         return Node("const", value=float(value))
     return Node("const", value=np.asarray(value, dtype=np.float64))
-
-
-def add(a, b):
-    return Node("add", (a, b))
-
-
-def sub(a, b):
-    return Node("sub", (a, b))
-
-
-def mul(a, b):
-    return Node("mul", (a, b))
-
-
-def div(a, b):
-    return Node("div", (a, b))
 
 
 def matmul(a, b):
@@ -194,24 +179,12 @@ def relu(x):
     return Node("relu", (x,))
 
 
-def mean(x, axis=None):
-    return Node("mean", (x,), axis=axis)
-
-
-def reduce_sum(x, axis=None):
-    return Node("sum", (x,), axis=axis)
-
-
 def concat(nodes, axis):
     return Node("concat", tuple(nodes), axis=int(axis))
 
 
 def slice_axis(x, axis, start, stop):
     return Node("slice", (x,), axis=int(axis), start=int(start), stop=int(stop))
-
-
-def reshape(x, shape):
-    return Node("reshape", (x,), shape=tuple(int(s) for s in shape))
 
 
 def transpose2d(x):

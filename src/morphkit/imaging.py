@@ -183,8 +183,8 @@ class Triplet:
 
     index_a: int               # pool index of x_i
     index_g: int               # pool index of x'_i
-    label_a: object            # y_i
-    label_g: object            # y'_i
+    label_a: object            # y_i; training passes class indices
+    label_g: object            # y'_i, of another class than y_i
     lms_a: np.ndarray          # l_i
     lms_g: np.ndarray          # l'_i
     delta: np.ndarray

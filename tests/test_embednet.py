@@ -795,13 +795,33 @@ def _run_stage(stage, rows, root, cfg=None, **overrides):
     return en.train_stage2(rows, root, cfg, init=en.init_params(cfg, 17), **kw)
 
 
-@pytest.mark.parametrize("stage", [1, 2])
-def test_single_class_errors(tiny_dataset, stage):
+_ONE_CLASS = "training needs at least 2 classes, the manifest has 1"
+_MORE_CLASSES = "config says 5 classes, manifest has 4"
+
+
+def _one_subject(rows):
     # two captures and one morph of s000: one class
+    return [r for r in rows if r.subject_id == "s000"]
+
+
+def _one_capture_each(rows):
+    return [r for r in rows if "_c1." not in r.path]
+
+
+# unchecked, more classes than subjects train a class row no label reaches
+@pytest.mark.parametrize("stage,pick,n_classes,message", [
+    pytest.param(1, _one_subject, 1, _ONE_CLASS, id="1"),
+    pytest.param(2, _one_subject, 1, _ONE_CLASS, id="2"),
+    pytest.param(1, list, 5, _MORE_CLASSES, id="1-more-classes-than-subjects"),
+    pytest.param(2, list, 5, _MORE_CLASSES, id="2-more-classes-than-subjects"),
+    pytest.param(2, _one_capture_each, 4, "no subject has two real captures",
+                 id="2-one-capture-each"),
+])
+def test_single_class_errors(tiny_dataset, stage, pick, n_classes, message):
     rows, root = tiny_dataset
-    sub = [r for r in rows if r.subject_id == "s000"]
-    with pytest.raises(ValueError, match="at least 2 classes"):
-        _run_stage(stage, sub, root, cfg=tiny_cfg(1))
+    with pytest.raises(ValueError) as err:
+        _run_stage(stage, pick(rows), root, cfg=tiny_cfg(n_classes))
+    assert str(err.value) == message
 
 
 # 8 reals at batch 3 give stage-1 steps of 3, 3 and 2 triplets; 4 genuine
@@ -815,9 +835,10 @@ def test_training_runs_and_logs(tiny_dataset, monkeypatch, stage):
     batch_size, steps = _UNEQUAL_STEPS[stage]
     value_and_grad = gc.value_and_grad
     bind = getattr(en, f"_bind_stage{stage}_batch")
-    built, step_log = [], []
+    built, step_log, bound = [], [], []
 
     def binding(*args):
+        bound.append(args)
         built.append(bind(*args))
         return built[-1]
 
@@ -848,6 +869,21 @@ def test_training_runs_and_logs(tiny_dataset, monkeypatch, stage):
         assert (stats.epoch, stats.lr) == (e, schedule.at(e))
         assert np.isfinite(stats.loss)
         assert stats.loss == pytest.approx(weighted, rel=1e-12, abs=0)
+    if stage == 2:
+        # each pair indexes one face list, the reals then the morphs
+        for e in range(3):
+            rounds = bound[e * len(steps):(e + 1) * len(steps)]
+            labels = rounds[0][3]
+            n_reals = len(labels)
+            assert len(rounds[0][2]) > n_reals
+            genuine = [p for gen, _, _, _ in rounds for p in gen]
+            imposters = [p for _, imp, _, _ in rounds for p in imp]
+            assert all(i < n_reals and j < n_reals and labels[i] == labels[j]
+                       for i, j in genuine)
+            assert all(i < n_reals for i, _ in imposters)
+            assert sum(j < n_reals and labels[i] != labels[j]
+                       for i, j in imposters) == len(genuine)
+            assert sum(j >= n_reals for _, j in imposters) == len(genuine)
 
 
 @pytest.mark.parametrize("stage", [1, 2])
@@ -895,34 +931,31 @@ def _float64_leaf(faces):
     return im.from_uint8(np.stack([face.transpose(2, 0, 1) for face in faces]))
 
 
-def _float64_stage1_batch(batch, faces, cmap):
+def _float64_stage1_batch(batch, faces):
     x = _float64_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
     for out, image, t in zip(x_hat, x, batch):
         out[...] = im.build_triplet(image.transpose(1, 2, 0), t).transpose(2, 0, 1)
     return {"x": x, "x_prime": _float64_leaf([faces[t.index_g] for t in batch]),
             "x_hat": x_hat,
-            "labels": np.array([cmap[t.label_a] for t in batch], dtype=float),
-            "labels_prime": np.array([cmap[t.label_g] for t in batch], dtype=float),
+            "labels": np.array([t.label_a for t in batch], dtype=float),
+            "labels_prime": np.array([t.label_g for t in batch], dtype=float),
             "phi": np.array([geo.phi_g(t.lms_a, t.lms_g) for t in batch])}
 
 
-def _float64_stage2_batch(gen_batch, imp_batch, reals, real_faces, morph_faces,
-                          cmap):
+def _float64_stage2_batch(gen_batch, imp_batch, faces, labels):
     unique = {}
     leaves = {}
-    for side, pairs in (("gen", [(i, j, False) for i, j in gen_batch]),
-                        ("imp", imp_batch)):
-        rows_ij = [(unique.setdefault((False, i), len(unique)),
-                    unique.setdefault((m, j), len(unique))) for i, j, m in pairs]
+    for side, pairs in (("gen", gen_batch), ("imp", imp_batch)):
+        rows_ij = [(unique.setdefault(i, len(unique)),
+                    unique.setdefault(j, len(unique))) for i, j in pairs]
         leaves[f"{side}_i"] = np.array([a for a, _ in rows_ij], dtype=np.float64)
         leaves[f"{side}_j"] = np.array([b for _, b in rows_ij], dtype=np.float64)
-    leaves["x"] = _float64_leaf([morph_faces[idx] if m else real_faces[idx]
-                                 for m, idx in unique])
-    real_rows = [(row, idx) for row, (m, idx) in enumerate(unique) if not m]
+    leaves["x"] = _float64_leaf([faces[k] for k in unique])
+    real_rows = [(row, k) for row, k in enumerate(unique) if k < len(labels)]
     leaves["real_idx"] = np.array([row for row, _ in real_rows], dtype=np.float64)
-    leaves["real_labels"] = np.array(
-        [cmap[reals[idx].subject_id] for _, idx in real_rows], dtype=np.float64)
+    leaves["real_labels"] = np.array([labels[k] for _, k in real_rows],
+                                     dtype=np.float64)
     return leaves
 
 
@@ -942,12 +975,16 @@ def _bind_float64_leaves(monkeypatch, on_batch=None):
 # bound by the float64 binder of its stage
 
 
+def _class_indices(reals):
+    subjects = sorted({r.subject_id for r in reals})
+    return [subjects.index(r.subject_id) for r in reals]
+
+
 def _oracle_stage1(rows, root, cfg, schedule, epochs, batch_size, seed):
     reals = [r for r in rows if r.kind == "real"]
-    cmap = en._class_map(reals, cfg)
     faces = [im.read_ppm(root / r.path) for r in reals]
-    pool = [(geo.load_landmarks(root / r.landmarks_path), r.subject_id)
-            for r in reals]
+    pool = [(geo.load_landmarks(root / r.landmarks_path), c)
+            for r, c in zip(reals, _class_indices(reals))]
     rng = np.random.Generator(np.random.PCG64([seed, 1]))
 
     def triplet(index):
@@ -962,7 +999,7 @@ def _oracle_stage1(rows, root, cfg, schedule, epochs, batch_size, seed):
         shuffled = [triplets[i] for i in rng.permutation(len(triplets))]
         n_steps = max(1, math.ceil(len(shuffled) / batch_size))
         for batch in en._chunks(shuffled, n_steps):
-            yield _float64_stage1_batch(batch, faces, cmap), len(batch)
+            yield _float64_stage1_batch(batch, faces), len(batch)
 
     graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
     return en._fit(graph, en.init_params(cfg, seed), schedule, epochs,
@@ -973,24 +1010,23 @@ def _oracle_stage2(rows, root, cfg, schedule, epochs, batch_size, seed, init):
     reals = [r for r in rows if r.kind == "real"]
     morphs = [r for r in rows if r.kind == "morph"]
     genuine, cross = en._stage2_pools(reals, morphs)
-    cmap = en._class_map(reals, cfg)
-    real_faces = [im.read_ppm(root / r.path) for r in reals]
-    morph_faces = [im.read_ppm(root / r.path) for r in morphs]
+    labels = _class_indices(reals)
+    faces = [im.read_ppm(root / r.path) for r in reals + morphs]
+    n_reals = len(reals)
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
 
     def epoch_batches():
         n_gen = len(genuine)
         cross_pick = [cross[k] for k in rng.integers(0, len(cross), n_gen)]
-        rm_pick = [(int(k) % len(reals), int(k) // len(reals))
-                   for k in rng.integers(0, len(reals) * len(morphs), n_gen)]
-        imposters = ([(i, j, False) for i, j in cross_pick]
-                     + [(i, j, True) for i, j in rm_pick])
+        # real i with morph m, which is face n_reals + m
+        morph_pick = [(int(k) % n_reals, n_reals + int(k) // n_reals)
+                      for k in rng.integers(0, n_reals * len(morphs), n_gen)]
+        imposters = cross_pick + morph_pick
         n_rounds = max(1, min(len(genuine), len(imposters),
                               math.ceil((len(genuine) + len(imposters)) / batch_size)))
         for gen_batch, imp_batch in zip(en._chunks(genuine, n_rounds),
                                         en._chunks(imposters, n_rounds)):
-            yield (_float64_stage2_batch(gen_batch, imp_batch, reals, real_faces,
-                                         morph_faces, cmap),
+            yield (_float64_stage2_batch(gen_batch, imp_batch, faces, labels),
                    len(gen_batch) + len(imp_batch))
 
     graph = en.stage2_graph(cfg, en.MarginConfig(), en.LossWeights())

@@ -328,8 +328,7 @@ def test_bilinear_sample_bit_identical_to_oracle(h, w, c, layout, seed):
 
 
 @pytest.mark.parametrize("shape", [(112, 112, 3), (37, 90, 3), (5, 3, 1)])
-def test_bilinear_resize_and_align_bit_identical_to_oracle(monkeypatch, shape):
-    # the name predates the removal of geometry.align_face: this checks resizing
+def test_bilinear_resize_bit_identical_to_oracle(monkeypatch, shape):
     r = rng(35)
     img = r.uniform(-1, 1, size=shape)
     got_resize = [im.bilinear_resize(img, oh, ow) for oh, ow in ((112, 112), (17, 41))]

@@ -111,13 +111,11 @@ def test_bench_bind_stage1_batch(benchmark):
     warps, and the x and x' leaves."""
     r = rng(17)
     lms = im.canonical_landmarks(112)
-    pool = [(lms + r.normal(0, 2.0, size=lms.shape), f"s{i // 3}")
-            for i in range(12)]
+    pool = [(lms + r.normal(0, 2.0, size=lms.shape), i // 3) for i in range(12)]
     faces = [r.integers(0, 256, size=(112, 112, 3), dtype=np.uint8)
              for _ in pool]
-    cmap = {f"s{i}": i for i in range(4)}
     batch = [im.draw_triplet(pool, i, r) for i in range(8)]
-    leaves = benchmark.pedantic(en._bind_stage1_batch, args=(batch, faces, cmap),
+    leaves = benchmark.pedantic(en._bind_stage1_batch, args=(batch, faces),
                                 rounds=5, iterations=1, warmup_rounds=1)
     x_hat = leaves["x_hat"]
     assert x_hat.shape == (8, 3, 112, 112) and x_hat.dtype == np.float32
