@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gradcore as gc
+
+
 def _as_landmarks(lms):
     arr = np.asarray(lms, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -122,11 +125,15 @@ def _grid_kernel_matrix(h, w, ctrl):
 
     On a grid (x - cx)^2 depends only on the column and (y - cy)^2 only on
     the row, so both squares come from (w, K) and (h, K) tables and r^2 costs
-    one add per entry.  Blocks of whole rows, ~1024 entries each, keep the
-    temporaries in cache.  The output is not zero-filled first: the blocks
-    write every entry.  The log runs unmasked: r^2 = 0 only where a control
-    point sits on a pixel (both squares 0), and those few entries,
-    -inf * 0 = nan, are set to U(0) = 0 afterwards.
+    one add per entry.  The rows are filled in blocks of ~512 entries, which
+    keeps the temporaries in cache.  The caller and the worker thread
+    (``gradcore._in_parallel``) take blocks from one shared iterator until
+    none is left, each with its own scratch; every entry gets the same add,
+    log and multiply on either thread, so the bytes do not depend on which
+    thread fills which block.  The output is not zero-filled first: the
+    blocks write every entry.  The log runs unmasked: r^2 = 0 only where a
+    control point sits on a pixel (both squares 0), and those few entries,
+    -inf * 0 = nan, are set to U(0) = 0 once every block is done.
     """
     k = ctrl.shape[0]
     dx2 = np.arange(w, dtype=np.float64)[:, None] - ctrl[:, 0]
@@ -134,18 +141,28 @@ def _grid_kernel_matrix(h, w, ctrl):
     dy2 = np.arange(h, dtype=np.float64)[:, None] - ctrl[:, 1]
     dy2 *= dy2
     out = np.empty((h * w, k))
-    step = max(1, 1024 // max(w, 1))
-    buf = np.empty((step, w, k))
+    step = max(1, 512 // max(w, 1))
+    buf = np.empty((2, step, w, k))
+    blocks = iter(range(0, h, step))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for y0 in range(0, h, step):
-            y1 = min(y0 + step, h)
-            r2 = np.add(dx2, dy2[y0:y1, None, :], out=buf[:y1 - y0])
-            u = out[y0 * w:y1 * w].reshape(r2.shape)
-            np.log(r2, out=u)
-            u *= r2
+        gc._in_parallel(lambda: _grid_kernel_rows(dx2, dy2, out, buf[1], blocks),
+                        lambda: _grid_kernel_rows(dx2, dy2, out, buf[0], blocks))
     for x, j in zip(*np.nonzero(dx2 == 0)):
         out[np.flatnonzero(dy2[:, j] == 0) * w + x, j] = 0.0
     return out
+
+
+def _grid_kernel_rows(dx2, dy2, out, buf, blocks):
+    """Fill the block of ``len(buf)`` rows of ``out`` that starts at each
+    row ``blocks`` yields.  Taking the next item of a range iterator is
+    atomic, so two threads that share ``blocks`` fill each block once."""
+    w, h, step = len(dx2), len(dy2), len(buf)
+    for r0 in blocks:
+        r1 = min(r0 + step, h)
+        r2 = np.add(dx2, dy2[r0:r1, None, :], out=buf[:r1 - r0])
+        u = out[r0 * w:r1 * w].reshape(r2.shape)
+        np.log(r2, out=u)
+        u *= r2
 
 
 def _as_image(image):

@@ -22,9 +22,18 @@ warnings.  ``profile()`` times each node's rules.
 An op's forward, backward and kink rules live in one ``_RULES`` entry, the
 only place the passes learn what an op is; a new or fused op is one entry.
 
-The engine is single-threaded and pure: identical (graph, bindings) gives
-bit-identical outputs, which the training code relies on for reproducible
-checkpoints.  Conv outputs and conv input gradients are NCHW arrays that are
+The engine is pure: identical (graph, bindings) gives bit-identical
+outputs, which the training code relies on for reproducible checkpoints.
+One daemon worker thread, started on first use, shares two kernels with
+the caller (``_in_parallel``): the stride-phase planes of a conv layer's
+input gradient, which the caller joins once it has computed the weight
+gradient, and the row blocks of ``geometry``'s TPS grid kernel.  The bytes
+cannot depend on it: each plane or block is computed whole by one thread,
+into memory no other part writes, with the same operations as a serial
+run, and a plane's taps are added in the fixed tap order.  While another
+caller holds the worker, the caller does all of it.
+
+Conv outputs and conv input gradients are NCHW arrays that are
 channel-last (NHWC) in memory, and ``_unbroadcast`` sums in C order, so a
 bias gradient has the same bytes whatever layout its gradient arrives in.
 A :class:`Graph` holds nodes only, no arrays.  A conv layer's im2col
@@ -40,7 +49,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
+import signal
 import struct
+import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -321,6 +333,83 @@ def _conv2d_forward(cols, w):
     return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
 
+class _Worker:
+    """The one daemon thread that runs the ``there`` half of ``_in_parallel``.
+
+    ``go`` and ``done`` are locks used as one-shot signals: the caller
+    releases ``go`` to hand over ``job`` and acquires ``done`` to wait for
+    ``result``.  ``busy`` is held by the call that owns the worker.
+    """
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.busy = threading.Lock()
+        self.go = threading.Lock()
+        self.done = threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.job = self.result = None
+        threading.Thread(target=self._serve, name="morphkit-worker",
+                         daemon=True).start()
+
+    def _serve(self):
+        # process signals (the bench's timer, Ctrl-C) go to the other
+        # threads; a platform without the call delivers them to the main one
+        if hasattr(signal, "pthread_sigmask"):
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        while True:
+            self.go.acquire()
+            self.result = self._run(*self.job)
+            self.job = None  # drops the job's arrays before the next one
+            self.done.release()
+
+    @staticmethod
+    def _run(there, err):
+        try:
+            with np.errstate(**err):
+                return there(), None
+        except BaseException as exc:  # re-raised on the caller
+            return None, exc
+
+
+_worker = None
+_worker_start = threading.Lock()
+
+
+def _in_parallel(there, here):
+    """``(there(), here())``, with ``there`` run on the worker thread while
+    ``here`` runs on the caller.
+
+    The worker starts on first use, and again in a forked child.  ``there``
+    runs under the caller's numpy error state, and it calls only numpy and
+    private helpers: a public function is traced on the caller's thread
+    alone.  The call returns or raises only once ``there`` has finished;
+    an exception of ``here`` wins over one of ``there``.  While another
+    call holds the worker, ``there()`` then ``here()`` run on the caller.
+    """
+    global _worker
+    with _worker_start:
+        if _worker is None or _worker.pid != os.getpid():
+            _worker = _Worker()
+        w = _worker
+    err = np.geterr()
+    if not w.busy.acquire(blocking=False):
+        return there(), here()
+    w.job = there, err
+    w.go.release()
+    try:
+        b = here()
+    finally:
+        # if this wait is interrupted, ``busy`` stays held and later calls
+        # run serially rather than hand a job to a worker that is not done
+        w.done.acquire()
+        (a, exc), w.result = w.result, None
+        w.busy.release()
+    if exc is not None:
+        raise exc
+    return a, b
+
+
 def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
     """(dx, dw) from the forward pass's im2col columns ``cols`` of ``x``;
     dx is None when ``need_dx`` is false.
@@ -334,31 +423,52 @@ def _conv2d_backward(g, x, w, stride, pad, need_dx, cols):
     (ki, kj) lands in plane (ki % s, kj % s) at offset (ki // s, kj // s)
     with unit steps, and each add runs over whole rows instead of C floats
     at a time (the phase split of a strided transposed convolution, Shi et
-    al., arXiv:1609.05158).  One copy of the transposed planes interleaves
-    them into a C-contiguous padded buffer, and dx is its NCHW crop, NHWC in
+    al., arXiv:1609.05158).  Each plane is copied to its stride positions
+    in a C-contiguous padded buffer, and dx is its NCHW crop, NHWC in
     memory like a conv output, so the layer below masks and reshapes it
     without a copy.
+
+    The planes are independent: a padded pixel gets taps from its own plane
+    only.  So when dx is needed the worker thread (``_in_parallel``) and the
+    caller, once it has run the dw GEMM, take planes from one shared
+    iterator until none is left.  Whichever thread takes a plane adds all of
+    its taps, in tap order, into it with its own tap buffer and interleaves
+    it.  Every array they write is allocated here, and each byte is what a
+    serial run gives.
     """
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     _, _, oh, ow = g.shape
     cols = cols.reshape(c * kh * kw, n * oh * ow)
     gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
-    dw = (gm.T @ cols.T).reshape(w.shape)
     if not need_dx:
-        return None, dw
+        return None, (gm.T @ cols.T).reshape(w.shape)
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     s = stride
     ph, pw = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
     planes = np.zeros((s, s, n, ph, pw, c), np.result_type(gm, wt))
-    for ki in range(kh):
-        for kj in range(kw):
-            i0, j0 = ki // s, kj // s
-            planes[ki % s, kj % s, :, i0:i0 + oh, j0:j0 + ow] += \
-                (gm @ wt[ki, kj]).reshape(n, oh, ow, c)
+    taps = np.empty((2, n * oh * ow, c), planes.dtype)
     dxp = np.empty((n, ph * s, pw * s, c), planes.dtype)
-    dxp.reshape(n, ph, s, pw, s, c)[...] = planes.transpose(2, 3, 0, 4, 1, 5)
-    return dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2), dw
+    phases = itertools.product(range(s), repeat=2)  # next() is atomic
+
+    def fill(tap):
+        for p, q in phases:
+            for ki in range(p, kh, s):
+                for kj in range(q, kw, s):
+                    i0, j0 = ki // s, kj // s
+                    np.matmul(gm, wt[ki, kj], out=tap)
+                    planes[p, q, :, i0:i0 + oh, j0:j0 + ow] += \
+                        tap.reshape(n, oh, ow, c)
+            dxp.reshape(n, ph, s, pw, s, c)[:, :, p, :, q] = planes[p, q]
+
+    def here():
+        dw = gm.T @ cols.T
+        fill(taps[0])
+        return dw
+
+    _, dw = _in_parallel(lambda: fill(taps[1]), here)
+    dx = dxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
+    return dx, dw.reshape(w.shape)
 
 
 def _conv_bias_relu_forward(w, b, cols):

@@ -2,9 +2,11 @@
 
 import dataclasses
 import functools
+import inspect
 import math
 import re
 import shutil
+import threading
 import tracemalloc
 
 import numpy as np
@@ -793,6 +795,33 @@ def _run_stage(stage, rows, root, cfg=None, **overrides):
     if stage == 1:
         return en.train_stage1(rows, root, cfg, **kw)
     return en.train_stage2(rows, root, cfg, init=en.init_params(cfg, 17), **kw)
+
+
+def test_public_calls_stay_on_the_callers_thread(tmp_path, monkeypatch):
+    # the bench traces public functions through their module attributes and
+    # keeps one span stack, so the worker thread may call none of them
+    threads = {}
+
+    def record(fn, name):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (geo, im, gc, en):
+        for name, fn in list(vars(module).items()):
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__ == module.__name__):
+                monkeypatch.setattr(module, name, record(fn, f"{module.__name__}.{name}"))
+    rows = im.synth_dataset(im.SynthConfig(subjects=4, captures=2,
+                                           morphs_per_subject=1, seed=5, size=16),
+                            tmp_path)
+    _run_stage(1, rows, tmp_path)
+    _run_stage(2, rows, tmp_path)
+    assert {"morphkit.geometry.warp_images", "morphkit.imaging.build_triplet",
+            "morphkit.gradcore.value_and_grad"} <= threads.keys()
+    assert set().union(*threads.values()) == {threading.get_ident()}
 
 
 _ONE_CLASS = "training needs at least 2 classes, the manifest has 1"

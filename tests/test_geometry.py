@@ -236,16 +236,21 @@ def test_warp_image_bit_identical_to_pointwise_oracle(h, w, c, k, on_pixels,
     assert got.tobytes() == want.tobytes()
 
 
-def test_grid_kernel_matrix_bit_identical_with_control_points_on_pixels():
+# (h, control points on a pixel); the last point's r^2 underflows to 0
+@pytest.mark.parametrize("h, on_pixels", [(23, 5), (22, 5), (1, 3)])
+def test_grid_kernel_matrix_bit_identical_with_control_points_on_pixels(h, on_pixels):
+    # blocks of 10 rows, shared by the caller and the worker thread: 23 and
+    # 22 rows end in a partial block, and 1 row is one block, which leaves
+    # one thread without any
     r = rng(34)
-    h, w = 23, 47  # 21 rows per block: two full blocks and a partial one
+    w = 47
     ctrl = np.vstack([[[0.0, 0.0], [w - 1.0, h - 1.0], [5.0, 7.0], [5.0, 9.0]],
                       r.uniform(-3, 50, size=(8, 2)), [[1e-200, 0.0]]])
     grid = pixel_grid(h, w)
     got = geo._grid_kernel_matrix(h, w, ctrl)
     assert got.tobytes() == kernel_matrix_oracle(grid, ctrl).tobytes()
     d = grid[:, None, :] - ctrl[None, :, :]
-    assert ((d * d).sum(axis=2) == 0).sum() == 5  # the last one underflows
+    assert ((d * d).sum(axis=2) == 0).sum() == on_pixels
 
 
 @settings(max_examples=60, deadline=None)

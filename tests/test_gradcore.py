@@ -1,7 +1,14 @@
 """Autodiff engine: forward values, gradients vs central differences, params."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +19,7 @@ import morphkit.gradcore as gc
 from gradcheck import finite_difference_check
 from test_embednet import tiny_cfg
 from morphkit import embednet as en
+from morphkit import geometry as geo
 
 
 def rng(seed=0):
@@ -1182,3 +1190,140 @@ def test_softmax_cross_entropy_rejects_bad_labels(labels):
     loss = gc.softmax_cross_entropy(gc.leaf("z"), gc.leaf("y"))
     with pytest.raises(gc.GradcoreError, match="integer indices in \\[0, 3\\)"):
         gc.evaluate_many(loss, {"z": np.zeros((2, 3)), "y": labels})
+
+
+# ---------------------------------------------------------------------------
+# the worker thread of ``_in_parallel``
+
+
+def test_in_parallel_runs_there_on_the_worker_in_the_callers_error_state():
+    def state():
+        return (threading.get_ident(), np.geterr(),
+                signal.pthread_sigmask(signal.SIG_BLOCK, []))
+
+    with np.errstate(all="raise"):
+        there, here = gc._in_parallel(state, state)
+    assert here[0] == threading.get_ident() != there[0]
+    assert there[1] == here[1] == {k: "raise" for k in here[1]}
+    # the bench's timer and Ctrl-C are left to the caller's thread
+    assert {signal.SIGALRM, signal.SIGINT} <= there[2]
+    assert signal.SIGALRM not in here[2]
+
+
+def test_in_parallel_reraises_the_worker_error_after_here_and_recovers():
+    done = []
+
+    def there():
+        raise ValueError("raised by there")
+
+    def here():
+        time.sleep(0.05)
+        done.append("here")
+
+    with pytest.raises(ValueError, match="raised by there"):
+        gc._in_parallel(there, here)
+    assert done == ["here"]
+    assert gc._in_parallel(lambda: 1, lambda: 2) == (1, 2)
+
+
+def test_in_parallel_waits_for_there_when_here_raises():
+    done = []
+
+    def there():
+        time.sleep(0.05)
+        done.append("there")
+
+    def here():
+        raise KeyError("raised by here")
+
+    with pytest.raises(KeyError, match="raised by here"):
+        gc._in_parallel(there, here)
+    assert done == ["there"]
+    assert gc._in_parallel(lambda: 1, lambda: 2) == (1, 2)
+
+
+def _warp_case():
+    r = rng(41)
+    src = r.uniform(2, 30, size=(12, 2))
+    return r.uniform(0, 1, size=(36, 32, 3)), src, src + r.normal(0, 1.5, src.shape)
+
+
+def _stage1_case():
+    cfg = tiny_cfg()
+    params = en.init_params(cfg, seed=42)
+    r = rng(43)
+    bindings = dict(params.tensors)
+    for name in ("x", "x_prime", "x_hat"):
+        bindings[name] = r.uniform(-1, 1, size=(4, 3, 16, 16))
+    for name in ("labels", "labels_prime"):
+        bindings[name] = r.integers(0, 3, size=4).astype(float)
+    bindings["phi"] = r.uniform(0.05, 0.2, size=4)
+    graph = en.stage1_graph(cfg, en.MarginConfig(), en.LossWeights())
+    return graph, bindings, params.names()
+
+
+def _grad_bytes(graph, bindings, names):
+    loss, grads = gc.value_and_grad(graph, bindings, names)
+    return loss, {k: v.tobytes() for k, v in grads.items()}
+
+
+def test_concurrent_callers_get_the_serial_bytes():
+    # two callers contend for the one worker: the one that finds it busy
+    # does all the work itself, and neither blocks the other
+    img, src, tgt = _warp_case()
+    case = _stage1_case()
+    want = {"warp": geo.warp_image(img, src, tgt).tobytes(),
+            "grad": _grad_bytes(*case)}
+    got = {"warp": [], "grad": []}
+    calls = {"warp": lambda: geo.warp_image(img, src, tgt).tobytes(),
+             "grad": lambda: _grad_bytes(*case)}
+
+    def repeat(name):
+        for _ in range(20):
+            got[name].append(calls[name]())
+
+    threads = [threading.Thread(target=repeat, args=(name,)) for name in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for name in calls:
+        assert got[name] == [want[name]] * 20, name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_forked_child_starts_its_own_worker():
+    img, src, tgt = _warp_case()
+    want = geo.warp_image(img, src, tgt).tobytes()  # the parent's worker runs
+    pid = os.fork()
+    if pid == 0:
+        # the child exits 0 only if it warps the same bytes on a worker of
+        # its own; a hang ends at the alarm, any error exits 1
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(60)
+            same = geo.warp_image(img, src, tgt).tobytes() == want
+            code = 0 if same and gc._worker.pid == os.getpid() else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_import_starts_no_thread_and_no_logging():
+    code = ("import sys, threading\n"
+            "import morphkit, morphkit.embednet, morphkit.evalkit\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules,"
+            " 'logging' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(gc.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1", "False", "False"]
