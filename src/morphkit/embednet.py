@@ -423,12 +423,12 @@ def _chunks(seq, n_parts):
 @dataclass
 class EpochStats:
     epoch: int
-    lr: float
     loss: float
 
 
 def _fit(graph, params, schedule, epochs, epoch_batches):
-    """SGD over ``graph`` for both stages; returns (params, history).
+    """SGD over ``graph`` at ``schedule.initial``, every step of both
+    stages; returns (params, history).
 
     ``epoch_batches()`` yields ``(leaves, item_count)`` for each step of one
     epoch; an epoch's loss is the item-weighted mean of its step losses.
@@ -441,7 +441,6 @@ def _fit(graph, params, schedule, epochs, epoch_batches):
     """
     history = []
     for epoch in range(epochs):
-        lr = schedule.at(epoch)
         total_loss, total_n = 0.0, 0
         for leaves, n_items in epoch_batches():
             bindings = {name: np.asarray(v, dtype=np.float32)
@@ -449,11 +448,11 @@ def _fit(graph, params, schedule, epochs, epoch_batches):
             loss, grads = gc.value_and_grad(graph, bindings, params.names())
             # free this batch before ``epoch_batches`` builds the next one
             del leaves, bindings
-            gc.sgd_update(params, grads, lr)
+            gc.sgd_update(params, grads, schedule.initial)
             normalize_class_rows(params)
             total_loss += loss * n_items
             total_n += n_items
-        history.append(EpochStats(epoch=epoch, lr=lr, loss=total_loss / total_n))
+        history.append(EpochStats(epoch=epoch, loss=total_loss / total_n))
     return params, history
 
 

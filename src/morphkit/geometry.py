@@ -272,19 +272,13 @@ def nearest_neighbor(query, pool, exclude_class):
         if flat.size != q.size:
             raise ValueError(f"pool entry {idx} has {flat.size // 2} landmarks, "
                              f"the query has {q.size // 2}")
-    best_idx = -1
-    best_dist = np.inf
-    for idx, (flat, (_, cls)) in enumerate(zip(sets, pool)):
-        if cls == exclude_class:
-            continue
-        d = flat - q
-        dist = np.sqrt((d * d).sum())
-        if dist < best_dist:
-            best_dist = dist
-            best_idx = idx
-    if best_idx < 0:
+    keep = [idx for idx, (_, cls) in enumerate(pool) if cls != exclude_class]
+    if not keep:
         raise ValueError(f"no pool entry outside class {exclude_class!r}")
-    return best_idx
+    # each row sums in a 1-D sum's pairwise order, and argmin takes the first
+    # of equal minima
+    d = np.stack([sets[idx] for idx in keep]) - q
+    return keep[int(np.argmin(np.sqrt((d * d).sum(axis=1))))]
 
 
 def phi_g(l, l_prime):

@@ -483,11 +483,15 @@ def test_nn_rejects_entry_of_another_landmark_count():
 
 def test_nn_matches_exhaustive_oracle():
     r = rng(14)
+    dup_wins = 0
     for trial in range(100):
         k = int(r.integers(3, 8))
         q = random_landmarks(r, k=k)
         pool = [(random_landmarks(r, k=k), int(r.integers(0, 3)))
                 for _ in range(int(r.integers(2, 12)))]
+        # a duplicated entry ties with its original, and the lower index wins
+        dup = int(r.integers(0, len(pool)))
+        pool.append(pool[dup])
         excl = int(r.integers(0, 3))
         if all(cls == excl for _, cls in pool):
             continue
@@ -499,6 +503,61 @@ def test_nn_matches_exhaustive_oracle():
             if d < bd:
                 best, bd = i, d
         assert geo.nearest_neighbor(q, pool, excl) == best
+        dup_wins += best == dup
+    assert dup_wins > 0
+
+
+def _loop_nearest(query, pool, exclude_class):
+    # the per-entry loop nearest_neighbor replaced: its sum, sqrt and strict <
+    q = np.asarray(query, dtype=np.float64).ravel()
+    best, best_dist = None, np.inf
+    for idx, (lms, cls) in enumerate(pool):
+        if cls == exclude_class:
+            continue
+        d = np.asarray(lms, dtype=np.float64).ravel() - q
+        dist = np.sqrt((d * d).sum())
+        if dist < best_dist:
+            best, best_dist = idx, dist
+    return best
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 8, 17, 64, 79, 200])
+def test_nn_matches_loop_on_near_ties(k):
+    # entries q + a permutation of one offset are equal in exact arithmetic;
+    # their rounded distances differ by the summation order, so only a row
+    # sum in the loop's own order picks the loop's entry
+    r = rng(100 + k)
+    picks_past_first = 0
+    for trial in range(40):
+        q = random_landmarks(r, k=k)
+        offset = r.normal(0.0, 3.0, size=2 * k)
+        pool = [((q.ravel() + r.permutation(offset)).reshape(k, 2),
+                 int(r.integers(0, 3))) for _ in range(int(r.integers(2, 12)))]
+        pool.append(pool[int(r.integers(0, len(pool)))])
+        excl = int(r.integers(0, 3))
+        if all(cls == excl for _, cls in pool):
+            continue
+        best = _loop_nearest(q, pool, excl)
+        assert geo.nearest_neighbor(q, pool, excl) == best
+        first_kept = next(i for i, (_, cls) in enumerate(pool) if cls != excl)
+        picks_past_first += best != first_kept
+    if k > 1:
+        assert picks_past_first > 0
+
+
+_A = np.array([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("pool,exclude,expected", [
+    ([(_A, "x"), (_A, "y")], "x", 1),
+    ([(_A, "y"), (_A, "x"), (_A, "y")], "y", 1),
+    ([(_A, "x"), (_A + 1.0, "y"), (-_A, "z")], "y", 0),
+    ([(_A, "y"), (_A, "y"), (_A + 9.0, "x"), (_A, "z"), (_A, "z")], "y", 3),
+], ids=["excluded-copy-first", "one-kept-entry", "kept-tie-first",
+        "kept-copies-after-excluded"])
+def test_nn_skips_excluded_entries_and_takes_the_first_kept_tie(pool, exclude,
+                                                                expected):
+    assert geo.nearest_neighbor(np.zeros((2, 2)), pool, exclude) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Autodiff engine: forward values, gradients vs central differences, params."""
 
+import itertools
 import os
 import signal
 import subprocess
@@ -1008,19 +1009,19 @@ def test_sgd_missing_grad_errors():
         gc.sgd_update(p, {"p": np.array([1.0])}, 0.1)
 
 
-def test_lr_schedule_epoch_10():
-    sched = gc.LrSchedule(initial=0.1, decay=0.9, every=5, floor=1e-6)
-    assert sched.at(0) == 0.1
-    assert sched.at(4) == 0.1
-    np.testing.assert_allclose(sched.at(10), 0.081)
-    assert sched.at(10_000) == 1e-6
+@pytest.mark.parametrize("initial", [0.0, 1, np.float32(0.5), np.float64(1e-3)],
+                         ids=["zero", "int", "float32", "float64"])
+def test_lr_schedule_accepts_edge_values(initial):
+    assert gc.LrSchedule(initial=initial).initial == initial
 
 
-def test_lr_schedule_accepts_edge_values():
-    assert gc.LrSchedule(initial=0.0, floor=0.0).at(7) == 0.0
-    assert gc.LrSchedule(initial=0.2, decay=1.0, every=1).at(50) == 0.2
-    assert gc.LrSchedule(initial=0.2, decay=0.0, every=1, floor=0.0).at(1) == 0.0
-    assert gc.LrSchedule(every=np.int64(3)).at(3) == 0.1 * 0.9
+@pytest.mark.parametrize("field,value", [("decay", 0.9), ("every", 5),
+                                         ("floor", 1e-6)])
+def test_lr_schedule_has_no_decay_fields(field, value):
+    # a run trains at one rate
+    with pytest.raises(TypeError, match=field):
+        gc.LrSchedule(**{field: value})
+    assert not hasattr(gc.LrSchedule, "at")
 
 
 def test_paramstore_seeded_init_bit_identical():
@@ -1240,6 +1241,28 @@ def test_in_parallel_waits_for_there_when_here_raises():
         gc._in_parallel(there, here)
     assert done == ["there"]
     assert gc._in_parallel(lambda: 1, lambda: 2) == (1, 2)
+
+
+@pytest.mark.parametrize("shared", [
+    lambda n: iter(range(n)),
+    lambda n: iter(list(range(n))),
+    lambda n: itertools.islice(itertools.count(), n),
+], ids=["range", "list", "itertools"])
+def test_in_parallel_halves_take_each_shared_item_once(shared):
+    # both halves share one iterator whose next() is atomic; a Python loop,
+    # not list(), so the threads switch between items
+    items = shared(200_000)
+
+    def drain():
+        return [item for item in items]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        there, here = gc._in_parallel(drain, drain)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(there + here) == list(range(200_000))
 
 
 def _warp_case():
