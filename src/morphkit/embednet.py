@@ -648,23 +648,16 @@ def config_from_meta(meta: dict):
 
     Each field is parsed as the type of its default, a tuple as its items'
     type; a missing or malformed key raises ValueError naming it.  So does a
-    ``<tag>.`` key that names no field, unless it names a class constant
-    (meta written while that was a field) and holds the constant's value.
+    ``<tag>.`` key that names no field.
     """
     configs = []
     for cls, tag in _META_TAGS:
         names = [f.name for f in fields(cls)]
         for key, value in meta.items():
             name = key.removeprefix(f"{tag}.")
-            if name == key or name in names:
-                continue
-            if name not in cls.__annotations__:
+            if name != key and name not in names:
                 raise ValueError(f"checkpoint meta '{key}={value}' names no "
                                  f"{cls.__name__} field")
-            constant = getattr(cls, name)
-            if str(value) != str(constant):
-                raise ValueError(f"checkpoint meta '{key}={value}' differs from "
-                                 f"{cls.__name__}.{name}, which is always {constant}")
         kwargs = {}
         for f in fields(cls):
             key = f"{tag}.{f.name}"

@@ -1000,11 +1000,11 @@ def _check_integer(name, value, least):
 
 def _check_real(name, value, bound=None):
     """ValueError naming ``name`` unless ``value`` is a finite ``numbers.Real``
-    other than a bool that meets ``bound``: "> 0", ">= 0", "in [0, 1]" or None."""
+    other than a bool that meets ``bound``: "> 0", ">= 0" or None."""
     ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
           and math.isfinite(value))
     if ok and bound:
-        ok = {"> 0": 0 < value, ">= 0": 0 <= value, "in [0, 1]": 0 <= value <= 1}[bound]
+        ok = {"> 0": 0 < value, ">= 0": 0 <= value}[bound]
     if not ok:
         rule = f"finite and {bound}" if bound else "finite"
         raise ValueError(f"{name} must be {rule}, got {value!r}")

@@ -152,7 +152,9 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5,
     Target landmarks are (1 - alpha_warp) * lms_a + alpha_warp * lms_b.  Both
     images are warped to the target, in one :func:`geometry.warp_images`
     call, before blending.  ``alpha_warp`` outside [0, 1], or NaN, raises
-    ValueError, as ``alpha`` does in :func:`alpha_blend`.
+    ValueError, as ``alpha`` does in :func:`alpha_blend`.  ``synth_dataset``
+    morphs at the 0.5/0.5 defaults; both alphas stay parameters for ROADMAP
+    item 7, whose morph methods call this with other values.
     """
     if not 0.0 <= alpha_warp <= 1.0:
         raise ValueError(f"alpha_warp must lie in [0, 1], got {alpha_warp!r}")
@@ -221,15 +223,20 @@ def build_triplet(image, triplet: Triplet):
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The size of a synthetic set: ``subjects`` with ``captures`` each,
+    ``morphs_per_subject`` morphs each, drawn from ``seed`` at ``size`` px.
+
+    The image model is fixed: each capture warps its subject's face by a
+    1 px (sigma) landmark jitter and shifts its brightness by up to +-0.08,
+    and each morph is :func:`generate_morph` at alphas 0.5/0.5.  ROADMAP
+    items 4 and 7 replace that model with structured fields.
+    """
+
     subjects: int = 20
     captures: int = 3
     morphs_per_subject: int = 2
     seed: int = 0
     size: int = 112
-    landmark_jitter: float = 1.0   # per-capture jitter std (px)
-    brightness_jitter: float = 0.08
-    alpha_warp: float = 0.5
-    alpha_blend: float = 0.5
 
     def __post_init__(self):
         # below 8 px ``_subject_landmarks`` clips every landmark into
@@ -237,9 +244,6 @@ class SynthConfig:
         for name, least in (("subjects", 2), ("captures", 1),
                             ("morphs_per_subject", 0), ("seed", 0), ("size", 8)):
             gc._check_integer(f"SynthConfig.{name}", getattr(self, name), least)
-        for name, bound in (("landmark_jitter", ">= 0"), ("brightness_jitter", ">= 0"),
-                            ("alpha_warp", "in [0, 1]"), ("alpha_blend", "in [0, 1]")):
-            gc._check_real(f"SynthConfig.{name}", getattr(self, name), bound)
 
 
 @dataclass
@@ -330,23 +334,6 @@ def _subject_face(rng, size, template, lms):
     return np.clip(img, -0.95, 0.95).transpose(1, 2, 0)
 
 
-def _check_identity_fits(subject_lms, size):
-    """With no landmark jitter every capture of a subject is warped by the
-    identity TPS fit on its clipped landmarks.  Two of them coincide at
-    small sizes, and the fit is then singular; make that fit first and
-    raise ValueError naming the subject and the fields to change."""
-    for s, lms in enumerate(subject_lms):
-        try:
-            geometry.tps_fit(lms, lms)
-        except ValueError as err:
-            raise ValueError(
-                f"subject s{s:03d}: its landmarks, clipped into [3, {size - 4}], "
-                f"coincide or nearly so, and SynthConfig.landmark_jitter 0 "
-                f"warps its captures with a fit on them ({err}); raise "
-                f"SynthConfig.size (got {size}) or SynthConfig.landmark_jitter"
-            ) from None
-
-
 def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     """Generate a deterministic parametric face dataset on disk.
 
@@ -355,11 +342,7 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     captures (the 8-bit arrays written as PPM, and the landmark arrays, which
     their text files round-trip exactly), so re-running
     :func:`generate_morph` from the named files reproduces each stored morph
-    exactly.  A subject whose clipped landmarks give a singular identity fit
-    when ``landmark_jitter`` is 0 (two of them coincide, at sizes up to
-    ~30 px) raises ValueError naming the fields to change before any
-    directory is made; a field out of range fails when the ``SynthConfig``
-    is built.
+    exactly.
     """
     template = canonical_landmarks(config.size)
     # each subject's generator draws its landmarks first, then its image and
@@ -367,8 +350,6 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     rngs = [np.random.Generator(np.random.PCG64([config.seed, s]))
             for s in range(config.subjects)]
     subject_lms = [_subject_landmarks(rng, config.size, template) for rng in rngs]
-    if config.landmark_jitter == 0:
-        _check_identity_fits(subject_lms, config.size)
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "landmarks").mkdir(parents=True, exist_ok=True)
@@ -380,11 +361,9 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
         sid = f"s{s:03d}"
         captures[s] = []
         for c in range(config.captures):
-            cap_lms = lms + rng.normal(0.0, config.landmark_jitter,
-                                       size=lms.shape)
+            cap_lms = lms + rng.normal(0.0, 1.0, size=lms.shape)
             img = geometry.warp_image(base, lms, cap_lms)
-            img = np.clip(img + rng.uniform(-config.brightness_jitter,
-                                            config.brightness_jitter), -1.0, 1.0)
+            img = np.clip(img + rng.uniform(-0.08, 0.08), -1.0, 1.0)
             img_rel = f"images/{sid}_c{c}.ppm"
             lms_rel = f"landmarks/{sid}_c{c}.txt"
             img_u8 = to_uint8(img)
@@ -404,8 +383,7 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
             img_a, lms_a = captures[s][m % config.captures]
             img_b, lms_b = captures[partner][(m + m // config.captures)
                                              % config.captures]
-            rec = generate_morph(from_uint8(img_a), lms_a, from_uint8(img_b),
-                                 lms_b, config.alpha_warp, config.alpha_blend)
+            rec = generate_morph(from_uint8(img_a), lms_a, from_uint8(img_b), lms_b)
             img_rel = f"images/m{morph_idx:03d}_{sid}_{pid}.ppm"
             lms_rel = f"landmarks/m{morph_idx:03d}_{sid}_{pid}.txt"
             save_face(out / img_rel, rec.image)

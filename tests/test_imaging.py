@@ -46,6 +46,16 @@ def test_alpha_blend_dim_mismatch():
         im.alpha_blend(np.zeros((2, 2, 3)), np.zeros((3, 2, 3)), 0.5)
 
 
+# outside [0, 1] on each side, just past 1, and not finite
+_BAD_ALPHAS = [2.0, -0.1, 1.0 + 1e-12, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("alpha", _BAD_ALPHAS)
+def test_alpha_blend_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
+        im.alpha_blend(np.zeros((2, 2, 3)), np.ones((2, 2, 3)), alpha)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.floats(0.0, 1.0))
 def test_alpha_blend_stays_in_range(seed, alpha):
@@ -99,13 +109,23 @@ def test_morph_symmetric_under_swap():
     np.testing.assert_allclose(fwd.landmarks, rev.landmarks, atol=1e-9)
 
 
-@pytest.mark.parametrize("alpha_warp", [2.0, -0.1, 1.0 + 1e-12, np.nan])
+@pytest.mark.parametrize("alpha_warp", [2.0, -0.1, 1.0 + 1e-12, np.nan,
+                                        np.inf, -np.inf])
 def test_morph_rejects_alpha_warp_outside_unit_interval(alpha_warp):
     r = rng(9)
     img = r.uniform(-0.9, 0.9, size=(16, 16, 3))
     lms = corner_landmarks(16, 16)
     with pytest.raises(ValueError, match=r"alpha_warp must lie in \[0, 1\]"):
         im.generate_morph(img, lms, img.copy(), lms + 1.0, alpha_warp, 0.5)
+
+
+@pytest.mark.parametrize("alpha", _BAD_ALPHAS)
+def test_morph_rejects_blend_alpha_outside_unit_interval(alpha):
+    r = rng(9)
+    img = r.uniform(-0.9, 0.9, size=(16, 16, 3))
+    lms = corner_landmarks(16, 16)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
+        im.generate_morph(img, lms, img.copy(), lms + 1.0, 0.5, alpha)
 
 
 def test_morph_values_stay_in_range():
@@ -394,8 +414,7 @@ def test_synth_morph_regeneration_oracle(tmp_path):
                     im.load_face(root / ca.path),
                     geo.load_landmarks(root / ca.landmarks_path),
                     im.load_face(root / cb.path),
-                    geo.load_landmarks(root / cb.landmarks_path),
-                    cfg.alpha_warp, cfg.alpha_blend)
+                    geo.load_landmarks(root / cb.landmarks_path))
                 if np.array_equal(im.to_uint8(rec.image), stored):
                     found = True
         assert found, f"no capture pair regenerates {r.path}"
@@ -410,36 +429,42 @@ def test_synth_values_in_range(tmp_path):
         assert img.min() >= -1.0 and img.max() <= 1.0
 
 
-def test_synth_smallest_size_writes_faces(tmp_path):
-    rows = im.synth_dataset(im.SynthConfig(subjects=2, captures=1,
-                                           morphs_per_subject=1, size=8),
-                            tmp_path / "d")
-    assert [im.read_ppm(tmp_path / "d" / r.path).shape for r in rows] == [(8, 8, 3)] * 4
-
-
+# clipping into [3, size - 4] makes some subject's landmarks coincide at
+# these sizes (at (24, 3) two coincide exactly); every capture's 1 px
+# landmark jitter still separates them, so each fit is regular
 @pytest.mark.parametrize("size,seed", [*((size, seed) for size in range(8, 22)
                                              for seed in range(4)), (24, 3)])
-def test_synth_no_jitter_coinciding_landmarks_name_fields(tmp_path, size, seed):
-    # clipping into [3, size - 4] makes some subject's landmarks coincide, so
-    # the identity fit of its captures is singular: this raised tps_fit's bare
-    # "singular TPS system" after images/ and landmarks/ were made.  At (24, 3)
-    # two landmarks coincide exactly, yet the solve succeeds (weights ~1e9)
-    cfg = im.SynthConfig(size=size, seed=seed, landmark_jitter=0.0)
-    with pytest.raises(ValueError, match=r"^subject s\d{3}: ") as err:
-        im.synth_dataset(cfg, tmp_path / "d")
-    assert "SynthConfig.size" in str(err.value)
-    assert "SynthConfig.landmark_jitter" in str(err.value)
-    assert not (tmp_path / "d").exists()
-
-
-def test_synth_small_size_with_jitter_synthesises(tmp_path):
+def test_synth_small_size_with_jitter_synthesises(tmp_path, size, seed):
     rows = im.synth_dataset(im.SynthConfig(subjects=4, captures=2,
-                                           morphs_per_subject=1, seed=0,
-                                           size=16, landmark_jitter=1.0),
+                                           morphs_per_subject=1, seed=seed,
+                                           size=size),
                             tmp_path / "d")
     assert len(rows) == 12
-    assert all(im.read_ppm(tmp_path / "d" / r.path).shape == (16, 16, 3)
+    assert all(im.read_ppm(tmp_path / "d" / r.path).shape == (size, size, 3)
                for r in rows)
+
+
+def test_synth_capture_landmark_jitter_is_one_pixel(tmp_path):
+    # each capture adds N(0, 1) px to its subject's landmarks, so two
+    # captures of one subject differ by N(0, 2) in each coordinate
+    rows = im.synth_dataset(im.SynthConfig(subjects=10, captures=2,
+                                           morphs_per_subject=0, seed=2,
+                                           size=32), tmp_path / "d")
+    lms = {Path(r.path).stem: geo.load_landmarks(tmp_path / "d" / r.landmarks_path)
+           for r in rows}
+    diff = np.concatenate([lms[f"s{s:03d}_c1"] - lms[f"s{s:03d}_c0"]
+                           for s in range(10)])
+    assert diff.size == 10 * 68 * 2
+    assert abs(diff.mean()) < 0.1
+    assert abs(diff.std() / np.sqrt(2.0) - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("field", ["landmark_jitter", "brightness_jitter",
+                                   "alpha_warp", "alpha_blend"])
+def test_synth_config_has_no_image_model_fields(field):
+    # the image model is fixed in synth_dataset, not a setting
+    with pytest.raises(TypeError, match=field):
+        im.SynthConfig(**{field: 0.5})
 
 
 def smooth_field_oracle(rng, size, cells=8, amplitude=0.35):
@@ -518,10 +543,9 @@ def synth_dataset_rereading(config, out_dir):
         sid = f"s{s:03d}"
         captures[s] = []
         for c in range(config.captures):
-            cap_lms = lms + r.normal(0.0, config.landmark_jitter, size=lms.shape)
+            cap_lms = lms + r.normal(0.0, 1.0, size=lms.shape)
             img = geo.warp_image(base, lms, cap_lms)
-            img = np.clip(img + r.uniform(-config.brightness_jitter,
-                                          config.brightness_jitter), -1.0, 1.0)
+            img = np.clip(img + r.uniform(-0.08, 0.08), -1.0, 1.0)
             img_rel = f"images/{sid}_c{c}.ppm"
             lms_rel = f"landmarks/{sid}_c{c}.txt"
             im.save_face(out / img_rel, img)
@@ -539,8 +563,7 @@ def synth_dataset_rereading(config, out_dir):
             cb = captures[partner][(m + m // config.captures) % config.captures]
             rec = generate_morph_two_warps(
                 im.load_face(out / ca[0]), geo.load_landmarks(out / ca[1]),
-                im.load_face(out / cb[0]), geo.load_landmarks(out / cb[1]),
-                config.alpha_warp, config.alpha_blend)
+                im.load_face(out / cb[0]), geo.load_landmarks(out / cb[1]))
             img_rel = f"images/m{morph_idx:03d}_{sid}_{pid}.ppm"
             lms_rel = f"landmarks/m{morph_idx:03d}_{sid}_{pid}.txt"
             im.save_face(out / img_rel, rec.image)
@@ -555,7 +578,14 @@ def synth_dataset_rereading(config, out_dir):
     im.SynthConfig(subjects=4, captures=2, morphs_per_subject=3, seed=17, size=32),
     # the benchmark's set: 10 subjects x 3 captures x 2 morphs at 112 px
     im.SynthConfig(subjects=10, captures=3, morphs_per_subject=2, seed=18, size=112),
-], ids=["32px", "112px-desk"])
+    # each capture count against each morph count: the morph loop picks
+    # capture m % captures of a subject and (m + m // captures) % captures
+    # of its partner
+    *(im.SynthConfig(subjects=3, captures=c, morphs_per_subject=m,
+                     seed=4 * c + m, size=16)
+      for c in (1, 2, 3) for m in (0, 1, 2, 3)),
+], ids=["32px", "112px-desk",
+        *(f"16px-c{c}-m{m}" for c in (1, 2, 3) for m in (0, 1, 2, 3))])
 def test_synth_tree_bit_identical_to_rereading_loop(tmp_path, monkeypatch, cfg):
     rows = im.synth_dataset(cfg, tmp_path / "new")
     want = synth_dataset_rereading(cfg, tmp_path / "old")
