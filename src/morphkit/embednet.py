@@ -343,14 +343,14 @@ def to_chw(image):
 
 def _load_checked(rows, root, cfg: EncoderConfig, *kinds):
     """(rows of each of ``kinds``, faces): one list of ``rows`` per kind, and
-    one face list of them all in that order, each face held as the (S, S, C)
-    uint8 array of ``imaging.read_ppm``.  So with kinds ("real", "morph") and
-    R reals, face R + m is morph m.
+    one face list of them all in that order, each face held as C-contiguous
+    (C, S, S) uint8 planes, the network's layout.  So with kinds ("real",
+    "morph") and R reals, face R + m is morph m.
 
     Training stops before it starts, not when it first reads a bad file: one
     FileNotFoundError lists every image and landmark file of ``rows`` that
-    is not under ``root``, and a face whose shape is not ``cfg``'s (S, S, C)
-    raises ValueError naming its path and both shapes.
+    is not under ``root``, and a face read in another shape than ``cfg``'s
+    (S, S, C) raises ValueError naming its path and both shapes.
     """
     missing = [str(root / rel) for r in rows for rel in (r.path, r.landmarks_path)
                if not (root / rel).is_file()]
@@ -365,7 +365,7 @@ def _load_checked(rows, root, cfg: EncoderConfig, *kinds):
         if face.shape != expected:
             raise ValueError(f"{root / r.path}: face of shape {face.shape}, "
                              f"the encoder config expects {expected}")
-        faces.append(face)
+        faces.append(np.ascontiguousarray(face.transpose(2, 0, 1)))
     return kept, faces
 
 
@@ -388,15 +388,15 @@ _LEVELS32 = _LEVELS64.astype(np.float32)
 
 
 def _float_leaf(faces):
-    """The (n, C, S, S) float32 leaf of n (S, S, C) uint8 faces: each value
-    is ``imaging.from_uint8``'s cast to float32, looked up in one table, so
-    no float64 copy of the batch is made.  Each face is looked up on its
-    own and written transposed into its slot of the preallocated leaf; no
-    uint8 batch and no index array of the whole batch are built."""
-    leaf = np.empty((len(faces),) + faces[0].shape[2:] + faces[0].shape[:2],
-                    np.float32)
+    """The (n, C, S, S) float32 leaf of n (C, S, S) uint8 faces: each value
+    is ``imaging.from_uint8``'s cast to float32, looked up in one table
+    straight into its face's slot of the preallocated leaf, so no float64
+    copy, no uint8 batch and no index array of the whole batch are built.
+    ``mode="clip"`` writes into ``out`` unbuffered, and a uint8 index is
+    always in range."""
+    leaf = np.empty((len(faces),) + faces[0].shape, np.float32)
     for slot, face in zip(leaf, faces):
-        slot[...] = _LEVELS32.take(face).transpose(2, 0, 1)
+        np.take(_LEVELS32, face, out=slot, mode="clip")
     return leaf
 
 
@@ -498,15 +498,15 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 
 def _bind_stage1_batch(batch, faces):
     """The float32 stage-1 graph leaves of drawn triplets, whose labels are
-    class indices, from uint8 ``faces``.  Each x_hat source is decoded
-    straight into (C, H, W) planes by a lookup in ``_LEVELS64``
-    (``imaging.from_uint8``'s values), warped in float64 as the (H, W, C)
-    view of those planes, and its channel-major result is rounded into its
-    float32 slot by one contiguous cast."""
+    class indices, from uint8 ``faces``.  Each x_hat source is decoded into
+    float64 planes by a lookup in ``_LEVELS64`` (``imaging.from_uint8``'s
+    values), warped as the (H, W, C) view of those planes, and its
+    channel-major result is rounded into its float32 slot by one contiguous
+    cast."""
     x = _float_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
     for out, t in zip(x_hat, batch):
-        planes = _LEVELS64.take(faces[t.index_a].transpose(2, 0, 1))
+        planes = _LEVELS64.take(faces[t.index_a])
         warped = imaging.build_triplet(planes.transpose(1, 2, 0), t)
         out[...] = warped.transpose(2, 0, 1)
     return {

@@ -216,20 +216,10 @@ def _bilinear_sample(image, coords):
     return top.T
 
 
-def warp_image(image, source_lms, target_lms, delta=None):
-    """Warp ``image`` so features at ``source_lms`` move to ``target_lms + delta``.
-
-    The one-image case of :func:`warp_images`.  ``delta`` must have the
-    target's (K, 2) shape; any other shape raises ValueError naming both.
-    """
-    tgt = _as_landmarks(target_lms)
-    if delta is not None:
-        d = np.asarray(delta, dtype=np.float64)
-        if d.shape != tgt.shape:
-            raise ValueError(f"delta must have the target landmarks' shape "
-                             f"{tgt.shape}, got {d.shape}")
-        tgt = tgt + _as_landmarks(d)
-    return warp_images([(image, source_lms)], tgt)[0]
+def warp_image(image, source_lms, target_lms):
+    """Warp ``image`` so features at ``source_lms`` move to ``target_lms``:
+    the one-image case of :func:`warp_images`."""
+    return warp_images([(image, source_lms)], target_lms)[0]
 
 
 def warp_images(sources, target_lms):
@@ -240,7 +230,7 @@ def warp_images(sources, target_lms):
     clamping out-of-bounds samples to the edge.  Images are (H, W, C) and
     share (H, W); the pixel grid and its kernel matrix depend
     only on the target, so they are built once for all sources.  Returns the
-    warped images in order, each byte-equal to its own :func:`warp_image`.
+    warped images in order, each byte-equal to warping that image alone.
     Each result is a view of channel-major (C, H, W) memory, as
     :func:`_bilinear_sample` returns it, and a channel-major input is
     sampled without a copy.

@@ -9,14 +9,14 @@ reshapes with its methods (``x.sum(axis)``, ``x.mean(axis)``,
 ``value_and_grad`` adds a reverse pass.  Every tensor is a plain ``numpy``
 array, and a pass computes in the float dtype of its bindings: a leaf bound
 to a float32 or float64 array keeps it as is, anything else becomes float64.
-Scalar constants are Python floats, which numpy's promotion treats as weak,
-so they never upcast a float32 pass; array constants are float64.  The
-buffers an op allocates follow its input's dtype.  ``value_and_grad``
-returns float64 gradients whatever the compute dtype, and ``ParamStore``
-and ``sgd_update`` are float64 only.  Any NaN/Inf produced by an op aborts
-with :class:`NonFiniteError`.  A forward pass sets numpy's error state
-once, to ignore floating-point warnings, and restores it when the pass
-returns or raises; the check of each op's output stands in for the
+Scalar constants are Python floats, which numpy's promotion treats as weak
+(NEP 50, numpy >= 2.0), so they never upcast a float32 pass; array constants
+are float64.  The buffers an op allocates follow its input's dtype.
+``value_and_grad`` returns float64 gradients whatever the compute dtype, and
+``ParamStore`` and ``sgd_update`` are float64 only.  Any NaN/Inf produced
+by an op aborts with :class:`NonFiniteError`.  A forward pass sets numpy's
+error state once, to ignore floating-point warnings, and restores it when
+the pass returns or raises; the check of each op's output stands in for the
 warnings.  ``profile()`` times each node's rules.
 
 An op's forward, backward and kink rules live in one ``_RULES`` entry, the

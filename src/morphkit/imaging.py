@@ -4,10 +4,10 @@ A face image is processed as an (H, W, 3) float64 array with values in
 [-1, 1].  That is its shape, not always its memory order: a warped or
 synthesised face is an (H, W, 3) view of channel-major (3, H, W) memory,
 as :func:`geometry.warp_images` returns it, and elementwise steps keep that
-order.  Images are stored on disk as binary 8-bit PPM (P6), and training
-holds its faces as the (H, W, 3) uint8 arrays of :func:`read_ppm`, building
-one float32 batch at a time whose values are :func:`from_uint8`'s rounded
-once.  Datasets are described by a CSV manifest with columns
+order.  Images are stored on disk as binary 8-bit PPM (P6), which
+:func:`read_ppm` reads as (H, W, 3) uint8 arrays.  Training holds its faces
+as (3, H, W) uint8 planes, building one float32 batch at a time whose values
+are :func:`from_uint8`'s rounded once.  Datasets are described by a CSV manifest with columns
 ``path,subject_id,kind,source_a,source_b,landmarks_path`` where kind is
 "real" or "morph" (source columns empty for real images).
 """
@@ -212,9 +212,9 @@ def draw_triplet(pool, index, rng) -> Triplet:
 
 def build_triplet(image, triplet: Triplet):
     """The intermediate x_hat_i of a drawn triplet: ``image`` (x_i as a float
-    face) warped from l_i onto l'_i + delta."""
-    return geometry.warp_image(image, triplet.lms_a, triplet.lms_g,
-                               delta=triplet.delta)
+    face) warped from l_i onto the target l'_i + delta, formed here."""
+    return geometry.warp_image(image, triplet.lms_a,
+                               triplet.lms_g + triplet.delta)
 
 
 # ---------------------------------------------------------------------------

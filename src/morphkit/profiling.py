@@ -8,17 +8,23 @@ the data operand, else None: ``conv1_w`` for the fused conv of layer 1 (and
 for a branch matmul, ``fc_a_b`` for its bias add.  So the three encoder
 passes of a stage-1 step add up in one row per layer.
 
-Only the innermost open profile records, and outside one nothing is
-recorded.  A profile only reads the clock: values and gradients are
-byte-equal with it on or off.
+Only the innermost open profile of the calling thread records, and
+outside one nothing is recorded.  A profile only reads the clock: values
+and gradients are byte-equal with it on or off.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 
-_active = None  # the innermost open Profile
+
+class _State(threading.local):
+    active = None  # the calling thread's innermost open Profile
+
+
+_state = _State()
 
 
 class Profile:
@@ -41,13 +47,13 @@ class Profile:
 
 @contextlib.contextmanager
 def profile():
-    """Open a :class:`Profile` for the graphs evaluated inside the block."""
-    global _active
-    outer, _active = _active, Profile()
+    """Open a :class:`Profile` for the graphs that the calling thread
+    evaluates inside the block."""
+    outer, _state.active = _state.active, Profile()
     try:
-        yield _active
+        yield _state.active
     finally:
-        _active = outer
+        _state.active = outer
 
 
 def _label(node):
@@ -77,6 +83,7 @@ _OFF = contextlib.nullcontext()
 
 def span(node, backward=False):
     """A context that times one rule of ``node`` into the open profile."""
-    if _active is None:
+    prof = _state.active
+    if prof is None:
         return _OFF
-    return _Span(_active.stats, node, 2 if backward else 0)
+    return _Span(prof.stats, node, 2 if backward else 0)

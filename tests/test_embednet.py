@@ -975,7 +975,7 @@ def test_training_zero_epochs_returns_initial_params(tiny_dataset, stage):
 
 
 def _float64_leaf(faces):
-    return im.from_uint8(np.stack([face.transpose(2, 0, 1) for face in faces]))
+    return im.from_uint8(np.stack(faces))
 
 
 def _float64_stage1_batch(batch, faces):
@@ -1029,7 +1029,7 @@ def _class_indices(reals):
 
 def _oracle_stage1(rows, root, cfg, schedule, epochs, batch_size, seed):
     reals = [r for r in rows if r.kind == "real"]
-    faces = [im.read_ppm(root / r.path) for r in reals]
+    faces = [im.read_ppm(root / r.path).transpose(2, 0, 1) for r in reals]
     pool = [(geo.load_landmarks(root / r.landmarks_path), c)
             for r, c in zip(reals, _class_indices(reals))]
     rng = np.random.Generator(np.random.PCG64([seed, 1]))
@@ -1058,7 +1058,8 @@ def _oracle_stage2(rows, root, cfg, schedule, epochs, batch_size, seed, init):
     morphs = [r for r in rows if r.kind == "morph"]
     genuine, cross = en._stage2_pools(reals, morphs)
     labels = _class_indices(reals)
-    faces = [im.read_ppm(root / r.path) for r in reals + morphs]
+    faces = [im.read_ppm(root / r.path).transpose(2, 0, 1)
+             for r in reals + morphs]
     n_reals = len(reals)
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
 
@@ -1104,6 +1105,18 @@ def test_training_byte_equal_to_float_oracle(tiny_dataset, stage, batch_size,
         assert params[k].tobytes() == want[k].tobytes(), k
 
 
+def test_load_checked_holds_faces_as_channel_major_planes(tiny_dataset):
+    rows, root = tiny_dataset
+    (reals, morphs), faces = en._load_checked(rows, root, train_cfg(),
+                                              "real", "morph")
+    assert len(faces) == len(reals) + len(morphs) > 0
+    for r, face in zip(reals + morphs, faces):
+        assert face.dtype == np.uint8 and face.shape == (3, 16, 16)
+        assert face.flags.c_contiguous
+        want = im.read_ppm(root / r.path).transpose(2, 0, 1)
+        assert face.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 8, 15])
 def test_float_leaf_table_is_from_uint8_cast_to_float32(n):
     levels = np.arange(256, dtype=np.uint8)
@@ -1111,13 +1124,14 @@ def test_float_leaf_table_is_from_uint8_cast_to_float32(n):
     assert en._LEVELS32.dtype == np.float32
     assert en._LEVELS32.tobytes() == im.from_uint8(levels).astype(np.float32).tobytes()
     # two faces that hold every level in every channel, then contiguous
-    # faces, flipped views and crops of a larger array
-    big = rng(n).integers(0, 256, size=(n, 24, 24, 3), dtype=np.uint8)
+    # faces, flipped views and crops of a larger array, all (3, S, S)
+    big = rng(n).integers(0, 256, size=(n, 3, 24, 24), dtype=np.uint8)
     faces = ([np.stack([levels.reshape(16, 16), levels.reshape(16, 16).T,
-                        levels[::-1].reshape(16, 16)], axis=2),
-              np.full((16, 16, 3), 255, np.uint8)]
-             + [big[i, 4:20, 4:20] if i % 3 == 0 else big[i, 8:, 8:][::-1]
-                if i % 3 == 1 else np.ascontiguousarray(big[i, :16, :16])
+                        levels[::-1].reshape(16, 16)]),
+              np.full((3, 16, 16), 255, np.uint8)]
+             + [big[i, :, 4:20, 4:20] if i % 3 == 0
+                else big[i, :, 8:, 8:][:, ::-1] if i % 3 == 1
+                else np.ascontiguousarray(big[i, :, :16, :16])
                 for i in range(n)])[:n]
     leaf = en._float_leaf(faces)
     assert leaf.dtype == np.float32 and leaf.shape == (n, 3, 16, 16)

@@ -798,6 +798,16 @@ def test_finite_difference_check_probes_in_float64():
             == finite_difference_check(loss, b64, ["x", "w"]))
 
 
+@pytest.mark.parametrize("value", [np.array(1.5, dtype=np.float32),
+                                   np.float32(1.5)])
+def test_python_float_is_weak_in_numpy_promotion(value):
+    # NEP 50, numpy's rule since 2.0 and the reason for its floor in
+    # pyproject.toml: a 0-d float32 loss times a Python-float weight stays
+    # float32 (numpy 1.x promotes it to float64)
+    assert (value * 0.75).dtype == np.float32
+    assert (0.75 * value + 1.0).dtype == np.float32
+
+
 def test_value_and_grad_returns_float64_gradients_of_float32_bindings():
     x, w = gc.leaf("x"), gc.leaf("w")
     loss = (gc.matmul(x, w) * 0.5).sum()
@@ -985,6 +995,44 @@ def test_profile_records_only_inside_innermost_block():
         ("mul", "k"): [2, 0], ("cos", None): [2, 0], ("sum", None): [2, 0]}
     assert {key: row[1::2] for key, row in inner.stats.items()} == {
         ("mul", "k"): [1, 1], ("cos", None): [1, 1], ("sum", None): [1, 1]}
+
+
+def test_profile_records_only_the_calling_threads_graphs():
+    # A opens, B opens, A closes, B closes: each profile holds its own
+    # thread's rows, and once both are closed nothing records
+    x = gc.leaf("x")
+    graphs = {"a": gc.cos(x).sum(), "b": (x * gc.leaf("k")).sum()}
+    bindings = {"x": np.arange(3.0), "k": 0.5}
+    a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+    profs, errors = {}, []
+
+    def run(name, wait_before, opened, wait_inside):
+        try:
+            assert wait_before is None or wait_before.wait(60)
+            with gc.profile() as profs[name]:
+                gc.evaluate_many(graphs[name], bindings)
+                opened.set()
+                assert wait_inside.wait(60)
+                gc.evaluate_many(graphs[name], bindings)
+        except BaseException as err:  # reported on the main thread
+            errors.append(err)
+            opened.set()
+        finally:
+            if name == "a":
+                a_closed.set()
+
+    threads = [threading.Thread(target=run, args=("a", None, a_open, b_open)),
+               threading.Thread(target=run, args=("b", a_open, b_open, a_closed))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert not errors and not any(t.is_alive() for t in threads)
+    gc.evaluate_many(gc.relu(x).sum(), bindings)
+    assert {key: row[1::2] for key, row in profs["a"].stats.items()} == {
+        ("cos", "x"): [2, 0], ("sum", None): [2, 0]}
+    assert {key: row[1::2] for key, row in profs["b"].stats.items()} == {
+        ("mul", "k"): [2, 0], ("sum", None): [2, 0]}
 
 
 # ---------------------------------------------------------------------------

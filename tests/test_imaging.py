@@ -209,6 +209,15 @@ def test_triplet_warp_is_the_warp_onto_drawn_target():
     assert im.build_triplet(images[2], t).tobytes() == want.tobytes()
 
 
+def test_build_triplet_is_a_warp_onto_target_plus_delta():
+    # x_i as training passes it, an (H, W, 3) view of channel-major planes
+    images, pool = make_pool(rng(16))
+    image = np.ascontiguousarray(images[1].transpose(2, 0, 1)).transpose(1, 2, 0)
+    t = im.draw_triplet(pool, 1, rng(45))
+    want = geo.warp_images([(image, t.lms_a)], t.lms_g + t.delta)[0]
+    assert im.build_triplet(image, t).tobytes() == want.tobytes()
+
+
 def test_triplet_deterministic_given_seed():
     images, pool = make_pool(rng(13))
     a = im.draw_triplet(pool, 0, rng(42))

@@ -112,7 +112,7 @@ def test_bench_bind_stage1_batch(benchmark):
     r = rng(17)
     lms = im.canonical_landmarks(112)
     pool = [(lms + r.normal(0, 2.0, size=lms.shape), i // 3) for i in range(12)]
-    faces = [r.integers(0, 256, size=(112, 112, 3), dtype=np.uint8)
+    faces = [r.integers(0, 256, size=(3, 112, 112), dtype=np.uint8)
              for _ in pool]
     batch = [im.draw_triplet(pool, i, r) for i in range(8)]
     leaves = benchmark.pedantic(en._bind_stage1_batch, args=(batch, faces),
@@ -244,7 +244,7 @@ def test_bench_conv_layer_fwd_bwd_batch15(benchmark, layer):
 def test_bench_float_leaf_batch15(benchmark):
     """A stage-2 step's image leaf from 15 uint8 faces."""
     r = rng(16)
-    faces = [r.integers(0, 256, size=(112, 112, 3), dtype=np.uint8)
+    faces = [r.integers(0, 256, size=(3, 112, 112), dtype=np.uint8)
              for _ in range(15)]
     leaf = benchmark.pedantic(en._float_leaf, args=(faces,),
                               rounds=10, iterations=1, warmup_rounds=1)
