@@ -2,7 +2,6 @@
 
 Submodules:
     gradcore  - reverse-mode autodiff over dense float32 or float64 tensors
-    profiling - per-node forward/backward timing of gradcore graphs
     geometry  - landmarks, thin-plate-spline fitting/warping, mining
     imaging   - face images, morph generation, triplets, synthetic datasets
     embednet  - disentangled encoder, losses, two-stage training

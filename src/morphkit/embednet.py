@@ -381,10 +381,8 @@ def _load_landmarks(reals, root):
     return sets
 
 
-# each 8-bit level as ``imaging.from_uint8`` scales it, and that rounded once
-# to float32
-_LEVELS64 = imaging.from_uint8(np.arange(256, dtype=np.uint8))
-_LEVELS32 = _LEVELS64.astype(np.float32)
+# each 8-bit level as ``imaging.from_uint8`` scales it, rounded once to float32
+_LEVELS32 = imaging.from_uint8(np.arange(256, dtype=np.uint8)).astype(np.float32)
 
 
 def _float_leaf(faces):
@@ -499,14 +497,13 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 def _bind_stage1_batch(batch, faces):
     """The float32 stage-1 graph leaves of drawn triplets, whose labels are
     class indices, from uint8 ``faces``.  Each x_hat source is decoded into
-    float64 planes by a lookup in ``_LEVELS64`` (``imaging.from_uint8``'s
-    values), warped as the (H, W, C) view of those planes, and its
-    channel-major result is rounded into its float32 slot by one contiguous
-    cast."""
+    float64 planes by ``imaging.from_uint8``, warped as the (H, W, C) view of
+    those planes, and its channel-major result is rounded into its float32
+    slot by one contiguous cast."""
     x = _float_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
     for out, t in zip(x_hat, batch):
-        planes = _LEVELS64.take(faces[t.index_a])
+        planes = imaging.from_uint8(faces[t.index_a])
         warped = imaging.build_triplet(planes.transpose(1, 2, 0), t)
         out[...] = warped.transpose(2, 0, 1)
     return {

@@ -14,10 +14,21 @@ Scalar constants are Python floats, which numpy's promotion treats as weak
 are float64.  The buffers an op allocates follow its input's dtype.
 ``value_and_grad`` returns float64 gradients whatever the compute dtype, and
 ``ParamStore`` and ``sgd_update`` are float64 only.  Any NaN/Inf produced
-by an op aborts with :class:`NonFiniteError`.  A forward pass sets numpy's
-error state once, to ignore floating-point warnings, and restores it when
-the pass returns or raises; the check of each op's output stands in for the
-warnings.  ``profile()`` times each node's rules.
+by an op aborts with :class:`NonFiniteError`: a forward value at the op
+that made it, a gradient at the leaf ``value_and_grad`` returns it for.
+Each pass sets numpy's error state once, to ignore floating-point warnings,
+and restores it when the pass returns or raises; those checks stand in for
+the warnings.
+
+Inside ``with profile() as prof:`` each forward and backward rule that the
+calling thread runs is timed and counted under ``(op, label)``; only the
+innermost open profile records.  The label is the name of the node's first
+leaf input after its data operand, else of the data operand, else None:
+``conv1_w`` for the fused conv of layer 1 (and ``conv0_w`` for layer 0,
+whose data operand is the image leaf), ``fc_a_w`` for a branch matmul,
+``fc_a_b`` for its bias add.  So the three encoder passes of a stage-1 step
+add up in one row per layer.  A profile only reads the clock: values and
+gradients are byte-equal with it on or off.
 
 An op's forward, backward and kink rules live in one ``_RULES`` entry, the
 only place the passes learn what an op is; a new or fused op is one entry.
@@ -46,6 +57,7 @@ arXiv:1604.06174).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
@@ -53,13 +65,12 @@ import os
 import signal
 import struct
 import threading
+import time
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .profiling import profile, span as _span
 
 __all__ = [
     "GradcoreError",
@@ -687,6 +698,61 @@ _RULES = {
 
 
 # ---------------------------------------------------------------------------
+# profiling
+
+
+class _ProfileState(threading.local):
+    active = None  # the calling thread's innermost open Profile
+
+
+_profiling = _ProfileState()
+_clock = time.perf_counter
+
+
+class Profile:
+    """Seconds and calls per (op, label), forward and backward apart."""
+
+    def __init__(self):
+        # (op, label) -> [forward s, forward calls, backward s, backward calls]
+        self.stats = {}
+
+    def add(self, node, col, seconds):
+        """Count one rule of ``node`` that took ``seconds``: its forward
+        (``col`` 0) or its backward (``col`` 2)."""
+        row = self.stats.setdefault((node.op, _label(node)), [0.0, 0, 0.0, 0])
+        row[col] += seconds
+        row[col + 1] += 1
+
+    def __str__(self):
+        """A table with one row per (op, label), the slowest first."""
+        lines = [f"{'op':<16} {'label':<14} {'fwd ms':>9} {'calls':>6} "
+                 f"{'bwd ms':>9} {'calls':>6}"]
+        for (op, label), (fs, fc, bs, bc) in sorted(
+                self.stats.items(), key=lambda kv: -kv[1][0] - kv[1][2]):
+            lines.append(f"{op:<16} {str(label):<14} {1e3 * fs:9.3f} {fc:6d} "
+                         f"{1e3 * bs:9.3f} {bc:6d}")
+        return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def profile():
+    """Open a :class:`Profile` for the graphs that the calling thread
+    evaluates inside the block."""
+    outer, _profiling.active = _profiling.active, Profile()
+    try:
+        yield _profiling.active
+    finally:
+        _profiling.active = outer
+
+
+def _label(node):
+    for i in node.inputs[1:] + node.inputs[:1]:
+        if i.op == "leaf":
+            return i.name
+    return None
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -746,6 +812,7 @@ def _forward(nodes, bindings, frees=None):
     reads, each value is dropped once the last node that reads it has run;
     without it every value is kept."""
     values = {}
+    prof = _profiling.active
     with np.errstate(all="ignore"):
         for n, dead in zip(nodes, frees or itertools.repeat(())):
             if n.op == "leaf":
@@ -762,8 +829,10 @@ def _forward(nodes, bindings, frees=None):
                 except KeyError:
                     raise GradcoreError(f"unknown primitive '{n.op}'") from None
                 vals = [values[i.uid] for i in n.inputs]
-                with _span(n):
-                    v = rule.fwd(vals, n.params)
+                t0 = _clock()
+                v = rule.fwd(vals, n.params)
+                if prof is not None:
+                    prof.add(n, 0, _clock() - t0)
                 if not rule.checks_finite and not np.isfinite(v).all():
                     raise NonFiniteError(f"non-finite value produced by '{n.op}'")
             values[n.uid] = v
@@ -806,35 +875,43 @@ def value_and_grad(graph, bindings, wrt):
             live.add(n.uid)
     grads = {g.output.uid: np.ones_like(out)}
     leaf_grads = {}
-    for n in reversed(g.nodes):
-        # every consumer of n comes later in topological order and has run
-        # its backward, so this is the last read of n's value
-        v = values.pop(n.uid)
-        if n.uid not in live:
-            continue
-        gout = grads.pop(n.uid, None)
-        if gout is None:
-            continue
-        if n.op == "leaf":
-            # distinct leaf nodes may share a name; they bind to one tensor,
-            # so their adjoints accumulate
-            prev = leaf_grads.get(n.name)
-            leaf_grads[n.name] = gout if prev is None else prev + gout
-            continue
-        rule = _RULES[n.op]
-        need = [i.uid in live for i in n.inputs]
-        vals = [values[i.uid] for i in n.inputs]
-        with _span(n, backward=True):
-            in_grads = rule.bwd(gout, vals, v, n.params, need)
-        for inp, ig, keep in zip(n.inputs, in_grads, need):
-            if ig is None or not keep:
+    prof = _profiling.active
+    with np.errstate(all="ignore"):
+        for n in reversed(g.nodes):
+            # every consumer of n comes later in topological order and has run
+            # its backward, so this is the last read of n's value
+            v = values.pop(n.uid)
+            if n.uid not in live:
                 continue
-            prev = grads.get(inp.uid)
-            grads[inp.uid] = ig if prev is None else prev + ig
+            gout = grads.pop(n.uid, None)
+            if gout is None:
+                continue
+            if n.op == "leaf":
+                # distinct leaf nodes may share a name; they bind to one tensor,
+                # so their adjoints accumulate
+                prev = leaf_grads.get(n.name)
+                leaf_grads[n.name] = gout if prev is None else prev + gout
+                continue
+            rule = _RULES[n.op]
+            need = [i.uid in live for i in n.inputs]
+            vals = [values[i.uid] for i in n.inputs]
+            t0 = _clock()
+            in_grads = rule.bwd(gout, vals, v, n.params, need)
+            if prof is not None:
+                prof.add(n, 2, _clock() - t0)
+            for inp, ig, keep in zip(n.inputs, in_grads, need):
+                if ig is None or not keep:
+                    continue
+                prev = grads.get(inp.uid)
+                grads[inp.uid] = ig if prev is None else prev + ig
     result = {}
     for name in wrt:
         if name in leaf_grads:
             result[name] = np.asarray(leaf_grads[name], dtype=np.float64)
+            # a non-finite adjoint on a live path reaches a requested leaf:
+            # every backward rule multiplies or sums it, and inf * 0 is NaN
+            if not np.isfinite(result[name]).all():
+                raise NonFiniteError(f"non-finite gradient for leaf '{name}'")
         elif name in bindings:
             result[name] = np.zeros_like(np.asarray(bindings[name], dtype=np.float64))
         else:

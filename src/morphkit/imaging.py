@@ -7,23 +7,20 @@ as :func:`geometry.warp_images` returns it, and elementwise steps keep that
 order.  Images are stored on disk as binary 8-bit PPM (P6), which
 :func:`read_ppm` reads as (H, W, 3) uint8 arrays.  Training holds its faces
 as (3, H, W) uint8 planes, building one float32 batch at a time whose values
-are :func:`from_uint8`'s rounded once.  Datasets are described by a CSV manifest with columns
-``path,subject_id,kind,source_a,source_b,landmarks_path`` where kind is
-"real" or "morph" (source columns empty for real images).
+are :func:`from_uint8`'s rounded once.  Datasets are described by a CSV
+manifest with one column per :class:`DatasetRow` field, in order, where kind
+is "real" or "morph" (source columns empty for real images).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry, gradcore as gc
-
-MANIFEST_COLUMNS = ("path", "subject_id", "kind", "source_a", "source_b",
-                    "landmarks_path")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +253,9 @@ class DatasetRow:
     landmarks_path: str
 
 
+MANIFEST_COLUMNS = tuple(f.name for f in fields(DatasetRow))
+
+
 def canonical_landmarks(size=112):
     """A 68-point face layout in the standard index order.
 
@@ -400,8 +400,7 @@ def write_manifest(path, rows):
         writer = csv.writer(f)
         writer.writerow(MANIFEST_COLUMNS)
         for r in rows:
-            writer.writerow([r.path, r.subject_id, r.kind, r.source_a,
-                             r.source_b, r.landmarks_path])
+            writer.writerow([getattr(r, c) for c in MANIFEST_COLUMNS])
 
 
 def load_manifest(path):

@@ -119,6 +119,26 @@ def test_forward_restores_numpy_error_state(bad):
         assert np.geterr() == before
 
 
+def test_nonfinite_gradient_aborts_naming_the_leaf():
+    # 1 / 1e-200 is finite, but the y-gradient -1 / (y * y) is -Inf
+    with pytest.raises(gc.NonFiniteError, match="gradient for leaf 'y'"):
+        gc.value_and_grad(gc.leaf("x") / gc.leaf("y"),
+                          {"x": 1.0, "y": 1e-200}, ["x", "y"])
+
+
+def test_backward_restores_numpy_error_state():
+    loss = gc.leaf("x") / gc.leaf("y")
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        assert gc.value_and_grad(loss, {"x": 1.0, "y": 2.0}, ["y"])[1]["y"] == -0.25
+        assert np.geterr() == before
+        # y * y underflows to 0 and x / 0 overflows: under the caller's
+        # "raise" state numpy itself would raise FloatingPointError
+        with pytest.raises(gc.NonFiniteError, match="leaf 'y'"):
+            gc.value_and_grad(loss, {"x": 1.0, "y": 1e-200}, ["y"])
+        assert np.geterr() == before
+
+
 def test_graph_of_several_outputs_evaluates_like_node_list():
     x, w = gc.leaf("x"), gc.leaf("w")
     h = gc.matmul(x, w)

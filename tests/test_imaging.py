@@ -443,7 +443,7 @@ def test_synth_values_in_range(tmp_path):
 # landmark jitter still separates them, so each fit is regular
 @pytest.mark.parametrize("size,seed", [*((size, seed) for size in range(8, 22)
                                              for seed in range(4)), (24, 3)])
-def test_synth_small_size_with_jitter_synthesises(tmp_path, size, seed):
+def test_synth_small_size_synthesises(tmp_path, size, seed):
     rows = im.synth_dataset(im.SynthConfig(subjects=4, captures=2,
                                            morphs_per_subject=1, seed=seed,
                                            size=size),

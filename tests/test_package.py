@@ -22,9 +22,9 @@ UNCALLED_ALLOWED = {
     # ``geometry.tps_apply.s`` figure; ``tps_fit`` maps its control points
     # through ``_tps_map`` with the kernel it already built (ROADMAP item 5)
     "geometry.tps_apply",
-    # re-exported as ``gradcore.profile`` and opened only by tests; the
-    # bench's traced run is to read its per-layer rows (ROADMAP item 5)
-    "profiling.profile",
+    # opened only by tests; the bench's traced run is to read its per-layer
+    # rows (ROADMAP item 5)
+    "gradcore.profile",
     # the checkpoint writer and reader of the planned CLI (ROADMAP item 6)
     # and of resumable training runs (ROADMAP item 9)
     "gradcore.ParamStore.save", "gradcore.ParamStore.load",
