@@ -12,8 +12,9 @@ cross-subject or morph-containing pairs.
 from __future__ import annotations
 
 import functools
+import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -42,8 +43,8 @@ class EncoderConfig:
     n_classes: int = 2
 
     def __post_init__(self):
-        # tuples keep the config hashable (it keys the encoder plan cache)
-        # and written by ``config_meta`` in the form ``config_from_meta`` reads
+        # tuples keep the config hashable (it keys the encoder plan cache);
+        # ``config_from_meta`` hands over a JSON array as a list
         for name in ("channels", "strides"):
             value = getattr(self, name)
             if not isinstance(value, (tuple, list)):
@@ -628,48 +629,36 @@ _META_TAGS = ((EncoderConfig, "enc"), (MarginConfig, "margin"), (LossWeights, "l
 
 def config_meta(cfg: EncoderConfig, margins: MarginConfig,
                 weights: LossWeights) -> dict:
-    """The configs as ``<tag>.<field>`` keys: the meta of a checkpoint, which
-    is a ``gc.ParamStore(tensors, meta=...)`` written by its ``save``."""
-    meta = {}
-    for obj, (_, tag) in zip((cfg, margins, weights), _META_TAGS):
-        for f in fields(obj):
-            v = getattr(obj, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            meta[f"{tag}.{f.name}"] = v
-    return meta
+    """Each config as one JSON object of its fields, under its tag: the meta of
+    a checkpoint, a ``gc.ParamStore(tensors, meta=...)`` written by ``save``."""
+    return {tag: json.dumps(asdict(obj))
+            for obj, (_, tag) in zip((cfg, margins, weights), _META_TAGS)}
+
+
+def _once_each(pairs):
+    # ``json.loads`` alone keeps the last value of a repeated name
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"repeats a field: {[name for name, _ in pairs]}")
+    return obj
 
 
 def config_from_meta(meta: dict):
-    """(EncoderConfig, MarginConfig, LossWeights) from ``config_meta`` keys.
-
-    Each field is parsed as the type of its default, a tuple as its items'
-    type; a missing or malformed key raises ValueError naming it.  So does a
-    ``<tag>.`` key that names no field.
-    """
+    """(EncoderConfig, MarginConfig, LossWeights) from ``config_meta`` text;
+    a missing tag, text that is no JSON object, and a missing, unknown or
+    repeated field raise ValueError naming the tag, and each config checks
+    the values of its fields."""
     configs = []
     for cls, tag in _META_TAGS:
-        names = [f.name for f in fields(cls)]
-        for key, value in meta.items():
-            name = key.removeprefix(f"{tag}.")
-            if name != key and name not in names:
-                raise ValueError(f"checkpoint meta '{key}={value}' names no "
-                                 f"{cls.__name__} field")
-        kwargs = {}
-        for f in fields(cls):
-            key = f"{tag}.{f.name}"
-            if key not in meta:
-                raise ValueError(f"checkpoint meta has no '{key}'")
-            kind = type(f.default)
-            try:
-                if kind is tuple:
-                    item = type(f.default[0])
-                    value = tuple(item(x) for x in meta[key].split(","))
-                else:
-                    value = kind(meta[key])
-            except ValueError as err:
-                raise ValueError(f"checkpoint meta '{key}={meta[key]}' is not "
-                                 f"a valid {kind.__name__}") from err
-            kwargs[f.name] = value
-        configs.append(cls(**kwargs))
+        if tag not in meta:
+            raise ValueError(f"checkpoint meta has no '{tag}'")
+        try:
+            obj = json.loads(meta[tag], object_pairs_hook=_once_each)
+        except ValueError as err:  # json.JSONDecodeError is one
+            raise ValueError(f"checkpoint meta '{tag}': {err}") from err
+        names = sorted(f.name for f in fields(cls))
+        if not isinstance(obj, dict) or sorted(obj) != names:
+            raise ValueError(f"checkpoint meta '{tag}' must be a JSON object of "
+                             f"the {cls.__name__} fields {names}, got {meta[tag]!r}")
+        configs.append(cls(**obj))
     return tuple(configs)

@@ -62,6 +62,7 @@ import itertools
 import math
 import numbers
 import os
+import queue
 import signal
 import struct
 import threading
@@ -347,19 +348,15 @@ def _conv2d_forward(cols, w):
 class _Worker:
     """The one daemon thread that runs the ``there`` half of ``_in_parallel``.
 
-    ``go`` and ``done`` are locks used as one-shot signals: the caller
-    releases ``go`` to hand over ``job`` and acquires ``done`` to wait for
-    ``result``.  ``busy`` is held by the call that owns the worker.
+    The caller puts ``(there, err)`` on ``jobs`` and takes ``(value, exc)``
+    from ``results``.  ``busy`` is held by the call that owns the worker.
     """
 
     def __init__(self):
         self.pid = os.getpid()
         self.busy = threading.Lock()
-        self.go = threading.Lock()
-        self.done = threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.job = self.result = None
+        self.jobs = queue.SimpleQueue()
+        self.results = queue.SimpleQueue()
         threading.Thread(target=self._serve, name="morphkit-worker",
                          daemon=True).start()
 
@@ -369,18 +366,14 @@ class _Worker:
         if hasattr(signal, "pthread_sigmask"):
             signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
         while True:
-            self.go.acquire()
-            self.result = self._run(*self.job)
-            self.job = None  # drops the job's arrays before the next one
-            self.done.release()
-
-    @staticmethod
-    def _run(there, err):
-        try:
-            with np.errstate(**err):
-                return there(), None
-        except BaseException as exc:  # re-raised on the caller
-            return None, exc
+            there, err = self.jobs.get()
+            try:
+                with np.errstate(**err):
+                    outcome = there(), None
+            except BaseException as exc:  # re-raised on the caller
+                outcome = None, exc
+            self.results.put(outcome)
+            del there, outcome  # no arrays are held until the next job
 
 
 _worker = None
@@ -411,15 +404,13 @@ def _in_parallel(there, here):
     err = np.geterr()
     if not w.busy.acquire(blocking=False):
         return there(), here()
-    w.job = there, err
-    w.go.release()
+    w.jobs.put((there, err))
     try:
         b = here()
     finally:
         # if this wait is interrupted, ``busy`` stays held and later calls
         # run serially rather than hand a job to a worker that is not done
-        w.done.acquire()
-        (a, exc), w.result = w.result, None
+        a, exc = w.results.get()
         w.busy.release()
     if exc is not None:
         raise exc

@@ -406,8 +406,9 @@ def write_manifest(path, rows):
 def load_manifest(path):
     """The rows of a manifest written by :func:`write_manifest`.
 
-    A wrong header, a row with missing or extra fields, or a kind other than
-    'real' or 'morph' raises ValueError naming the path and the line.
+    A wrong header, a row with missing or extra fields, a kind other than
+    'real' or 'morph', or a real row with a source or a morph row without two
+    different ones raises ValueError naming the path and the line.
     """
     path = Path(path)
     rows = []
@@ -427,5 +428,10 @@ def load_manifest(path):
             if row.kind not in ("real", "morph"):
                 raise ValueError(f"{where}: kind must be 'real' or 'morph', "
                                  f"got {row.kind!r}")
+            sources = (row.source_a, row.source_b)
+            if len(set(sources) - {""}) != {"real": 0, "morph": 2}[row.kind]:
+                rule = "no sources" if row.kind == "real" else "two different sources"
+                raise ValueError(f"{where}: a {row.kind} row must have {rule}, "
+                                 f"got {sources}")
             rows.append(row)
     return rows

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import inspect
+import json
 import math
 import re
 import shutil
@@ -241,6 +242,16 @@ def test_encode_and_to_chw_reject_non_float_images(dtype):
         assert "imaging.from_uint8" in str(err.value)
 
 
+@pytest.mark.parametrize("channels,strides,message", [
+    ((4, 7), (2, 2), "final conv depth must be even for the depth split"),
+    ((4, 8), (2,), "channels and strides must have equal length"),
+    ((4, 8, 16), (2, 2), "channels and strides must have equal length")])
+def test_encoder_config_refuses_a_trunk_it_cannot_build(channels, strides, message):
+    with pytest.raises(ValueError) as err:
+        en.EncoderConfig(input_size=16, channels=channels, strides=strides)
+    assert str(err.value) == message
+
+
 def test_list_valued_config_encodes_and_round_trips():
     cfg = en.EncoderConfig(input_size=16, channels=[4, 8], strides=[2, 2],
                            d_a=8, d_g=8, d_f=16, n_classes=3)
@@ -250,8 +261,9 @@ def test_list_valued_config_encodes_and_round_trips():
     assert_same_bytes(en.encode(cfg, params, x),
                       fresh_graph_encode(cfg, params, x))
     meta = en.config_meta(cfg, en.MarginConfig(), en.LossWeights())
-    assert meta["enc.channels"] == "4,8" and meta["enc.strides"] == "2,2"
-    assert en.config_from_meta({k: str(v) for k, v in meta.items()})[0] == cfg
+    enc = json.loads(meta["enc"])
+    assert enc["channels"] == [4, 8] and enc["strides"] == [2, 2]
+    assert en.config_from_meta(meta)[0] == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -1271,31 +1283,72 @@ def _nondefault_meta():
                           en.LossWeights(alpha_g=0.1, lambda2_g=2.5))
 
 
+def _edited_meta(tag, edit):
+    """``_nondefault_meta()`` with the ``tag`` object passed through ``edit``."""
+    meta = _nondefault_meta()
+    obj = json.loads(meta[tag])
+    edit(obj)
+    meta[tag] = json.dumps(obj)
+    return meta
+
+
+def _not_the_fields(tag, text):
+    cls = next(cls for cls, t in en._META_TAGS if t == tag)
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    return (f"checkpoint meta '{tag}' must be a JSON object of the "
+            f"{cls.__name__} fields {names}, got {text!r}")
+
+
 def test_config_from_meta_roundtrip():
     meta = _nondefault_meta()
+    # as a checkpoint stores it, every value a string
+    assert sorted(meta) == ["enc", "loss", "margin"]
+    assert all(isinstance(v, str) for v in meta.values())
     assert en.config_from_meta(meta) == (
         tiny_cfg(), en.MarginConfig(m1=1.0, s=32.0),
         en.LossWeights(alpha_g=0.1, lambda2_g=2.5))
-    # as read back from a checkpoint, every value a string
-    assert en.config_from_meta({k: str(v) for k, v in meta.items()}) == \
+
+
+@pytest.mark.parametrize("tag,field", [
+    *((tag, None) for _, tag in en._META_TAGS),
+    *((tag, f.name) for cls, tag in en._META_TAGS for f in dataclasses.fields(cls))])
+def test_config_from_meta_missing_key_names_it(tag, field):
+    # a checkpoint written before the configs were JSON objects holds
+    # ``enc.d_a``-style keys and no ``enc``, so it is refused here
+    if field is None:
+        meta = _nondefault_meta()
+        del meta[tag]
+        message = f"checkpoint meta has no '{tag}'"
+    else:
+        meta = _edited_meta(tag, lambda obj: obj.pop(field))
+        message = _not_the_fields(tag, meta[tag])
+    with pytest.raises(ValueError) as err:
         en.config_from_meta(meta)
+    assert str(err.value) == message
 
 
-@pytest.mark.parametrize("key", sorted(_nondefault_meta()))
-def test_config_from_meta_missing_key_names_it(key):
+@pytest.mark.parametrize("tag,text,error", [
+    # not JSON
+    ("enc", "", "Expecting value"), ("margin", "{", "Expecting property name"),
+    ("loss", "alpha_g=0.1", "Expecting value"),
+    ("enc", "{'d_a': 8}", "Expecting property name"),
+    # JSON, but no object
+    ("enc", "[]", None), ("margin", "null", None), ("loss", "0.1", None),
+    ("enc", '"d_a"', None),
+    # a repeated field, which ``json.loads`` alone would keep the last of,
+    # refused even at the value it already has
+    ("enc", "REPEAT", "repeats a field"), ("loss", "REPEAT", "repeats a field")])
+def test_config_from_meta_malformed_key_names_it(tag, text, error):
     meta = _nondefault_meta()
-    del meta[key]
-    with pytest.raises(ValueError, match=f"no '{key}'"):
+    if text == "REPEAT":  # every field twice
+        text = meta[tag][:-1] + ", " + meta[tag][1:]
+    meta[tag] = text
+    with pytest.raises(ValueError) as err:
         en.config_from_meta(meta)
-
-
-@pytest.mark.parametrize("key,value", [
-    ("enc.channels", "8,16,x"), ("enc.strides", ""), ("enc.d_a", "3.5"),
-    ("margin.s", "abc"), ("loss.alpha_g", "")])
-def test_config_from_meta_malformed_key_names_it(key, value):
-    meta = dict(_nondefault_meta(), **{key: value})
-    with pytest.raises(ValueError, match=f"'{key}={value}'"):
-        en.config_from_meta(meta)
+    if error is None:
+        assert str(err.value) == _not_the_fields(tag, text)
+    else:
+        assert str(err.value).startswith(f"checkpoint meta '{tag}': {error}")
 
 
 # the rule of each field of the five configs and of the two training loop
@@ -1340,8 +1393,8 @@ _META_TAGS = {cls.__name__: tag for cls, tag in en._META_TAGS}
 
 
 def _bad_field_cases(meta=False):
-    """(owner, field, rule, bad value) of each case; with ``meta``, only the
-    range and non-finite values of the configs a checkpoint's meta holds."""
+    """(owner, field, rule, bad value) of each case; with ``meta``, only those
+    of the configs a checkpoint's meta holds."""
     for owner, rules in _FIELD_RULES.items():
         for field, rule in rules.items():
             if rule.startswith("an integer"):
@@ -1354,14 +1407,12 @@ def _bad_field_cases(meta=False):
             bad += _MORE_BAD.get(owner, {}).get(field, [])
             default = getattr(_CONFIGS[owner](), field) if owner in _CONFIGS else None
             for kind, value in bad:
-                if meta and (owner not in _META_TAGS or kind in ("bool", "type")):
+                if meta and owner not in _META_TAGS:
                     continue
                 case = f"{owner}.{field}-{kind}-{value!r}"
                 if isinstance(default, tuple) and not isinstance(value, tuple):
                     value = (default[0], value) + default[2:]  # among good items
                 yield pytest.param(owner, field, rule, value, id=case)
-    if meta:
-        return
     # a layer list that is no tuple or list is refused whole (5 and None
     # raised a bare TypeError, and "8,16" was split into its characters)
     for field in ("channels", "strides"):
@@ -1381,25 +1432,21 @@ def test_encoder_trunk_constants_are_not_settings(name):
     assert getattr(en.EncoderConfig, name) == getattr(tiny_cfg(), name) == value
     with pytest.raises(TypeError, match=name):
         en.EncoderConfig(**{name: value})
-    assert f"enc.{name}" not in _nondefault_meta()
+    assert name not in json.loads(_nondefault_meta()["enc"])
 
 
-@pytest.mark.parametrize("key,value,error", [
-    ("enc.in_channels", "1", "names no EncoderConfig field"),
-    ("enc.kernel", "5", "names no EncoderConfig field"),
-    ("enc.critic_hidden", "32", "names no EncoderConfig field"),
+@pytest.mark.parametrize("tag,name,value", [
+    ("enc", "in_channels", 1), ("enc", "kernel", 5), ("enc", "critic_hidden", 32),
     # a trunk constant is no field, so meta that holds it is refused even
     # at the constant's own value
-    ("enc.in_channels", "3", "names no EncoderConfig field"),
-    ("enc.kernel", "3", "names no EncoderConfig field"),
-    ("enc.critic_hidden", "64", "names no EncoderConfig field"),
-    ("enc.typo_d_a", "8", "names no EncoderConfig field"),
-    ("loss.typo", "1", "names no LossWeights field")])
-def test_config_from_meta_refuses_a_key_no_config_defines(key, value, error):
-    # unchecked, each loaded silently as the config without that key
+    ("enc", "in_channels", 3), ("enc", "kernel", 3), ("enc", "critic_hidden", 64),
+    ("enc", "typo_d_a", 8), ("loss", "typo", 1)])
+def test_config_from_meta_refuses_a_key_no_config_defines(tag, name, value):
+    # unchecked, each loaded silently as the config without that field
+    meta = _edited_meta(tag, lambda obj: obj.update({name: value}))
     with pytest.raises(ValueError) as err:
-        en.config_from_meta(dict(_nondefault_meta(), **{key: value}))
-    assert str(err.value) == f"checkpoint meta '{key}={value}' {error}"
+        en.config_from_meta(meta)
+    assert str(err.value) == _not_the_fields(tag, meta[tag])
 
 
 def test_field_rule_table_names_every_config_field():
@@ -1427,12 +1474,13 @@ def test_every_config_field_and_loop_size_rejects_bad_values(monkeypatch, owner,
 
 
 @pytest.mark.parametrize("owner,field,rule,value", _bad_field_cases(meta=True))
-def test_config_from_meta_rejects_every_bad_range_and_non_finite_value(
+def test_config_from_meta_rejects_every_bad_value_as_construction_does(
         owner, field, rule, value):
     # unchecked, a zero size ended in numpy's errors once the config was used,
-    # and a NaN scale or a negative weight trained on without complaint
-    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    # and a NaN scale or a negative weight trained on without complaint.  The
+    # config's own check refuses each value, so the message is the one that
+    # direct construction gives; a tuple arrives as a JSON array
+    meta = _edited_meta(_META_TAGS[owner], lambda obj: obj.update({field: value}))
     with pytest.raises(ValueError) as err:
-        en.config_from_meta(dict(_nondefault_meta(),
-                                 **{f"{_META_TAGS[owner]}.{field}": text}))
+        en.config_from_meta(meta)
     assert str(err.value) == f"{owner}.{field} must be {rule}, got {value!r}"

@@ -112,6 +112,20 @@ def test_empty_class_errors():
         ev.det_curve(ev.ScoreSet(genuine=np.array([]), attack=np.array([1.0])))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: ev.det_curve(ev.ScoreSet(genuine=[0.1, np.nan], attack=[0.2])),
+     "scores must be finite"),
+    (lambda: ev.det_curve(ev.ScoreSet(genuine=[0.1], attack=[0.2, -np.inf])),
+     "scores must be finite"),
+    *((lambda t=t: ev.bpcer_at_apcer(
+        ev.det_curve(ev.ScoreSet(genuine=[0.1, 0.3], attack=[0.2, 0.5])), t),
+       "target must lie in (0, 1]") for t in (0.0, -0.5, 1.5, np.nan))])
+def test_bad_scores_and_targets_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_bpcer_at_target_one_is_zero():
     r = rng(1)
     s = ev.ScoreSet(genuine=r.normal(size=20), attack=r.normal(size=20))

@@ -82,6 +82,31 @@ def test_tps_duplicate_points_error():
         geo.tps_fit(src, src + 1.0)
 
 
+_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: geo.tps_fit(np.zeros((3, 3)), _TRIANGLE),
+     "landmark set must be (K, 2), got (3, 3)"),
+    (lambda: geo.tps_fit(_TRIANGLE, np.zeros(6)), "landmark set must be (K, 2), got (6,)"),
+    (lambda: geo.tps_fit([[0, 0], [1, 0], [np.nan, 1]], _TRIANGLE),
+     "landmark coordinates must be finite"),
+    (lambda: geo.tps_fit(_TRIANGLE, _TRIANGLE + [[1, 1]]),
+     "source and target must have the same number of points"),
+    (lambda: geo.tps_fit(_TRIANGLE[:2], _TRIANGLE[:2]),
+     "TPS needs at least 3 control points"),
+    # three points on a line leave the y column of the system all zero, so
+    # the solve itself finds it singular
+    (lambda: geo.tps_fit([[0, 0], [1, 0], [2, 0]], _TRIANGLE),
+     "singular TPS system (collinear or duplicate points): Singular matrix"),
+    (lambda: geo.phi_g(_TRIANGLE, _TRIANGLE + [[1, 1]]),
+     "landmark sets must have equal K")])
+def test_bad_landmark_sets_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_tps_collinear_points_error():
     src = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(ValueError, match="singular"):

@@ -3,11 +3,13 @@
 import itertools
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
 import time
 import weakref
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -1179,6 +1181,60 @@ def test_paramstore_corrupt_dimension_names_record(tmp_path):
                        match=r"corrupt or truncated record #0 'w'") as err:
         gc.ParamStore.load(path)
     assert str(path) in str(err.value)
+
+
+def _load_meta_key_twice(tmp_path):
+    # CRC-valid, so only the repeated key is at fault
+    def text(s):
+        return struct.pack("<I", len(s)) + s.encode("ascii")
+
+    body = (b"MKPT3" + struct.pack("<II", 0, 2) + text("k") + text("a")
+            + text("k") + text("b"))
+    path = tmp_path / "twice.mkpt"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return gc.ParamStore.load(path)
+
+
+def _conv(x):
+    return gc.evaluate_many(
+        gc.conv_bias_relu(gc.leaf("x"), gc.leaf("w"), gc.leaf("b")),
+        {"x": x, "w": np.zeros((1, 3, 3, 3)), "b": np.zeros((1, 1, 1))})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda d: _conv(np.zeros((3, 4, 4))), gc.GradcoreError,
+     "conv2d expects NCHW input and FCkk filters"),
+    (lambda d: _conv(np.zeros((1, 2, 4, 4))), gc.GradcoreError,
+     "conv2d channel mismatch: input (1, 2, 4, 4) filters (1, 3, 3, 3)"),
+    (lambda d: gc.evaluate_many(gc.cosine_similarity(gc.leaf("a"), gc.leaf("b")),
+                                {"a": np.zeros((1, 2)), "b": np.ones((1, 2))}),
+     gc.GradcoreError, "zero-norm vector in cosine-similarity"),
+    (lambda d: gc.value_and_grad(gc.l2norm(gc.leaf("x")).sum(),
+                                 {"x": np.zeros((1, 2))}, ["x"]),
+     gc.NonFiniteError, "l2norm gradient at zero vector"),
+    (lambda d: gc.value_and_grad(gc.acos(gc.leaf("x")).sum(),
+                                 {"x": np.array([0.5, -1.0])}, ["x"]),
+     gc.NonFiniteError, "acos gradient at |x| >= 1"),
+    (lambda d: gc.value_and_grad(gc.relu(gc.leaf("x")).sum(),
+                                 {"x": np.ones(2)}, ["nope"]),
+     gc.GradcoreError, "cannot differentiate w.r.t. unknown leaf 'nope'"),
+    (lambda d: gc.ParamStore.initialize(
+        [gc.ParamSpec("w", (2,)), gc.ParamSpec("w", (3,), fan_in=3)], seed=0),
+     gc.GradcoreError, "duplicate parameter 'w'"),
+    (_load_meta_key_twice, gc.GradcoreError,
+     "{tmp_path}/twice.mkpt: corrupt meta #1 in MKPT3 checkpoint: "
+     "duplicate meta key 'k'")])
+def test_bad_graph_inputs_and_stores_are_refused(tmp_path, call, error, message):
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert type(err.value) is error
+    assert str(err.value) == message.format(tmp_path=tmp_path)
+
+
+def test_node_repr_names_a_leaf_or_an_op():
+    x = gc.leaf("x")
+    assert repr(x) == "Node(leaf 'x')"
+    assert repr(gc.concat([x, x, x], axis=0)) == "Node(concat, 3 in)"
 
 
 def test_paramstore_duplicate_name_rejected(tmp_path):

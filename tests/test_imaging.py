@@ -128,6 +128,36 @@ def test_morph_rejects_blend_alpha_outside_unit_interval(alpha):
         im.generate_morph(img, lms, img.copy(), lms + 1.0, 0.5, alpha)
 
 
+def _read_p3(tmp_path):
+    path = tmp_path / "ascii.ppm"
+    path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
+    return im.read_ppm(path)
+
+
+_FACE = np.zeros((8, 8, 3))
+_LMS = corner_landmarks(8, 8)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda d: im.write_ppm(d / "a.ppm", np.zeros((4, 4), np.uint8)),
+     "write_ppm expects an (H, W, 3) uint8 array"),
+    (lambda d: im.write_ppm(d / "a.ppm", np.zeros((4, 4, 3))),
+     "write_ppm expects an (H, W, 3) uint8 array"),
+    (_read_p3, "{tmp_path}/ascii.ppm: not a binary PPM (P6) file"),
+    (lambda d: im.bilinear_resize(np.zeros((0, 4, 3)), 2, 2),
+     "zero-dimension image in resize"),
+    (lambda d: im.bilinear_resize(np.zeros((4, 4, 3)), 2, 0),
+     "zero-dimension image in resize"),
+    (lambda d: im.generate_morph(_FACE, _LMS, np.zeros((8, 9, 3)), _LMS),
+     "morph source images must share dimensions"),
+    (lambda d: im.generate_morph(_FACE, _LMS, _FACE, _LMS[:-1]),
+     "morph source landmark sets must share K")])
+def test_bad_images_and_morph_sources_are_refused(tmp_path, call, message):
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert str(err.value) == message.format(tmp_path=tmp_path)
+
+
 def test_morph_values_stay_in_range():
     r = rng(8)
     img_a = r.uniform(-1, 1, size=(16, 16, 3))
@@ -376,6 +406,14 @@ def test_manifest_roundtrip_skips_blank_lines(tmp_path):
     ("images/a.ppm,s000,real,,", "expected 6 fields, got 5"),
     ("images/a.ppm,s000,real,,,landmarks/a.txt,x", "expected 6 fields, got 7"),
     ("images/a.ppm", "expected 6 fields, got 1"),
+    # unchecked, the bench's differential pairs gave a morph without sources
+    # no attack pair, and a morph of one subject twice each pair twice
+    ("images/a.ppm,s000,real,s001,,landmarks/a.txt",
+     "a real row must have no sources, got ('s001', '')"),
+    ("images/m.ppm,s000,morph,,,landmarks/m.txt",
+     "a morph row must have two different sources, got ('', '')"),
+    ("images/m.ppm,s000,morph,s000,s000,landmarks/m.txt",
+     "a morph row must have two different sources, got ('s000', 's000')"),
 ])
 def test_manifest_bad_row_names_path_and_line(tmp_path, bad, message):
     path = tmp_path / "manifest.csv"
