@@ -330,8 +330,9 @@ def _float_images(images, caller):
 
 
 def to_chw(image):
-    """(H, W, 3) float image -> (3, H, W) network layout; any other dtype
-    raises ValueError naming it."""
+    """(H, W, 3) float image -> its (3, H, W) planes as a view, so the planes
+    behind ``imaging.load_face``'s view come back contiguous and uncopied;
+    any other dtype raises ValueError naming it."""
     arr = np.asarray(_float_images(image, "to_chw"), dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"to_chw expects an (H, W, 3) image, got {arr.shape}")
@@ -351,14 +352,14 @@ def _load_checked(rows, root, cfg: EncoderConfig, *kinds):
     Training stops before it starts, not when it first reads a bad file: one
     FileNotFoundError lists every image and landmark file of ``rows`` that
     is not under ``root``, and a face read in another shape than ``cfg``'s
-    (S, S, C) raises ValueError naming its path and both shapes.
+    (C, S, S) raises ValueError naming its path and both shapes.
     """
     missing = [str(root / rel) for r in rows for rel in (r.path, r.landmarks_path)
                if not (root / rel).is_file()]
     if missing:
         raise FileNotFoundError(f"{len(missing)} manifest file(s) missing: "
                                 + ", ".join(missing))
-    expected = (cfg.input_size, cfg.input_size, cfg.in_channels)
+    expected = (cfg.in_channels, cfg.input_size, cfg.input_size)
     kept = [[r for r in rows if r.kind == kind] for kind in kinds]
     faces = []
     for r in sum(kept, []):
@@ -366,7 +367,7 @@ def _load_checked(rows, root, cfg: EncoderConfig, *kinds):
         if face.shape != expected:
             raise ValueError(f"{root / r.path}: face of shape {face.shape}, "
                              f"the encoder config expects {expected}")
-        faces.append(np.ascontiguousarray(face.transpose(2, 0, 1)))
+        faces.append(face)
     return kept, faces
 
 
@@ -498,15 +499,12 @@ def train_stage1(rows, root, cfg: EncoderConfig, margins: MarginConfig,
 def _bind_stage1_batch(batch, faces):
     """The float32 stage-1 graph leaves of drawn triplets, whose labels are
     class indices, from uint8 ``faces``.  Each x_hat source is decoded into
-    float64 planes by ``imaging.from_uint8``, warped as the (H, W, C) view of
-    those planes, and its channel-major result is rounded into its float32
-    slot by one contiguous cast."""
+    float64 planes by ``imaging.from_uint8``, warped, and rounded into its
+    float32 slot by one contiguous cast."""
     x = _float_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
     for out, t in zip(x_hat, batch):
-        planes = imaging.from_uint8(faces[t.index_a])
-        warped = imaging.build_triplet(planes.transpose(1, 2, 0), t)
-        out[...] = warped.transpose(2, 0, 1)
+        out[...] = imaging.build_triplet(imaging.from_uint8(faces[t.index_a]), t)
     return {
         "x": x,
         "x_prime": _float_leaf([faces[t.index_g] for t in batch]),

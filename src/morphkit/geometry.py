@@ -2,6 +2,7 @@
 
 Landmark sets are (K, 2) float64 arrays of (x, y) pixel coordinates, index
 order semantically stable (index i always names the same facial point).
+Images are (C, H, W) planes, one per channel.
 """
 
 from __future__ import annotations
@@ -166,25 +167,24 @@ def _grid_kernel_rows(dx2, dy2, out, buf, blocks):
 
 
 def _as_image(image):
-    """``image`` as a float64 (H, W, C) array; other ranks raise."""
+    """``image`` as float64 (C, H, W) planes; other ranks raise."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3:
-        raise ValueError(f"image must be (H, W, C), got shape {img.shape}")
+        raise ValueError(f"image must be (C, H, W) planes, got shape {img.shape}")
     return img
 
 
 def _bilinear_sample(image, coords):
-    """Sample an (H, W, C) image at (M, 2) float (x, y) coords.
+    """Sample (C, H, W) planes at (M, 2) float (x, y) coords; returns (C, M).
 
     Out-of-range coords clamp to the edge.  The four taps of each point are
-    gathered from one C-contiguous (C, H * W) copy of the image, a plane per
-    channel, and interpolated with (M,) weight vectors; an image that is
-    already channel-major in memory (an (H, W, C) view of (C, H, W) data) is
-    not copied.  Returns (M, C) as a view of (C, M) memory.
+    gathered from the planes as one C-contiguous (C, H * W) array, copied
+    only if they are not already contiguous, and interpolated with (M,)
+    weight vectors.
     """
     image = _as_image(image)
-    h, w, c = image.shape
-    planes = np.ascontiguousarray(np.moveaxis(image, 2, 0)).reshape(c, h * w)
+    c, h, w = image.shape
+    planes = np.ascontiguousarray(image).reshape(c, h * w)
     x = np.clip(coords[:, 0], 0.0, w - 1.0)
     y = np.clip(coords[:, 1], 0.0, h - 1.0)
     x0 = np.floor(x)
@@ -213,7 +213,7 @@ def _bilinear_sample(image, coords):
     top *= 1 - fy
     bot *= fy
     top += bot
-    return top.T
+    return top
 
 
 def warp_image(image, source_lms, target_lms):
@@ -227,21 +227,19 @@ def warp_images(sources, target_lms):
 
     Inverse-mapped: fits one TPS per source from the target back to its
     landmarks and bilinearly samples that image at each output pixel,
-    clamping out-of-bounds samples to the edge.  Images are (H, W, C) and
-    share (H, W); the pixel grid and its kernel matrix depend
-    only on the target, so they are built once for all sources.  Returns the
-    warped images in order, each byte-equal to warping that image alone.
-    Each result is a view of channel-major (C, H, W) memory, as
-    :func:`_bilinear_sample` returns it, and a channel-major input is
-    sampled without a copy.
+    clamping out-of-bounds samples to the edge.  Images are (C, H, W) planes
+    and share (H, W); the pixel grid and its kernel matrix depend only on
+    the target, so they are built once for all sources.  Returns the warped
+    planes in order, C-contiguous, each byte-equal to warping that image
+    alone; contiguous planes are sampled without a copy.
     """
     imgs = [_as_image(image) for image, _ in sources]
-    if len({img.shape[:2] for img in imgs}) != 1:
+    if len({img.shape[1:] for img in imgs}) != 1:
         raise ValueError("warp_images needs one or more images sharing (H, W), "
                          f"got shapes {[img.shape for img in imgs]}")
     tgt = _as_landmarks(target_lms)
     fits = [tps_fit(tgt, lms) for _, lms in sources]
-    h, w = imgs[0].shape[:2]
+    h, w = imgs[0].shape[1:]
     grid = _pixel_grid(h, w)
     u = _grid_kernel_matrix(h, w, tgt)
     return [_bilinear_sample(img, _tps_map(fit, grid, u)).reshape(img.shape)

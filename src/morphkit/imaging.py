@@ -1,15 +1,16 @@
 """Face images, preprocessing, morph generation, triplets, synthetic data.
 
-A face image is processed as an (H, W, 3) float64 array with values in
-[-1, 1].  That is its shape, not always its memory order: a warped or
-synthesised face is an (H, W, 3) view of channel-major (3, H, W) memory,
-as :func:`geometry.warp_images` returns it, and elementwise steps keep that
-order.  Images are stored on disk as binary 8-bit PPM (P6), which
-:func:`read_ppm` reads as (H, W, 3) uint8 arrays.  Training holds its faces
-as (3, H, W) uint8 planes, building one float32 batch at a time whose values
-are :func:`from_uint8`'s rounded once.  Datasets are described by a CSV
-manifest with one column per :class:`DatasetRow` field, in order, where kind
-is "real" or "morph" (source columns empty for real images).
+A face is held as C-contiguous (3, H, W) planes, one per channel, as the
+encoder reads it: uint8 as read from disk, float64 with values in [-1, 1]
+once scaled.  Images are stored on disk as binary 8-bit PPM (P6), whose
+pixels are (H, W, 3) bytes.  Four functions handle that order:
+:func:`read_ppm` and :func:`write_ppm` convert between it and planes,
+:func:`load_face` returns the (H, W, 3) view of its planes, and
+``embednet.to_chw`` takes such a view back to planes.  Training builds one
+float32 batch at a time whose values are :func:`from_uint8`'s rounded once.
+Datasets are described by a CSV manifest with one column per
+:class:`DatasetRow` field, in order, where kind is "real" or "morph" (source
+columns empty for real images).
 """
 
 from __future__ import annotations
@@ -27,21 +28,22 @@ from . import geometry, gradcore as gc
 # PPM I/O and value-range helpers
 
 
-def write_ppm(path, img_u8):
-    arr = np.asarray(img_u8)
-    if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError("write_ppm expects an (H, W, 3) uint8 array")
-    h, w = arr.shape[:2]
+def write_ppm(path, planes_u8):
+    """Write (3, H, W) uint8 planes as a binary PPM of (H, W, 3) bytes."""
+    arr = np.asarray(planes_u8)
+    if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[0] != 3:
+        raise ValueError("write_ppm expects (3, H, W) uint8 planes")
+    h, w = arr.shape[1:]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+        f.write(arr.transpose(1, 2, 0).tobytes())
 
 
 def read_ppm(path):
+    """A binary 8-bit PPM's (H, W, 3) bytes as (3, H, W) uint8 planes."""
     with open(path, "rb") as f:
         data = f.read()
-    fields = []
-    pos = 0
+    fields, pos = [], 0
     while len(fields) < 4:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
@@ -68,39 +70,43 @@ def read_ppm(path):
         raise ValueError(f"{path}: truncated PPM pixel data: {w}x{h} needs "
                          f"{w * h * 3} bytes, file has {max(len(data) - pos, 0)}")
     pix = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return pix.reshape(h, w, 3).copy()
+    return pix.reshape(h, w, 3).transpose(2, 0, 1).copy()
 
 
 def to_uint8(img):
-    """Quantize a [-1, 1] float image to 8-bit; values past the range, -inf
+    """Quantize [-1, 1] float planes to 8-bit; values past the range, -inf
     and +inf included, clip to 0 or 255.  A NaN value raises ValueError
-    giving the number of pixels that hold one."""
+    giving the number of pixels that hold one in any plane."""
     arr = np.asarray(img)
     nan = np.isnan(arr)
     if nan.any():
-        pixels = np.count_nonzero(nan.any(axis=2) if arr.ndim == 3 else nan)
+        pixels = np.count_nonzero(nan.any(axis=0) if arr.ndim == 3 else nan)
         raise ValueError(f"cannot quantize an image with NaN values: "
                          f"{pixels} NaN pixel(s)")
     return np.clip(np.rint((arr + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
 def from_uint8(raw):
-    """Scale an 8-bit image to [-1, 1] floats (v / 127.5 - 1).
-
-    One float64 copy, then both steps in place: the same two roundings.
-    """
+    """Scale an 8-bit image to [-1, 1] floats, v / 127.5 - 1: one float64
+    copy, then both steps in place, the same two roundings."""
     v = np.array(raw, dtype=np.float64)
     v /= 127.5
     v -= 1.0
     return v
 
 
-def save_face(path, img):
-    write_ppm(path, to_uint8(img))
-
-
 def load_face(path):
-    return from_uint8(read_ppm(path))
+    """A PPM face scaled to [-1, 1], as the (H, W, 3) view of its float64
+    planes, so ``embednet.to_chw`` gives those planes back without a copy."""
+    return from_uint8(read_ppm(path)).transpose(1, 2, 0)
+
+
+def _face_planes(image):
+    """``image`` as float64 (3, H, W) planes; any other shape raises."""
+    arr = np.asarray(image, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[0] != 3:
+        raise ValueError(f"a face is (3, H, W) planes, not (H, W, 3); got {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +114,23 @@ def load_face(path):
 
 
 def bilinear_resize(img, out_h, out_w):
-    """Half-pixel-center bilinear resize of an (H, W, C) float array."""
-    arr = np.asarray(img, dtype=np.float64)
-    h, w = arr.shape[:2]
+    """Half-pixel-center bilinear resize of (C, H, W) float planes."""
+    arr = geometry._as_image(img)
+    c, h, w = arr.shape
     if h == 0 or w == 0 or out_h <= 0 or out_w <= 0:
         raise ValueError("zero-dimension image in resize")
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     gx, gy = np.meshgrid(xs, ys)
     coords = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    out = geometry._bilinear_sample(arr, coords)
-    return out.reshape(out_h, out_w, *arr.shape[2:])
+    return geometry._bilinear_sample(arr, coords).reshape(c, out_h, out_w)
 
 
 def alpha_blend(a, b, alpha):
     """(1 - alpha) * a + alpha * b, clamped to [-1, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return np.clip((1.0 - alpha) * a + alpha * b, -1.0, 1.0)
@@ -148,19 +152,17 @@ def generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.5,
 
     Target landmarks are (1 - alpha_warp) * lms_a + alpha_warp * lms_b.  Both
     images are warped to the target, in one :func:`geometry.warp_images`
-    call, before blending.  ``alpha_warp`` outside [0, 1], or NaN, raises
-    ValueError, as ``alpha`` does in :func:`alpha_blend`.  ``synth_dataset``
+    call, before blending.  Images other than (3, H, W) planes, and
+    ``alpha_warp`` outside [0, 1] or NaN, raise ValueError.  ``synth_dataset``
     morphs at the 0.5/0.5 defaults; both alphas stay parameters for ROADMAP
     item 7, whose morph methods call this with other values.
     """
     if not 0.0 <= alpha_warp <= 1.0:
         raise ValueError(f"alpha_warp must lie in [0, 1], got {alpha_warp!r}")
-    img_a = np.asarray(img_a, dtype=np.float64)
-    img_b = np.asarray(img_b, dtype=np.float64)
+    img_a, img_b = _face_planes(img_a), _face_planes(img_b)
     if img_a.shape != img_b.shape:
         raise ValueError("morph source images must share dimensions")
-    la = np.asarray(lms_a, dtype=np.float64)
-    lb = np.asarray(lms_b, dtype=np.float64)
+    la, lb = np.asarray(lms_a, dtype=np.float64), np.asarray(lms_b, dtype=np.float64)
     if la.shape != lb.shape:
         raise ValueError("morph source landmark sets must share K")
     target = (1.0 - alpha_warp) * la + alpha_warp * lb
@@ -208,9 +210,9 @@ def draw_triplet(pool, index, rng) -> Triplet:
 
 
 def build_triplet(image, triplet: Triplet):
-    """The intermediate x_hat_i of a drawn triplet: ``image`` (x_i as a float
-    face) warped from l_i onto the target l'_i + delta, formed here."""
-    return geometry.warp_image(image, triplet.lms_a,
+    """The intermediate x_hat_i of a drawn triplet: ``image`` (x_i as 3 float
+    planes, or ValueError) warped from l_i onto the target l'_i + delta."""
+    return geometry.warp_image(_face_planes(image), triplet.lms_a,
                                triplet.lms_g + triplet.delta)
 
 
@@ -287,7 +289,9 @@ def canonical_landmarks(size=112):
 
 
 def _smooth_field(rng, size):
-    coarse = rng.normal(0.0, 1.0, size=(8, 8, 3))
+    """(3, size, size) planes resized from an (8, 8, 3) normal draw, a shape
+    that fixes the generator's stream, scaled to a largest magnitude of 0.35."""
+    coarse = rng.normal(0.0, 1.0, size=(8, 8, 3)).transpose(2, 0, 1)
     field = bilinear_resize(coarse, size, size)
     return 0.35 * field / max(np.abs(field).max(), 1e-9)
 
@@ -306,8 +310,9 @@ def _subject_landmarks(rng, size, template):
 
 
 def _subject_face(rng, size, template, lms):
-    """A subject's base image: texture identity, with dark blobs anchored at
-    its landmarks ``lms``; drawn from ``rng`` after ``_subject_landmarks``."""
+    """A subject's base planes: texture identity, with dark blobs anchored at
+    its landmarks ``lms``; drawn from ``rng`` after ``_subject_landmarks``.
+    Each (size, size) term broadcasts over the three planes."""
     center = template.mean(axis=0)
     xs, ys = np.meshgrid(np.arange(size, dtype=np.float64),
                          np.arange(size, dtype=np.float64))
@@ -315,9 +320,7 @@ def _subject_face(rng, size, template, lms):
     e = np.sqrt(((xs - center[0]) / (0.38 * size)) ** 2
                 + ((ys - (center[1] - 0.03 * size)) / (0.47 * size)) ** 2)
     base = 0.30 - 0.85 / (1.0 + np.exp(-(e - 1.0) * 10.0))
-    # built on (3, size, size) planes, so each (size, size) term broadcasts
-    # over whole planes; the field is already channel-major in memory
-    img = base + _smooth_field(rng, size).transpose(2, 0, 1)
+    img = base + _smooth_field(rng, size)
     img += rng.uniform(-0.15, 0.15, size=3)[:, None, None]  # subject tint
     # landmark-anchored dark blobs: eyes, nose tip, mouth, brow mids
     anchors = [
@@ -331,7 +334,7 @@ def _subject_face(rng, size, template, lms):
     for (cx, cy), amp, sigma in anchors:
         img -= amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2)
                             / (2.0 * sigma ** 2))
-    return np.clip(img, -0.95, 0.95).transpose(1, 2, 0)
+    return np.clip(img, -0.95, 0.95)
 
 
 def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
@@ -354,7 +357,7 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "landmarks").mkdir(parents=True, exist_ok=True)
     rows: list[DatasetRow] = []
-    captures = {}  # subject index -> list of (uint8 image, landmarks)
+    captures = {}  # subject index -> list of (uint8 planes, landmarks)
 
     for s, (rng, lms) in enumerate(zip(rngs, subject_lms)):
         base = _subject_face(rng, config.size, template, lms)
@@ -386,7 +389,7 @@ def synth_dataset(config: SynthConfig, out_dir) -> list[DatasetRow]:
             rec = generate_morph(from_uint8(img_a), lms_a, from_uint8(img_b), lms_b)
             img_rel = f"images/m{morph_idx:03d}_{sid}_{pid}.ppm"
             lms_rel = f"landmarks/m{morph_idx:03d}_{sid}_{pid}.txt"
-            save_face(out / img_rel, rec.image)
+            write_ppm(out / img_rel, to_uint8(rec.image))
             geometry.save_landmarks(out / lms_rel, rec.landmarks)
             rows.append(DatasetRow(img_rel, sid, "morph", sid, pid, lms_rel))
             morph_idx += 1

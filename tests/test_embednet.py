@@ -994,7 +994,7 @@ def _float64_stage1_batch(batch, faces):
     x = _float64_leaf([faces[t.index_a] for t in batch])
     x_hat = np.empty_like(x)
     for out, image, t in zip(x_hat, x, batch):
-        out[...] = im.build_triplet(image.transpose(1, 2, 0), t).transpose(2, 0, 1)
+        out[...] = im.build_triplet(image, t)
     return {"x": x, "x_prime": _float64_leaf([faces[t.index_g] for t in batch]),
             "x_hat": x_hat,
             "labels": np.array([t.label_a for t in batch], dtype=float),
@@ -1041,7 +1041,7 @@ def _class_indices(reals):
 
 def _oracle_stage1(rows, root, cfg, schedule, epochs, batch_size, seed):
     reals = [r for r in rows if r.kind == "real"]
-    faces = [im.read_ppm(root / r.path).transpose(2, 0, 1) for r in reals]
+    faces = [im.read_ppm(root / r.path) for r in reals]
     pool = [(geo.load_landmarks(root / r.landmarks_path), c)
             for r, c in zip(reals, _class_indices(reals))]
     rng = np.random.Generator(np.random.PCG64([seed, 1]))
@@ -1070,8 +1070,7 @@ def _oracle_stage2(rows, root, cfg, schedule, epochs, batch_size, seed, init):
     morphs = [r for r in rows if r.kind == "morph"]
     genuine, cross = en._stage2_pools(reals, morphs)
     labels = _class_indices(reals)
-    faces = [im.read_ppm(root / r.path).transpose(2, 0, 1)
-             for r in reals + morphs]
+    faces = [im.read_ppm(root / r.path) for r in reals + morphs]
     n_reals = len(reals)
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
 
@@ -1125,8 +1124,20 @@ def test_load_checked_holds_faces_as_channel_major_planes(tiny_dataset):
     for r, face in zip(reals + morphs, faces):
         assert face.dtype == np.uint8 and face.shape == (3, 16, 16)
         assert face.flags.c_contiguous
-        want = im.read_ppm(root / r.path).transpose(2, 0, 1)
-        assert face.tobytes() == want.tobytes()
+        assert face.tobytes() == im.read_ppm(root / r.path).tobytes()
+
+
+def test_verify_reader_and_training_see_the_same_face(tiny_dataset):
+    # the bench's verify path reads a face as to_chw(load_face(path)); the
+    # training loader's planes of that row, scaled, are the same bytes
+    rows, root = tiny_dataset
+    (reals, morphs), faces = en._load_checked(rows, root, train_cfg(),
+                                              "real", "morph")
+    for r, face, slot in zip(reals + morphs, faces, en._float_leaf(faces)):
+        x = en.to_chw(im.load_face(root / r.path))
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.tobytes() == im.from_uint8(face).tobytes()
+        assert x.astype(np.float32).tobytes() == slot.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 15])
@@ -1203,8 +1214,8 @@ def test_training_rejects_faces_of_another_shape(tiny_dataset, monkeypatch,
     first = next(r for r in rows if r.kind == "real")
     with pytest.raises(ValueError) as err:
         _run_stage(stage, rows, root, cfg=cfg)
-    assert str(err.value) == (f"{root / first.path}: face of shape (16, 16, 3), "
-                              f"the encoder config expects {(size, size, 3)}")
+    assert str(err.value) == (f"{root / first.path}: face of shape (3, 16, 16), "
+                              f"the encoder config expects {(3, size, size)}")
 
 
 def test_stage1_rejects_landmark_file_of_another_count(tiny_dataset, tmp_path):

@@ -184,8 +184,9 @@ def test_kernel_matrix_bit_identical_to_oracle(seed):
 
 
 def bilinear_sample_oracle(image, coords):
-    """Bilinear sampling by two-array fancy indexing of an (H, W, C) image."""
-    h, w = image.shape[:2]
+    """Bilinear sampling by two-array fancy indexing of (C, H, W) planes;
+    returns (C, M)."""
+    h, w = image.shape[1:]
     x = np.clip(coords[:, 0], 0.0, w - 1.0)
     y = np.clip(coords[:, 1], 0.0, h - 1.0)
     x0 = np.floor(x)
@@ -196,10 +197,8 @@ def bilinear_sample_oracle(image, coords):
     x1i = np.minimum(x0i + 1, w - 1)
     y0i = y0.astype(np.int64)
     y1i = np.minimum(y0i + 1, h - 1)
-    fx = fx[:, None]
-    fy = fy[:, None]
-    top = image[y0i, x0i] * (1 - fx) + image[y0i, x1i] * fx
-    bot = image[y1i, x0i] * (1 - fx) + image[y1i, x1i] * fx
+    top = image[:, y0i, x0i] * (1 - fx) + image[:, y0i, x1i] * fx
+    bot = image[:, y1i, x0i] * (1 - fx) + image[:, y1i, x1i] * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -207,37 +206,37 @@ def warp_image_oracle(image, source_lms, target_lms):
     """The TPS warp evaluated point by point over the whole pixel grid."""
     img = np.asarray(image, dtype=np.float64)
     fit = geo.tps_fit(target_lms, source_lms)
-    grid = pixel_grid(*img.shape[:2])
+    grid = pixel_grid(*img.shape[1:])
     coords = (fit.affine[:, 0] + grid @ fit.affine[:, 1:].T
               + kernel_matrix_oracle(grid, fit.control_points) @ fit.kernel_weights)
     return bilinear_sample_oracle(img, coords).reshape(img.shape)
 
 
-def hwc_layout(img, layout):
-    """The same pixels as a contiguous array or as a non-contiguous view."""
-    if layout == "chw":  # as train_stage1 passes its CHW batches
-        return np.transpose(np.ascontiguousarray(np.transpose(img, (2, 0, 1))),
-                            (1, 2, 0))
+def planes_layout(img, layout):
+    """The same (C, H, W) planes, contiguous ("c"), as a view of (H, W, C)
+    memory ("hwc") or as a strided view."""
+    if layout == "hwc":
+        return np.ascontiguousarray(img.transpose(1, 2, 0)).transpose(2, 0, 1)
     if layout == "strided":
-        big = np.zeros((img.shape[0], 2 * img.shape[1], img.shape[2] + 1))
-        big[:, ::2, :-1] = img
-        return big[:, ::2, :-1]
+        big = np.zeros((img.shape[0] + 1, img.shape[1], 2 * img.shape[2]))
+        big[:-1, :, ::2] = img
+        return big[:-1, :, ::2]
     return img
 
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 130), w=st.integers(1, 130), c=st.sampled_from([1, 3]),
        k=st.integers(3, 24), on_pixels=st.integers(0, 4),
-       use_delta=st.booleans(), layout=st.sampled_from(["c", "chw", "strided"]),
+       use_delta=st.booleans(), layout=st.sampled_from(["c", "hwc", "strided"]),
        seed=st.integers(0, 2**32 - 1))
-@example(h=112, w=112, c=3, k=24, on_pixels=4, use_delta=True, layout="chw", seed=0)
+@example(h=112, w=112, c=3, k=24, on_pixels=4, use_delta=True, layout="c", seed=0)
 @example(h=130, w=1, c=1, k=3, on_pixels=1, use_delta=False, layout="c", seed=1)
 @example(h=1, w=130, c=3, k=5, on_pixels=2, use_delta=True, layout="strided", seed=2)
 @example(h=1, w=1, c=1, k=3, on_pixels=1, use_delta=False, layout="c", seed=3)
 def test_warp_image_bit_identical_to_pointwise_oracle(h, w, c, k, on_pixels,
                                                       use_delta, layout, seed):
     r = rng(seed)
-    img = hwc_layout(r.uniform(-1, 1, size=(h, w, c)), layout)
+    img = planes_layout(r.uniform(-1, 1, size=(c, h, w)), layout)
     # control points of the inverse fit (target + delta) reach past the edges
     span = max(h, w)
     src = r.uniform(-0.2 * span - 2, 1.2 * span + 2, size=(k, 2))
@@ -282,16 +281,16 @@ def test_grid_kernel_matrix_bit_identical_with_control_points_on_pixels(h, on_pi
 @given(h=st.integers(1, 60), w=st.integers(1, 60),
        channels=st.lists(st.sampled_from([1, 3]), min_size=1, max_size=3),
        k=st.integers(3, 24), on_pixels=st.integers(0, 4),
-       layout=st.sampled_from(["c", "chw", "strided"]),
+       layout=st.sampled_from(["c", "hwc", "strided"]),
        seed=st.integers(0, 2**32 - 1))
-@example(h=112, w=112, channels=[3, 3], k=24, on_pixels=4, layout="chw", seed=0)
+@example(h=112, w=112, channels=[3, 3], k=24, on_pixels=4, layout="c", seed=0)
 @example(h=7, w=1, channels=[1, 3, 1], k=3, on_pixels=1, layout="strided", seed=1)
 def test_warp_images_bit_identical_to_one_warp_image_per_source(h, w, channels, k,
                                                                 on_pixels, layout,
                                                                 seed):
     r = rng(seed)
-    # (H, W, C) images in ``layout``, all warped onto one target
-    images = [hwc_layout(r.uniform(-1, 1, size=(h, w, c)), layout)
+    # (C, H, W) planes in ``layout``, all warped onto one target
+    images = [planes_layout(r.uniform(-1, 1, size=(c, h, w)), layout)
               for c in channels]
     span = max(h, w)
     tgt = r.uniform(-0.2 * span - 2, 1.2 * span + 2, size=(k, 2))
@@ -321,7 +320,7 @@ def test_pixel_grid_is_one_read_only_array_per_size():
         grid[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("shapes", [[(8, 8, 3), (8, 9, 3)], [(8, 8, 1), (9, 8, 3)],
+@pytest.mark.parametrize("shapes", [[(3, 8, 8), (3, 8, 9)], [(1, 8, 8), (3, 9, 8)],
                                     []])
 def test_warp_images_need_one_pixel_grid(shapes):
     lms = corner_landmarks(8, 8)
@@ -333,19 +332,31 @@ def test_warp_images_need_one_pixel_grid(shapes):
 
 @settings(max_examples=40, deadline=None)
 @given(h=st.integers(1, 40), w=st.integers(1, 40), c=st.sampled_from([1, 3]),
-       layout=st.sampled_from(["c", "chw", "strided"]), seed=st.integers(0, 2**32 - 1))
+       layout=st.sampled_from(["c", "hwc", "strided"]), seed=st.integers(0, 2**32 - 1))
 def test_bilinear_sample_bit_identical_to_oracle(h, w, c, layout, seed):
     r = rng(seed)
-    img = hwc_layout(r.uniform(-1, 1, size=(h, w, c)), layout)
+    img = planes_layout(r.uniform(-1, 1, size=(c, h, w)), layout)
     coords = np.column_stack([r.uniform(-3, w + 3, size=200),
                               r.uniform(-3, h + 3, size=200)])
     coords[:50] = np.rint(coords[:50])  # on pixels and on the clamped edges
-    got = geo._bilinear_sample(img, coords)
+    gathered = []  # the arrays the taps are gathered from
+    contiguous = np.ascontiguousarray
+
+    def gather_from(a):
+        gathered.append(contiguous(a))
+        return gathered[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "ascontiguousarray", gather_from)
+        got = geo._bilinear_sample(img, coords)
+    assert got.shape == (c, 200) and got.flags.c_contiguous
     assert got.tobytes() == bilinear_sample_oracle(img, coords).tobytes()
-    assert got.T.flags.c_contiguous  # (M, C) over channel-major memory
+    # contiguous planes are gathered from in place, any others copied
+    assert len(gathered) == 1
+    assert np.shares_memory(gathered[0], img) == img.flags.c_contiguous
 
 
-@pytest.mark.parametrize("shape", [(112, 112, 3), (37, 90, 3), (5, 3, 1)])
+@pytest.mark.parametrize("shape", [(3, 112, 112), (3, 37, 90), (1, 5, 3)])
 def test_bilinear_resize_bit_identical_to_oracle(monkeypatch, shape):
     r = rng(35)
     img = r.uniform(-1, 1, size=shape)
@@ -367,11 +378,11 @@ def test_images_of_other_rank_rejected(monkeypatch, shape):
     monkeypatch.setattr(geo, "_pixel_grid", allocates)
     monkeypatch.setattr(geo, "_grid_kernel_matrix", allocates)
     lms = corner_landmarks(8, 8)
-    rank = r"^image must be \(H, W, C\), got shape"
+    rank = r"^image must be \(C, H, W\) planes, got shape"
     with pytest.raises(ValueError, match=rank):
         geo.warp_image(img, lms, lms + 0.5)
     with pytest.raises(ValueError, match=rank):
-        geo.warp_images([(np.zeros((8, 8, 3)), lms), (img, lms)], lms + 0.5)
+        geo.warp_images([(np.zeros((3, 8, 8)), lms), (img, lms)], lms + 0.5)
     with pytest.raises(ValueError, match=rank):
         geo._bilinear_sample(img, np.zeros((3, 2)))
     if len(shape) > 1:
@@ -384,9 +395,7 @@ def test_images_of_other_rank_rejected(monkeypatch, shape):
 
 
 def gradient_image(h=8, w=8, c=3):
-    xs = np.linspace(-1, 1, w)
-    img = np.broadcast_to(xs[None, :, None], (h, w, c)).copy()
-    return img
+    return np.broadcast_to(np.linspace(-1, 1, w), (c, h, w)).copy()
 
 
 def corner_landmarks(h, w, inset=0.0):
@@ -397,14 +406,14 @@ def corner_landmarks(h, w, inset=0.0):
 
 def test_warp_identity_is_identity():
     r = rng(8)
-    img = r.uniform(-1, 1, size=(12, 10, 3))
+    img = r.uniform(-1, 1, size=(3, 12, 10))
     lms = corner_landmarks(12, 10)
     out = geo.warp_image(img, lms, lms)
     np.testing.assert_allclose(out, img, atol=1e-6)
 
 
 def test_warp_constant_image_stays_constant():
-    img = np.full((9, 9, 3), 0.25)
+    img = np.full((3, 9, 9), 0.25)
     r = rng(9)
     src = corner_landmarks(9, 9, inset=1.0)
     tgt = src + r.normal(0, 1.0, size=src.shape)
@@ -420,7 +429,7 @@ def test_warp_pure_translation_matches_shift_oracle():
     ref = np.empty_like(img)
     for y in range(8):
         for x in range(8):
-            ref[y, x] = img[y, max(0, min(7, x - 2))]
+            ref[:, y, x] = img[:, y, max(0, min(7, x - 2))]
     np.testing.assert_allclose(out, ref, atol=1e-6)
 
 

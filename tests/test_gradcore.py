@@ -1392,7 +1392,7 @@ def test_in_parallel_halves_take_each_shared_item_once(shared):
 def _warp_case():
     r = rng(41)
     src = r.uniform(2, 30, size=(12, 2))
-    return r.uniform(0, 1, size=(36, 32, 3)), src, src + r.normal(0, 1.5, src.shape)
+    return r.uniform(0, 1, size=(3, 36, 32)), src, src + r.normal(0, 1.5, src.shape)
 
 
 def _stage1_case():

@@ -29,21 +29,21 @@ def corner_landmarks(h, w, inset=1.0):
 
 
 def test_alpha_blend_endpoints():
-    a = rng(2).uniform(-1, 1, size=(6, 6, 3))
-    b = rng(3).uniform(-1, 1, size=(6, 6, 3))
+    a = rng(2).uniform(-1, 1, size=(3, 6, 6))
+    b = rng(3).uniform(-1, 1, size=(3, 6, 6))
     np.testing.assert_array_equal(im.alpha_blend(a, b, 0.0), a)
     np.testing.assert_array_equal(im.alpha_blend(a, b, 1.0), b)
 
 
 def test_alpha_blend_midpoint():
-    a = np.full((4, 4, 3), -1.0)
-    b = np.full((4, 4, 3), 1.0)
+    a = np.full((3, 4, 4), -1.0)
+    b = np.full((3, 4, 4), 1.0)
     np.testing.assert_array_equal(im.alpha_blend(a, b, 0.5), 0.0)
 
 
 def test_alpha_blend_dim_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        im.alpha_blend(np.zeros((2, 2, 3)), np.zeros((3, 2, 3)), 0.5)
+        im.alpha_blend(np.zeros((3, 2, 2)), np.zeros((3, 3, 2)), 0.5)
 
 
 # outside [0, 1] on each side, just past 1, and not finite
@@ -53,15 +53,15 @@ _BAD_ALPHAS = [2.0, -0.1, 1.0 + 1e-12, np.nan, np.inf, -np.inf]
 @pytest.mark.parametrize("alpha", _BAD_ALPHAS)
 def test_alpha_blend_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
-        im.alpha_blend(np.zeros((2, 2, 3)), np.ones((2, 2, 3)), alpha)
+        im.alpha_blend(np.zeros((3, 2, 2)), np.ones((3, 2, 2)), alpha)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.floats(0.0, 1.0))
 def test_alpha_blend_stays_in_range(seed, alpha):
     r = rng(seed)
-    a = r.uniform(-1, 1, size=(5, 5, 3))
-    b = r.uniform(-1, 1, size=(5, 5, 3))
+    a = r.uniform(-1, 1, size=(3, 5, 5))
+    b = r.uniform(-1, 1, size=(3, 5, 5))
     out = im.alpha_blend(a, b, alpha)
     assert out.min() >= -1.0 and out.max() <= 1.0
 
@@ -72,7 +72,7 @@ def test_alpha_blend_stays_in_range(seed, alpha):
 
 def test_morph_degenerate_pair_returns_source():
     r = rng(4)
-    img = r.uniform(-0.9, 0.9, size=(16, 16, 3))
+    img = r.uniform(-0.9, 0.9, size=(3, 16, 16))
     lms = corner_landmarks(16, 16)
     rec = im.generate_morph(img, lms, img.copy(), lms.copy(), 0.3, 0.7)
     np.testing.assert_allclose(rec.image, img, atol=1e-7)
@@ -80,8 +80,8 @@ def test_morph_degenerate_pair_returns_source():
 
 def test_morph_zero_alphas_returns_a():
     r = rng(5)
-    img_a = r.uniform(-0.9, 0.9, size=(16, 16, 3))
-    img_b = r.uniform(-0.9, 0.9, size=(16, 16, 3))
+    img_a = r.uniform(-0.9, 0.9, size=(3, 16, 16))
+    img_b = r.uniform(-0.9, 0.9, size=(3, 16, 16))
     lms_a = corner_landmarks(16, 16)
     lms_b = lms_a + r.normal(0, 1.0, size=lms_a.shape)
     rec = im.generate_morph(img_a, lms_a, img_b, lms_b, alpha_warp=0.0, alpha=0.0)
@@ -92,15 +92,15 @@ def test_morph_landmarks_are_midpoints():
     r = rng(6)
     lms_a = corner_landmarks(20, 20)
     lms_b = lms_a + r.normal(0, 2.0, size=lms_a.shape)
-    img = r.uniform(-0.9, 0.9, size=(20, 20, 3))
+    img = r.uniform(-0.9, 0.9, size=(3, 20, 20))
     rec = im.generate_morph(img, lms_a, img.copy(), lms_b, 0.5, 0.5)
     np.testing.assert_allclose(rec.landmarks, (lms_a + lms_b) / 2, atol=1e-9)
 
 
 def test_morph_symmetric_under_swap():
     r = rng(7)
-    img_a = r.uniform(-0.9, 0.9, size=(16, 16, 3))
-    img_b = r.uniform(-0.9, 0.9, size=(16, 16, 3))
+    img_a = r.uniform(-0.9, 0.9, size=(3, 16, 16))
+    img_b = r.uniform(-0.9, 0.9, size=(3, 16, 16))
     lms_a = corner_landmarks(16, 16)
     lms_b = lms_a + r.normal(0, 1.5, size=lms_a.shape)
     fwd = im.generate_morph(img_a, lms_a, img_b, lms_b, 0.3, 0.4)
@@ -113,7 +113,7 @@ def test_morph_symmetric_under_swap():
                                         np.inf, -np.inf])
 def test_morph_rejects_alpha_warp_outside_unit_interval(alpha_warp):
     r = rng(9)
-    img = r.uniform(-0.9, 0.9, size=(16, 16, 3))
+    img = r.uniform(-0.9, 0.9, size=(3, 16, 16))
     lms = corner_landmarks(16, 16)
     with pytest.raises(ValueError, match=r"alpha_warp must lie in \[0, 1\]"):
         im.generate_morph(img, lms, img.copy(), lms + 1.0, alpha_warp, 0.5)
@@ -122,7 +122,7 @@ def test_morph_rejects_alpha_warp_outside_unit_interval(alpha_warp):
 @pytest.mark.parametrize("alpha", _BAD_ALPHAS)
 def test_morph_rejects_blend_alpha_outside_unit_interval(alpha):
     r = rng(9)
-    img = r.uniform(-0.9, 0.9, size=(16, 16, 3))
+    img = r.uniform(-0.9, 0.9, size=(3, 16, 16))
     lms = corner_landmarks(16, 16)
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
         im.generate_morph(img, lms, img.copy(), lms + 1.0, 0.5, alpha)
@@ -134,21 +134,23 @@ def _read_p3(tmp_path):
     return im.read_ppm(path)
 
 
-_FACE = np.zeros((8, 8, 3))
+_FACE = np.zeros((3, 8, 8))
 _LMS = corner_landmarks(8, 8)
 
 
 @pytest.mark.parametrize("call,message", [
     (lambda d: im.write_ppm(d / "a.ppm", np.zeros((4, 4), np.uint8)),
-     "write_ppm expects an (H, W, 3) uint8 array"),
-    (lambda d: im.write_ppm(d / "a.ppm", np.zeros((4, 4, 3))),
-     "write_ppm expects an (H, W, 3) uint8 array"),
+     "write_ppm expects (3, H, W) uint8 planes"),
+    (lambda d: im.write_ppm(d / "a.ppm", np.zeros((3, 4, 4))),
+     "write_ppm expects (3, H, W) uint8 planes"),
+    (lambda d: im.write_ppm(d / "a.ppm", np.zeros((4, 4, 3), np.uint8)),
+     "write_ppm expects (3, H, W) uint8 planes"),
     (_read_p3, "{tmp_path}/ascii.ppm: not a binary PPM (P6) file"),
-    (lambda d: im.bilinear_resize(np.zeros((0, 4, 3)), 2, 2),
+    (lambda d: im.bilinear_resize(np.zeros((3, 0, 4)), 2, 2),
      "zero-dimension image in resize"),
-    (lambda d: im.bilinear_resize(np.zeros((4, 4, 3)), 2, 0),
+    (lambda d: im.bilinear_resize(np.zeros((3, 4, 4)), 2, 0),
      "zero-dimension image in resize"),
-    (lambda d: im.generate_morph(_FACE, _LMS, np.zeros((8, 9, 3)), _LMS),
+    (lambda d: im.generate_morph(_FACE, _LMS, np.zeros((3, 8, 9)), _LMS),
      "morph source images must share dimensions"),
     (lambda d: im.generate_morph(_FACE, _LMS, _FACE, _LMS[:-1]),
      "morph source landmark sets must share K")])
@@ -160,8 +162,8 @@ def test_bad_images_and_morph_sources_are_refused(tmp_path, call, message):
 
 def test_morph_values_stay_in_range():
     r = rng(8)
-    img_a = r.uniform(-1, 1, size=(16, 16, 3))
-    img_b = r.uniform(-1, 1, size=(16, 16, 3))
+    img_a = r.uniform(-1, 1, size=(3, 16, 16))
+    img_b = r.uniform(-1, 1, size=(3, 16, 16))
     lms = corner_landmarks(16, 16)
     rec = im.generate_morph(img_a, lms, img_b, lms + 1.0, 0.5, 0.5)
     assert rec.image.min() >= -1.0 and rec.image.max() <= 1.0
@@ -189,8 +191,8 @@ def test_morph_bit_identical_to_two_warp_images(size, alpha_warp, alpha, seed):
     lms_a = im.canonical_landmarks(size)
     lms_b = lms_a + r.normal(0, 1.0, size=lms_a.shape)
     lms_a = lms_a + r.normal(0, 1.0, size=lms_a.shape)
-    img_a = r.uniform(-1, 1, size=(size, size, 3))
-    img_b = r.uniform(-1, 1, size=(size, size, 3))
+    img_a = r.uniform(-1, 1, size=(3, size, size))
+    img_b = r.uniform(-1, 1, size=(3, size, size))
     args = (img_a, lms_a, img_b, lms_b, alpha_warp, alpha)
     got = im.generate_morph(*args)
     want = generate_morph_two_warps(*args)
@@ -206,7 +208,7 @@ def make_pool(r, n=4, size=16):
     """(images, pool): float faces and the (landmarks, label) draw pool."""
     images, pool = [], []
     for i in range(n):
-        images.append(r.uniform(-0.9, 0.9, size=(size, size, 3)))
+        images.append(r.uniform(-0.9, 0.9, size=(3, size, size)))
         pool.append((corner_landmarks(size, size) + r.normal(0, 0.5, size=(5, 2)),
                      f"c{i}"))
     return images, pool
@@ -240,12 +242,32 @@ def test_triplet_warp_is_the_warp_onto_drawn_target():
 
 
 def test_build_triplet_is_a_warp_onto_target_plus_delta():
-    # x_i as training passes it, an (H, W, 3) view of channel-major planes
+    # x_i as planes viewed over (H, W, 3) memory, not C-contiguous
     images, pool = make_pool(rng(16))
-    image = np.ascontiguousarray(images[1].transpose(2, 0, 1)).transpose(1, 2, 0)
+    image = np.ascontiguousarray(images[1].transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert not image.flags.c_contiguous
     t = im.draw_triplet(pool, 1, rng(45))
     want = geo.warp_images([(image, t.lms_a)], t.lms_g + t.delta)[0]
     assert im.build_triplet(image, t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [None, (1, 8, 8), (8, 8)])
+def test_morphs_and_triplets_refuse_faces_not_in_planes(tmp_path, shape):
+    # None: load_face's (H, W, 3) view, the bench's verify input
+    if shape is None:
+        im.write_ppm(tmp_path / "a.ppm", im.to_uint8(np.zeros((3, 8, 8))))
+        face = im.load_face(tmp_path / "a.ppm")
+    else:
+        face = np.zeros(shape)
+    want = ("a face is (3, H, W) planes, not (H, W, 3); "
+            f"got {shape or (8, 8, 3)}")
+    _, pool = make_pool(rng(17), size=8)
+    calls = [lambda: im.generate_morph(face, pool[0][0], face, pool[1][0]),
+             lambda: im.build_triplet(face, im.draw_triplet(pool, 0, rng(46)))]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == want
 
 
 def test_triplet_deterministic_given_seed():
@@ -303,20 +325,18 @@ def test_from_uint8_byte_equal_to_formula_for_every_value():
     assert np.array_equal(floats, raw)
 
 
-def test_save_face_refuses_nan_and_clips_infinities(tmp_path):
-    img = np.zeros((4, 5, 3))
-    img[0, 0] = np.nan       # one pixel NaN in every channel
-    img[2, 3, 1] = np.nan    # another in one channel
+def test_to_uint8_refuses_nan_and_clips_infinities():
+    img = np.zeros((3, 4, 5))
+    img[:, 0, 0] = np.nan    # one pixel NaN in every plane
+    img[1, 2, 3] = np.nan    # another in one plane
     with pytest.raises(ValueError) as err:
-        im.save_face(tmp_path / "nan.ppm", img)
+        im.to_uint8(img)
     assert str(err.value) == ("cannot quantize an image with NaN values: "
                               "2 NaN pixel(s)")
-    assert not (tmp_path / "nan.ppm").exists()
-    img[0, 0] = -np.inf
-    img[2, 3, 1] = np.inf
-    im.save_face(tmp_path / "inf.ppm", img)
-    raw = im.read_ppm(tmp_path / "inf.ppm")
-    assert raw[0, 0].tolist() == [0, 0, 0] and raw[2, 3, 1] == 255
+    img[:, 0, 0] = -np.inf
+    img[1, 2, 3] = np.inf
+    raw = im.to_uint8(img)
+    assert raw[:, 0, 0].tolist() == [0, 0, 0] and raw[1, 2, 3] == 255
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +344,29 @@ def test_save_face_refuses_nan_and_clips_infinities(tmp_path):
 
 
 def test_ppm_roundtrip_exact(tmp_path):
-    raw = rng(14).integers(0, 256, size=(9, 7, 3)).astype(np.uint8)
+    raw = rng(14).integers(0, 256, size=(3, 9, 7)).astype(np.uint8)
     im.write_ppm(tmp_path / "x.ppm", raw)
     assert np.array_equal(im.read_ppm(tmp_path / "x.ppm"), raw)
+
+
+def test_ppm_pixel_bytes_are_hwc_and_faces_are_planes(tmp_path):
+    # a file of (H, W, 3) bytes reads as their (3, H, W) planes, and those
+    # planes write the same file back
+    hwc = rng(17).integers(0, 256, size=(5, 4, 3)).astype(np.uint8)
+    path = tmp_path / "p.ppm"
+    path.write_bytes(b"P6\n4 5\n255\n" + hwc.tobytes())
+    planes = im.read_ppm(path)
+    assert planes.flags.c_contiguous and planes.flags.writeable
+    assert np.array_equal(planes, hwc.transpose(2, 0, 1))
+    im.write_ppm(tmp_path / "again.ppm", planes)
+    assert (tmp_path / "again.ppm").read_bytes() == path.read_bytes()
 
 
 def test_ppm_header_with_comment(tmp_path):
     raw = rng(15).integers(0, 256, size=(3, 4, 3)).astype(np.uint8)
     body = b"P6\n# a comment\n4 3\n255\n" + raw.tobytes()
     (tmp_path / "c.ppm").write_bytes(body)
-    assert np.array_equal(im.read_ppm(tmp_path / "c.ppm"), raw)
+    assert np.array_equal(im.read_ppm(tmp_path / "c.ppm"), raw.transpose(2, 0, 1))
 
 
 def test_ppm_truncated_at_every_byte(tmp_path):
@@ -458,9 +491,9 @@ def test_synth_morph_regeneration_oracle(tmp_path):
         for ca in by_capture[r.source_a]:
             for cb in by_capture[r.source_b]:
                 rec = im.generate_morph(
-                    im.load_face(root / ca.path),
+                    im.from_uint8(im.read_ppm(root / ca.path)),
                     geo.load_landmarks(root / ca.landmarks_path),
-                    im.load_face(root / cb.path),
+                    im.from_uint8(im.read_ppm(root / cb.path)),
                     geo.load_landmarks(root / cb.landmarks_path))
                 if np.array_equal(im.to_uint8(rec.image), stored):
                     found = True
@@ -487,7 +520,7 @@ def test_synth_small_size_synthesises(tmp_path, size, seed):
                                            size=size),
                             tmp_path / "d")
     assert len(rows) == 12
-    assert all(im.read_ppm(tmp_path / "d" / r.path).shape == (size, size, 3)
+    assert all(im.read_ppm(tmp_path / "d" / r.path).shape == (3, size, size)
                for r in rows)
 
 
@@ -515,28 +548,28 @@ def test_synth_config_has_no_image_model_fields(field):
 
 
 def smooth_field_oracle(rng, size, cells=8, amplitude=0.35):
-    """``imaging._smooth_field`` on an (H, W, 3) array: a cells x cells x 3
-    normal draw resized by half-pixel-center bilinear sampling through the
+    """``imaging._smooth_field``: a cells x cells x 3 normal draw resized to
+    (3, size, size) planes by half-pixel-center bilinear sampling through the
     fancy-indexing oracle, scaled so its largest magnitude is ``amplitude``."""
-    coarse = rng.normal(0.0, 1.0, size=(cells, cells, 3))
+    coarse = rng.normal(0.0, 1.0, size=(cells, cells, 3)).transpose(2, 0, 1)
     ticks = (np.arange(size) + 0.5) * (cells / size) - 0.5
     gx, gy = np.meshgrid(ticks, ticks)
     coords = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    field = bilinear_sample_oracle(coarse, coords).reshape(size, size, 3)
+    field = bilinear_sample_oracle(coarse, coords).reshape(3, size, size)
     return amplitude * field / max(np.abs(field).max(), 1e-9)
 
 
 def subject_face_oracle(rng, size, template, lms):
     """``imaging._subject_face`` as (H, W, 3) arithmetic: the face oval, the
     smooth field, the subject tint, then the six landmark blobs subtracted
-    in order, each broadcast over the channel axis."""
+    in order, each broadcast over the channel axis; returns the planes."""
     center = template.mean(axis=0)
     xs, ys = np.meshgrid(np.arange(size, dtype=np.float64),
                          np.arange(size, dtype=np.float64))
     e = np.sqrt(((xs - center[0]) / (0.38 * size)) ** 2
                 + ((ys - (center[1] - 0.03 * size)) / (0.47 * size)) ** 2)
     base = 0.30 - 0.85 / (1.0 + np.exp(-(e - 1.0) * 10.0))
-    img = base[:, :, None] + smooth_field_oracle(rng, size)
+    img = base[:, :, None] + smooth_field_oracle(rng, size).transpose(1, 2, 0)
     img += rng.uniform(-0.15, 0.15, size=3)
     anchors = [
         (lms[36:42].mean(axis=0), 0.70, 0.035 * size),
@@ -549,7 +582,7 @@ def subject_face_oracle(rng, size, template, lms):
     for (cx, cy), amp, sigma in anchors:
         img -= (amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2)
                              / (2.0 * sigma ** 2)))[:, :, None]
-    return np.clip(img, -0.95, 0.95)
+    return np.clip(img, -0.95, 0.95).transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("seed", [7, 101, 2024])
@@ -565,7 +598,7 @@ def test_subject_face_byte_equal_to_hwc_oracle(size, seed):
         im._subject_landmarks(want_rng, size, template)
         got = im._subject_face(got_rng, size, template, lms)
         want = subject_face_oracle(want_rng, size, template, lms)
-        assert got.shape == want.shape == (size, size, 3)
+        assert got.shape == want.shape == (3, size, size)
         assert got.tobytes() == want.tobytes(), (size, seed, s)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -595,7 +628,7 @@ def synth_dataset_rereading(config, out_dir):
             img = np.clip(img + r.uniform(-0.08, 0.08), -1.0, 1.0)
             img_rel = f"images/{sid}_c{c}.ppm"
             lms_rel = f"landmarks/{sid}_c{c}.txt"
-            im.save_face(out / img_rel, img)
+            im.write_ppm(out / img_rel, im.to_uint8(img))
             geo.save_landmarks(out / lms_rel, cap_lms)
             captures[s].append((img_rel, lms_rel))
             rows.append(im.DatasetRow(img_rel, sid, "real", "", "", lms_rel))
@@ -609,11 +642,13 @@ def synth_dataset_rereading(config, out_dir):
             ca = captures[s][m % config.captures]
             cb = captures[partner][(m + m // config.captures) % config.captures]
             rec = generate_morph_two_warps(
-                im.load_face(out / ca[0]), geo.load_landmarks(out / ca[1]),
-                im.load_face(out / cb[0]), geo.load_landmarks(out / cb[1]))
+                im.from_uint8(im.read_ppm(out / ca[0])),
+                geo.load_landmarks(out / ca[1]),
+                im.from_uint8(im.read_ppm(out / cb[0])),
+                geo.load_landmarks(out / cb[1]))
             img_rel = f"images/m{morph_idx:03d}_{sid}_{pid}.ppm"
             lms_rel = f"landmarks/m{morph_idx:03d}_{sid}_{pid}.txt"
-            im.save_face(out / img_rel, rec.image)
+            im.write_ppm(out / img_rel, im.to_uint8(rec.image))
             geo.save_landmarks(out / lms_rel, rec.landmarks)
             rows.append(im.DatasetRow(img_rel, sid, "morph", sid, pid, lms_rel))
             morph_idx += 1
@@ -640,7 +675,7 @@ def test_synth_tree_bit_identical_to_rereading_loop(tmp_path, monkeypatch, cfg):
     digest = tree_digest(tmp_path / "new")
     assert digest == tree_digest(tmp_path / "old")
     # the same tree with every warp and resize sampled by the fancy-indexing
-    # oracle on (H, W, C) arrays, not by the channel-major sampler
+    # oracle, not by the sampler's gathers from flat planes
     monkeypatch.setattr(geo, "_bilinear_sample", bilinear_sample_oracle)
     assert im.synth_dataset(cfg, tmp_path / "oracle") == rows
     assert tree_digest(tmp_path / "oracle") == digest

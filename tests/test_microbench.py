@@ -35,7 +35,7 @@ def rng(seed=0):
 def test_bench_warp_image_112(benchmark):
     r = rng(1)
     lms = im.canonical_landmarks(112)
-    img = r.uniform(-1, 1, size=(112, 112, 3))
+    img = r.uniform(-1, 1, size=(3, 112, 112))
     tgt = lms + r.normal(0, 2.0, size=lms.shape)
     out = benchmark.pedantic(geo.warp_image, args=(img, lms, tgt),
                              rounds=5, iterations=1, warmup_rounds=1)
@@ -47,8 +47,8 @@ def test_bench_generate_morph_112(benchmark):
     lms = im.canonical_landmarks(112)
     lms_a = lms + r.normal(0, 2.0, size=lms.shape)
     lms_b = lms + r.normal(0, 2.0, size=lms.shape)
-    img_a = r.uniform(-1, 1, size=(112, 112, 3))
-    img_b = r.uniform(-1, 1, size=(112, 112, 3))
+    img_a = r.uniform(-1, 1, size=(3, 112, 112))
+    img_b = r.uniform(-1, 1, size=(3, 112, 112))
     rec = benchmark.pedantic(im.generate_morph, args=(img_a, lms_a, img_b, lms_b),
                              rounds=5, iterations=1, warmup_rounds=1)
     # the blend of the two contributors, each warped on its own
@@ -68,7 +68,7 @@ def test_bench_synth_dataset_desk(benchmark, tmp_path):
     assert len(morphs) == 20
     # the last morph (m = 1) is made from capture 1 of each contributor
     m = morphs[-1]
-    sources = [(im.load_face(tmp_path / f"images/{sid}_c1.ppm"),
+    sources = [(im.from_uint8(im.read_ppm(tmp_path / f"images/{sid}_c1.ppm")),
                 geo.load_landmarks(tmp_path / f"landmarks/{sid}_c1.txt"))
                for sid in (m.source_a, m.source_b)]
     rec = im.generate_morph(*sources[0], *sources[1])
@@ -77,13 +77,13 @@ def test_bench_synth_dataset_desk(benchmark, tmp_path):
 
 def test_bench_bilinear_sample_112(benchmark):
     r = rng(8)
-    img = r.uniform(-1, 1, size=(112, 112, 3))
+    img = r.uniform(-1, 1, size=(3, 112, 112))
     xs, ys = np.meshgrid(np.arange(112.0), np.arange(112.0))
     coords = np.column_stack([xs.ravel(), ys.ravel()])
     coords += r.normal(0, 2.0, size=coords.shape)
     out = benchmark.pedantic(geo._bilinear_sample, args=(img, coords),
                              rounds=5, iterations=1, warmup_rounds=1)
-    assert out.shape == (112 * 112, 3)
+    assert out.shape == (3, 112 * 112)
     # every sample lies within the range of its four taps, so of the image
     assert img.min() <= out.min() and out.max() <= img.max()
 
@@ -92,7 +92,7 @@ def test_bench_build_triplet_pool_30(benchmark):
     """One stage-1 triplet: the draw (neighbour mining and delta), then the warp."""
     r = rng(9)
     lms = im.canonical_landmarks(112)
-    image = r.uniform(-1, 1, size=(112, 112, 3))
+    image = r.uniform(-1, 1, size=(3, 112, 112))
     pool = [(lms + r.normal(0, 2.0, size=lms.shape), i // 3) for i in range(30)]
 
     def draw_and_warp():
@@ -288,7 +288,7 @@ def test_bench_verify_pair(benchmark, tmp_path):
     r = rng(14)
     paths = [tmp_path / "trusted.ppm", tmp_path / "questioned.ppm"]
     for path in paths:
-        im.save_face(path, r.uniform(-1, 1, size=(112, 112, 3)))
+        im.write_ppm(path, im.to_uint8(r.uniform(-1, 1, size=(3, 112, 112))))
     score = benchmark.pedantic(_verify_pair, args=(cfg, params, *paths),
                                rounds=10, iterations=1, warmup_rounds=1)
     # the pair scored from one batch-2 encode of the same images
